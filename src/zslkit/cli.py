@@ -3,8 +3,7 @@
 Subcommands: ``make-splits``, ``quantize``, ``train-regressor``,
 ``eval-zsl``, ``eval-multishot``. Exit code is 0 iff a report (or the
 subcommand's output files) was written; otherwise a machine-readable
-error JSON goes to stderr and the exit code is 1. ZSLKIT_THREADS caps
-the worker count for per-dimension regressor training.
+error JSON goes to stderr and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -31,10 +30,11 @@ from .embedding import Label, load_embeddings
 from .evaluate import (
     EvaluationReport,
     ExperimentConfig,
-    resolve_kernel,
+    kernel_and_gram,
     run_multishot_evaluation,
     run_zsl_evaluation,
 )
+from .kernels import distance_matrix
 from .model_io import save_model
 from .svr import SvrConfig, train_semantic_regressor
 from .zsl import training_pair
@@ -137,14 +137,19 @@ def _cmd_train_regressor(args: argparse.Namespace) -> int:
     dataset = load_dataset(config.target_path)
     store = load_embeddings(config.embedding_path)
     pair = training_pair(dataset, store)
-    kernel = resolve_kernel(config, pair.features)
+    kernel, gram = kernel_and_gram(
+        config,
+        distance_matrix(config.kernel_kind, pair.features, chi2_halved=config.chi2_halved),
+    )
     svr_config = SvrConfig(
         c=config.svr_c,
         epsilon=config.svr_epsilon,
         tolerance=config.svr_tolerance,
         max_passes=config.svr_max_passes,
     )
-    regressor = train_semantic_regressor(pair.features, pair.embeddings, svr_config, kernel)
+    regressor = train_semantic_regressor(
+        pair.features, pair.embeddings, svr_config, kernel, gram
+    )
     out = Path(args.model_out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(regressor, out)

@@ -19,15 +19,25 @@ import numpy as np
 
 from .data import Dataset, generate_splits, load_dataset, save_split
 from .embedding import Label, load_embeddings
-from .kernels import RBF_CHI2, RBF_EUCLIDEAN, KERNEL_KINDS, KernelSpec, heuristic_gamma
+from .kernels import (
+    KERNEL_KINDS,
+    RBF_CHI2,
+    RBF_EUCLIDEAN,
+    KernelSpec,
+    distance_matrix,
+    gamma_from_distances,
+    heuristic_gamma,
+    rbf_from_distances,
+)
 from .svc import SvcConfig, classify_batch, train_svc
-from .svr import SvrConfig, predict_batch, resolve_threads, train_semantic_regressor
+from .svr import SvrConfig, predict_batch, train_semantic_regressor
 from .zsl import (
     Prediction,
     SelfTrainConfig,
     ZslProblem,
     augment_training,
     build_prototypes,
+    normalized_projections,
     training_pair,
     write_predictions_csv,
     zsl_predict,
@@ -218,14 +228,41 @@ def _merge_confusion(
             out[pred] = out.get(pred, 0) + count
 
 
-def resolve_kernel(config: ExperimentConfig, features: np.ndarray) -> KernelSpec:
+def _run_distances(
+    config: ExperimentConfig, target: Dataset, auxiliary: Dataset | None = None
+) -> np.ndarray:
+    """Base distances between all target rows followed by all auxiliary
+    rows. Every split or fold slices its gamma, Gram matrix and test
+    kernel rows from this one matrix."""
+    features = target.features
+    if auxiliary is not None and len(auxiliary):
+        if auxiliary.d_x != target.d_x:
+            raise ValueError(
+                f"feature dimension mismatch: target d_x={target.d_x}, "
+                f"auxiliary d_x={auxiliary.d_x}"
+            )
+        features = np.vstack([features, auxiliary.features])
+    return distance_matrix(config.kernel_kind, features, chi2_halved=config.chi2_halved)
+
+
+def kernel_and_gram(
+    config: ExperimentConfig, distances: np.ndarray
+) -> tuple[KernelSpec, np.ndarray]:
+    """Kernel of a training set and its Gram matrix, from the set's
+    symmetric base-distance matrix. Gamma is the reciprocal mean distance
+    when ``config.gamma`` is "auto"; ``distances`` becomes the Gram matrix
+    in place."""
     if config.gamma == "auto":
-        gamma = heuristic_gamma(
-            features, config.kernel_kind, chi2_halved=config.chi2_halved
-        )
+        gamma = gamma_from_distances(distances)
     else:
         gamma = float(config.gamma)
-    return KernelSpec(config.kernel_kind, gamma, chi2_halved=config.chi2_halved)
+    kernel = KernelSpec(config.kernel_kind, gamma, chi2_halved=config.chi2_halved)
+    return kernel, rbf_from_distances(gamma, distances)
+
+
+def _row_index(dataset: Dataset, ids: list[str]) -> np.ndarray:
+    pos = {id_: i for i, id_ in enumerate(dataset.ids)}
+    return np.array([pos[id_] for id_ in ids], dtype=np.intp)
 
 
 def _svr_config(config: ExperimentConfig) -> SvrConfig:
@@ -248,9 +285,7 @@ def _random_predictions(
     ]
 
 
-def run_zsl_evaluation(
-    config: ExperimentConfig, n_threads: int | None = None
-) -> tuple[EvaluationReport, Path]:
+def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path]:
     """Evaluate the zero-shot pipeline over generated category splits.
 
     Per split: train the regressor on seen-class instances (plus the
@@ -260,11 +295,13 @@ def run_zsl_evaluation(
     Returns the aggregated report and the run directory.
     """
     config.validate("zsl")
-    workers = resolve_threads(n_threads)
     target = load_dataset(config.target_path)
     store = load_embeddings(config.embedding_path)
     auxiliary = load_dataset(config.auxiliary_path) if config.augment else None
     splits = generate_splits(target.class_vocabulary, config.split_count, config.split_seed)
+    if config.predictor == PREDICTOR_REGRESSOR:
+        dist = _run_distances(config, target, auxiliary)
+        aux_rows = np.arange(len(target), dist.shape[0])
 
     run_dir = _prepare_run_dir(config)
     (run_dir / "splits").mkdir(exist_ok=True)
@@ -296,11 +333,17 @@ def run_zsl_evaluation(
                 pair = augment_training(
                     train_ds, auxiliary, store, unseen=list(split.unseen)
                 )
-                kernel = resolve_kernel(config, pair.features)
+                rows = np.concatenate([_row_index(target, train_ds.ids), aux_rows])
+                kernel, gram = kernel_and_gram(config, dist[np.ix_(rows, rows)])
                 regressor = train_semantic_regressor(
-                    pair.features, pair.embeddings, _svr_config(config), kernel, workers
+                    pair.features, pair.embeddings, _svr_config(config), kernel, gram
                 )
-                predictions = zsl_predict(regressor, problem, st_config)
+                del gram  # keep at most the run matrix and one unit's block alive
+                test_rows = _row_index(target, test_ds.ids)
+                kv = dist[np.ix_(test_rows, rows[regressor.pool_indices])]
+                predictions = zsl_predict(
+                    regressor, problem, st_config, rbf_from_distances(kernel.gamma, kv)
+                )
         except Exception as exc:
             raise RuntimeError(f"split {split.index} failed: {exc}") from exc
         write_predictions_csv(
@@ -350,9 +393,7 @@ def load_folds(path: str | Path) -> list[dict]:
     return folds
 
 
-def run_multishot_evaluation(
-    config: ExperimentConfig, n_threads: int | None = None
-) -> tuple[EvaluationReport, Path]:
+def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path]:
     """Standard supervised evaluation over user-supplied instance folds.
 
     Per fold: train the regressor on the train instances, project both
@@ -360,10 +401,10 @@ def run_multishot_evaluation(
     projections and classify the test projections.
     """
     config.validate("multishot")
-    workers = resolve_threads(n_threads)
     dataset = load_dataset(config.target_path)
     store = load_embeddings(config.embedding_path)
     folds = load_folds(config.folds_path)
+    dist = _run_distances(config, dataset)
 
     run_dir = _prepare_run_dir(config)
     (run_dir / "predictions").mkdir(exist_ok=True)
@@ -380,12 +421,18 @@ def run_multishot_evaluation(
             train_ds = dataset.subset_ids(list(fold["train"]))
             test_ds = dataset.subset_ids(list(fold["test"]))
             pair = training_pair(train_ds, store)
-            kernel = resolve_kernel(config, pair.features)
+            rows = _row_index(dataset, train_ds.ids)
+            kernel, gram = kernel_and_gram(config, dist[np.ix_(rows, rows)])
             regressor = train_semantic_regressor(
-                pair.features, pair.embeddings, _svr_config(config), kernel, workers
+                pair.features, pair.embeddings, _svr_config(config), kernel, gram
             )
-            train_proj = _normalized_projections(regressor, train_ds)
-            test_proj = _normalized_projections(regressor, test_ds)
+            pool = regressor.pool_indices
+            train_proj = _normalized_projections(regressor, train_ds, gram[:, pool])
+            del gram  # keep at most the run matrix and one unit's block alive
+            kv = dist[np.ix_(_row_index(dataset, test_ds.ids), rows[pool])]
+            test_proj = _normalized_projections(
+                regressor, test_ds, rbf_from_distances(kernel.gamma, kv)
+            )
             svc_kernel = KernelSpec(
                 RBF_EUCLIDEAN, heuristic_gamma(train_proj, RBF_EUCLIDEAN)
             )
@@ -420,15 +467,11 @@ def run_multishot_evaluation(
     return report, run_dir
 
 
-def _normalized_projections(regressor, dataset: Dataset) -> np.ndarray:
-    proj = predict_batch(regressor, dataset.features)
-    norms = np.linalg.norm(proj, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise ValueError(
-            f"projection of instance {dataset.ids[int(bad[0])]!r} is the zero vector"
-        )
-    return proj / norms[:, None]
+def _normalized_projections(
+    regressor, dataset: Dataset, kernel_rows: np.ndarray
+) -> np.ndarray:
+    raw = predict_batch(regressor, dataset.features, kernel_rows)
+    return normalized_projections(raw, dataset.ids)
 
 
 def simulate_random_guess(

@@ -92,13 +92,36 @@ def kernel_value(spec: KernelSpec, a, b) -> float:
 
 
 def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True) -> np.ndarray:
-    out = np.empty((rows.shape[0], cols.shape[0]), dtype=np.float64)
-    for i in range(rows.shape[0]):
-        num = (rows[i] - cols) ** 2
-        den = rows[i] + cols
-        terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        out[i] = terms.sum(axis=1)
-    return 0.5 * out if halved else out
+    """Chi-square distances between every row and every column vector.
+
+    When ``cols is rows`` only the upper triangle is computed and then
+    mirrored: (a-b)^2 and a+b are exactly symmetric, so the result equals
+    the rows-vs-cols computation bit for bit. Scratch buffers of shape
+    ``cols.shape`` are reused across rows.
+    """
+    symmetric = cols is rows
+    n_cols = cols.shape[0]
+    out = np.empty((rows.shape[0], n_cols), dtype=np.float64)
+    num = np.empty(cols.shape, dtype=np.float64)
+    den = np.empty(cols.shape, dtype=np.float64)
+    positive = np.empty(cols.shape, dtype=bool)
+    for i, r in enumerate(rows):
+        lo = i if symmetric else 0
+        c = cols[lo:]
+        m = n_cols - lo
+        nu, de, pos = num[:m], den[:m], positive[:m]
+        np.subtract(r, c, out=nu)
+        np.square(nu, out=nu)
+        np.add(r, c, out=de)
+        np.greater(de, 0.0, out=pos)
+        # where a+b == 0 both bins are 0, so nu already holds the 0 term
+        np.divide(nu, de, out=nu, where=pos)
+        nu.sum(axis=1, out=out[i, lo:])
+        if symmetric:
+            out[lo:, i] = out[i, lo:]
+    if halved:
+        out *= 0.5
+    return out
 
 
 def squared_euclidean_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -113,8 +136,8 @@ def distance_matrix(
 ) -> np.ndarray:
     """Pairwise base distances between two vector collections.
 
-    With ``cols=None`` the matrix is computed against ``rows`` itself and
-    explicitly symmetrized with an exactly-zero diagonal.
+    With ``cols=None`` the matrix is computed against ``rows`` itself; it
+    is exactly symmetric with an exactly-zero diagonal.
     """
     require_nonneg = kind == RBF_CHI2
     r = _as_matrix(rows, "rows", require_nonneg)
@@ -123,15 +146,20 @@ def distance_matrix(
     if r.shape[1] != c.shape[1]:
         raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
     if kind == RBF_CHI2:
-        d = chi2_distance_matrix(r, c, halved=chi2_halved)
-    elif kind == RBF_EUCLIDEAN:
-        d = squared_euclidean_matrix(r, c)
-    else:
+        return chi2_distance_matrix(r, c, halved=chi2_halved)
+    if kind != RBF_EUCLIDEAN:
         raise ValueError(f"unknown kernel kind {kind!r}")
+    d = squared_euclidean_matrix(r, c)
     if symmetric:
         d = 0.5 * (d + d.T)
         np.fill_diagonal(d, 0.0)
     return d
+
+
+def rbf_from_distances(gamma: float, d: np.ndarray) -> np.ndarray:
+    """exp(-gamma * d), computed in place over ``d`` and returned."""
+    d *= -gamma
+    return np.exp(d, out=d)
 
 
 def gram_matrix(spec: KernelSpec, rows, cols=None) -> np.ndarray:
@@ -140,7 +168,7 @@ def gram_matrix(spec: KernelSpec, rows, cols=None) -> np.ndarray:
     When ``cols`` is omitted the result is symmetric with unit diagonal.
     """
     d = distance_matrix(spec.kind, rows, cols, chi2_halved=spec.chi2_halved)
-    return np.exp(-spec.gamma * d)
+    return rbf_from_distances(spec.gamma, d)
 
 
 def heuristic_gamma(
@@ -152,20 +180,37 @@ def heuristic_gamma(
     max_pairs: int = 1_000_000,
     seed: int = 0,
 ) -> float:
-    """Reciprocal of the mean pairwise base distance of ``data``.
+    """Reciprocal of the mean pairwise base distance of ``data``; see
+    :func:`gamma_from_distances`."""
+    x = _as_matrix(data, "data", require_nonnegative=kind == RBF_CHI2)
+    return gamma_from_distances(
+        distance_matrix(kind, x, chi2_halved=chi2_halved),
+        include_self_pairs=include_self_pairs,
+        max_pairs=max_pairs,
+        seed=seed,
+    )
+
+
+def gamma_from_distances(
+    d: np.ndarray,
+    *,
+    include_self_pairs: bool = False,
+    max_pairs: int = 1_000_000,
+    seed: int = 0,
+) -> float:
+    """Reciprocal of the mean off-diagonal entry of a symmetric distance
+    matrix with a zero diagonal, such as a block of a run-wide matrix.
 
     The mean is over ordered pairs i != j by default; including self pairs
     shrinks it by (n-1)/n and is exposed for comparison. When the ordered
     pair count exceeds ``max_pairs``, pairs are subsampled uniformly with
     a PCG64 generator seeded by ``seed``.
     """
-    x = _as_matrix(data, "data", require_nonnegative=kind == RBF_CHI2)
-    n = x.shape[0]
+    n = d.shape[0]
     if n < 2:
         raise ValueError("gamma heuristic needs at least 2 vectors")
     n_pairs = n * n if include_self_pairs else n * (n - 1)
     if n_pairs <= max_pairs:
-        d = distance_matrix(kind, x, chi2_halved=chi2_halved)
         mean = float(d.sum()) / n_pairs  # diagonal is exactly zero
     else:
         rng = np.random.default_rng(seed)
@@ -174,22 +219,11 @@ def heuristic_gamma(
             j = rng.integers(0, n, size=max_pairs)
         else:
             j = (i + rng.integers(1, n, size=max_pairs)) % n
+        # chunked partial sums fix the summation order of reported gammas
         total = 0.0
         chunk = 100_000
         for lo in range(0, max_pairs, chunk):
-            a = x[i[lo : lo + chunk]]
-            b = x[j[lo : lo + chunk]]
-            if kind == RBF_CHI2:
-                num = (a - b) ** 2
-                den = a + b
-                terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-                vals = terms.sum(axis=1)
-                if chi2_halved:
-                    vals *= 0.5
-            else:
-                diff = a - b
-                vals = (diff * diff).sum(axis=1)
-            total += float(vals.sum())
+            total += float(d[i[lo : lo + chunk], j[lo : lo + chunk]].sum())
         mean = total / max_pairs
     if mean <= 0.0:
         raise ValueError("mean pairwise distance is zero (all vectors identical)")

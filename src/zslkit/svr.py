@@ -4,8 +4,6 @@ dual and bundled per output dimension into a feature-to-embedding map."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +62,8 @@ def _validate_gram(gram: np.ndarray) -> np.ndarray:
     g = np.asarray(gram, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"gram matrix must be square, got shape {g.shape}")
-    if not np.allclose(g, g.T, atol=1e-8):
+    # exact equality settles the usual exactly symmetric Gram cheaply
+    if not (np.array_equal(g, g.T) or np.allclose(g, g.T, atol=1e-8)):
         raise ValueError("gram matrix is not symmetric")
     return g
 
@@ -159,27 +158,18 @@ class SemanticRegressor:
     biases: np.ndarray
 
 
-def resolve_threads(n_threads: int | None = None) -> int:
-    """Worker count for per-dimension training, capped by ZSLKIT_THREADS."""
-    env = os.environ.get("ZSLKIT_THREADS")
-    if env:
-        cap = max(1, int(env))
-        return cap if n_threads is None else max(1, min(n_threads, cap))
-    return 1 if n_threads is None else max(1, n_threads)
-
-
 def train_semantic_regressor(
     features: np.ndarray,
     embeddings: np.ndarray,
     config: SvrConfig,
     kernel: KernelSpec,
-    n_threads: int | None = None,
+    gram: np.ndarray | None = None,
 ) -> SemanticRegressor:
     """Train one SVR per embedding coordinate over a shared Gram matrix.
 
     Dimension j regresses coordinate j of the instance's label embedding.
-    Trainings are independent; with n_threads > 1 they run on a thread
-    pool with results identical to the sequential order.
+    ``gram`` is the features' Gram matrix under ``kernel`` when the caller
+    already has it; otherwise it is computed here.
     """
     x = np.asarray(features, dtype=np.float64)
     zt = np.asarray(embeddings, dtype=np.float64)
@@ -194,17 +184,9 @@ def train_semantic_regressor(
     n, d_z = zt.shape[0], zt.shape[1]
     if d_z < 1:
         raise ValueError("embeddings must have at least one dimension")
-    gram = gram_matrix(kernel, x)
-
-    def fit(j: int) -> SvrModel:
-        return train_svr(gram, zt[:, j], config, kernel)
-
-    workers = resolve_threads(n_threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            models = list(pool.map(fit, range(d_z)))
-    else:
-        models = [fit(j) for j in range(d_z)]
+    if gram is None:
+        gram = gram_matrix(kernel, x)
+    models = [train_svr(gram, zt[:, j], config, kernel) for j in range(d_z)]
 
     pool_idx = np.unique(np.concatenate([m.support_indices for m in models])).astype(int)
     coeffs = np.zeros((d_z, pool_idx.size), dtype=np.float64)
@@ -223,8 +205,17 @@ def train_semantic_regressor(
     )
 
 
-def predict_batch(regressor: SemanticRegressor, features: np.ndarray) -> np.ndarray:
-    """Project feature rows into the embedding space, (n, d_z)."""
+def predict_batch(
+    regressor: SemanticRegressor,
+    features: np.ndarray,
+    kernel_rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Project feature rows into the embedding space, (n, d_z).
+
+    ``kernel_rows`` are the rows' kernel values against the regressor's
+    support pool, (n, pool size), when the caller already has them;
+    otherwise they are computed here.
+    """
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -233,11 +224,14 @@ def predict_batch(regressor: SemanticRegressor, features: np.ndarray) -> np.ndar
         raise ValueError(
             f"feature dimension mismatch: {x.shape[1]} vs {regressor.feature_dim}"
         )
-    if regressor.pool_features.shape[0] == 0:
-        out = np.tile(regressor.biases, (x.shape[0], 1))
-    else:
-        kv = gram_matrix(regressor.kernel, x, regressor.pool_features)
-        out = kv @ regressor.coefficients.T + regressor.biases
+    if kernel_rows is None:
+        kernel_rows = gram_matrix(regressor.kernel, x, regressor.pool_features)
+    elif kernel_rows.shape != (x.shape[0], regressor.coefficients.shape[1]):
+        raise ValueError(
+            f"kernel rows have shape {kernel_rows.shape}, expected "
+            f"({x.shape[0]}, {regressor.coefficients.shape[1]})"
+        )
+    out = kernel_rows @ regressor.coefficients.T + regressor.biases
     return out[0] if single else out
 
 

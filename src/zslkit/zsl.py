@@ -146,23 +146,30 @@ class Prediction(NamedTuple):
     distance: float
 
 
+def normalized_projections(raw: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+    """L2-normalize projection rows, naming the instance of a zero row."""
+    norms = np.linalg.norm(raw, axis=1)
+    bad = np.flatnonzero(norms == 0.0)
+    if bad.size:
+        raise ValueError(f"projection of instance {ids[int(bad[0])]!r} is the zero vector")
+    return raw / norms[:, None]
+
+
 def zsl_predict(
     regressor: SemanticRegressor,
     problem: ZslProblem,
     config: SelfTrainConfig | None = None,
+    kernel_rows: np.ndarray | None = None,
 ) -> list[Prediction]:
     """Project every test instance, L2-normalize, optionally self-train the
-    prototypes on the projections, then nearest-prototype classify."""
+    prototypes on the projections, then nearest-prototype classify.
+
+    ``kernel_rows`` are passed on to :func:`~zslkit.svr.predict_batch`.
+    """
     if len(problem.test) == 0:
         return []
-    raw = predict_batch(regressor, problem.test.features)
-    norms = np.linalg.norm(raw, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise ValueError(
-            f"projection of instance {problem.test.ids[int(bad[0])]!r} is the zero vector"
-        )
-    proj = raw / norms[:, None]
+    raw = predict_batch(regressor, problem.test.features, kernel_rows)
+    proj = normalized_projections(raw, problem.test.ids)
     prototypes = problem.prototypes
     if config is not None:
         prototypes = self_train(prototypes, proj, config)

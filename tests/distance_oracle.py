@@ -1,0 +1,59 @@
+"""Reference computations for the run-wide distance matrix.
+
+These are the straightforward forms that the package's distance code
+replaced: a full rows-vs-cols chi-square loop, and the gamma heuristic's
+sampled branch computing each sampled pair's distance from the feature
+rows. Tests require the package to agree with them bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def chi2_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True) -> np.ndarray:
+    """Chi-square distance of every row to every column, one row at a time."""
+    out = np.empty((rows.shape[0], cols.shape[0]), dtype=np.float64)
+    for i in range(rows.shape[0]):
+        num = (rows[i] - cols) ** 2
+        den = rows[i] + cols
+        terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        out[i] = terms.sum(axis=1)
+    return 0.5 * out if halved else out
+
+
+def sampled_gamma(
+    x: np.ndarray,
+    kind: str = "rbf_chi2",
+    *,
+    chi2_halved: bool = True,
+    include_self_pairs: bool = False,
+    max_pairs: int = 1_000_000,
+    seed: int = 0,
+) -> float:
+    """Reciprocal mean distance over ``max_pairs`` seeded random pairs,
+    each distance computed directly from its two feature rows."""
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, size=max_pairs)
+    if include_self_pairs:
+        j = rng.integers(0, n, size=max_pairs)
+    else:
+        j = (i + rng.integers(1, n, size=max_pairs)) % n
+    total = 0.0
+    chunk = 100_000
+    for lo in range(0, max_pairs, chunk):
+        a = x[i[lo : lo + chunk]]
+        b = x[j[lo : lo + chunk]]
+        if kind == "rbf_chi2":
+            num = (a - b) ** 2
+            den = a + b
+            terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+            vals = terms.sum(axis=1)
+            if chi2_halved:
+                vals *= 0.5
+        else:
+            diff = a - b
+            vals = (diff * diff).sum(axis=1)
+        total += float(vals.sum())
+    return 1.0 / (total / max_pairs)

@@ -4,15 +4,30 @@ import numpy as np
 import pytest
 
 from zslkit.cli import main
-from zslkit.data import load_dataset, write_features_csv
-from zslkit.embedding import save_embeddings
+from zslkit.data import generate_splits, load_dataset, write_features_csv
+from zslkit.embedding import load_embeddings, save_embeddings
 from zslkit.evaluate import (
     ExperimentConfig,
+    load_folds,
     run_multishot_evaluation,
     run_zsl_evaluation,
     simulate_random_guess,
 )
+from zslkit.kernels import RBF_EUCLIDEAN, KernelSpec, heuristic_gamma
+from zslkit.svc import SvcConfig, classify_batch, train_svc
+from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
 from zslkit.synthetic import make_world, world_dataset, world_store
+from zslkit.zsl import (
+    Prediction,
+    SelfTrainConfig,
+    ZslProblem,
+    augment_training,
+    build_prototypes,
+    normalized_projections,
+    training_pair,
+    write_predictions_csv,
+    zsl_predict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +61,88 @@ def base_config(toy_world, out_dir, **overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         setattr(config, key, value)
     return config
+
+
+def _svr_config(config: ExperimentConfig) -> SvrConfig:
+    return SvrConfig(
+        c=config.svr_c,
+        epsilon=config.svr_epsilon,
+        tolerance=config.svr_tolerance,
+        max_passes=config.svr_max_passes,
+    )
+
+
+def reference_kernel(config: ExperimentConfig, features: np.ndarray) -> KernelSpec:
+    gamma = heuristic_gamma(features, config.kernel_kind, chi2_halved=config.chi2_halved)
+    return KernelSpec(config.kernel_kind, gamma, chi2_halved=config.chi2_halved)
+
+
+def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
+    """Per-split prediction CSVs from the features-in entry points, each
+    split computing its own distances."""
+    target = load_dataset(config.target_path)
+    store = load_embeddings(config.embedding_path)
+    auxiliary = load_dataset(config.auxiliary_path) if config.augment else None
+    st_config = SelfTrainConfig(k=config.k_neighbors) if config.self_train else None
+    for split in generate_splits(target.class_vocabulary, config.split_count, config.split_seed):
+        train = target.subset_classes(list(split.seen))
+        test = target.subset_classes(list(split.unseen))
+        problem = ZslProblem(train, test, build_prototypes(store, list(split.unseen)))
+        pair = augment_training(train, auxiliary, store, unseen=list(split.unseen))
+        regressor = train_semantic_regressor(
+            pair.features, pair.embeddings, _svr_config(config),
+            reference_kernel(config, pair.features),
+        )
+        write_predictions_csv(
+            zsl_predict(regressor, problem, st_config), out_dir / f"split_{split.index:03d}.csv"
+        )
+
+
+def reference_multishot_predictions(config: ExperimentConfig, out_dir) -> None:
+    """Per-fold prediction CSVs from the features-in entry points."""
+    dataset = load_dataset(config.target_path)
+    store = load_embeddings(config.embedding_path)
+    for index, fold in enumerate(load_folds(config.folds_path), start=1):
+        train = dataset.subset_ids(list(fold["train"]))
+        test = dataset.subset_ids(list(fold["test"]))
+        pair = training_pair(train, store)
+        regressor = train_semantic_regressor(
+            pair.features, pair.embeddings, _svr_config(config),
+            reference_kernel(config, pair.features),
+        )
+        train_proj, test_proj = (
+            normalized_projections(predict_batch(regressor, ds.features), ds.ids)
+            for ds in (train, test)
+        )
+        svc_kernel = KernelSpec(RBF_EUCLIDEAN, heuristic_gamma(train_proj, RBF_EUCLIDEAN))
+        model = train_svc(train_proj, train.labels, SvcConfig(), svc_kernel)
+        predicted = classify_batch(model, test_proj)
+        write_predictions_csv(
+            [Prediction(id_, lab, float("nan")) for id_, lab in zip(test.ids, predicted)],
+            out_dir / f"fold_{index:03d}.csv",
+        )
+
+
+def assert_same_predictions(run_dir, ref_dir, kernel_kind: str) -> None:
+    """Byte-identical CSVs under the chi-square kernel; under RBF-Euclidean
+    the distances may differ by matrix-product rounding, to 1e-12."""
+    names = sorted(p.name for p in ref_dir.iterdir())
+    assert names and names == sorted(p.name for p in (run_dir / "predictions").iterdir())
+    for name in names:
+        got = (run_dir / "predictions" / name).read_text()
+        want = (ref_dir / name).read_text()
+        if kernel_kind == "rbf_chi2":
+            assert got == want, name
+            continue
+        got_rows = [line.split(",") for line in got.splitlines()]
+        want_rows = [line.split(",") for line in want.splitlines()]
+        assert [r[:2] for r in got_rows] == [r[:2] for r in want_rows], name
+        np.testing.assert_allclose(
+            [float(r[2]) for r in got_rows[1:]],
+            [float(r[2]) for r in want_rows[1:]],
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestZslEvaluation:
@@ -96,6 +193,26 @@ class TestZslEvaluation:
         config.target_path = str(path)
         report, _ = run_zsl_evaluation(config)
         assert report.per_split_accuracy == [100.0]
+
+    @pytest.mark.parametrize("kernel_kind", ["rbf_chi2", "rbf_euclidean"])
+    def test_matches_per_split_reference(self, toy_world, tmp_path, kernel_kind):
+        config = base_config(
+            toy_world, tmp_path, self_train=True, k_neighbors=5, split_count=3,
+            augment=True, auxiliary_path=str(toy_world["aux"]), kernel_kind=kernel_kind,
+        )
+        _, run_dir = run_zsl_evaluation(config)
+        ref_dir = tmp_path / "reference"
+        ref_dir.mkdir()
+        reference_zsl_predictions(config, ref_dir)
+        assert_same_predictions(run_dir, ref_dir, kernel_kind)
+
+    def test_auxiliary_dimension_mismatch_fails(self, toy_world, tmp_path):
+        ds = load_dataset(toy_world["aux"])
+        path = tmp_path / "narrow_aux.csv"
+        write_features_csv(path, ds.ids, ds.labels, ds.features[:, :-1])
+        config = base_config(toy_world, tmp_path, augment=True, auxiliary_path=str(path))
+        with pytest.raises(ValueError, match="feature dimension mismatch"):
+            run_zsl_evaluation(config)
 
     def test_self_train_requires_explicit_k(self, toy_world, tmp_path):
         config = base_config(toy_world, tmp_path, self_train=True)
@@ -184,6 +301,19 @@ class TestMultishot:
             float(np.mean(report.per_split_accuracy)), abs=1e-9
         )
         assert (run_dir / "predictions" / "fold_001.csv").is_file()
+
+    @pytest.mark.parametrize("kernel_kind", ["rbf_chi2", "rbf_euclidean"])
+    def test_matches_per_fold_reference(self, toy_world, tmp_path, kernel_kind):
+        folds_path = tmp_path / "folds.json"
+        self._write_folds(folds_path, load_dataset(toy_world["target"]))
+        config = base_config(
+            toy_world, tmp_path, folds_path=str(folds_path), kernel_kind=kernel_kind
+        )
+        _, run_dir = run_multishot_evaluation(config)
+        ref_dir = tmp_path / "reference"
+        ref_dir.mkdir()
+        reference_multishot_predictions(config, ref_dir)
+        assert_same_predictions(run_dir, ref_dir, kernel_kind)
 
     def test_overlapping_fold_rejected(self, toy_world, tmp_path):
         dataset = load_dataset(toy_world["target"])

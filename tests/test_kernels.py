@@ -6,9 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import distance_oracle
 from zslkit.kernels import (
     KernelSpec,
     chi2_distance,
+    distance_matrix,
+    gamma_from_distances,
     gram_matrix,
     heuristic_gamma,
     kernel_value,
@@ -19,6 +22,13 @@ histograms = hnp.arrays(
     np.float64,
     st.integers(2, 8).map(lambda n: (n,)),
     elements=st.floats(0, 10, allow_nan=False),
+)
+
+# histogram sets with many exactly-zero bins, rows and columns
+histogram_sets = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(2, 12), st.integers(1, 16)),
+    elements=st.one_of(st.just(0.0), st.floats(0, 10, allow_nan=False)),
 )
 
 
@@ -222,3 +232,69 @@ class TestGramMatrix:
         spec = KernelSpec("rbf_chi2", 1.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             gram_matrix(spec, [[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+
+class TestRunWideDistances:
+    """A run computes one distance matrix and slices every split's gamma,
+    Gram matrix and kernel rows from it; the slices must be bit-identical
+    to computing each subset on its own."""
+
+    @given(histogram_sets, st.booleans())
+    def test_symmetric_chi2_equals_rows_vs_cols(self, x, halved):
+        d = distance_matrix("rbf_chi2", x, chi2_halved=halved)
+        np.testing.assert_array_equal(d, distance_matrix("rbf_chi2", x, x.copy(), chi2_halved=halved))
+        np.testing.assert_array_equal(d, distance_oracle.chi2_matrix(x, x, halved))
+        np.testing.assert_array_equal(d, d.T)
+        assert not np.any(np.diag(d))
+
+    @given(histogram_sets, st.data())
+    def test_sub_blocks_equal_per_subset_matrices(self, x, data):
+        n = x.shape[0]
+        s = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        t = [i for i in range(n) if i not in s]
+        d = distance_matrix("rbf_chi2", x)
+        np.testing.assert_array_equal(d[np.ix_(s, s)], distance_matrix("rbf_chi2", x[s]))
+        if t:
+            np.testing.assert_array_equal(
+                d[np.ix_(t, s)], distance_matrix("rbf_chi2", x[t], x[s])
+            )
+
+    @given(histogram_sets, st.data(), st.booleans())
+    def test_gamma_from_block_equals_heuristic(self, x, data, include_self):
+        n = x.shape[0]
+        s = data.draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+        block = distance_matrix("rbf_chi2", x)[np.ix_(s, s)]
+        n_pairs = len(s) * (len(s) - 1 + include_self)
+        # the default budget takes the exact mean; one pair fewer samples
+        for max_pairs in (1_000_000, n_pairs - 1):
+            kw = dict(include_self_pairs=include_self, max_pairs=max_pairs, seed=5)
+            try:
+                expected = heuristic_gamma(x[s], **kw)
+            except ValueError:
+                with pytest.raises(ValueError, match="identical"):
+                    gamma_from_distances(block, **kw)
+                continue
+            assert gamma_from_distances(block, **kw) == expected
+            if max_pairs < n_pairs:
+                assert distance_oracle.sampled_gamma(x[s], **kw) == expected
+
+    def test_sampled_gamma_matches_direct_pairs_across_chunks(self):
+        rng = np.random.default_rng(31)
+        x = rng.dirichlet(np.full(40, 0.3), size=500)
+        kw = dict(max_pairs=240_000, seed=9)  # below n(n-1); chunks of 100k pairs
+        assert heuristic_gamma(x, **kw) == distance_oracle.sampled_gamma(x, **kw)
+
+    def test_euclidean_blocks_agree_to_rounding(self):
+        # squared Euclidean distances come from a matrix product whose
+        # blocking depends on the operand shapes, so a block of the
+        # run-wide matrix matches the per-subset one only to rounding
+        rng = np.random.default_rng(32)
+        x = rng.dirichlet(np.ones(1000), size=150)
+        s = rng.permutation(150)[:90]
+        d = distance_matrix("rbf_euclidean", x)
+        np.testing.assert_allclose(
+            d[np.ix_(s, s)], distance_matrix("rbf_euclidean", x[s]), rtol=0, atol=1e-12
+        )
+        assert gamma_from_distances(d[np.ix_(s, s)], max_pairs=500) == pytest.approx(
+            distance_oracle.sampled_gamma(x[s], "rbf_euclidean", max_pairs=500), rel=1e-12
+        )

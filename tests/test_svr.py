@@ -91,6 +91,8 @@ class TestTrainSvr:
             train_svr(np.ones((2, 3)), np.zeros(2), config)
         with pytest.raises(ValueError, match="symmetric"):
             train_svr(np.array([[1.0, 0.5], [0.1, 1.0]]), np.zeros(2), config)
+        # asymmetry within rounding is still accepted
+        train_svr(np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]]), np.zeros(2), config)
         with pytest.raises(ValueError, match="targets length"):
             train_svr(np.eye(3), np.zeros(2), config)
         with pytest.raises(ValueError, match="at least 2"):
@@ -206,27 +208,6 @@ class TestSemanticRegressor:
         baseline = np.tile(z_tr.mean(axis=0), (n_test, 1))
         assert mean_cosdist(proj) < mean_cosdist(baseline)
 
-    def test_thread_count_does_not_change_results(self):
-        rng = np.random.default_rng(14)
-        x, spec, _ = random_problem(rng, 10, 4)
-        emb = rng.normal(size=(10, 4))
-        config = SvrConfig(epsilon=0.05)
-        serial = train_semantic_regressor(x, emb, config, spec, n_threads=1)
-        threaded = train_semantic_regressor(x, emb, config, spec, n_threads=3)
-        np.testing.assert_array_equal(serial.coefficients, threaded.coefficients)
-        np.testing.assert_array_equal(serial.biases, threaded.biases)
-
-    def test_env_var_caps_worker_count(self, monkeypatch):
-        from zslkit.svr import resolve_threads
-
-        monkeypatch.delenv("ZSLKIT_THREADS", raising=False)
-        assert resolve_threads(None) == 1
-        assert resolve_threads(4) == 4
-        monkeypatch.setenv("ZSLKIT_THREADS", "2")
-        assert resolve_threads(None) == 2
-        assert resolve_threads(8) == 2
-        assert resolve_threads(1) == 1
-
     def test_shape_validation(self):
         spec = KernelSpec("rbf_chi2", 1.0)
         with pytest.raises(ValueError, match="sample count mismatch"):
@@ -238,6 +219,9 @@ class TestSemanticRegressor:
         reg = train_semantic_regressor(x, rng.normal(size=(4, 2)), SvrConfig(epsilon=0.0), spec)
         with pytest.raises(ValueError, match="feature dimension mismatch"):
             predict(reg, np.ones(5) / 5)
+        pool = reg.coefficients.shape[1]
+        with pytest.raises(ValueError, match="kernel rows have shape"):
+            predict_batch(reg, x, np.ones((3, pool)))
 
 
 class TestModelSerialization:
