@@ -32,7 +32,6 @@ from .svr import (
     SemanticRegressor,
     SvrConfig,
     SvrModel,
-    predict,
     predict_batch,
     train_semantic_regressor,
     train_svr,
@@ -44,7 +43,7 @@ from .zsl import (
     ZslProblem,
     augment_training,
     build_prototypes,
-    nn_classify,
+    nearest_prototype,
     self_train,
     training_pair,
     zsl_predict,

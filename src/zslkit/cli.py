@@ -36,7 +36,8 @@ from .evaluate import (
 )
 from .kernels import distance_matrix
 from .model_io import save_model
-from .svr import SvrConfig, train_semantic_regressor
+from .smo import ConvergenceError
+from .svr import train_semantic_regressor
 from .zsl import training_pair
 
 
@@ -141,19 +142,13 @@ def _cmd_train_regressor(args: argparse.Namespace) -> int:
         config,
         distance_matrix(config.kernel_kind, pair.features, chi2_halved=config.chi2_halved),
     )
-    svr_config = SvrConfig(
-        c=config.svr_c,
-        epsilon=config.svr_epsilon,
-        tolerance=config.svr_tolerance,
-        max_passes=config.svr_max_passes,
-    )
     regressor = train_semantic_regressor(
-        pair.features, pair.embeddings, svr_config, kernel, gram
+        pair.features, pair.embeddings, config.svr_config(), kernel, gram
     )
     out = Path(args.model_out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(regressor, out)
-    print(f"trained on {len(dataset)} instances, d_z={regressor.dimension}")
+    print(f"trained on {len(dataset)} instances, d_z={regressor.coefficients.shape[0]}")
     print(f"model written to {out}")
     return 0
 
@@ -254,6 +249,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         error = {"error": str(exc), "type": type(exc).__name__}
+        if isinstance(exc, ConvergenceError):
+            error.update(iterations=exc.iterations, violation=exc.violation)
         print(json.dumps(error), file=sys.stderr)
         return 1
 

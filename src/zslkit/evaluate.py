@@ -14,10 +14,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, generate_splits, load_dataset, save_split
+from . import smo
+from .data import Dataset, SplitSpec, generate_splits, load_dataset, save_split
 from .embedding import Label, load_embeddings
 from .kernels import (
     KERNEL_KINDS,
@@ -132,6 +134,14 @@ class ExperimentConfig:
             if not Path(self.folds_path).is_file():
                 raise ValueError(f"folds file not found: {self.folds_path}")
 
+    def svr_config(self) -> SvrConfig:
+        return SvrConfig(
+            c=self.svr_c,
+            epsilon=self.svr_epsilon,
+            tolerance=self.svr_tolerance,
+            max_passes=self.svr_max_passes,
+        )
+
     def variant_name(self) -> str:
         parts = ["NN"]
         if self.self_train:
@@ -162,33 +172,6 @@ class EvaluationReport:
         return dataclasses.asdict(self)
 
 
-def _aggregate(
-    fingerprint: str,
-    mode: str,
-    variant: str,
-    accuracies: list[float],
-    balanced: list[float],
-    confusion: dict[str, dict[str, int]],
-    config: dict,
-    n_test: list[int],
-) -> EvaluationReport:
-    acc = np.asarray(accuracies, dtype=np.float64)
-    bal = np.asarray(balanced, dtype=np.float64)
-    return EvaluationReport(
-        fingerprint=fingerprint,
-        mode=mode,
-        variant=variant,
-        per_split_accuracy=[float(v) for v in acc],
-        mean_accuracy=float(acc.mean()),
-        std_accuracy=float(acc.std()),  # population std over splits
-        per_split_class_balanced=[float(v) for v in bal],
-        mean_class_balanced=float(bal.mean()) if bal.size else 0.0,
-        confusion=confusion,
-        config=config,
-        n_test_per_split=n_test,
-    )
-
-
 def save_report(report: EvaluationReport, path: str | Path) -> None:
     Path(path).write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -217,15 +200,6 @@ def _score(
         else 0.0
     )
     return accuracy, balanced, confusion
-
-
-def _merge_confusion(
-    total: dict[str, dict[str, int]], part: dict[str, dict[str, int]]
-) -> None:
-    for truth, row in part.items():
-        out = total.setdefault(truth, {})
-        for pred, count in row.items():
-            out[pred] = out.get(pred, 0) + count
 
 
 def _run_distances(
@@ -265,15 +239,6 @@ def _row_index(dataset: Dataset, ids: list[str]) -> np.ndarray:
     return np.array([pos[id_] for id_ in ids], dtype=np.intp)
 
 
-def _svr_config(config: ExperimentConfig) -> SvrConfig:
-    return SvrConfig(
-        c=config.svr_c,
-        epsilon=config.svr_epsilon,
-        tolerance=config.svr_tolerance,
-        max_passes=config.svr_max_passes,
-    )
-
-
 def _random_predictions(
     test: Dataset, unseen: tuple[Label, ...], seed: int, index: int
 ) -> list[Prediction]:
@@ -283,6 +248,71 @@ def _random_predictions(
         Prediction(test.ids[i], unseen[int(picks[i])], float("nan"))
         for i in range(len(test))
     ]
+
+
+def _run_units(
+    config: ExperimentConfig,
+    mode: str,
+    variant: str,
+    kind: str,
+    units: Sequence[tuple[int, object]],
+    fit_predict: Callable[[object, Path], tuple[list[Label], list[Prediction]]],
+) -> tuple[EvaluationReport, Path]:
+    """The evaluation loop shared by both modes.
+
+    ``fit_predict(unit, run_dir)`` returns a unit's true test labels and
+    its predictions; a failure is re-raised naming the ``kind`` ("split"
+    or "fold") and index, keeping a solver's diagnostics. Each unit's
+    predictions are written and scored, then the report is aggregated and
+    saved in the run directory.
+    """
+    run_dir = Path(config.out_dir) / config.fingerprint()[:12]
+    (run_dir / "predictions").mkdir(parents=True, exist_ok=True)
+    accuracies: list[float] = []
+    balanced: list[float] = []
+    n_tests: list[int] = []
+    confusion: dict[str, dict[str, int]] = {}
+    for index, unit in units:
+        try:
+            truths, predictions = fit_predict(unit, run_dir)
+        except smo.ConvergenceError as exc:
+            raise smo.ConvergenceError(
+                f"{kind} {index} failed: {exc}",
+                iterations=exc.iterations,
+                violation=exc.violation,
+                result=exc.result,
+            ) from exc
+        except Exception as exc:
+            raise RuntimeError(f"{kind} {index} failed: {exc}") from exc
+        write_predictions_csv(
+            predictions, run_dir / "predictions" / f"{kind}_{index:03d}.csv"
+        )
+        acc, bal, conf = _score(truths, predictions)
+        accuracies.append(acc)
+        balanced.append(bal)
+        n_tests.append(len(truths))
+        for truth, row in conf.items():
+            out = confusion.setdefault(truth, {})
+            for pred, count in row.items():
+                out[pred] = out.get(pred, 0) + count
+
+    acc_arr = np.asarray(accuracies, dtype=np.float64)
+    bal_arr = np.asarray(balanced, dtype=np.float64)
+    report = EvaluationReport(
+        fingerprint=config.fingerprint(),
+        mode=mode,
+        variant=variant,
+        per_split_accuracy=[float(v) for v in acc_arr],
+        mean_accuracy=float(acc_arr.mean()),
+        std_accuracy=float(acc_arr.std()),  # population std over splits
+        per_split_class_balanced=[float(v) for v in bal_arr],
+        mean_class_balanced=float(bal_arr.mean()) if bal_arr.size else 0.0,
+        confusion=confusion,
+        config=config.to_dict(),
+        n_test_per_split=n_tests,
+    )
+    save_report(report, run_dir / "report.json")
+    return report, run_dir
 
 
 def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path]:
@@ -302,77 +332,42 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     if config.predictor == PREDICTOR_REGRESSOR:
         dist = _run_distances(config, target, auxiliary)
         aux_rows = np.arange(len(target), dist.shape[0])
-
-    run_dir = _prepare_run_dir(config)
-    (run_dir / "splits").mkdir(exist_ok=True)
-    (run_dir / "predictions").mkdir(exist_ok=True)
-
-    accuracies: list[float] = []
-    balanced: list[float] = []
-    n_tests: list[int] = []
-    confusion: dict[str, dict[str, int]] = {}
     st_config = (
         SelfTrainConfig(k=config.k_neighbors, renormalize=config.renormalize_prototypes)
         if config.self_train
         else None
     )
-    for split in splits:
-        try:
-            save_split(split, target.name, run_dir / "splits" / f"split_{split.index:03d}.json")
-            train_ds = target.subset_classes(list(split.seen))
-            test_ds = target.subset_classes(list(split.unseen))
-            prototypes = build_prototypes(
-                store, list(split.unseen), normalize=config.normalize_prototypes
-            )
-            problem = ZslProblem(train=train_ds, test=test_ds, prototypes=prototypes)
-            if config.predictor == PREDICTOR_RANDOM:
-                predictions = _random_predictions(
-                    test_ds, split.unseen, config.split_seed, split.index
-                )
-            else:
-                pair = augment_training(
-                    train_ds, auxiliary, store, unseen=list(split.unseen)
-                )
-                rows = np.concatenate([_row_index(target, train_ds.ids), aux_rows])
-                kernel, gram = kernel_and_gram(config, dist[np.ix_(rows, rows)])
-                regressor = train_semantic_regressor(
-                    pair.features, pair.embeddings, _svr_config(config), kernel, gram
-                )
-                del gram  # keep at most the run matrix and one unit's block alive
-                test_rows = _row_index(target, test_ds.ids)
-                kv = dist[np.ix_(test_rows, rows[regressor.pool_indices])]
-                predictions = zsl_predict(
-                    regressor, problem, st_config, rbf_from_distances(kernel.gamma, kv)
-                )
-        except Exception as exc:
-            raise RuntimeError(f"split {split.index} failed: {exc}") from exc
-        write_predictions_csv(
-            predictions, run_dir / "predictions" / f"split_{split.index:03d}.csv"
+
+    def fit_predict(split: SplitSpec, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
+        (run_dir / "splits").mkdir(exist_ok=True)
+        save_split(split, target.name, run_dir / "splits" / f"split_{split.index:03d}.json")
+        train_ds = target.subset_classes(list(split.seen))
+        test_ds = target.subset_classes(list(split.unseen))
+        prototypes = build_prototypes(
+            store, list(split.unseen), normalize=config.normalize_prototypes
         )
-        acc, bal, conf = _score(test_ds.labels, predictions)
-        accuracies.append(acc)
-        balanced.append(bal)
-        n_tests.append(len(test_ds))
-        _merge_confusion(confusion, conf)
+        problem = ZslProblem(train=train_ds, test=test_ds, prototypes=prototypes)
+        if config.predictor == PREDICTOR_RANDOM:
+            return test_ds.labels, _random_predictions(
+                test_ds, split.unseen, config.split_seed, split.index
+            )
+        pair = augment_training(train_ds, auxiliary, store, unseen=list(split.unseen))
+        rows = np.concatenate([_row_index(target, train_ds.ids), aux_rows])
+        kernel, gram = kernel_and_gram(config, dist[np.ix_(rows, rows)])
+        regressor = train_semantic_regressor(
+            pair.features, pair.embeddings, config.svr_config(), kernel, gram
+        )
+        del gram  # keep at most the run matrix and one unit's block alive
+        test_rows = _row_index(target, test_ds.ids)
+        kv = dist[np.ix_(test_rows, rows[regressor.pool_indices])]
+        return test_ds.labels, zsl_predict(
+            regressor, problem, st_config, rbf_from_distances(kernel.gamma, kv)
+        )
 
-    report = _aggregate(
-        config.fingerprint(),
-        "zsl",
-        config.variant_name() if config.predictor == PREDICTOR_REGRESSOR else "Random",
-        accuracies,
-        balanced,
-        confusion,
-        config.to_dict(),
-        n_tests,
+    variant = config.variant_name() if config.predictor == PREDICTOR_REGRESSOR else "Random"
+    return _run_units(
+        config, "zsl", variant, "split", [(s.index, s) for s in splits], fit_predict
     )
-    save_report(report, run_dir / "report.json")
-    return report, run_dir
-
-
-def _prepare_run_dir(config: ExperimentConfig) -> Path:
-    run_dir = Path(config.out_dir) / config.fingerprint()[:12]
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
 
 
 def load_folds(path: str | Path) -> list[dict]:
@@ -405,66 +400,36 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     store = load_embeddings(config.embedding_path)
     folds = load_folds(config.folds_path)
     dist = _run_distances(config, dataset)
-
-    run_dir = _prepare_run_dir(config)
-    (run_dir / "predictions").mkdir(exist_ok=True)
-
-    accuracies: list[float] = []
-    balanced: list[float] = []
-    n_tests: list[int] = []
-    confusion: dict[str, dict[str, int]] = {}
     svc_config = SvcConfig(
         c=config.svc_c, tolerance=config.svc_tolerance, max_passes=config.svc_max_passes
     )
-    for index, fold in enumerate(folds, start=1):
-        try:
-            train_ds = dataset.subset_ids(list(fold["train"]))
-            test_ds = dataset.subset_ids(list(fold["test"]))
-            pair = training_pair(train_ds, store)
-            rows = _row_index(dataset, train_ds.ids)
-            kernel, gram = kernel_and_gram(config, dist[np.ix_(rows, rows)])
-            regressor = train_semantic_regressor(
-                pair.features, pair.embeddings, _svr_config(config), kernel, gram
-            )
-            pool = regressor.pool_indices
-            train_proj = _normalized_projections(regressor, train_ds, gram[:, pool])
-            del gram  # keep at most the run matrix and one unit's block alive
-            kv = dist[np.ix_(_row_index(dataset, test_ds.ids), rows[pool])]
-            test_proj = _normalized_projections(
-                regressor, test_ds, rbf_from_distances(kernel.gamma, kv)
-            )
-            svc_kernel = KernelSpec(
-                RBF_EUCLIDEAN, heuristic_gamma(train_proj, RBF_EUCLIDEAN)
-            )
-            model = train_svc(train_proj, train_ds.labels, svc_config, svc_kernel)
-            predicted = classify_batch(model, test_proj)
-            predictions = [
-                Prediction(test_ds.ids[i], predicted[i], float("nan"))
-                for i in range(len(test_ds))
-            ]
-        except Exception as exc:
-            raise RuntimeError(f"fold {index} failed: {exc}") from exc
-        write_predictions_csv(
-            predictions, run_dir / "predictions" / f"fold_{index:03d}.csv"
-        )
-        acc, bal, conf = _score(test_ds.labels, predictions)
-        accuracies.append(acc)
-        balanced.append(bal)
-        n_tests.append(len(test_ds))
-        _merge_confusion(confusion, conf)
 
-    report = _aggregate(
-        config.fingerprint(),
-        "multishot",
-        "SVM",
-        accuracies,
-        balanced,
-        confusion,
-        config.to_dict(),
-        n_tests,
+    def fit_predict(fold: dict, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
+        train_ds = dataset.subset_ids(list(fold["train"]))
+        test_ds = dataset.subset_ids(list(fold["test"]))
+        pair = training_pair(train_ds, store)
+        rows = _row_index(dataset, train_ds.ids)
+        kernel, gram = kernel_and_gram(config, dist[np.ix_(rows, rows)])
+        regressor = train_semantic_regressor(
+            pair.features, pair.embeddings, config.svr_config(), kernel, gram
+        )
+        pool = regressor.pool_indices
+        train_proj = _normalized_projections(regressor, train_ds, gram[:, pool])
+        del gram  # keep at most the run matrix and one unit's block alive
+        kv = dist[np.ix_(_row_index(dataset, test_ds.ids), rows[pool])]
+        test_proj = _normalized_projections(
+            regressor, test_ds, rbf_from_distances(kernel.gamma, kv)
+        )
+        svc_kernel = KernelSpec(RBF_EUCLIDEAN, heuristic_gamma(train_proj, RBF_EUCLIDEAN))
+        model = train_svc(train_proj, train_ds.labels, svc_config, svc_kernel)
+        predicted = classify_batch(model, test_proj)
+        return test_ds.labels, [
+            Prediction(id_, label, float("nan")) for id_, label in zip(test_ds.ids, predicted)
+        ]
+
+    return _run_units(
+        config, "multishot", "SVM", "fold", list(enumerate(folds, start=1)), fit_predict
     )
-    save_report(report, run_dir / "report.json")
-    return report, run_dir
 
 
 def _normalized_projections(

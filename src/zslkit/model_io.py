@@ -1,9 +1,11 @@
 """JSON persistence for trained models.
 
 Both model families share one container: ``{"schema": "zslkit-model",
-"version": 1, "type": <tag>, ...}`` with type tags ``semantic_regressor``
-and ``svc_one_vs_rest``. Floats are written with shortest round-trip
-repr, so a load(save(model)) round trip predicts identically.
+"version": 2, "type": <tag>, ...}`` with type tags ``semantic_regressor``
+and ``svc_one_vs_rest``. Both are a coefficient matrix with one row per
+output dimension or class, and share one block: ``coefficients``,
+``biases``, ``iterations`` and ``dual_objectives``. Floats are written
+with shortest round-trip repr, so load(save(model)) equals the model.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import numpy as np
 from .embedding import Label
 from .kernels import KernelSpec
 from .svc import SvcModel
-from .svr import SemanticRegressor, SvrModel
+from .svr import SemanticRegressor
 
 SCHEMA = "zslkit-model"
-VERSION = 1
+VERSION = 2
 
 
 def _kernel_doc(kernel: KernelSpec) -> dict:
@@ -36,44 +38,67 @@ def _matrix(a: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in np.asarray(a)]
 
 
+def _array(doc: dict, name: str, dtype: type, path: Path) -> np.ndarray:
+    try:
+        return np.asarray(doc[name], dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {name} is not a numeric array ({exc})") from None
+
+
+def _solution_doc(model: SemanticRegressor | SvcModel) -> dict:
+    return {
+        "coefficients": _matrix(model.coefficients),
+        "biases": [float(v) for v in model.biases],
+        "iterations": [int(v) for v in model.iterations],
+        "dual_objectives": [float(v) for v in model.dual_objectives],
+    }
+
+
+def _solution_from_doc(doc: dict, path: Path, columns: int, column_field: str) -> dict:
+    """The shared block's arrays, checked to agree in shape: one row per
+    output, ``columns`` coefficient columns (one per ``column_field`` row)."""
+    block = {
+        "coefficients": _array(doc, "coefficients", np.float64, path),
+        "biases": _array(doc, "biases", np.float64, path),
+        "iterations": _array(doc, "iterations", np.int64, path),
+        "dual_objectives": _array(doc, "dual_objectives", np.float64, path),
+    }
+    coefficients = block["coefficients"]
+    if coefficients.ndim != 2 or coefficients.shape[1] != columns:
+        raise ValueError(
+            f"{path}: coefficients have shape {coefficients.shape}, expected "
+            f"{columns} columns to match {column_field}"
+        )
+    rows = coefficients.shape[0]
+    for name in ("biases", "iterations", "dual_objectives"):
+        if block[name].shape != (rows,):
+            raise ValueError(
+                f"{path}: {name} has shape {block[name].shape}, expected ({rows},) "
+                f"to match the coefficient rows"
+            )
+    return block
+
+
 def save_model(model: SemanticRegressor | SvcModel, path: str | Path) -> None:
     if isinstance(model, SemanticRegressor):
         doc = {
-            "schema": SCHEMA,
-            "version": VERSION,
             "type": "semantic_regressor",
-            "kernel": _kernel_doc(model.kernel),
-            "dimension": model.dimension,
-            "feature_dim": model.feature_dim,
             "n_train": model.n_train,
+            "feature_dim": model.pool_features.shape[1],
             "pool_indices": [int(i) for i in model.pool_indices],
             "pool_features": _matrix(model.pool_features),
-            "models": [
-                {
-                    "support_pool_positions": [
-                        int(p) for p in np.searchsorted(model.pool_indices, m.support_indices)
-                    ],
-                    "dual_coefficients": [float(v) for v in m.dual_coefficients],
-                    "bias": float(m.bias),
-                    "iterations": int(m.iterations),
-                    "dual_objective": float(m.dual_objective),
-                }
-                for m in model.models
-            ],
         }
     elif isinstance(model, SvcModel):
         doc = {
-            "schema": SCHEMA,
-            "version": VERSION,
             "type": "svc_one_vs_rest",
-            "kernel": _kernel_doc(model.kernel),
             "classes": [lab.slug for lab in model.classes],
             "train_points": _matrix(model.train_points),
-            "coefficients": _matrix(model.coefficients),
-            "biases": [float(v) for v in model.biases],
         }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    doc.update(
+        schema=SCHEMA, version=VERSION, kernel=_kernel_doc(model.kernel), **_solution_doc(model)
+    )
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -90,73 +115,49 @@ def load_model(path: str | Path) -> SemanticRegressor | SvcModel:
             f"{path}: unsupported model schema version {doc.get('version')!r}"
         )
     kind = doc.get("type")
-    if kind == "semantic_regressor":
-        return _load_regressor(doc, path)
-    if kind == "svc_one_vs_rest":
-        return _load_svc(doc, path)
+    try:
+        if kind == "semantic_regressor":
+            return _load_regressor(doc, path)
+        if kind == "svc_one_vs_rest":
+            return _load_svc(doc, path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
     raise ValueError(f"{path}: unknown model type {kind!r}")
 
 
 def _load_regressor(doc: dict, path: Path) -> SemanticRegressor:
-    dimension = int(doc["dimension"])
-    models_doc = doc["models"]
-    if len(models_doc) != dimension:
-        raise ValueError(
-            f"{path}: declares dimension {dimension} but contains {len(models_doc)} models"
-        )
-    kernel = _kernel_from_doc(doc["kernel"])
-    pool_indices = np.asarray(doc["pool_indices"], dtype=int)
-    pool_features = np.asarray(doc["pool_features"], dtype=np.float64)
+    pool_indices = _array(doc, "pool_indices", int, path)
+    pool_features = _array(doc, "pool_features", np.float64, path)
+    feature_dim = int(doc["feature_dim"])
     if pool_features.size == 0:
-        pool_features = pool_features.reshape(0, int(doc["feature_dim"]))
-    n_train = int(doc["n_train"])
-    models: list[SvrModel] = []
-    coeffs = np.zeros((dimension, pool_indices.size), dtype=np.float64)
-    for j, mdoc in enumerate(models_doc):
-        positions = np.asarray(mdoc["support_pool_positions"], dtype=int)
-        coefs = np.asarray(mdoc["dual_coefficients"], dtype=np.float64)
-        if positions.size != coefs.size:
-            raise ValueError(f"{path}: model {j} support/coefficient size mismatch")
-        coeffs[j, positions] = coefs
-        models.append(
-            SvrModel(
-                support_indices=pool_indices[positions],
-                dual_coefficients=coefs,
-                bias=float(mdoc["bias"]),
-                kernel=kernel,
-                n_train=n_train,
-                iterations=int(mdoc.get("iterations", 0)),
-                dual_objective=float(mdoc.get("dual_objective", 0.0)),
-            )
+        # an empty pool keeps its width only through feature_dim
+        pool_features = pool_features.reshape(0, feature_dim)
+    if pool_features.shape != (pool_indices.size, feature_dim):
+        raise ValueError(
+            f"{path}: pool_features has shape {pool_features.shape}, expected "
+            f"({pool_indices.size}, {feature_dim}) to match pool_indices and feature_dim"
         )
     return SemanticRegressor(
-        kernel=kernel,
-        dimension=dimension,
-        feature_dim=int(doc["feature_dim"]),
-        n_train=n_train,
-        models=models,
+        kernel=_kernel_from_doc(doc["kernel"]),
+        n_train=int(doc["n_train"]),
         pool_indices=pool_indices,
         pool_features=pool_features,
-        coefficients=coeffs,
-        biases=np.array([m.bias for m in models]),
+        **_solution_from_doc(doc, path, pool_indices.size, "pool_indices"),
     )
 
 
 def _load_svc(doc: dict, path: Path) -> SvcModel:
     classes = [Label.of(s) for s in doc["classes"]]
-    coefficients = np.asarray(doc["coefficients"], dtype=np.float64)
-    if coefficients.shape[0] != len(classes):
+    train_points = _array(doc, "train_points", np.float64, path)
+    block = _solution_from_doc(doc, path, train_points.shape[0], "train_points")
+    if block["coefficients"].shape[0] != len(classes):
         raise ValueError(
             f"{path}: declares {len(classes)} classes but has "
-            f"{coefficients.shape[0]} coefficient rows"
+            f"{block['coefficients'].shape[0]} coefficient rows"
         )
     return SvcModel(
         classes=classes,
         kernel=_kernel_from_doc(doc["kernel"]),
-        train_points=np.asarray(doc["train_points"], dtype=np.float64),
-        coefficients=coefficients,
-        biases=np.asarray(doc["biases"], dtype=np.float64),
-        support_indices=[np.flatnonzero(row) for row in coefficients],
-        iterations=[0] * len(classes),
-        dual_objectives=[0.0] * len(classes),
+        train_points=train_points,
+        **block,
     )

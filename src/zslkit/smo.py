@@ -24,6 +24,10 @@ from typing import Callable
 
 import numpy as np
 
+# Coefficients below this fraction of max(1, c) are solver round-off and
+# are stored as exact zeros, which fixes the support set.
+_COEF_ZERO = 1e-12
+
 
 class ConvergenceError(RuntimeError):
     """Raised when the dual solver exhausts its iteration budget.

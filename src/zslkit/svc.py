@@ -12,8 +12,6 @@ from . import smo
 from .embedding import Label
 from .kernels import RBF_EUCLIDEAN, KernelSpec, gram_matrix, heuristic_gamma
 
-_COEF_ZERO = 1e-12
-
 
 @dataclass(frozen=True)
 class SvcConfig:
@@ -35,9 +33,11 @@ class SvcModel:
     """One-vs-rest multiclass SVM.
 
     ``coefficients[c]`` holds y_i * alpha_i for class c over all training
-    points; the per-class decision value is sum_i coef K(x_i, .) + bias and
-    the predicted label is the argmax over classes (ties go to the first
-    class in declared order).
+    points, so class c's support vectors are its nonzero entries; the
+    per-class decision value is sum_i coef K(x_i, .) + bias and the
+    predicted label is the argmax over classes (ties go to the first class
+    in declared order). ``iterations`` and ``dual_objectives`` hold each
+    class's solver statistics.
     """
 
     classes: list[Label]
@@ -45,9 +45,8 @@ class SvcModel:
     train_points: np.ndarray
     coefficients: np.ndarray
     biases: np.ndarray
-    support_indices: list[np.ndarray]
-    iterations: list[int]
-    dual_objectives: list[float]
+    iterations: np.ndarray
+    dual_objectives: np.ndarray
 
 
 def train_svc(
@@ -83,9 +82,8 @@ def train_svc(
 
     coefficients = np.zeros((len(classes), n), dtype=np.float64)
     biases = np.zeros(len(classes), dtype=np.float64)
-    supports: list[np.ndarray] = []
-    iterations: list[int] = []
-    objectives: list[float] = []
+    iterations = np.zeros(len(classes), dtype=np.int64)
+    objectives = np.zeros(len(classes), dtype=np.float64)
     p = -np.ones(n, dtype=np.float64)
     for ci, cls in enumerate(classes):
         z = np.where(label_keys == cls.key, 1.0, -1.0)
@@ -108,19 +106,17 @@ def train_svc(
                 result=res,
             )
         coef = z * res.a
-        coef[np.abs(coef) < _COEF_ZERO * max(1.0, config.c)] = 0.0
+        coef[np.abs(coef) < smo._COEF_ZERO * max(1.0, config.c)] = 0.0
         coefficients[ci] = coef
         biases[ci] = res.bias
-        supports.append(np.flatnonzero(coef))
-        iterations.append(res.iterations)
-        objectives.append(-res.objective)
+        iterations[ci] = res.iterations
+        objectives[ci] = -res.objective
     return SvcModel(
         classes=classes,
         kernel=kernel,
         train_points=x.copy(),
         coefficients=coefficients,
         biases=biases,
-        support_indices=supports,
         iterations=iterations,
         dual_objectives=objectives,
     )

@@ -11,8 +11,6 @@ import numpy as np
 from . import smo
 from .kernels import KernelSpec, gram_matrix
 
-_COEF_ZERO = 1e-12
-
 
 @dataclass(frozen=True)
 class SvrConfig:
@@ -115,7 +113,7 @@ def train_svr(
             result=res,
         )
     beta = res.a[:n] - res.a[n:]
-    beta[np.abs(beta) < _COEF_ZERO * max(1.0, config.c)] = 0.0
+    beta[np.abs(beta) < smo._COEF_ZERO * max(1.0, config.c)] = 0.0
     support = np.flatnonzero(beta)
     return SvrModel(
         support_indices=support,
@@ -141,21 +139,22 @@ def predict_with_kernel_values(model: SvrModel, kernel_values: np.ndarray) -> np
 
 @dataclass
 class SemanticRegressor:
-    """Bundle of per-dimension SVR models sharing one support-vector pool.
+    """Per-dimension SVRs sharing one support-vector pool.
 
     ``pool_features`` are the training samples used by at least one output
-    dimension; ``coefficients`` is dense (dimension x pool size).
+    dimension; ``coefficients`` is dense (dimension x pool size), and
+    ``iterations`` and ``dual_objectives`` hold each dimension's solver
+    statistics.
     """
 
     kernel: KernelSpec
-    dimension: int
-    feature_dim: int
     n_train: int
-    models: list[SvrModel]
     pool_indices: np.ndarray
     pool_features: np.ndarray
     coefficients: np.ndarray
     biases: np.ndarray
+    iterations: np.ndarray
+    dual_objectives: np.ndarray
 
 
 def train_semantic_regressor(
@@ -194,14 +193,13 @@ def train_semantic_regressor(
         coeffs[j, np.searchsorted(pool_idx, m.support_indices)] = m.dual_coefficients
     return SemanticRegressor(
         kernel=kernel,
-        dimension=d_z,
-        feature_dim=x.shape[1],
         n_train=n,
-        models=models,
         pool_indices=pool_idx,
         pool_features=x[pool_idx].copy(),
         coefficients=coeffs,
         biases=np.array([m.bias for m in models]),
+        iterations=np.array([m.iterations for m in models], dtype=np.int64),
+        dual_objectives=np.array([m.dual_objective for m in models]),
     )
 
 
@@ -210,7 +208,8 @@ def predict_batch(
     features: np.ndarray,
     kernel_rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Project feature rows into the embedding space, (n, d_z).
+    """Project feature rows into the embedding space, (n, d_z); a single
+    1-D feature vector gives a d_z vector.
 
     ``kernel_rows`` are the rows' kernel values against the regressor's
     support pool, (n, pool size), when the caller already has them;
@@ -220,10 +219,9 @@ def predict_batch(
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != regressor.feature_dim:
-        raise ValueError(
-            f"feature dimension mismatch: {x.shape[1]} vs {regressor.feature_dim}"
-        )
+    feature_dim = regressor.pool_features.shape[1]
+    if x.shape[1] != feature_dim:
+        raise ValueError(f"feature dimension mismatch: {x.shape[1]} vs {feature_dim}")
     if kernel_rows is None:
         kernel_rows = gram_matrix(regressor.kernel, x, regressor.pool_features)
     elif kernel_rows.shape != (x.shape[0], regressor.coefficients.shape[1]):
@@ -233,8 +231,3 @@ def predict_batch(
         )
     out = kernel_rows @ regressor.coefficients.T + regressor.biases
     return out[0] if single else out
-
-
-def predict(regressor: SemanticRegressor, x: np.ndarray) -> np.ndarray:
-    """Project a single feature vector, returning a d_z vector."""
-    return predict_batch(regressor, np.asarray(x))

@@ -64,26 +64,24 @@ def prototype_matrix(prototypes: Sequence[Prototype]) -> np.ndarray:
 
 
 def nearest_prototype(
-    prototypes: Sequence[Prototype], projection: np.ndarray
-) -> tuple[int, float]:
-    """Index and Euclidean distance of the closest prototype (first wins
-    on exact ties)."""
+    prototypes: Sequence[Prototype], projections: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index and Euclidean distance of the closest prototype for each row
+    of an (n, d_z) projection matrix; the first prototype wins exact ties.
+    After L2 normalization the closest prototype is also the cosine-nearest."""
     if not prototypes:
         raise ValueError("no prototypes to match against")
     mat = prototype_matrix(prototypes)
-    v = np.asarray(projection, dtype=np.float64)
-    if v.shape != (mat.shape[1],):
-        raise ValueError(f"projection shape {v.shape} does not match prototypes ({mat.shape[1]},)")
-    d = np.linalg.norm(mat - v, axis=1)
-    idx = int(np.argmin(d))
-    return idx, float(d[idx])
-
-
-def nn_classify(prototypes: Sequence[Prototype], projection: np.ndarray) -> Label:
-    """Label of the prototype at minimal Euclidean distance (equivalently
-    cosine, after L2 normalization)."""
-    idx, _ = nearest_prototype(prototypes, projection)
-    return prototypes[idx].label
+    proj = np.asarray(projections, dtype=np.float64)
+    if proj.ndim != 2 or proj.shape[1] != mat.shape[1]:
+        raise ValueError(
+            f"projections of shape {proj.shape} do not match prototypes (n, {mat.shape[1]})"
+        )
+    # row differences rather than the |a|^2+|b|^2-2ab expansion keep each
+    # distance bit-identical to the per-row norm(mat - v, axis=1)
+    d = np.linalg.norm(proj[:, None, :] - mat[None], axis=2)
+    idx = np.argmin(d, axis=1)
+    return idx, d[np.arange(idx.size), idx]
 
 
 def self_train(
@@ -173,11 +171,11 @@ def zsl_predict(
     prototypes = problem.prototypes
     if config is not None:
         prototypes = self_train(prototypes, proj, config)
-    out: list[Prediction] = []
-    for i, id_ in enumerate(problem.test.ids):
-        idx, dist = nearest_prototype(prototypes, proj[i])
-        out.append(Prediction(id_, prototypes[idx].label, dist))
-    return out
+    idx, dist = nearest_prototype(prototypes, proj)
+    return [
+        Prediction(id_, prototypes[i].label, float(d))
+        for id_, i, d in zip(problem.test.ids, idx, dist)
+    ]
 
 
 def write_predictions_csv(predictions: Sequence[Prediction], path: str | Path) -> None:

@@ -14,6 +14,7 @@ from zslkit.evaluate import (
     simulate_random_guess,
 )
 from zslkit.kernels import RBF_EUCLIDEAN, KernelSpec, heuristic_gamma
+from zslkit.smo import ConvergenceError
 from zslkit.svc import SvcConfig, classify_batch, train_svc
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
 from zslkit.synthetic import make_world, world_dataset, world_store
@@ -226,6 +227,14 @@ class TestZslEvaluation:
         with pytest.raises(RuntimeError, match="split 1 failed"):
             run_zsl_evaluation(config)
 
+    def test_nonconvergence_keeps_solver_diagnostics(self, toy_world, tmp_path):
+        config = base_config(toy_world, tmp_path, svr_max_passes=1)
+        with pytest.raises(ConvergenceError, match="^split 1 failed: SVR dual") as err:
+            run_zsl_evaluation(config)
+        assert err.value.iterations == 1
+        assert err.value.violation > 0
+        assert err.value.result is not None
+
     def test_auxiliary_colliding_with_unseen_class_fails_loudly(self, toy_world, tmp_path):
         # auxiliary data reusing a target class must be rejected on any
         # split that holds that class out
@@ -408,6 +417,26 @@ class TestCli:
         assert doc["config"]["split_seed"] == 9
         assert doc["config"]["gamma"] == 1.5
 
+    def test_nonconvergence_error_json_has_diagnostics(self, toy_world, tmp_path, capsys):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "target_path": str(toy_world["target"]),
+                    "embedding_path": str(toy_world["embeddings"]),
+                    "out_dir": str(tmp_path / "runs"),
+                    "split_count": 1,
+                    "svr_max_passes": 1,
+                }
+            )
+        )
+        assert main(["eval-zsl", "--config", str(config_path)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "ConvergenceError"
+        assert error["error"].startswith("split 1 failed: ")
+        assert error["iterations"] == 1
+        assert error["violation"] > 0
+
     def test_unknown_config_field_rejected(self, toy_world, tmp_path, capsys):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({"target_path": "x", "no_such_field": 1}))
@@ -447,6 +476,7 @@ class TestCli:
         assert model_path.is_file()
         doc = json.loads(model_path.read_text())
         assert doc["type"] == "semantic_regressor"
+        assert "d_z=6" in capsys.readouterr().out
 
     def test_eval_multishot_cli(self, toy_world, tmp_path, capsys):
         dataset = load_dataset(toy_world["target"])

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import assert_same_fields
 from qp_oracle import svc_dual_oracle
 from zslkit.embedding import Label
 from zslkit.kernels import KernelSpec, gram_matrix
@@ -119,9 +122,8 @@ class TestClassify:
             train_points=model.train_points,
             coefficients=np.zeros_like(model.coefficients),
             biases=np.zeros_like(model.biases),
-            support_indices=[np.array([], dtype=int)] * 3,
-            iterations=[0] * 3,
-            dual_objectives=[0.0] * 3,
+            iterations=np.zeros(3, dtype=np.int64),
+            dual_objectives=np.zeros(3),
         )
         assert classify(tied, model.train_points[0]) == model.classes[0]
 
@@ -169,9 +171,37 @@ class TestSvcSerialization:
         )
         assert classify_batch(model, probes) == classify_batch(loaded, probes)
 
-    def test_model_types_share_container_but_not_tags(self, tmp_path):
-        import json
+    def test_round_trip_equals_model(self, tmp_path):
+        rng = np.random.default_rng(13)
+        pts, labels = two_clusters(rng)
+        model = train_svc(pts, labels, SvcConfig())
+        assert model.iterations.min() > 0
+        path = tmp_path / "svc.json"
+        save_model(model, path)
+        assert_same_fields(load_model(path), model)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(train_points=doc["train_points"][1:]),
+             "coefficients have shape .* match train_points"),
+            (lambda doc: doc["coefficients"][0].pop(), "coefficients is not a numeric array"),
+            (lambda doc: doc.pop("biases"), "missing field 'biases'"),
+        ],
+        ids=["train_points", "ragged", "missing"],
+    )
+    def test_malformed_arrays_rejected(self, tmp_path, edit, message):
+        rng = np.random.default_rng(14)
+        pts, labels = two_clusters(rng)
+        path = tmp_path / "svc.json"
+        save_model(train_svc(pts, labels, SvcConfig()), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    def test_model_types_share_container_but_not_tags(self, tmp_path):
         rng = np.random.default_rng(12)
         pts, labels = two_clusters(rng)
         model = train_svc(pts, labels, SvcConfig())

@@ -1,20 +1,29 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from conftest import assert_same_fields
 from qp_oracle import svr_dual_oracle
 from zslkit.embedding import l2_normalize
 from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
 from zslkit.model_io import load_model, save_model
 from zslkit.smo import ConvergenceError
 from zslkit.svr import (
-    SemanticRegressor,
     SvrConfig,
-    predict,
     predict_batch,
     predict_with_kernel_values,
     train_semantic_regressor,
     train_svr,
 )
+
+
+def dense_coefficients(reg, j):
+    """Dimension j's coefficients over all n_train training samples."""
+    beta = np.zeros(reg.n_train)
+    beta[reg.pool_indices] = reg.coefficients[j]
+    return beta
 
 
 def random_problem(rng, n, d, gamma=None):
@@ -125,11 +134,11 @@ class TestSemanticRegressor:
         config = SvrConfig(c=2.0, epsilon=0.05)
         reg = train_semantic_regressor(x, y[:, None], config, spec)
         solo = train_svr(gram, y, config, spec)
-        np.testing.assert_array_equal(reg.models[0].support_indices, solo.support_indices)
-        np.testing.assert_array_equal(
-            reg.models[0].dual_coefficients, solo.dual_coefficients
-        )
-        assert reg.models[0].bias == solo.bias
+        np.testing.assert_array_equal(reg.pool_indices, solo.support_indices)
+        np.testing.assert_array_equal(reg.coefficients[0], solo.dual_coefficients)
+        assert reg.biases[0] == solo.bias
+        assert reg.iterations[0] == solo.iterations
+        assert reg.dual_objectives[0] == solo.dual_objective
 
     def test_constant_unit_vector_targets(self):
         rng = np.random.default_rng(9)
@@ -139,7 +148,7 @@ class TestSemanticRegressor:
         emb = np.tile(target, (10, 1))
         reg = train_semantic_regressor(x, emb, SvrConfig(epsilon=0.05), spec)
         probe = rng.dirichlet(np.ones(5))
-        np.testing.assert_allclose(predict(reg, probe), target, atol=0.05 + 1e-9)
+        np.testing.assert_allclose(predict_batch(reg, probe), target, atol=0.05 + 1e-9)
 
     def test_per_dimension_independence(self):
         rng = np.random.default_rng(10)
@@ -151,10 +160,8 @@ class TestSemanticRegressor:
         config = SvrConfig(c=2.0, epsilon=0.05)
         a = train_semantic_regressor(x, emb, config, spec)
         b = train_semantic_regressor(x, scrambled, config, spec)
-        np.testing.assert_array_equal(
-            a.models[0].dual_coefficients, b.models[0].dual_coefficients
-        )
-        assert a.models[0].bias == b.models[0].bias
+        np.testing.assert_array_equal(dense_coefficients(a, 0), dense_coefficients(b, 0))
+        assert a.biases[0] == b.biases[0]
 
     def test_no_support_vectors_predicts_bias(self):
         rng = np.random.default_rng(11)
@@ -164,7 +171,7 @@ class TestSemanticRegressor:
         reg = train_semantic_regressor(x, emb, SvrConfig(epsilon=0.1), spec)
         assert reg.pool_features.shape[0] == 0
         np.testing.assert_allclose(
-            predict(reg, rng.dirichlet(np.ones(4))), [0.25, -0.5], atol=1e-12
+            predict_batch(reg, rng.dirichlet(np.ones(4))), [0.25, -0.5], atol=1e-12
         )
 
     def test_support_storage_order_is_immaterial(self):
@@ -173,16 +180,11 @@ class TestSemanticRegressor:
         emb = rng.normal(size=(10, 2))
         reg = train_semantic_regressor(x, emb, SvrConfig(epsilon=0.01), spec)
         perm = rng.permutation(reg.pool_features.shape[0])
-        permuted = SemanticRegressor(
-            kernel=reg.kernel,
-            dimension=reg.dimension,
-            feature_dim=reg.feature_dim,
-            n_train=reg.n_train,
-            models=reg.models,
+        permuted = dataclasses.replace(
+            reg,
             pool_indices=reg.pool_indices[perm],
             pool_features=reg.pool_features[perm],
             coefficients=reg.coefficients[:, perm],
-            biases=reg.biases,
         )
         probes = rng.dirichlet(np.ones(5), size=20)
         np.testing.assert_allclose(
@@ -218,7 +220,7 @@ class TestSemanticRegressor:
         x = rng.dirichlet(np.ones(3), size=4)
         reg = train_semantic_regressor(x, rng.normal(size=(4, 2)), SvrConfig(epsilon=0.0), spec)
         with pytest.raises(ValueError, match="feature dimension mismatch"):
-            predict(reg, np.ones(5) / 5)
+            predict_batch(reg, np.ones(5) / 5)
         pool = reg.coefficients.shape[1]
         with pytest.raises(ValueError, match="kernel rows have shape"):
             predict_batch(reg, x, np.ones((3, pool)))
@@ -250,28 +252,61 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="invalid model file"):
             load_model(path)
 
-    def test_dimension_mismatch_rejected(self, tmp_path):
-        import json
+    def test_round_trip_equals_model(self, tmp_path):
+        rng = np.random.default_rng(20)
+        _, reg = self._trained(rng)
+        path = tmp_path / "model.json"
+        save_model(reg, path)
+        assert_same_fields(load_model(path), reg)
 
+    def test_empty_pool_round_trip(self, tmp_path):
+        rng = np.random.default_rng(21)
+        x = rng.dirichlet(np.ones(4), size=6)
+        reg = train_semantic_regressor(
+            x, np.tile([0.25, -0.5], (6, 1)), SvrConfig(epsilon=0.1), KernelSpec("rbf_chi2", 1.0)
+        )
+        assert reg.pool_features.shape == (0, 4)
+        path = tmp_path / "model.json"
+        save_model(reg, path)
+        assert_same_fields(load_model(path), reg)
+
+    def _corrupted(self, tmp_path, field, value):
         rng = np.random.default_rng(18)
         _, reg = self._trained(rng)
         path = tmp_path / "model.json"
         save_model(reg, path)
         doc = json.loads(path.read_text())
-        doc["dimension"] = 7
+        doc[field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="declares dimension 7 but contains 3"):
+        return path
+
+    def test_dimension_mismatch_rejected(self, tmp_path):
+        path = self._corrupted(tmp_path, "biases", [0.0] * 7)
+        with pytest.raises(ValueError, match=r"biases has shape \(7,\), expected \(3,\)"):
             load_model(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        import json
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("iterations", [1, 2], "iterations has shape"),
+            ("dual_objectives", [], "dual_objectives has shape"),
+            ("pool_indices", [0], "pool_features has shape .* match pool_indices"),
+            ("feature_dim", 5, "pool_features has shape"),
+            ("coefficients", [[0.5]] * 3, "coefficients have shape .* match pool_indices"),
+        ],
+        ids=["iterations", "dual_objectives", "pool_indices", "feature_dim", "coefficients"],
+    )
+    def test_inconsistent_shapes_rejected(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            load_model(self._corrupted(tmp_path, field, value))
 
+    def test_version_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(19)
         _, reg = self._trained(rng)
         path = tmp_path / "model.json"
         save_model(reg, path)
         doc = json.loads(path.read_text())
-        doc["version"] = 99
+        doc["version"] = 1
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unsupported model schema version"):
             load_model(path)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zslkit.data import Dataset
 from zslkit.embedding import Label, l2_normalize
@@ -11,7 +14,6 @@ from zslkit.zsl import (
     ZslProblem,
     augment_training,
     build_prototypes,
-    nn_classify,
     nearest_prototype,
     self_train,
     training_pair,
@@ -53,6 +55,10 @@ class TestBuildPrototypes:
         np.testing.assert_array_equal(protos[0].vector, [2.0, 2.0, 0.0])
 
 
+# a few repeated values make exact distance ties common
+coordinates = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-10, 10))
+
+
 class TestNnClassify:
     def _protos(self):
         return [
@@ -61,7 +67,8 @@ class TestNnClassify:
         ]
 
     def test_exact_match(self):
-        assert nn_classify(self._protos(), np.array([1.0, 0.0])) == Label.of("x")
+        idx, dist = nearest_prototype(self._protos(), np.array([[1.0, 0.0]]))
+        assert idx.tolist() == [0] and dist.tolist() == [0.0]
 
     def test_nearer_prototype_wins(self):
         # distances: to (1,0) 0.1996..., to (0,1) 1.3428... (hand-computed)
@@ -70,15 +77,19 @@ class TestNnClassify:
         assert np.linalg.norm(proj - protos[0].vector) < np.linalg.norm(
             proj - protos[1].vector
         )
-        assert nn_classify(protos, proj) == Label.of("x")
+        assert nearest_prototype(protos, proj[None])[0].tolist() == [0]
 
     def test_tie_takes_list_order(self):
         proj = l2_normalize(np.array([1.0, 1.0]))
-        assert nn_classify(self._protos(), proj) == Label.of("x")
+        assert nearest_prototype(self._protos(), proj[None])[0].tolist() == [0]
 
     def test_empty_prototypes(self):
         with pytest.raises(ValueError, match="no prototypes"):
-            nn_classify([], np.array([1.0]))
+            nearest_prototype([], np.array([[1.0]]))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="do not match prototypes"):
+            nearest_prototype(self._protos(), np.array([1.0, 0.0]))
 
     def test_uniform_scaling_preserves_argmin(self):
         rng = np.random.default_rng(0)
@@ -86,12 +97,27 @@ class TestNnClassify:
             Prototype(Label.of(f"c{i}"), l2_normalize(rng.normal(size=4)))
             for i in range(5)
         ]
-        proj = l2_normalize(rng.normal(size=4))
+        proj = l2_normalize(rng.normal(size=4))[None]
         base_idx, _ = nearest_prototype(protos, proj)
         for scale in (0.1, 3.0, 42.0):
             scaled = [Prototype(p.label, scale * p.vector) for p in protos]
             idx, _ = nearest_prototype(scaled, scale * proj)
-            assert idx == base_idx
+            assert idx.tolist() == base_idx.tolist()
+
+    @given(st.data())
+    def test_matrix_equals_per_row_reference_bitwise(self, data):
+        n_proto = data.draw(st.integers(1, 6))
+        n_proj = data.draw(st.integers(1, 8))
+        d_z = data.draw(st.integers(1, 5))
+        mat = data.draw(hnp.arrays(np.float64, (n_proto, d_z), elements=coordinates))
+        proj = data.draw(hnp.arrays(np.float64, (n_proj, d_z), elements=coordinates))
+        protos = [Prototype(Label.of(f"c{i}"), row) for i, row in enumerate(mat)]
+        idx, dist = nearest_prototype(protos, proj)
+        for i, v in enumerate(proj):
+            d = np.linalg.norm(mat - v, axis=1)
+            j = int(np.argmin(d))
+            assert idx[i] == j
+            assert dist[i].tobytes() == d[j].tobytes()
 
 
 class TestSelfTrain:
@@ -229,8 +255,9 @@ class TestZslPredict:
         adapted = self_train(protos, proj, SelfTrainConfig(k=2, renormalize=True))
         for orig, new in zip(protos, adapted):
             np.testing.assert_allclose(orig.vector, new.vector, atol=1e-12)
-        for row in proj:
-            assert nn_classify(protos, row) == nn_classify(adapted, row)
+        np.testing.assert_array_equal(
+            nearest_prototype(protos, proj)[0], nearest_prototype(adapted, proj)[0]
+        )
 
     def test_predictions_csv_format(self, tmp_path, toy_store):
         rng = np.random.default_rng(4)
