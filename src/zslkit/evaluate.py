@@ -28,7 +28,7 @@ from .kernels import (
     KernelSpec,
     distance_matrix,
     gamma_from_distances,
-    heuristic_gamma,
+    heuristic_gamma,  # noqa: F401  (perfbench/spans.py wraps evaluate.heuristic_gamma)
     rbf_from_distances,
 )
 from .svc import SvcConfig, classify_batch, train_svc
@@ -420,8 +420,12 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
         test_proj = _normalized_projections(
             regressor, test_ds, rbf_from_distances(kernel.gamma, kv)
         )
-        svc_kernel = KernelSpec(RBF_EUCLIDEAN, heuristic_gamma(train_proj, RBF_EUCLIDEAN))
-        model = train_svc(train_proj, train_ds.labels, svc_config, svc_kernel)
+        proj_dist = distance_matrix(RBF_EUCLIDEAN, train_proj)
+        svc_kernel = KernelSpec(RBF_EUCLIDEAN, gamma_from_distances(proj_dist))
+        model = train_svc(
+            train_proj, train_ds.labels, svc_config, svc_kernel,
+            rbf_from_distances(svc_kernel.gamma, proj_dist),
+        )
         predicted = classify_batch(model, test_proj)
         return test_ds.labels, [
             Prediction(id_, label, float("nan")) for id_, label in zip(test_ds.ids, predicted)

@@ -1,32 +1,39 @@
-"""Two-variable decomposition solver for box-constrained QPs with a single
-equality constraint.
+"""Two-variable decomposition solver for a batch of box-constrained QPs
+that share one kernel matrix.
 
-Solves
+Solves, for each row k of the batch,
 
-    min_a  0.5 a'Qa + p'a    s.t.  z'a = 0,  0 <= a <= c
+    min_a  0.5 a'Q_k a + p_k'a    s.t.  z_k'a = 0,  0 <= a <= c
 
-where z is a +-1 sign vector and Q = (z z') * Kt for a positive
-semidefinite base matrix Kt supplied column by column. Both the
-epsilon-SVR dual (Kt tiled from the training Gram matrix, 2n variables)
-and the soft-margin SVC dual (Kt = Gram, n variables) have this shape.
+where z_k is a +-1 sign vector and Q_k = (z_k z_k') * Kt. The base matrix
+Kt is positive semidefinite and its entry (s, t) is gram[s % n, t % n]
+for the (n, n) Gram matrix, so Kt is the Gram matrix tiled m / n times.
+The epsilon-SVR duals of all output dimensions (2n variables, one shared
+z, one row per dimension) and the one-vs-rest SVC duals (n variables, one
+z per class) have this shape.
 
-Each step picks the maximally violating pair: i maximizing -z_t g_t over
-the "up" set, j minimizing it over the "low" set (ties broken by lowest
-index, so runs are reproducible), then moves along z_i e_i - z_j e_j with
-the exact single-variable minimizer clipped to the box. Convergence is
-declared when the violation max - min drops to ``tolerance``.
+Each row follows the maximal-violating-pair scheme of LIBSVM on its own:
+a step picks i maximizing -z_t g_t over the "up" set and j minimizing it
+over the "low" set (ties broken by lowest index, so runs are
+reproducible), then moves along z_i e_i - z_j e_j with the exact
+single-variable minimizer clipped to the box. When a row's violation
+max - min drops to ``tolerance`` (or its budget runs out), its gradient
+is recomputed exactly and checked again, up to three rounds. Rows are
+stepped together, but every row's iterates are those of solving it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 # Coefficients below this fraction of max(1, c) are solver round-off and
 # are stored as exact zeros, which fixes the support set.
 _COEF_ZERO = 1e-12
+
+# a row gets at most this many exact gradient refreshes
+_ROUNDS = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -45,102 +52,172 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SmoResult:
-    a: np.ndarray
-    bias: float
-    iterations: int
-    violation: float
-    objective: float  # minimized value 0.5 a'Qa + p'a
-    converged: bool
+    """Solutions of r duals; entry k of each array belongs to row k."""
+
+    a: np.ndarray  # (r, m)
+    bias: np.ndarray  # (r,)
+    iterations: int  # pair updates summed over all rows
+    row_iterations: np.ndarray  # (r,) pair updates of each row
+    violation: np.ndarray  # (r,)
+    objective: np.ndarray  # (r,) minimized value 0.5 a'Qa + p'a
+    converged: np.ndarray  # (r,) bool
 
 
 def solve(
-    kcol: Callable[[int], np.ndarray],
-    kdiag: np.ndarray,
+    gram: np.ndarray,
     z: np.ndarray,
     p: np.ndarray,
     c: float,
     tolerance: float,
     max_iter: int,
-    kmatvec: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SmoResult:
-    """Run the decomposition. ``kcol(t)`` returns column t of Kt, ``kdiag``
-    its diagonal, ``kmatvec(v)`` (optional) the product Kt v used to refresh
-    the gradient exactly once the loop stops."""
-    m = p.size
-    a = np.zeros(m, dtype=np.float64)
-    g = p.astype(np.float64).copy()
+    """Run the decomposition on every row of ``p``, shape (r, m).
+
+    ``gram`` is the exactly symmetric (n, n) Gram matrix, with m a
+    multiple of n; ``z`` is one (m,) sign vector shared by all rows or an
+    (r, m) matrix of them. ``max_iter`` is each row's budget of pair
+    updates.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    r, m = p.shape
+    n = gram.shape[0]
+    shared = z.ndim == 1
+    diag = np.diag(gram)
     pos = z > 0
-    iterations = 0
+    a = np.zeros((r, m))
+    iters = np.zeros(r, dtype=np.int64)
+    rounds = np.zeros(r, dtype=np.int64)
+    bias, violation, objective = np.zeros(r), np.zeros(r), np.zeros(r)
+    converged = np.zeros(r, dtype=bool)
 
-    def refresh_gradient() -> None:
-        if kmatvec is not None:
-            g[:] = p + z * kmatvec(z * a)
+    # Every variable lies in the up set or the low set (c > 0), so the two
+    # masked copies of crit = -z * g hold all of crit: ``cu`` is crit on
+    # the up set and -inf elsewhere, ``cl`` crit on the low set and +inf
+    # elsewhere. At a = 0 the up set is z > 0 and the low set z < 0.
+    cl = np.empty((r, m))
+    np.multiply(-z, p, out=cl)
+    cu = np.empty((r, m))
+    np.copyto(cu, cl)
+    np.copyto(cu, -np.inf, where=~pos)
+    np.copyto(cl, np.inf, where=pos)
+    live = np.arange(r)  # row of each line of cu and cl
+    lines = np.arange(r)
+    # a_i moves by +z_i * step and a_j by -z_j * step
+    sign = np.array([[1.0], [-1.0]])
 
-    for _round in range(3):
-        while iterations < max_iter:
-            crit = -z * g
-            up = (pos & (a < c)) | (~pos & (a > 0.0))
-            low = (~pos & (a < c)) | (pos & (a > 0.0))
-            if not up.any() or not low.any():
-                break
-            i = int(np.argmax(np.where(up, crit, -np.inf)))
-            j = int(np.argmin(np.where(low, crit, np.inf)))
-            violation = crit[i] - crit[j]
-            if violation <= tolerance:
-                break
-            ki = kcol(i)
-            kj = kcol(j)
-            quad = kdiag[i] + kdiag[j] - 2.0 * z[i] * z[j] * ki[j]
-            step = violation / max(quad, 1e-12)
-            gap_i = (c - a[i]) if z[i] > 0 else a[i]
-            gap_j = a[j] if z[j] > 0 else (c - a[j])
-            step = min(step, gap_i, gap_j)
-            old_i, old_j = a[i], a[j]
-            conserved = z[i] * old_i + z[j] * old_j
-            if step == gap_i:
-                # i lands exactly on its bound; j absorbs the exact remainder
-                a[i] = c if z[i] > 0 else 0.0
-                a[j] = z[j] * (conserved - z[i] * a[i])
-            elif step == gap_j:
-                a[j] = 0.0 if z[j] > 0 else c
-                a[i] = z[i] * (conserved - z[j] * a[j])
-            else:
-                a[i] = old_i + z[i] * step
-                a[j] = old_j - z[j] * step
-            a[i] = min(max(a[i], 0.0), c)
-            a[j] = min(max(a[j], 0.0), c)
-            di = a[i] - old_i
-            dj = a[j] - old_j
-            g += z * (z[i] * di * ki + z[j] * dj * kj)
-            iterations += 1
-        refresh_gradient()
-        crit = -z * g
-        up = (pos & (a < c)) | (~pos & (a > 0.0))
-        low = (~pos & (a < c)) | (pos & (a > 0.0))
-        m_val = float(np.max(crit[up])) if up.any() else -np.inf
-        big_m_val = float(np.min(crit[low])) if low.any() else np.inf
-        violation = m_val - big_m_val if np.isfinite(m_val) and np.isfinite(big_m_val) else 0.0
-        if violation <= tolerance or iterations >= max_iter:
-            break
-        # incremental-gradient drift uncovered residual violation: keep going
+    while live.size:
+        ij = np.stack([cu.argmax(axis=1), cl.argmin(axis=1)])  # (2, lines)
+        gap = cu[lines, ij[0]] - cl[lines, ij[1]]  # -inf if a set is empty
+        stop = (gap <= tolerance) | (iters[live] >= max_iter)
+        if stop.any():
+            # a stopped row's gradient is recomputed exactly; the other rows
+            # take this same step after the next selection
+            done = np.zeros(live.size, dtype=bool)
+            for line in np.flatnonzero(stop):
+                k = live[line]
+                zk = z if shared else z[k]
+                crit, up, low, viol, m_val, big_m_val, g = _refresh(gram, zk, p[k], a[k], c)
+                rounds[k] += 1
+                if viol <= tolerance or iters[k] >= max_iter or rounds[k] == _ROUNDS:
+                    bias[k] = _bias(crit, a[k], c, m_val, big_m_val)
+                    objective[k] = 0.5 * float(a[k] @ (g + p[k]))
+                    violation[k] = max(viol, 0.0)
+                    converged[k] = viol <= tolerance
+                    done[line] = True
+                else:
+                    # incremental-gradient drift uncovered residual violation
+                    cu[line] = np.where(up, crit, -np.inf)
+                    cl[line] = np.where(low, crit, np.inf)
+            if done.any():
+                # compact in place, so no second copy of the state is made
+                keep = np.flatnonzero(~done)
+                for dst, src in enumerate(keep):
+                    cu[dst] = cu[src]
+                    cl[dst] = cl[src]
+                live, cu, cl = live[keep], cu[: keep.size], cl[: keep.size]
+                lines = np.arange(live.size)
+            continue
 
-    free = (a > 0.0) & (a < c)
-    if free.any():
-        bias = float(np.mean(crit[free]))
-    elif np.isfinite(m_val) and np.isfinite(big_m_val):
-        bias = 0.5 * (m_val + big_m_val)
-    elif np.isfinite(m_val):
-        bias = m_val
-    elif np.isfinite(big_m_val):
-        bias = big_m_val
-    else:
-        bias = 0.0
-    objective = 0.5 * float(a @ (g + p))
+        zp = z[ij] if shared else z[live, ij]
+        ap = a[live, ij]
+        ijn = ij % n
+        dg = diag[ijn]
+        quad = dg[0] + dg[1] - 2.0 * zp[0] * zp[1] * gram[ijn[0], ijn[1]]
+        step = gap / np.maximum(quad, 1e-12)
+        direction = zp * sign
+        rising = direction > 0
+        room = np.where(rising, c - ap, ap)
+        step = np.minimum(step, room.min(axis=0))
+        at = step == room
+        at[1] &= ~at[0]
+        # the variable landing exactly on its bound leaves the exact
+        # remainder of the equality constraint to the other one
+        bound = np.where(rising, c, 0.0)
+        za = zp * ap
+        rest = zp * ((za[0] + za[1]) - (zp * bound)[::-1])
+        new = np.where(at, bound, np.where(at[::-1], rest, ap + direction * step))
+        new = np.where(new < 0.0, 0.0, new)  # keeps -0.0, as max(x, 0.0) does
+        new = np.where(new > c, c, new)
+        a[live, ij] = new
+        iters[live] += 1
+
+        # crit drops by coef_i K[i] + coef_j K[j]
+        kk = gram[ijn]
+        kk *= (zp * (new - ap))[:, :, None]
+        u = np.add(kk[0], kk[1], out=kk[0])[:, None, :]
+        shape = (live.size, m // n, n)
+        np.subtract(cu.reshape(shape), u, out=cu.reshape(shape))
+        np.subtract(cl.reshape(shape), u, out=cl.reshape(shape))
+
+        # only the two moved variables of a line can change sets
+        crit = cu[lines, ij]
+        crit = np.where(crit > -np.inf, crit, cl[lines, ij])
+        below, above, plus = new < c, new > 0.0, zp > 0
+        cu[lines, ij] = np.where(np.where(plus, below, above), crit, -np.inf)
+        cl[lines, ij] = np.where(np.where(plus, above, below), crit, np.inf)
+
     return SmoResult(
         a=a,
         bias=bias,
-        iterations=iterations,
-        violation=max(violation, 0.0),
+        iterations=int(iters.sum()),
+        row_iterations=iters,
+        violation=violation,
         objective=objective,
-        converged=violation <= tolerance,
+        converged=converged,
     )
+
+
+def _refresh(gram: np.ndarray, z: np.ndarray, p: np.ndarray, a: np.ndarray, c: float):
+    """One row's exact gradient g = p + z * (Kt (z * a)), its crit, up and
+    low sets and the violation they leave."""
+    n = gram.shape[0]
+    v = z * a
+    if a.size > n:
+        w = gram @ (v[:n] + v[n:])
+        w = np.concatenate([w, w])
+    else:
+        w = gram @ v
+    g = p + z * w
+    crit = -z * g
+    pos = z > 0
+    up = (pos & (a < c)) | (~pos & (a > 0.0))
+    low = (~pos & (a < c)) | (pos & (a > 0.0))
+    m_val = float(np.max(crit[up])) if up.any() else -np.inf
+    big_m_val = float(np.min(crit[low])) if low.any() else np.inf
+    finite = np.isfinite(m_val) and np.isfinite(big_m_val)
+    violation = m_val - big_m_val if finite else 0.0
+    return crit, up, low, violation, m_val, big_m_val, g
+
+
+def _bias(crit: np.ndarray, a: np.ndarray, c: float, m_val: float, big_m_val: float) -> float:
+    """Mean crit over free variables, else the midpoint of the KKT bounds."""
+    free = (a > 0.0) & (a < c)
+    if free.any():
+        return float(np.mean(crit[free]))
+    if np.isfinite(m_val) and np.isfinite(big_m_val):
+        return 0.5 * (m_val + big_m_val)
+    if np.isfinite(m_val):
+        return m_val
+    if np.isfinite(big_m_val):
+        return big_m_val
+    return 0.0

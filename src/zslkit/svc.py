@@ -54,12 +54,16 @@ def train_svc(
     labels: list[Label],
     config: SvcConfig,
     kernel: KernelSpec | None = None,
+    gram: np.ndarray | None = None,
 ) -> SvcModel:
-    """Train one binary soft-margin SVM per class (one-vs-rest).
+    """Train one binary soft-margin SVM per class (one-vs-rest), all
+    classes' duals solved in one batched call.
 
     ``points`` must be L2-normalized. With ``kernel=None`` an RBF kernel
     over Euclidean distance is used, with gamma set to the reciprocal mean
-    pairwise squared distance.
+    pairwise squared distance. ``gram`` is the points' Gram matrix under
+    ``kernel`` when the caller already has it; otherwise it is computed
+    here.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
@@ -74,51 +78,36 @@ def train_svc(
         raise ValueError("need at least 2 classes")
     if kernel is None:
         kernel = KernelSpec(RBF_EUCLIDEAN, heuristic_gamma(x, RBF_EUCLIDEAN))
-
-    gram = gram_matrix(kernel, x)
-    diag = np.diag(gram)
     n = x.shape[0]
-    label_keys = np.array([lab.key for lab in labels])
+    if gram is None:
+        gram = gram_matrix(kernel, x)
+    elif gram.shape != (n, n):
+        raise ValueError(f"gram matrix has shape {gram.shape}, expected ({n}, {n})")
+    elif not np.array_equal(gram, gram.T):
+        raise ValueError("gram matrix is not exactly symmetric")
 
-    coefficients = np.zeros((len(classes), n), dtype=np.float64)
-    biases = np.zeros(len(classes), dtype=np.float64)
-    iterations = np.zeros(len(classes), dtype=np.int64)
-    objectives = np.zeros(len(classes), dtype=np.float64)
-    p = -np.ones(n, dtype=np.float64)
-    for ci, cls in enumerate(classes):
-        z = np.where(label_keys == cls.key, 1.0, -1.0)
-        res = smo.solve(
-            lambda t: gram[:, t],
-            diag,
-            z,
-            p,
-            config.c,
-            config.tolerance,
-            config.max_passes,
-            kmatvec=lambda v: gram @ v,
+    label_keys = np.array([lab.key for lab in labels])
+    z = np.array([np.where(label_keys == cls.key, 1.0, -1.0) for cls in classes])
+    res = smo.solve(gram, z, -np.ones(z.shape), config.c, config.tolerance, config.max_passes)
+    if not res.converged.all():
+        ci = int(np.argmin(res.converged))
+        raise smo.ConvergenceError(
+            f"SVC dual for class {classes[ci].key!r} did not converge within "
+            f"{config.max_passes} passes (violation {res.violation[ci]:.3e})",
+            iterations=int(res.row_iterations[ci]),
+            violation=float(res.violation[ci]),
+            result=res,
         )
-        if not res.converged:
-            raise smo.ConvergenceError(
-                f"SVC dual for class {cls.key!r} did not converge within "
-                f"{config.max_passes} passes (violation {res.violation:.3e})",
-                iterations=res.iterations,
-                violation=res.violation,
-                result=res,
-            )
-        coef = z * res.a
-        coef[np.abs(coef) < smo._COEF_ZERO * max(1.0, config.c)] = 0.0
-        coefficients[ci] = coef
-        biases[ci] = res.bias
-        iterations[ci] = res.iterations
-        objectives[ci] = -res.objective
+    coefficients = z * res.a
+    coefficients[np.abs(coefficients) < smo._COEF_ZERO * max(1.0, config.c)] = 0.0
     return SvcModel(
         classes=classes,
         kernel=kernel,
         train_points=x.copy(),
         coefficients=coefficients,
-        biases=biases,
-        iterations=iterations,
-        dual_objectives=objectives,
+        biases=res.bias,
+        iterations=res.row_iterations,
+        dual_objectives=-res.objective,
     )
 
 

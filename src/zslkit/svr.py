@@ -60,10 +60,13 @@ def _validate_gram(gram: np.ndarray) -> np.ndarray:
     g = np.asarray(gram, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"gram matrix must be square, got shape {g.shape}")
-    # exact equality settles the usual exactly symmetric Gram cheaply
-    if not (np.array_equal(g, g.T) or np.allclose(g, g.T, atol=1e-8)):
+    # exact equality settles the usual exactly symmetric Gram cheaply; the
+    # solver reads rows as columns, so rounding-level asymmetry is averaged
+    if np.array_equal(g, g.T):
+        return g
+    if not np.allclose(g, g.T, atol=1e-8):
         raise ValueError("gram matrix is not symmetric")
-    return g
+    return 0.5 * (g + g.T)
 
 
 def train_svr(
@@ -71,59 +74,57 @@ def train_svr(
     targets: np.ndarray,
     config: SvrConfig,
     kernel: KernelSpec | None = None,
-) -> SvrModel:
-    """Solve the epsilon-SVR dual over a precomputed Gram matrix.
+) -> SvrModel | list[SvrModel]:
+    """Solve epsilon-SVR duals over a precomputed Gram matrix.
 
-    The 2n-variable dual (one alpha and one alpha* per sample) is run
+    Targets of shape (n,) give one model; an (n, r) matrix gives a list of
+    r models, one per column, whose duals are solved in one batched call.
+    Each 2n-variable dual (one alpha and one alpha* per sample) runs
     through the decomposition solver; raises
-    :class:`~zslkit.smo.ConvergenceError` if the budget is exhausted.
+    :class:`~zslkit.smo.ConvergenceError` if a budget is exhausted, naming
+    the first (0-based) output dimension that did not converge.
     """
     g = _validate_gram(gram)
-    y = np.asarray(targets, dtype=np.float64).reshape(-1)
+    y = np.asarray(targets, dtype=np.float64)
     n = g.shape[0]
-    if y.size != n:
-        raise ValueError(f"targets length {y.size} does not match gram size {n}")
+    if y.ndim not in (1, 2):
+        raise ValueError(f"targets must be 1-D or 2-D, got shape {y.shape}")
+    if y.shape[0] != n:
+        raise ValueError(f"targets length {y.shape[0]} does not match gram size {n}")
     if n < 2:
         raise ValueError("need at least 2 training samples")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets contain non-finite values")
 
+    yt = y.reshape(n, -1).T  # one row per output dimension
     z = np.concatenate([np.ones(n), -np.ones(n)])
-    p = np.concatenate([config.epsilon - y, config.epsilon + y])
-    diag = np.diag(g)
-    kdiag = np.concatenate([diag, diag])
-
-    def kcol(t: int) -> np.ndarray:
-        col = g[:, t % n]
-        return np.concatenate([col, col])
-
-    def kmatvec(v: np.ndarray) -> np.ndarray:
-        w = g @ (v[:n] + v[n:])
-        return np.concatenate([w, w])
-
-    res = smo.solve(
-        kcol, kdiag, z, p, config.c, config.tolerance, config.max_passes, kmatvec
-    )
-    if not res.converged:
+    p = np.concatenate([config.epsilon - yt, config.epsilon + yt], axis=1)
+    res = smo.solve(g, z, p, config.c, config.tolerance, config.max_passes)
+    if not res.converged.all():
+        d = int(np.argmin(res.converged))
+        where = f" for output dimension {d}" if y.ndim == 2 else ""
         raise smo.ConvergenceError(
-            f"SVR dual did not converge within {config.max_passes} passes "
-            f"(remaining KKT violation {res.violation:.3e})",
-            iterations=res.iterations,
-            violation=res.violation,
+            f"SVR dual{where} did not converge within {config.max_passes} passes "
+            f"(remaining KKT violation {res.violation[d]:.3e})",
+            iterations=int(res.row_iterations[d]),
+            violation=float(res.violation[d]),
             result=res,
         )
-    beta = res.a[:n] - res.a[n:]
+    beta = res.a[:, :n] - res.a[:, n:]
     beta[np.abs(beta) < smo._COEF_ZERO * max(1.0, config.c)] = 0.0
-    support = np.flatnonzero(beta)
-    return SvrModel(
-        support_indices=support,
-        dual_coefficients=beta[support],
-        bias=res.bias,
-        kernel=kernel,
-        n_train=n,
-        iterations=res.iterations,
-        dual_objective=-res.objective,
-    )
+    models = [
+        SvrModel(
+            support_indices=np.flatnonzero(b),
+            dual_coefficients=b[b != 0.0],
+            bias=float(res.bias[d]),
+            kernel=kernel,
+            n_train=n,
+            iterations=int(res.row_iterations[d]),
+            dual_objective=-float(res.objective[d]),
+        )
+        for d, b in enumerate(beta)
+    ]
+    return models[0] if y.ndim == 1 else models
 
 
 def predict_with_kernel_values(model: SvrModel, kernel_values: np.ndarray) -> np.ndarray:
@@ -164,7 +165,8 @@ def train_semantic_regressor(
     kernel: KernelSpec,
     gram: np.ndarray | None = None,
 ) -> SemanticRegressor:
-    """Train one SVR per embedding coordinate over a shared Gram matrix.
+    """Train one SVR per embedding coordinate over a shared Gram matrix,
+    all solved in one batched call.
 
     Dimension j regresses coordinate j of the instance's label embedding.
     ``gram`` is the features' Gram matrix under ``kernel`` when the caller
@@ -185,18 +187,18 @@ def train_semantic_regressor(
         raise ValueError("embeddings must have at least one dimension")
     if gram is None:
         gram = gram_matrix(kernel, x)
-    models = [train_svr(gram, zt[:, j], config, kernel) for j in range(d_z)]
+    models = train_svr(gram, zt, config, kernel)
 
-    pool_idx = np.unique(np.concatenate([m.support_indices for m in models])).astype(int)
-    coeffs = np.zeros((d_z, pool_idx.size), dtype=np.float64)
-    for j, m in enumerate(models):
-        coeffs[j, np.searchsorted(pool_idx, m.support_indices)] = m.dual_coefficients
+    beta = np.array([m.coefficient_vector() for m in models])
+    pool_idx = np.flatnonzero(beta.any(axis=0))
     return SemanticRegressor(
         kernel=kernel,
         n_train=n,
         pool_indices=pool_idx,
         pool_features=x[pool_idx].copy(),
-        coefficients=coeffs,
+        # C order: the layout picks the matrix-product path in predict_batch,
+        # and with it the last bits of every projection
+        coefficients=np.ascontiguousarray(beta[:, pool_idx]),
         biases=np.array([m.bias for m in models]),
         iterations=np.array([m.iterations for m in models], dtype=np.int64),
         dual_objectives=np.array([m.dual_objective for m in models]),

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import test_evaluate_cli as ev
+import zslkit.evaluate
 from zslkit.data import load_dataset
 from zslkit.evaluate import run_multishot_evaluation, run_zsl_evaluation
 
@@ -15,29 +16,51 @@ import spans  # noqa: E402
 toy_world = ev.toy_world
 
 
-def traced(evaluate, config):
+def traced(evaluate, config, monkeypatch):
+    """Run ``evaluate`` under the benchmark's spans; also return every
+    regressor and classifier the loop trained."""
+    models = {"train_semantic_regressor": [], "train_svc": []}
+    for name, kept in models.items():
+        train = getattr(zslkit.evaluate, name)
+
+        def keep(*args, _train=train, _kept=kept, **kwargs):
+            model = _train(*args, **kwargs)
+            _kept.append(model)
+            return model
+
+        monkeypatch.setattr(zslkit.evaluate, name, keep)
     rec = spans.Recorder()
     with spans.instrument(rec, traced=True):
         report, _ = evaluate(config)
-    return rec, report, rec.layer_totals()
+    return rec, report, rec.layer_totals(), models
 
 
-def test_zsl_loop_keeps_hooks(toy_world, tmp_path):
+def test_zsl_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     config = ev.base_config(
         toy_world, tmp_path, self_train=True, k_neighbors=5,
         augment=True, auxiliary_path=str(toy_world["aux"]),
     )
-    rec, report, layers = traced(run_zsl_evaluation, config)
+    rec, report, layers, models = traced(run_zsl_evaluation, config, monkeypatch)
     assert rec.units_done == len(report.per_split_accuracy) == config.split_count
-    assert layers["smo.solves.svr"] > 0
+    regressors = models["train_semantic_regressor"]
+    assert len(regressors) == config.split_count
+    # one batched solve per regressor, counting every dimension's updates
+    assert layers["smo.solves.svr"] == config.split_count
+    assert layers["smo.iterations.svr"] == sum(int(r.iterations.sum()) for r in regressors) > 0
+    assert layers["smo.solves.svc"] == 0
     assert layers["zsl.nearest_prototype_calls"] == config.split_count
 
 
-def test_multishot_loop_keeps_hooks(toy_world, tmp_path):
+def test_multishot_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     folds_path = tmp_path / "folds.json"
     ev.TestMultishot()._write_folds(folds_path, load_dataset(toy_world["target"]))
     config = ev.base_config(toy_world, tmp_path, folds_path=str(folds_path))
-    rec, report, layers = traced(run_multishot_evaluation, config)
-    assert rec.units_done == len(report.per_split_accuracy) == 2
-    assert layers["smo.solves.svr"] > 0
-    assert layers["smo.solves.svc"] > 0
+    rec, report, layers, models = traced(run_multishot_evaluation, config, monkeypatch)
+    folds = len(report.per_split_accuracy)
+    assert rec.units_done == folds == 2
+    regressors, classifiers = models["train_semantic_regressor"], models["train_svc"]
+    assert len(regressors) == len(classifiers) == folds
+    assert layers["smo.solves.svr"] == folds
+    assert layers["smo.solves.svc"] == folds
+    assert layers["smo.iterations.svr"] == sum(int(r.iterations.sum()) for r in regressors) > 0
+    assert layers["smo.iterations.svc"] == sum(int(m.iterations.sum()) for m in classifiers) > 0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import zslkit.smo
 from zslkit.cli import main
 from zslkit.data import generate_splits, load_dataset, write_features_csv
 from zslkit.embedding import load_embeddings, save_embeddings
@@ -234,6 +235,47 @@ class TestZslEvaluation:
         assert err.value.iterations == 1
         assert err.value.violation > 0
         assert err.value.result is not None
+
+    def test_nonconvergence_names_the_output_dimension(
+        self, toy_world, tmp_path, monkeypatch, capsys
+    ):
+        # a budget that the two slowest output dimensions exceed
+        counts = []
+        solve = zslkit.smo.solve
+
+        def record(*args):
+            res = solve(*args)
+            counts.append(res.row_iterations)
+            return res
+
+        monkeypatch.setattr(zslkit.smo, "solve", record)
+        run_zsl_evaluation(base_config(toy_world, tmp_path / "free", split_count=1))
+        monkeypatch.setattr(zslkit.smo, "solve", solve)
+        (per_dim,) = counts
+        budget = int(np.sort(per_dim)[-2]) - 1
+        over = per_dim > budget
+        assert 2 <= over.sum() < over.size and not (per_dim == budget).any()
+        first = int(np.argmax(over))
+
+        config = base_config(toy_world, tmp_path, split_count=1, svr_max_passes=budget)
+        with pytest.raises(ConvergenceError) as err:
+            run_zsl_evaluation(config)
+        assert str(err.value).startswith(
+            f"split 1 failed: SVR dual for output dimension {first} did not converge "
+            f"within {budget} passes"
+        )
+        assert err.value.iterations == budget
+        assert err.value.violation == err.value.result.violation[first] > 0
+        np.testing.assert_array_equal(err.value.result.converged, ~over)
+
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        capsys.readouterr()
+        assert main(["eval-zsl", "--config", str(config_path)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert f"output dimension {first}" in error["error"]
+        assert error["iterations"] == budget
+        assert error["violation"] == err.value.violation
 
     def test_auxiliary_colliding_with_unseen_class_fails_loudly(self, toy_world, tmp_path):
         # auxiliary data reusing a target class must be rejected on any

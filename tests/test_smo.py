@@ -1,0 +1,162 @@
+"""The row-batched dual solver against the per-row reference solver in
+``smo_reference.py``: every row must reproduce the reference's iterates
+bit for bit, in both the SVR form (one shared sign vector, Gram tiled
+twice) and the SVC form (one sign vector per row)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import smo_reference as ref
+from zslkit import smo
+from zslkit.kernels import KernelSpec, gram_matrix
+
+
+def chi2_gram(rng, n, d=4, gamma=2.0, duplicate=False):
+    x = rng.dirichlet(np.ones(d), size=n)
+    if duplicate:
+        x[-1] = x[0]
+    return gram_matrix(KernelSpec("rbf_chi2", gamma), x)
+
+
+def svr_batch(gram, targets, c, epsilon, tolerance, max_iter):
+    """All columns of ``targets`` (n, r) as one batched SVR solve."""
+    n = gram.shape[0]
+    z = np.concatenate([np.ones(n), -np.ones(n)])
+    p = np.concatenate([epsilon - targets.T, epsilon + targets.T], axis=1)
+    return smo.solve(gram, z, p, c, tolerance, max_iter)
+
+
+def svc_batch(gram, signs, c, tolerance, max_iter):
+    """All rows of ``signs`` (r, n) as one batched SVC solve."""
+    return smo.solve(gram, signs, -np.ones(signs.shape), c, tolerance, max_iter)
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_row_matches(batch, k, row):
+    assert same_bits(batch.a[k], row.a), "a"
+    assert same_bits(batch.bias[k], row.bias), "bias"
+    assert batch.row_iterations[k] == row.iterations
+    assert same_bits(batch.violation[k], row.violation), "violation"
+    assert same_bits(batch.objective[k], row.objective), "objective"
+    assert batch.converged[k] == row.converged
+
+
+def check_svr(gram, targets, c, epsilon, tolerance, max_iter):
+    """Compare every row with the reference; return the per-row reference
+    refresh round counts."""
+    batch = svr_batch(gram, targets, c, epsilon, tolerance, max_iter)
+    rounds = []
+    for k in range(targets.shape[1]):
+        row, n_rounds = ref.solve_svr_row(gram, targets[:, k], c, epsilon, tolerance, max_iter)
+        assert_row_matches(batch, k, row)
+        rounds.append(n_rounds)
+    assert batch.iterations == int(batch.row_iterations.sum())
+    return batch, rounds
+
+
+def check_svc(gram, signs, c, tolerance, max_iter):
+    batch = svc_batch(gram, signs, c, tolerance, max_iter)
+    rounds = []
+    for k in range(signs.shape[0]):
+        row, n_rounds = ref.solve_svc_row(gram, signs[k], c, tolerance, max_iter)
+        assert_row_matches(batch, k, row)
+        rounds.append(n_rounds)
+    assert batch.iterations == int(batch.row_iterations.sum())
+    return batch, rounds
+
+
+problems = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "n": st.integers(2, 9),
+        "r": st.integers(1, 4),
+        "gamma": st.sampled_from([0.5, 2.0, 8.0]),
+        "c": st.sampled_from([1e-6, 0.05, 2.0, 100.0]),
+        "tolerance": st.sampled_from([1e-3, 1e-9]),
+        "max_iter": st.sampled_from([1, 7, 60, 5_000]),
+        "duplicate": st.booleans(),
+    }
+)
+
+
+class TestMatchesPerRowReference:
+    @settings(max_examples=60, deadline=None)
+    @given(problems, st.sampled_from([0.0, 0.05, 0.5, 5.0]))
+    def test_svr_form(self, prob, epsilon):
+        rng = np.random.default_rng(prob["seed"])
+        gram = chi2_gram(rng, prob["n"], gamma=prob["gamma"], duplicate=prob["duplicate"])
+        targets = rng.normal(size=(prob["n"], prob["r"]))
+        check_svr(gram, targets, prob["c"], epsilon, prob["tolerance"], prob["max_iter"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems)
+    def test_svc_form(self, prob):
+        rng = np.random.default_rng(prob["seed"])
+        n = prob["n"]
+        gram = chi2_gram(rng, n, gamma=prob["gamma"], duplicate=prob["duplicate"])
+        labels = rng.integers(0, prob["r"] + 1, size=n)
+        signs = np.array([np.where(labels == k, 1.0, -1.0) for k in range(prob["r"] + 1)])
+        check_svc(gram, signs, prob["c"], prob["tolerance"], prob["max_iter"])
+
+
+class TestEdgeCases:
+    def test_epsilon_above_target_range_takes_no_step(self):
+        rng = np.random.default_rng(1)
+        gram = chi2_gram(rng, 6)
+        targets = rng.uniform(-1.0, 1.0, size=(6, 3))
+        batch, _ = check_svr(gram, targets, 2.0, 5.0, 1e-3, 1000)
+        assert batch.iterations == 0
+        assert not batch.a.any()
+        assert batch.converged.all()
+
+    def test_two_samples(self):
+        rng = np.random.default_rng(2)
+        gram = chi2_gram(rng, 2)
+        batch, _ = check_svr(gram, rng.normal(size=(2, 3)), 2.0, 0.0, 1e-10, 1000)
+        assert batch.converged.all()
+        check_svc(gram, np.array([[1.0, -1.0], [-1.0, 1.0]]), 2.0, 1e-10, 1000)
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(3)
+        gram = chi2_gram(rng, 7, duplicate=True)
+        assert np.array_equal(gram[0], gram[-1])
+        targets = rng.normal(size=(7, 3))
+        targets[-1] = targets[0] + 0.5  # same features, conflicting targets
+        check_svr(gram, targets, 2.0, 0.05, 1e-6, 10_000)
+        signs = np.array([[1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0]])
+        check_svc(gram, np.vstack([signs, -signs]), 2.0, 1e-6, 10_000)
+
+    def test_tiny_c_saturates_the_box(self):
+        rng = np.random.default_rng(4)
+        gram = chi2_gram(rng, 8)
+        batch, _ = check_svr(gram, rng.normal(size=(8, 3)), 1e-9, 0.0, 1e-6, 10_000)
+        assert batch.a.max() <= 1e-9
+
+    def test_budget_exhausted_by_one_row_only(self):
+        rng = np.random.default_rng(5)
+        gram = chi2_gram(rng, 9)
+        targets = rng.normal(size=(9, 4))
+        free = svr_batch(gram, targets, 2.0, 0.0, 1e-8, 100_000)
+        assert free.converged.all()
+        counts = np.sort(free.row_iterations)
+        assert counts[-1] > counts[-2] + 1
+        budget = int(counts[-2]) + 1
+        batch, _ = check_svr(gram, targets, 2.0, 0.0, 1e-8, budget)
+        assert batch.converged.sum() == 3
+        stuck = int(np.argmax(free.row_iterations))
+        assert not batch.converged[stuck]
+        assert batch.row_iterations[stuck] == budget
+
+    def test_drift_takes_further_refresh_rounds(self):
+        # large targets and a tight tolerance: the incrementally updated
+        # gradient drifts, and the exact refresh sends rows back to work
+        rng = np.random.default_rng(121)
+        gram = chi2_gram(rng, 5, gamma=32.0)
+        targets = rng.normal(scale=1e4, size=(5, 3))
+        _, rounds = check_svr(gram, targets, 1e9, 0.0, 1e-12, 3000)
+        assert rounds == [2, 1, 3]

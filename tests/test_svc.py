@@ -91,6 +91,21 @@ class TestTrainSvc:
             train_svc(pts, [Label.of("a"), Label.of("b")], SvcConfig())
 
 
+    def test_supplied_gram(self):
+        rng = np.random.default_rng(6)
+        pts, labels = two_clusters(rng, per_side=6)
+        kernel = KernelSpec("rbf_euclidean", 1.5)
+        gram = gram_matrix(kernel, pts)
+        given = train_svc(pts, labels, SvcConfig(), kernel, gram)
+        assert_same_fields(given, train_svc(pts, labels, SvcConfig(), kernel))
+        with pytest.raises(ValueError, match="shape"):
+            train_svc(pts, labels, SvcConfig(), kernel, gram[:-1, :-1])
+        skewed = gram.copy()
+        skewed[0, 1] += 1e-12
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            train_svc(pts, labels, SvcConfig(), kernel, skewed)
+
+
 class TestClassify:
     def _three_class_model(self, rng):
         centers = np.eye(3)

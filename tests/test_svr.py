@@ -242,6 +242,9 @@ class TestModelSerialization:
         np.testing.assert_allclose(
             predict_batch(reg, probes), predict_batch(loaded, probes), atol=1e-12
         )
+        # loaded coefficients are C-ordered; the trained ones must be too, as
+        # the layout picks the matrix-product path and so the last bits
+        assert reg.coefficients.flags.c_contiguous
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(17)
