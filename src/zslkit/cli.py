@@ -26,7 +26,7 @@ from .data import (
     save_split,
     write_features_csv,
 )
-from .embedding import Label, load_embeddings
+from .embedding import Label, label_tokens, load_embeddings
 from .evaluate import (
     EvaluationReport,
     ExperimentConfig,
@@ -136,7 +136,9 @@ def _cmd_train_regressor(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     config.validate("zsl")
     dataset = load_dataset(config.target_path)
-    store = load_embeddings(config.embedding_path)
+    store = load_embeddings(
+        config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
+    )
     pair = training_pair(dataset, store)
     kernel, gram = kernel_and_gram(
         config,

@@ -7,9 +7,11 @@ UTF-8, newline-terminated.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -62,6 +64,11 @@ class Label:
         return f"Label({self.key!r})"
 
 
+def label_tokens(labels: Iterable[Label]) -> set[str]:
+    """Every token of the given labels: the entries their embeddings read."""
+    return {t for label in labels for t in label.tokens}
+
+
 @dataclass
 class EmbeddingStore:
     """Token -> vector table with a fixed dimension.
@@ -87,10 +94,14 @@ class EmbeddingStore:
             raise ValueError(f"token {token!r} not in embedding vocabulary") from None
 
 
-def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingStore:
+def load_embeddings(
+    path: str | Path, format: str = "text", tokens: Iterable[str] | None = None
+) -> EmbeddingStore:
     """Parse a text word-vector file into an :class:`EmbeddingStore`.
 
-    Duplicate tokens are resolved last-wins and counted in
+    Given ``tokens``, only those entries are stored, so memory is bounded
+    by the label vocabulary rather than the file; every line is still
+    checked. Duplicate stored tokens are resolved last-wins and counted in
     ``duplicates_replaced``. Malformed headers, rows with the wrong number
     of values, non-finite values and entry-count mismatches all raise
     ``ValueError`` with the offending line number.
@@ -98,6 +109,7 @@ def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingStore:
     if format != "text":
         raise ValueError(f"unsupported embedding format {format!r}")
     path = Path(path)
+    wanted = None if tokens is None else frozenset(tokens)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
         try:
@@ -122,15 +134,17 @@ def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingStore:
                     f"{token!r}, got {len(values)}"
                 )
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                floats = list(map(float, values))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparseable value") from None
-            if not np.all(np.isfinite(vec)):
+            if not all(map(math.isfinite, floats)):
                 raise ValueError(f"{path}:{lineno}: non-finite value for token {token!r}")
+            parsed += 1
+            if wanted is not None and token not in wanted:
+                continue
             if token in table:
                 duplicates += 1
-            table[token] = vec
-            parsed += 1
+            table[token] = np.array(floats, dtype=np.float64)
         if parsed != count:
             raise ValueError(f"{path}: header declares {count} entries, found {parsed}")
     return EmbeddingStore(dimension=dim, table=table, duplicates_replaced=duplicates)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import smo
 from .data import Dataset, SplitSpec, generate_splits, load_dataset, save_split
-from .embedding import Label, load_embeddings
+from .embedding import Label, label_tokens, load_embeddings
 from .kernels import (
     KERNEL_KINDS,
     RBF_CHI2,
@@ -326,8 +326,11 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     """
     config.validate("zsl")
     target = load_dataset(config.target_path)
-    store = load_embeddings(config.embedding_path)
     auxiliary = load_dataset(config.auxiliary_path) if config.augment else None
+    aux_vocabulary = auxiliary.class_vocabulary if auxiliary is not None else []
+    store = load_embeddings(
+        config.embedding_path, tokens=label_tokens(target.class_vocabulary + aux_vocabulary)
+    )
     splits = generate_splits(target.class_vocabulary, config.split_count, config.split_seed)
     if config.predictor == PREDICTOR_REGRESSOR:
         dist = _run_distances(config, target, auxiliary)
@@ -397,7 +400,9 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     """
     config.validate("multishot")
     dataset = load_dataset(config.target_path)
-    store = load_embeddings(config.embedding_path)
+    store = load_embeddings(
+        config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
+    )
     folds = load_folds(config.folds_path)
     dist = _run_distances(config, dataset)
     svc_config = SvcConfig(

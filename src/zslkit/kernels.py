@@ -5,6 +5,8 @@ the classifier."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,34 +93,98 @@ def kernel_value(spec: KernelSpec, a, b) -> float:
     return math.exp(-spec.gamma * pair_distance(spec, a, b))
 
 
+# Floats in one tile's scratch array: two such arrays per worker, 1 MB.
+_TILE_FLOATS = 1 << 16
+# For non-negative bins a+b is 0 or at least this, so max(a+b, _TINY) changes
+# only empty bins, whose term becomes 0/_TINY = +0.0.
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chi2_tile(rows, cols, out, num, den) -> None:
+    """out[i, j] = sum over bins of (rows[i]-cols[j])^2/(rows[i]+cols[j]),
+    with (len(rows), len(cols), d_x) scratch ``num`` and ``den``."""
+    r, c = rows[:, None, :], cols[None, :, :]
+    np.subtract(r, c, out=num)
+    np.square(num, out=num)
+    np.add(r, c, out=den)
+    np.maximum(den, _TINY, out=den)
+    np.divide(num, den, out=num)
+    num.sum(axis=2, out=out)
+
+
+def _chi2_share(rows, cols, out, starts, height, width, scratch) -> None:
+    """Fill the row blocks beginning at ``starts``, one tile at a time.
+
+    When ``cols is rows`` a block's tiles start at its first row, and each
+    tile's columns beyond the block are mirrored into the lower triangle.
+    """
+    symmetric = cols is rows
+    n_rows, n_cols, d = rows.shape[0], cols.shape[0], rows.shape[1]
+    num, den = scratch
+    for r0 in starts:
+        r1 = min(r0 + height, n_rows)
+        for c0 in range(r0 if symmetric else 0, n_cols, width):
+            c1 = min(c0 + width, n_cols)
+            tile = out[r0:r1, c0:c1]
+            size, shape = tile.size * d, (*tile.shape, d)
+            _chi2_tile(
+                rows[r0:r1], cols[c0:c1], tile,
+                num[:size].reshape(shape), den[:size].reshape(shape),
+            )
+            if symmetric and c1 > r1:
+                lo = max(c0, r1)
+                out[lo:c1, r0:r1] = tile[:, lo - c0 :].T
+
+
 def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True) -> np.ndarray:
     """Chi-square distances between every row and every column vector.
 
-    When ``cols is rows`` only the upper triangle is computed and then
-    mirrored: (a-b)^2 and a+b are exactly symmetric, so the result equals
-    the rows-vs-cols computation bit for bit. Scratch buffers of shape
-    ``cols.shape`` are reused across rows.
+    The matrix is computed in tiles whose scratch holds about 2^16 floats,
+    and row blocks are dealt round-robin to one thread per usable CPU; the
+    calling thread takes the first share. Every cell is one contiguous
+    sum over its d_x terms, so the result does not depend on the tiling
+    or the thread count. When ``cols is rows`` only the upper triangle is
+    computed and then mirrored: (a-b)^2 and a+b are exactly symmetric, so
+    the result equals the rows-vs-cols computation bit for bit.
     """
-    symmetric = cols is rows
-    n_cols = cols.shape[0]
-    out = np.empty((rows.shape[0], n_cols), dtype=np.float64)
-    num = np.empty(cols.shape, dtype=np.float64)
-    den = np.empty(cols.shape, dtype=np.float64)
-    positive = np.empty(cols.shape, dtype=bool)
-    for i, r in enumerate(rows):
-        lo = i if symmetric else 0
-        c = cols[lo:]
-        m = n_cols - lo
-        nu, de, pos = num[:m], den[:m], positive[:m]
-        np.subtract(r, c, out=nu)
-        np.square(nu, out=nu)
-        np.add(r, c, out=de)
-        np.greater(de, 0.0, out=pos)
-        # where a+b == 0 both bins are 0, so nu already holds the 0 term
-        np.divide(nu, de, out=nu, where=pos)
-        nu.sum(axis=1, out=out[i, lo:])
-        if symmetric:
-            out[lo:, i] = out[i, lo:]
+    n_rows, n_cols = rows.shape[0], cols.shape[0]
+    d = max(rows.shape[1], 1)
+    out = np.empty((n_rows, n_cols), dtype=np.float64)
+    width = max(1, min(n_cols, _TILE_FLOATS // d))
+    height = max(1, _TILE_FLOATS // (width * d))
+    starts = range(0, n_rows, height)
+    workers = max(1, min(_worker_count(), len(starts)))
+    # worker threads allocate nothing: each gets its scratch from here
+    cells = min(height, n_rows) * width * d
+    scratch = [(np.empty(cells), np.empty(cells)) for _ in range(workers)]
+    errors: list[BaseException] = []
+
+    def share(k: int) -> None:
+        try:
+            _chi2_share(rows, cols, out, starts[k::workers], height, width, scratch[k])
+        except BaseException as exc:  # re-raised by the caller after join
+            errors.append(exc)
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            t = threading.Thread(target=share, args=(k,), daemon=True)
+            t.start()
+            threads.append(t)
+        share(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     if halved:
         out *= 0.5
     return out

@@ -122,7 +122,7 @@ def decision_values(model: SvcModel, points: np.ndarray) -> np.ndarray:
             f"dimension mismatch: {x.shape[1]} vs {model.train_points.shape[1]}"
         )
     kv = gram_matrix(model.kernel, x, model.train_points)
-    vals = kv @ model.coefficients.T + model.biases
+    vals = kv @ np.ascontiguousarray(model.coefficients).T + model.biases
     return vals[0] if single else vals
 
 

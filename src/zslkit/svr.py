@@ -196,8 +196,7 @@ def train_semantic_regressor(
         n_train=n,
         pool_indices=pool_idx,
         pool_features=x[pool_idx].copy(),
-        # C order: the layout picks the matrix-product path in predict_batch,
-        # and with it the last bits of every projection
+        # C order, so that predict_batch multiplies by it without a copy
         coefficients=np.ascontiguousarray(beta[:, pool_idx]),
         biases=np.array([m.bias for m in models]),
         iterations=np.array([m.iterations for m in models], dtype=np.int64),
@@ -231,5 +230,5 @@ def predict_batch(
             f"kernel rows have shape {kernel_rows.shape}, expected "
             f"({x.shape[0]}, {regressor.coefficients.shape[1]})"
         )
-    out = kernel_rows @ regressor.coefficients.T + regressor.biases
+    out = kernel_rows @ np.ascontiguousarray(regressor.coefficients).T + regressor.biases
     return out[0] if single else out

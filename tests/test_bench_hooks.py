@@ -8,6 +8,7 @@ from pathlib import Path
 import test_evaluate_cli as ev
 import zslkit.evaluate
 from zslkit.data import load_dataset
+from zslkit.embedding import label_tokens
 from zslkit.evaluate import run_multishot_evaluation, run_zsl_evaluation
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -35,6 +36,16 @@ def traced(evaluate, config, monkeypatch):
     return rec, report, rec.layer_totals(), models
 
 
+def assert_one_chi2_matrix(rec, layers, datasets):
+    """One traced chi-square call covering every target and auxiliary row,
+    and an embedding store holding only the labels' tokens."""
+    n = sum(len(ds) for ds in datasets)
+    assert [s[0] for s in rec.spans].count("kernels.chi2_distance_matrix") == 1
+    assert layers["kernels.chi2_cells"] == n * n
+    vocabulary = [label for ds in datasets for label in ds.class_vocabulary]
+    assert layers["embedding.tokens"] == len(label_tokens(vocabulary))
+
+
 def test_zsl_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     config = ev.base_config(
         toy_world, tmp_path, self_train=True, k_neighbors=5,
@@ -49,6 +60,8 @@ def test_zsl_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     assert layers["smo.iterations.svr"] == sum(int(r.iterations.sum()) for r in regressors) > 0
     assert layers["smo.solves.svc"] == 0
     assert layers["zsl.nearest_prototype_calls"] == config.split_count
+    datasets = [load_dataset(toy_world["target"]), load_dataset(toy_world["aux"])]
+    assert_one_chi2_matrix(rec, layers, datasets)
 
 
 def test_multishot_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
@@ -64,3 +77,4 @@ def test_multishot_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     assert layers["smo.solves.svc"] == folds
     assert layers["smo.iterations.svr"] == sum(int(r.iterations.sum()) for r in regressors) > 0
     assert layers["smo.iterations.svc"] == sum(int(m.iterations.sum()) for m in classifiers) > 0
+    assert_one_chi2_matrix(rec, layers, [load_dataset(toy_world["target"])])

@@ -80,6 +80,42 @@ class TestLoadEmbeddings:
         assert store.duplicates_replaced == 1
         np.testing.assert_array_equal(store.vector("run"), [0.0, 1.0])
 
+    def test_token_filter_keeps_exactly_the_requested_entries(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "vec.txt"
+        write_embedding_file(path, {f"tok{i}": list(rng.normal(size=5)) for i in range(30)})
+        full = load_embeddings(path)
+        wanted = {"tok3", "tok17", "tok29", "absent"}
+        kept = load_embeddings(path, tokens=wanted)
+        assert set(kept.table) == wanted & set(full.table)
+        assert kept.dimension == full.dimension
+        for token, vec in kept.table.items():
+            np.testing.assert_array_equal(vec, full.vector(token))
+        assert len(load_embeddings(path, tokens=[])) == 0
+
+    def test_token_filter_still_checks_every_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("3 2\nrun 1 0\nzzz 1 inf\njump 0 1\n")
+        with pytest.raises(ValueError, match=r":3: non-finite value for token 'zzz'"):
+            load_embeddings(path, tokens={"run", "jump"})
+        path.write_text("2 2\nrun 1 0\nzzz 1 x\n")
+        with pytest.raises(ValueError, match=r":3: unparseable value"):
+            load_embeddings(path, tokens={"run"})
+        path.write_text("2 2\nrun 1 0\nzzz 1\n")
+        with pytest.raises(ValueError, match=r":3: expected 2 values"):
+            load_embeddings(path, tokens={"run"})
+        path.write_text("3 2\nrun 1 0\nzzz 1 1\n")
+        with pytest.raises(ValueError, match="declares 3 entries, found 2"):
+            load_embeddings(path, tokens={"run"})
+
+    def test_token_filter_counts_duplicates_of_kept_tokens(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("4 2\nrun 1 0\nzzz 1 1\nzzz 2 2\nrun 0 1\n")
+        store = load_embeddings(path, tokens={"run"})
+        assert store.duplicates_replaced == 1
+        assert list(store.table) == ["run"]
+        np.testing.assert_array_equal(store.vector("run"), [0.0, 1.0])
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unsupported embedding format"):
             load_embeddings(tmp_path / "x", format="binary")

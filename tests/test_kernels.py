@@ -1,15 +1,20 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import distance_oracle
+import zslkit.kernels
 from zslkit.kernels import (
     KernelSpec,
     chi2_distance,
+    chi2_distance_matrix,
     distance_matrix,
     gamma_from_distances,
     gram_matrix,
@@ -298,3 +303,105 @@ class TestRunWideDistances:
         assert gamma_from_distances(d[np.ix_(s, s)], max_pairs=500) == pytest.approx(
             distance_oracle.sampled_gamma(x[s], "rbf_euclidean", max_pairs=500), rel=1e-12
         )
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+class TestTiledChi2:
+    """The chi-square matrix is computed in tiles spread over worker
+    threads; it must equal the former single-threaded kernel bit for bit
+    for any worker count and shape."""
+
+    # per-dimension size caps keep each example well under a second while
+    # still spanning several tiles (2^16 // d_x columns per tile)
+    SIZE_CAP = {1: 200, 32: 120, 1000: 100, 3000: 45}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_former_kernel_bitwise(self, data):
+        d = data.draw(st.sampled_from(sorted(self.SIZE_CAP)), label="d_x")
+        cap = self.SIZE_CAP[d]
+        n = data.draw(st.integers(0, cap), label="rows")
+        m = data.draw(st.integers(0, cap), label="cols")
+        zero_frac = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="zero_frac")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.random((n, d)) * (rng.random((n, d)) >= zero_frac)
+        y = rng.random((m, d)) * (rng.random((m, d)) >= zero_frac)
+        if n > 1:
+            x[n // 2] = 0.0  # an all-zero row
+        halved = data.draw(st.booleans(), label="halved")
+        sym_ref = distance_oracle.chi2_distance_matrix(x, x, halved)
+        cross_ref = distance_oracle.chi2_distance_matrix(x, y, halved)
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(zslkit.kernels, "_worker_count", lambda w=workers: w)
+                sym = chi2_distance_matrix(x, x, halved)
+                cross = chi2_distance_matrix(x, y, halved)
+            np.testing.assert_array_equal(bits(sym), bits(sym_ref))
+            np.testing.assert_array_equal(bits(cross), bits(cross_ref))
+
+    def test_multi_row_tiles_and_fewer_rows_than_workers(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        x = rng.random((70, 32)) * (rng.random((70, 32)) > 0.5)  # 29-row blocks
+        monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 3)
+        for rows in (x, x[:2], x[:1]):
+            np.testing.assert_array_equal(
+                bits(chi2_distance_matrix(rows, rows)),
+                bits(distance_oracle.chi2_distance_matrix(rows, rows)),
+            )
+            np.testing.assert_array_equal(
+                bits(chi2_distance_matrix(rows, x)),
+                bits(distance_oracle.chi2_distance_matrix(rows, x)),
+            )
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        x = rng.random((120, 300)) * (rng.random((120, 300)) > 0.3)
+        y = rng.random((50, 300))
+        monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sym, cross = chi2_distance_matrix(x, x), chi2_distance_matrix(x, y)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(bits(sym), bits(distance_oracle.chi2_distance_matrix(x, x)))
+        np.testing.assert_array_equal(bits(cross), bits(distance_oracle.chi2_distance_matrix(x, y)))
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 1)
+        monkeypatch.setattr(threading, "Thread", no_threads)
+        x = np.random.default_rng(41).random((30, 1000))
+        np.testing.assert_array_equal(
+            bits(chi2_distance_matrix(x, x)), bits(distance_oracle.chi2_distance_matrix(x, x))
+        )
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_failure_reaches_the_caller(self, monkeypatch, where):
+        tile = zslkit.kernels._chi2_tile
+        main = threading.main_thread()
+
+        def failing(*args):
+            if (threading.current_thread() is main) == (where == "caller"):
+                raise RuntimeError(f"tile failed in {where}")
+            tile(*args)
+
+        monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 2)
+        monkeypatch.setattr(zslkit.kernels, "_chi2_tile", failing)
+        before = threading.active_count()
+        x = np.random.default_rng(42).random((40, 1000))
+        with pytest.raises(RuntimeError, match=f"tile failed in {where}"):
+            chi2_distance_matrix(x, x)
+        assert threading.active_count() == before  # every worker was joined
+
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert zslkit.kernels._worker_count() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert zslkit.kernels._worker_count() == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -185,6 +186,19 @@ class TestSvcSerialization:
             decision_values(model, probes), decision_values(loaded, probes), atol=1e-12
         )
         assert classify_batch(model, probes) == classify_batch(loaded, probes)
+
+    def test_coefficient_memory_order_is_immaterial(self):
+        rng = np.random.default_rng(15)
+        # enough classes and support vectors that the product's blocking
+        # depends on the operand layout
+        classes = [Label.of(f"class {c}") for c in "abcdefghijkl"]
+        pts = unit_rows(np.repeat(np.eye(12), 10, axis=0) + rng.normal(size=(120, 12)))
+        model = train_svc(pts, [c for c in classes for _ in range(10)], SvcConfig())
+        flipped = dataclasses.replace(model, coefficients=np.asfortranarray(model.coefficients))
+        probes = unit_rows(rng.normal(size=(200, 12)))
+        np.testing.assert_array_equal(
+            decision_values(flipped, probes), decision_values(model, probes)
+        )
 
     def test_round_trip_equals_model(self, tmp_path):
         rng = np.random.default_rng(13)

@@ -242,9 +242,18 @@ class TestModelSerialization:
         np.testing.assert_allclose(
             predict_batch(reg, probes), predict_batch(loaded, probes), atol=1e-12
         )
-        # loaded coefficients are C-ordered; the trained ones must be too, as
-        # the layout picks the matrix-product path and so the last bits
+        # loaded coefficients are C-ordered, and so are the trained ones, so
+        # predict_batch multiplies either without a copy
         assert reg.coefficients.flags.c_contiguous
+
+    def test_coefficient_memory_order_is_immaterial(self):
+        rng = np.random.default_rng(21)
+        x, spec, _ = random_problem(rng, 60, 4)
+        reg = train_semantic_regressor(x, rng.normal(size=(60, 12)), SvrConfig(epsilon=0.01), spec)
+        assert reg.coefficients.shape[1] >= 30  # the product's blocking depends on layout
+        flipped = dataclasses.replace(reg, coefficients=np.asfortranarray(reg.coefficients))
+        probes = rng.dirichlet(np.ones(4), size=200)
+        np.testing.assert_array_equal(predict_batch(flipped, probes), predict_batch(reg, probes))
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(17)
