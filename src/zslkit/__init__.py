@@ -31,7 +31,6 @@ from .svc import SvcConfig, SvcModel, classify, decision_values, train_svc
 from .svr import (
     SemanticRegressor,
     SvrConfig,
-    SvrModel,
     predict_batch,
     train_semantic_regressor,
     train_svr,

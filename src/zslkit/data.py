@@ -305,10 +305,13 @@ def quantize(codebook: Codebook, descriptors: np.ndarray, normalize: bool = Fals
     return hist
 
 
+CODEBOOK_VERSION = 1
+
+
 def save_codebook(codebook: Codebook, path: str | Path, seed: int | None = None) -> None:
     doc = {
         "schema": "zslkit-codebook",
-        "version": 1,
+        "version": CODEBOOK_VERSION,
         "k": codebook.k,
         "descriptor_dim": codebook.descriptor_dim,
         "seed": seed,
@@ -319,10 +322,26 @@ def save_codebook(codebook: Codebook, path: str | Path, seed: int | None = None)
 
 def load_codebook(path: str | Path) -> Codebook:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("schema") != "zslkit-codebook":
+    if not isinstance(doc, dict) or doc.get("schema") != "zslkit-codebook":
         raise ValueError(f"{path}: not a codebook file")
-    centroids = np.asarray(doc["centroids"], dtype=np.float64)
-    return Codebook(k=int(doc["k"]), centroids=centroids, descriptor_dim=int(doc["descriptor_dim"]))
+    if doc.get("version") != CODEBOOK_VERSION:
+        raise ValueError(f"{path}: unsupported codebook schema version {doc.get('version')!r}")
+    try:
+        k, dim, rows = int(doc["k"]), int(doc["descriptor_dim"]), doc["centroids"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    try:
+        centroids = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: centroids is not a numeric array ({exc})") from None
+    if centroids.shape != (k, dim):
+        raise ValueError(
+            f"{path}: centroids has shape {centroids.shape}, expected ({k}, {dim}) "
+            f"to match k and descriptor_dim"
+        )
+    if not np.all(np.isfinite(centroids)):
+        raise ValueError(f"{path}: centroids contain non-finite values")
+    return Codebook(k=k, centroids=centroids, descriptor_dim=dim)
 
 
 def read_descriptor_file(path: str | Path) -> list[tuple[str | None, np.ndarray]]:
@@ -334,17 +353,18 @@ def read_descriptor_file(path: str | Path) -> list[tuple[str | None, np.ndarray]
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
     if not rows:
         raise ValueError(f"{path}: empty descriptor file")
+    first = rows[0][1]
     try:
-        float(rows[0][0])
+        float(first[0])
         has_id = False
     except ValueError:
         has_id = True
-    width = len(rows[0])
+    width = len(first)
     groups: dict[str | None, list[list[float]]] = {}
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows:
         if len(row) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
         key = row[0] if has_id else None
@@ -352,5 +372,7 @@ def read_descriptor_file(path: str | Path) -> list[tuple[str | None, np.ndarray]
             values = [float(v) for v in (row[1:] if has_id else row)]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: unparseable descriptor value") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite descriptor value")
         groups.setdefault(key, []).append(values)
     return [(key, np.asarray(vals, dtype=np.float64)) for key, vals in groups.items()]

@@ -126,7 +126,13 @@ def load_model(path: str | Path) -> SemanticRegressor | SvcModel:
 
 
 def _load_regressor(doc: dict, path: Path) -> SemanticRegressor:
+    n_train = int(doc["n_train"])
     pool_indices = _array(doc, "pool_indices", int, path)
+    outside = (pool_indices < 0) | (pool_indices >= n_train)
+    if pool_indices.ndim != 1 or outside.any() or np.unique(pool_indices).size != pool_indices.size:
+        raise ValueError(
+            f"{path}: pool_indices must be distinct indices in [0, n_train={n_train})"
+        )
     pool_features = _array(doc, "pool_features", np.float64, path)
     feature_dim = int(doc["feature_dim"])
     if pool_features.size == 0:
@@ -139,7 +145,7 @@ def _load_regressor(doc: dict, path: Path) -> SemanticRegressor:
         )
     return SemanticRegressor(
         kernel=_kernel_from_doc(doc["kernel"]),
-        n_train=int(doc["n_train"]),
+        n_train=n_train,
         pool_indices=pool_indices,
         pool_features=pool_features,
         **_solution_from_doc(doc, path, pool_indices.size, "pool_indices"),
@@ -148,6 +154,9 @@ def _load_regressor(doc: dict, path: Path) -> SemanticRegressor:
 
 def _load_svc(doc: dict, path: Path) -> SvcModel:
     classes = [Label.of(s) for s in doc["classes"]]
+    if len(set(classes)) != len(classes):
+        repeated = next(lab for i, lab in enumerate(classes) if lab in classes[:i])
+        raise ValueError(f"{path}: classes repeats {repeated.slug!r}")
     train_points = _array(doc, "train_points", np.float64, path)
     block = _solution_from_doc(doc, path, train_points.shape[0], "train_points")
     if block["coefficients"].shape[0] != len(classes):

@@ -20,10 +20,16 @@ single-variable minimizer clipped to the box. When a row's violation
 max - min drops to ``tolerance`` (or its budget runs out), its gradient
 is recomputed exactly and checked again, up to three rounds. Rows are
 stepped together, but every row's iterates are those of solving it alone.
+
+A row's solution is returned both as its dual ``a`` and as the weights
+``coef`` of the kernel expansion sum_i coef_i K(x_i, .) + bias it defines:
+z * a summed over the m / n tiles of Kt, which is alpha - alpha* for an
+SVR dual and y * alpha for an SVC dual.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +61,7 @@ class SmoResult:
     """Solutions of r duals; entry k of each array belongs to row k."""
 
     a: np.ndarray  # (r, m)
+    coef: np.ndarray  # (r, n) expansion weights, round-off stored as 0.0
     bias: np.ndarray  # (r,)
     iterations: int  # pair updates summed over all rows
     row_iterations: np.ndarray  # (r,) pair updates of each row
@@ -176,14 +183,35 @@ def solve(
         cu[lines, ij] = np.where(np.where(plus, below, above), crit, -np.inf)
         cl[lines, ij] = np.where(np.where(plus, above, below), crit, np.inf)
 
+    # the compacted [:0] views still hold both (r, m) buffers
+    del cu, cl
+    coef = (z * a).reshape(r, m // n, n).sum(axis=1)
+    coef[np.abs(coef) < _COEF_ZERO * max(1.0, c)] = 0.0
     return SmoResult(
         a=a,
+        coef=coef,
         bias=bias,
         iterations=int(iters.sum()),
         row_iterations=iters,
         violation=violation,
         objective=objective,
         converged=converged,
+    )
+
+
+def require_converged(res: SmoResult, max_iter: int, name: Callable[[int], str]) -> SmoResult:
+    """Return ``res`` if every row converged; otherwise raise
+    :class:`ConvergenceError` for the first row k that did not, naming it
+    ``name(k)`` and carrying that row's diagnostics and the whole result."""
+    if res.converged.all():
+        return res
+    k = int(np.argmin(res.converged))
+    raise ConvergenceError(
+        f"{name(k)} did not converge within {max_iter} passes "
+        f"(remaining KKT violation {res.violation[k]:.3e})",
+        iterations=int(res.row_iterations[k]),
+        violation=float(res.violation[k]),
+        result=res,
     )
 
 

@@ -89,22 +89,14 @@ def train_svc(
     label_keys = np.array([lab.key for lab in labels])
     z = np.array([np.where(label_keys == cls.key, 1.0, -1.0) for cls in classes])
     res = smo.solve(gram, z, -np.ones(z.shape), config.c, config.tolerance, config.max_passes)
-    if not res.converged.all():
-        ci = int(np.argmin(res.converged))
-        raise smo.ConvergenceError(
-            f"SVC dual for class {classes[ci].key!r} did not converge within "
-            f"{config.max_passes} passes (violation {res.violation[ci]:.3e})",
-            iterations=int(res.row_iterations[ci]),
-            violation=float(res.violation[ci]),
-            result=res,
-        )
-    coefficients = z * res.a
-    coefficients[np.abs(coefficients) < smo._COEF_ZERO * max(1.0, config.c)] = 0.0
+    smo.require_converged(
+        res, config.max_passes, lambda k: f"SVC dual for class {classes[k].key!r}"
+    )
     return SvcModel(
         classes=classes,
         kernel=kernel,
         train_points=x.copy(),
-        coefficients=coefficients,
+        coefficients=res.coef,
         biases=res.bias,
         iterations=res.row_iterations,
         dual_objectives=-res.objective,

@@ -32,30 +32,6 @@ class SvrConfig:
             raise ValueError("max_passes must be at least 1")
 
 
-@dataclass
-class SvrModel:
-    """One trained single-output regressor.
-
-    ``dual_coefficients`` holds alpha - alpha* at the support indices;
-    prediction is sum_i coef_i K(x_i, x) + bias. ``dual_objective`` is the
-    value of the maximized dual at the solution.
-    """
-
-    support_indices: np.ndarray
-    dual_coefficients: np.ndarray
-    bias: float
-    kernel: KernelSpec | None
-    n_train: int
-    iterations: int
-    dual_objective: float
-
-    def coefficient_vector(self) -> np.ndarray:
-        """Dense coefficients over all n_train training samples."""
-        beta = np.zeros(self.n_train, dtype=np.float64)
-        beta[self.support_indices] = self.dual_coefficients
-        return beta
-
-
 def _validate_gram(gram: np.ndarray) -> np.ndarray:
     g = np.asarray(gram, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -69,20 +45,15 @@ def _validate_gram(gram: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def train_svr(
-    gram: np.ndarray,
-    targets: np.ndarray,
-    config: SvrConfig,
-    kernel: KernelSpec | None = None,
-) -> SvrModel | list[SvrModel]:
-    """Solve epsilon-SVR duals over a precomputed Gram matrix.
+def train_svr(gram: np.ndarray, targets: np.ndarray, config: SvrConfig) -> smo.SmoResult:
+    """Solve epsilon-SVR duals over a precomputed Gram matrix, one row per
+    column of ``targets``, shape (n,) or (n, r), in one batched call.
 
-    Targets of shape (n,) give one model; an (n, r) matrix gives a list of
-    r models, one per column, whose duals are solved in one batched call.
     Each 2n-variable dual (one alpha and one alpha* per sample) runs
-    through the decomposition solver; raises
-    :class:`~zslkit.smo.ConvergenceError` if a budget is exhausted, naming
-    the first (0-based) output dimension that did not converge.
+    through the decomposition solver, and row d's ``coef`` is its
+    alpha - alpha*. Raises :class:`~zslkit.smo.ConvergenceError` if a
+    budget is exhausted, naming the first (0-based) output dimension that
+    did not converge.
     """
     g = _validate_gram(gram)
     y = np.asarray(targets, dtype=np.float64)
@@ -100,42 +71,9 @@ def train_svr(
     z = np.concatenate([np.ones(n), -np.ones(n)])
     p = np.concatenate([config.epsilon - yt, config.epsilon + yt], axis=1)
     res = smo.solve(g, z, p, config.c, config.tolerance, config.max_passes)
-    if not res.converged.all():
-        d = int(np.argmin(res.converged))
-        where = f" for output dimension {d}" if y.ndim == 2 else ""
-        raise smo.ConvergenceError(
-            f"SVR dual{where} did not converge within {config.max_passes} passes "
-            f"(remaining KKT violation {res.violation[d]:.3e})",
-            iterations=int(res.row_iterations[d]),
-            violation=float(res.violation[d]),
-            result=res,
-        )
-    beta = res.a[:, :n] - res.a[:, n:]
-    beta[np.abs(beta) < smo._COEF_ZERO * max(1.0, config.c)] = 0.0
-    models = [
-        SvrModel(
-            support_indices=np.flatnonzero(b),
-            dual_coefficients=b[b != 0.0],
-            bias=float(res.bias[d]),
-            kernel=kernel,
-            n_train=n,
-            iterations=int(res.row_iterations[d]),
-            dual_objective=-float(res.objective[d]),
-        )
-        for d, b in enumerate(beta)
-    ]
-    return models[0] if y.ndim == 1 else models
-
-
-def predict_with_kernel_values(model: SvrModel, kernel_values: np.ndarray) -> np.ndarray:
-    """Evaluate the regressor given precomputed kernel rows against the full
-    training set (shape (..., n_train))."""
-    kv = np.asarray(kernel_values, dtype=np.float64)
-    if kv.shape[-1] != model.n_train:
-        raise ValueError(
-            f"kernel rows have {kv.shape[-1]} columns, model trained on {model.n_train}"
-        )
-    return kv[..., model.support_indices] @ model.dual_coefficients + model.bias
+    return smo.require_converged(
+        res, config.max_passes, lambda d: f"SVR dual for output dimension {d}"
+    )
 
 
 @dataclass
@@ -187,20 +125,19 @@ def train_semantic_regressor(
         raise ValueError("embeddings must have at least one dimension")
     if gram is None:
         gram = gram_matrix(kernel, x)
-    models = train_svr(gram, zt, config, kernel)
+    res = train_svr(gram, zt, config)
 
-    beta = np.array([m.coefficient_vector() for m in models])
-    pool_idx = np.flatnonzero(beta.any(axis=0))
+    pool_idx = np.flatnonzero(res.coef.any(axis=0))
     return SemanticRegressor(
         kernel=kernel,
         n_train=n,
         pool_indices=pool_idx,
         pool_features=x[pool_idx].copy(),
         # C order, so that predict_batch multiplies by it without a copy
-        coefficients=np.ascontiguousarray(beta[:, pool_idx]),
-        biases=np.array([m.bias for m in models]),
-        iterations=np.array([m.iterations for m in models], dtype=np.int64),
-        dual_objectives=np.array([m.dual_objective for m in models]),
+        coefficients=np.ascontiguousarray(res.coef[:, pool_idx]),
+        biases=res.bias,
+        iterations=res.row_iterations,
+        dual_objectives=-res.objective,
     )
 
 

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,12 @@ from zslkit.data import (
     Codebook,
     generate_splits,
     kmeans_codebook,
+    load_codebook,
     load_dataset,
     load_split,
     quantize,
     read_descriptor_file,
+    save_codebook,
     save_split,
 )
 from zslkit.embedding import Label
@@ -163,6 +168,45 @@ class TestKmeans:
             kmeans_codebook(np.ones((3, 2)), k=5)
 
 
+class TestCodebookFiles:
+    def _saved(self, tmp_path, edit=None):
+        path = tmp_path / "codebook.json"
+        save_codebook(Codebook(k=3, centroids=np.arange(6.0).reshape(3, 2), descriptor_dim=2), path)
+        if edit is not None:
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+        return path
+
+    def test_round_trip(self, tmp_path):
+        book = load_codebook(self._saved(tmp_path))
+        assert (book.k, book.descriptor_dim) == (3, 2)
+        np.testing.assert_array_equal(book.centroids, np.arange(6.0).reshape(3, 2))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(version=2), "unsupported codebook schema version 2"),
+            (lambda doc: doc["centroids"].append([6.0, 7.0]),
+             r"centroids has shape \(4, 2\), expected \(3, 2\) to match k"),
+            (lambda doc: doc.update(descriptor_dim=3),
+             r"centroids has shape \(3, 2\), expected \(3, 3\)"),
+            (lambda doc: doc["centroids"][1].pop(), "centroids is not a numeric array"),
+            (lambda doc: doc.pop("k"), "missing field 'k'"),
+            (lambda doc: doc["centroids"][2].__setitem__(0, float("nan")),
+             "centroids contain non-finite values"),
+            (lambda doc: doc["centroids"][0].__setitem__(1, float("inf")),
+             "centroids contain non-finite values"),
+        ],
+        ids=["version", "extra_centroid", "descriptor_dim", "ragged", "missing", "nan", "inf"],
+    )
+    def test_inconsistent_file_rejected(self, tmp_path, edit, message):
+        path = self._saved(tmp_path, edit)
+        with pytest.raises(ValueError, match=message) as err:
+            load_codebook(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+
 class TestQuantize:
     def _book(self):
         return Codebook(k=4, centroids=np.eye(4), descriptor_dim=4)
@@ -228,4 +272,11 @@ class TestDescriptorFiles:
         path = tmp_path / "d.csv"
         path.write_text("1,2\n3\n")
         with pytest.raises(ValueError, match="expected 2 cells"):
+            read_descriptor_file(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "d.csv"
+        path.write_text(f"vidA,1,2\n\nvidA,3,{bad}\n")  # blank lines still count
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-finite descriptor value")):
             read_descriptor_file(path)

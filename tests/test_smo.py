@@ -37,8 +37,16 @@ def same_bits(x, y) -> bool:
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def assert_row_matches(batch, k, row):
+def expected_coef(z, a, n, c):
+    """z * a summed over the tiles of the Gram matrix, round-off zeroed."""
+    coef = (z * a).reshape(-1, n).sum(axis=0)
+    coef[np.abs(coef) < 1e-12 * max(1.0, c)] = 0.0
+    return coef
+
+
+def assert_row_matches(batch, k, row, z, c):
     assert same_bits(batch.a[k], row.a), "a"
+    assert same_bits(batch.coef[k], expected_coef(z, row.a, batch.coef.shape[1], c)), "coef"
     assert same_bits(batch.bias[k], row.bias), "bias"
     assert batch.row_iterations[k] == row.iterations
     assert same_bits(batch.violation[k], row.violation), "violation"
@@ -50,10 +58,12 @@ def check_svr(gram, targets, c, epsilon, tolerance, max_iter):
     """Compare every row with the reference; return the per-row reference
     refresh round counts."""
     batch = svr_batch(gram, targets, c, epsilon, tolerance, max_iter)
+    n = gram.shape[0]
+    z = np.concatenate([np.ones(n), -np.ones(n)])
     rounds = []
     for k in range(targets.shape[1]):
         row, n_rounds = ref.solve_svr_row(gram, targets[:, k], c, epsilon, tolerance, max_iter)
-        assert_row_matches(batch, k, row)
+        assert_row_matches(batch, k, row, z, c)
         rounds.append(n_rounds)
     assert batch.iterations == int(batch.row_iterations.sum())
     return batch, rounds
@@ -64,7 +74,7 @@ def check_svc(gram, signs, c, tolerance, max_iter):
     rounds = []
     for k in range(signs.shape[0]):
         row, n_rounds = ref.solve_svc_row(gram, signs[k], c, tolerance, max_iter)
-        assert_row_matches(batch, k, row)
+        assert_row_matches(batch, k, row, signs[k], c)
         rounds.append(n_rounds)
     assert batch.iterations == int(batch.row_iterations.sum())
     return batch, rounds
@@ -136,6 +146,19 @@ class TestEdgeCases:
         gram = chi2_gram(rng, 8)
         batch, _ = check_svr(gram, rng.normal(size=(8, 3)), 1e-9, 0.0, 1e-6, 10_000)
         assert batch.a.max() <= 1e-9
+
+    def test_round_off_coefficients_are_stored_as_zero(self):
+        # with C = 1e-6 and a duplicated sample, one class's y * alpha keeps
+        # a round-off entry between 1e-12 * C and 1e-12 * max(1, C)
+        rng = np.random.default_rng(4)
+        gram = chi2_gram(rng, 5, duplicate=True)
+        labels = rng.integers(0, 5, size=5)
+        signs = np.array([np.where(labels == k, 1.0, -1.0) for k in range(5)])
+        batch, _ = check_svc(gram, signs, 1e-6, 1e-12, 3000)
+        raw = signs * batch.a
+        tiny = (raw != 0.0) & (np.abs(raw) < 1e-12)
+        assert tiny.any() and np.all(np.abs(raw[tiny]) > 1e-18)
+        assert not batch.coef[tiny].any()
 
     def test_budget_exhausted_by_one_row_only(self):
         rng = np.random.default_rng(5)

@@ -216,8 +216,9 @@ class TestSvcSerialization:
              "coefficients have shape .* match train_points"),
             (lambda doc: doc["coefficients"][0].pop(), "coefficients is not a numeric array"),
             (lambda doc: doc.pop("biases"), "missing field 'biases'"),
+            (lambda doc: doc.update(classes=[doc["classes"][0]] * 2), "classes repeats"),
         ],
-        ids=["train_points", "ragged", "missing"],
+        ids=["train_points", "ragged", "missing", "repeated_class"],
     )
     def test_malformed_arrays_rejected(self, tmp_path, edit, message):
         rng = np.random.default_rng(14)

@@ -13,7 +13,6 @@ from zslkit.smo import ConvergenceError
 from zslkit.svr import (
     SvrConfig,
     predict_batch,
-    predict_with_kernel_values,
     train_semantic_regressor,
     train_svr,
 )
@@ -37,37 +36,38 @@ class TestTrainSvr:
         rng = np.random.default_rng(1)
         x, spec, gram = random_problem(rng, 2, 4)
         y = np.array([-1.0, 1.0])
-        model = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.0, tolerance=1e-10))
+        res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.0, tolerance=1e-10))
         beta_o, bias_o, _ = svr_dual_oracle(gram, y, 2.0, 0.0)
         np.testing.assert_allclose(
-            predict_with_kernel_values(model, gram), gram @ beta_o + bias_o, atol=1e-4
+            gram @ res.coef[0] + res.bias[0], gram @ beta_o + bias_o, atol=1e-4
         )
 
     def test_constant_targets_fit_inside_tube(self):
         rng = np.random.default_rng(2)
         _, _, gram = random_problem(rng, 6, 4)
-        model = train_svr(gram, np.full(6, 5.0), SvrConfig(c=2.0, epsilon=0.1))
-        assert model.support_indices.size == 0
-        assert model.bias == pytest.approx(5.0, abs=1e-12)
+        res = train_svr(gram, np.full(6, 5.0), SvrConfig(c=2.0, epsilon=0.1))
+        assert np.flatnonzero(res.coef[0]).size == 0
+        assert res.bias[0] == pytest.approx(5.0, abs=1e-12)
         np.testing.assert_allclose(
-            predict_with_kernel_values(model, gram), np.full(6, 5.0), atol=1e-12
+            gram @ res.coef[0] + res.bias[0], np.full(6, 5.0), atol=1e-12
         )
 
     def test_dual_objective_matches_oracle(self):
         rng = np.random.default_rng(3)
         x, spec, gram = random_problem(rng, 10, 5)
         y = rng.normal(size=10)
-        model = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-10))
+        res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-10))
         _, _, obj_o = svr_dual_oracle(gram, y, 2.0, 0.1)
-        assert abs(model.dual_objective - obj_o) <= 1e-6 * max(1.0, abs(obj_o))
+        assert abs(-res.objective[0] - obj_o) <= 1e-6 * max(1.0, abs(obj_o))
 
     def test_box_feasibility(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             _, _, gram = random_problem(rng, 12, 6)
             y = rng.normal(scale=2.0, size=12)
-            model = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.05))
-            assert np.all(np.abs(model.dual_coefficients) <= 2.0 + 1e-9)
+            res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.05))
+            support = np.flatnonzero(res.coef[0])
+            assert np.all(np.abs(res.coef[0, support]) <= 2.0 + 1e-9)
 
     def test_kkt_residuals(self):
         # non-bound support vectors sit on the tube; off-tube points are at the box
@@ -75,9 +75,9 @@ class TestTrainSvr:
         _, _, gram = random_problem(rng, 20, 6)
         y = rng.normal(size=20)
         config = SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-8)
-        model = train_svr(gram, y, config)
-        preds = predict_with_kernel_values(model, gram)
-        beta = model.coefficient_vector()
+        res = train_svr(gram, y, config)
+        preds = gram @ res.coef[0] + res.bias[0]
+        beta = res.coef[0]
         resid = np.abs(preds - y)
         free = (np.abs(beta) > 1e-7) & (np.abs(beta) < 2.0 - 1e-7)
         assert np.all(np.abs(resid[free] - 0.1) < 1e-4)
@@ -91,8 +91,8 @@ class TestTrainSvr:
         gram = gram_matrix(spec, x)
         assert np.linalg.eigvalsh(gram).min() > 1e-10  # strictly PD
         y = rng.normal(size=5)
-        model = train_svr(gram, y, SvrConfig(c=1e6, epsilon=0.0, tolerance=1e-10))
-        np.testing.assert_allclose(predict_with_kernel_values(model, gram), y, atol=1e-3)
+        res = train_svr(gram, y, SvrConfig(c=1e6, epsilon=0.0, tolerance=1e-10))
+        np.testing.assert_allclose(gram @ res.coef[0] + res.bias[0], y, atol=1e-3)
 
     def test_validation_errors(self):
         config = SvrConfig()
@@ -133,12 +133,13 @@ class TestSemanticRegressor:
         y = rng.normal(size=8)
         config = SvrConfig(c=2.0, epsilon=0.05)
         reg = train_semantic_regressor(x, y[:, None], config, spec)
-        solo = train_svr(gram, y, config, spec)
-        np.testing.assert_array_equal(reg.pool_indices, solo.support_indices)
-        np.testing.assert_array_equal(reg.coefficients[0], solo.dual_coefficients)
-        assert reg.biases[0] == solo.bias
-        assert reg.iterations[0] == solo.iterations
-        assert reg.dual_objectives[0] == solo.dual_objective
+        solo = train_svr(gram, y, config)
+        support = np.flatnonzero(solo.coef[0])
+        np.testing.assert_array_equal(reg.pool_indices, support)
+        np.testing.assert_array_equal(reg.coefficients[0], solo.coef[0, support])
+        assert reg.biases[0] == solo.bias[0]
+        assert reg.iterations[0] == solo.row_iterations[0]
+        assert reg.dual_objectives[0] == -solo.objective[0]
 
     def test_constant_unit_vector_targets(self):
         rng = np.random.default_rng(9)
@@ -305,8 +306,15 @@ class TestModelSerialization:
             ("pool_indices", [0], "pool_features has shape .* match pool_indices"),
             ("feature_dim", 5, "pool_features has shape"),
             ("coefficients", [[0.5]] * 3, "coefficients have shape .* match pool_indices"),
+            ("pool_indices", [99] * 8, r"distinct indices in \[0, n_train=8\)"),
+            ("pool_indices", [0, 1, 2, 3, 4, 5, 6, -1], "pool_indices must be distinct"),
+            ("pool_indices", [0, 1, 2, 3, 4, 5, 6, 6], "pool_indices must be distinct"),
+            ("n_train", 0, r"distinct indices in \[0, n_train=0\)"),
         ],
-        ids=["iterations", "dual_objectives", "pool_indices", "feature_dim", "coefficients"],
+        ids=[
+            "iterations", "dual_objectives", "pool_indices", "feature_dim", "coefficients",
+            "pool_index_too_large", "pool_index_negative", "pool_index_repeated", "n_train",
+        ],
     )
     def test_inconsistent_shapes_rejected(self, tmp_path, field, value, message):
         with pytest.raises(ValueError, match=message):
