@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Time the feature-CSV and word-vector loaders, block path against the
+per-line loop, and write the result to BENCH_parse.json.
+
+    python3 scripts/bench_parse.py                  # writes BENCH_parse.json
+    python3 scripts/bench_parse.py --repeats 1 --out /tmp/bench.json
+
+Run it from the repository root. The corpora are the three perfbench
+workloads, written by ``perfbench/corpus.py`` at ``--seed``, and one corpus
+at the paper's shape: a d_x=4000 feature CSV and d_z=300 word vectors
+among 5,000 distractor tokens. Word vectors are loaded as an evaluation
+loads them, keeping only the tokens of the class names.
+
+For every file, each path gets the best and median wall time of
+``--repeats`` loads, the peak memory traced by ``tracemalloc`` during one
+more load, and a sha256 of what it parsed (arrays, ids, labels, tokens).
+``line`` is the per-line loop, which was the whole loader before the block
+path existed, so its numbers are the earlier loader's; ``block`` is the
+public loader. Exits 1, after writing the file, if any hash differs
+between the two paths.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import corpus  # noqa: E402
+from zslkit import data, embedding  # noqa: E402
+from zslkit.embedding import label_tokens  # noqa: E402
+
+PAPER_SHAPE = corpus.Workload(
+    name="paper-shape",
+    mode="zsl",
+    target_classes=26,
+    aux_classes=0,
+    per_class=10,
+    d_x=4000,
+    d_z=300,
+    n_bases=8,
+    concentration=50.0,
+    distractor_tokens=5000,
+    units=1,
+    k_neighbors=None,
+)
+
+
+def dataset_digest(parsed) -> str:
+    d_x, ids, labels, features = parsed
+    h = hashlib.sha256(repr((d_x, features.dtype.str, features.shape)).encode())
+    h.update(features.tobytes())
+    h.update(repr((ids, [lab.raw for lab in labels])).encode())
+    return h.hexdigest()
+
+
+def store_digest(store) -> str:
+    h = hashlib.sha256(repr((store.dimension, store.duplicates_replaced)).encode())
+    for token, vec in store.table.items():
+        h.update(repr((token, vec.dtype.str, vec.shape)).encode())
+        h.update(vec.tobytes())
+    return h.hexdigest()
+
+
+def measure(load, digest, repeats: int) -> dict:
+    """Times of ``repeats`` calls of ``load``, then the traced peak of one
+    more call and the digest of what it returned."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = load()
+        times.append(time.perf_counter() - start)
+    del result
+    tracemalloc.start()
+    try:
+        result = load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "best_s": round(min(times), 5),
+        "median_s": round(statistics.median(times), 5),
+        "peak_traced_mb": round(peak / 2**20, 3),
+        "sha256": digest(result),
+    }
+
+
+def bench_file(corpus_name: str, path: Path, tokens, repeats: int) -> dict:
+    """Both paths on one feature CSV, or, given ``tokens``, one word-vector
+    file loaded for those tokens."""
+    if tokens is None:
+        loader, digest = "load_dataset", dataset_digest
+
+        def block():
+            ds = data.load_dataset(path)
+            return ds.d_x, ds.ids, ds.labels, ds.features
+
+        def line():
+            return data._read_feature_lines(path)
+    else:
+        loader, digest, wanted = "load_embeddings", store_digest, frozenset(tokens)
+
+        def block():
+            return embedding.load_embeddings(path, tokens=wanted)
+
+        def line():
+            return embedding._read_embedding_lines(path, wanted)
+    entry = {"corpus": corpus_name, "file": path.name, "loader": loader,
+             "bytes": path.stat().st_size}
+    entry["line"] = measure(line, digest, repeats)
+    entry["block"] = measure(block, digest, repeats)
+    entry["speedup_best"] = round(entry["line"]["best_s"] / entry["block"]["best_s"], 3)
+    entry["hashes_match"] = entry["line"]["sha256"] == entry["block"]["sha256"]
+    return entry
+
+
+def bench_corpus(workload, seed: int, root: Path, repeats: int) -> list[dict]:
+    paths = {k: Path(v) for k, v in corpus.generate(workload, seed, root / workload.name).items()}
+    datasets = [key for key in ("target", "auxiliary") if key in paths]
+    labels = [lab for key in datasets for lab in data.load_dataset(paths[key]).class_vocabulary]
+    entries = [bench_file(workload.name, paths[key], None, repeats) for key in datasets]
+    entries.append(bench_file(workload.name, paths["embeddings"], label_tokens(labels), repeats))
+    return entries
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="corpus seed")
+    parser.add_argument("--repeats", type=int, default=5, help="timed loads per path and file")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_parse.json"))
+    args = parser.parse_args()
+    workloads = [*corpus.WORKLOADS.values(), PAPER_SHAPE]
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads:
+            entries += bench_corpus(workload, args.seed, Path(tmp), args.repeats)
+    doc = {
+        "benchmark": "feature-CSV and word-vector parsing, block path vs per-line loop",
+        "command": f"python3 scripts/bench_parse.py --seed {args.seed} --repeats {args.repeats}",
+        "paths": {
+            "line": "per-line loop (the loader before the block path)",
+            "block": "public loader (block path, falling back to the loop)",
+        },
+        "host": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "all_hashes_match": all(e["hashes_match"] for e in entries),
+        "files": entries,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    for e in entries:
+        print(f"{e['corpus']:>11} {e['file']:<15} line {e['line']['best_s']:8.4f} s  "
+              f"block {e['block']['best_s']:8.4f} s  x{e['speedup_best']:<6} "
+              f"peak {e['line']['peak_traced_mb']:7.2f} -> {e['block']['peak_traced_mb']:7.2f} MB  "
+              f"{'match' if e['hashes_match'] else 'HASH MISMATCH'}")
+    return 0 if doc["all_hashes_match"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textblocks
 from .embedding import Label
 
 
@@ -91,10 +92,92 @@ class Dataset:
 
 def load_dataset(path: str | Path, format: str = "csv", name: str | None = None) -> Dataset:
     """Parse a feature CSV into a :class:`Dataset`, validating shape,
-    non-negativity and id uniqueness."""
+    non-negativity and id uniqueness.
+
+    Rows are parsed in blocks by :mod:`zslkit.textblocks`; a file that
+    path cannot vouch for is re-read by the per-line loop, which raises
+    every error.
+    """
     if format != "csv":
         raise ValueError(f"unsupported dataset format {format!r}")
     path = Path(path)
+    try:
+        parsed = _read_feature_blocks(path)
+    except ValueError:  # a label without tokens, or undecodable text
+        parsed = None
+    d_x, ids, labels, features = _read_feature_lines(path) if parsed is None else parsed
+    return Dataset(
+        name=name or path.stem,
+        d_x=d_x,
+        ids=ids,
+        labels=labels,
+        features=features,
+        class_vocabulary=list(dict.fromkeys(labels)),
+    )
+
+
+# A quote starts a quoted csv cell; NUL aside, the others are separators
+# that numpy strips from a value and float() does not.
+_UNSAFE_CHARS = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _read_feature_blocks(path: Path):
+    """The block path of :func:`load_dataset`: (d_x, ids, labels,
+    features), or None wherever the csv module could read a line
+    differently from a plain split on commas, or the line loop would
+    raise.
+
+    Each block is copied into one array sized by an upper bound on the
+    rows, which is then trimmed in place, so the rows are never held
+    twice.
+    """
+    limit = csv.field_size_limit()
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        d_x = len(header) - 2
+        if d_x < 1 or header != ["id", "label"] + [f"f{i}" for i in range(d_x)]:
+            return None
+        ids: list[str] = []
+        labels: list[Label] = []
+        known: dict[str, Label] = {}
+        features = np.empty((_row_bound(path, d_x), d_x))
+        for lines in textblocks.line_blocks(fh, d_x):
+            rests = []
+            for line in lines:
+                cells = line.split(",", 2)
+                if len(cells) != 3 or any(c in line for c in _UNSAFE_CHARS):
+                    return None
+                if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+                    return None
+                id_, raw, rest = cells
+                if raw not in known:
+                    known[raw] = Label.of(raw)
+                ids.append(id_)
+                labels.append(known[raw])
+                rests.append(rest)
+            values = textblocks.parse_block(rests, d_x, ",")
+            if values is None or (values < 0).any():
+                return None
+            features[len(ids) - len(lines) : len(ids)] = values
+    if len(set(ids)) != len(ids):
+        return None
+    features.resize((len(ids), d_x), refcheck=False)
+    return d_x, ids, labels, features
+
+
+def _row_bound(path: Path, d_x: int) -> int:
+    """At least the rows the block path can read from ``path``: each ends
+    in a CR or LF byte, bar the last, which follows the header's, and
+    takes at least 2*d_x + 2 bytes."""
+    breaks = 0
+    with path.open("rb") as raw:
+        while chunk := raw.read(1 << 20):
+            breaks += chunk.count(b"\n") + chunk.count(b"\r")
+    return min(breaks, path.stat().st_size // (2 * d_x + 2))
+
+
+def _read_feature_lines(path: Path):
+    """The per-line loop of :func:`load_dataset`."""
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -131,17 +214,13 @@ def load_dataset(path: str | Path, format: str = "csv", name: str | None = None)
             if np.any(feats < 0):
                 raise ValueError(f"{path}:{lineno}: negative feature value")
             ids.append(id_)
-            labels.append(Label.of(row[1]))
+            try:
+                labels.append(Label.of(row[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             rows.append(feats)
     features = np.vstack(rows) if rows else np.empty((0, d_x))
-    return Dataset(
-        name=name or path.stem,
-        d_x=d_x,
-        ids=ids,
-        labels=labels,
-        features=features,
-        class_vocabulary=list(dict.fromkeys(labels)),
-    )
+    return d_x, ids, labels, features
 
 
 def write_features_csv(

@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+from . import textblocks
+
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
@@ -105,21 +107,81 @@ def load_embeddings(
     ``duplicates_replaced``. Malformed headers, rows with the wrong number
     of values, non-finite values and entry-count mismatches all raise
     ``ValueError`` with the offending line number.
+
+    Lines are parsed in blocks by :mod:`zslkit.textblocks`; a file that
+    path cannot vouch for is re-read by the per-line loop, which raises
+    every error.
     """
     if format != "text":
         raise ValueError(f"unsupported embedding format {format!r}")
     path = Path(path)
     wanted = None if tokens is None else frozenset(tokens)
+    try:
+        store = _read_embedding_blocks(path, wanted)
+    except ValueError:  # a malformed header, or undecodable text
+        store = None
+    return _read_embedding_lines(path, wanted) if store is None else store
+
+
+def _read_header(fh, path: Path) -> tuple[int, int]:
+    header = fh.readline().split()
+    try:
+        if len(header) != 2:
+            raise ValueError
+        count, dim = int(header[0]), int(header[1])
+        if count < 0 or dim < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{path}: malformed header") from None
+    return count, dim
+
+
+# What str.split() also takes for a separator among ASCII characters, and
+# NUL; a block with any of them, or with non-ASCII values, is left to the
+# line loop.
+_OTHER_SEPARATORS = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f\x00"
+
+
+def _read_embedding_blocks(path: Path, wanted: frozenset[str] | None):
+    """The block path of :func:`load_embeddings`, or None wherever a line
+    is not ``<token> v1 ... v<dim>`` with single spaces (one trailing
+    space allowed, as word2vec and fastText write it), or the line loop
+    would raise."""
     with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        try:
-            if len(header) != 2:
-                raise ValueError
-            count, dim = int(header[0]), int(header[1])
-            if count < 0 or dim < 1:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{path}: malformed header") from None
+        count, dim = _read_header(fh, path)
+        table: dict[str, np.ndarray] = {}
+        duplicates = 0
+        parsed = 0
+        for lines in textblocks.line_blocks(fh, dim):
+            split = [line.partition(" ") for line in lines]
+            names = [s[0] for s in split]
+            texts = [s[2] for s in split]
+            joined = "".join(texts)
+            if (
+                " ".join(names).split() != names
+                or not joined.isascii()
+                or any(c in joined for c in _OTHER_SEPARATORS)
+            ):
+                return None
+            if " \n" in joined or joined.endswith(" "):
+                texts = [t.removesuffix("\n").removesuffix(" ") for t in texts]
+            values = textblocks.parse_block(texts, dim, " ")
+            if values is None:
+                return None
+            parsed += len(lines)
+            for k, token in enumerate(names):
+                if wanted is None or token in wanted:
+                    duplicates += token in table
+                    table[token] = values[k].copy()
+    if parsed != count:
+        return None
+    return EmbeddingStore(dimension=dim, table=table, duplicates_replaced=duplicates)
+
+
+def _read_embedding_lines(path: Path, wanted: frozenset[str] | None) -> EmbeddingStore:
+    """The per-line loop of :func:`load_embeddings`."""
+    with path.open("r", encoding="utf-8") as fh:
+        count, dim = _read_header(fh, path)
         table: dict[str, np.ndarray] = {}
         duplicates = 0
         parsed = 0

@@ -281,15 +281,18 @@ def gamma_from_distances(
     else:
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=max_pairs)
-        if include_self_pairs:
-            j = rng.integers(0, n, size=max_pairs)
-        else:
-            j = (i + rng.integers(1, n, size=max_pairs)) % n
-        # chunked partial sums fix the summation order of reported gammas
+        # chunked partial sums fix the summation order of reported gammas;
+        # j is drawn a chunk at a time, which continues the generator's
+        # stream exactly as one draw of max_pairs would
         total = 0.0
         chunk = 100_000
         for lo in range(0, max_pairs, chunk):
-            total += float(d[i[lo : lo + chunk], j[lo : lo + chunk]].sum())
+            rows = i[lo : lo + chunk]
+            if include_self_pairs:
+                cols = rng.integers(0, n, size=rows.size)
+            else:
+                cols = (rows + rng.integers(1, n, size=rows.size)) % n
+            total += float(d[rows, cols].sum())
         mean = total / max_pairs
     if mean <= 0.0:
         raise ValueError("mean pairwise distance is zero (all vectors identical)")

@@ -57,6 +57,14 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="negative feature"):
             load_dataset(path)
 
+    def test_label_without_tokens_names_the_line(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        write_csv(path, "id,label,f0", ["v1,run,1", "v2,___,2"])
+        with pytest.raises(
+            ValueError, match=r"feats\.csv:3: label '___' has no tokens after tokenization"
+        ):
+            load_dataset(path)
+
     def test_header_validated(self, tmp_path):
         path = tmp_path / "feats.csv"
         write_csv(path, "id,label,a,b", ["v1,run,1,2"])

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,29 @@ class TestRunWideDistances:
         x = rng.dirichlet(np.full(40, 0.3), size=500)
         kw = dict(max_pairs=240_000, seed=9)  # below n(n-1); chunks of 100k pairs
         assert heuristic_gamma(x, **kw) == distance_oracle.sampled_gamma(x, **kw)
+
+    def test_sampled_self_pairs_match_direct_pairs_across_chunks(self):
+        rng = np.random.default_rng(31)
+        x = rng.dirichlet(np.full(40, 0.3), size=500)
+        # the last of the 100k-pair chunks is partial
+        kw = dict(max_pairs=240_000, seed=9, include_self_pairs=True)
+        assert heuristic_gamma(x, **kw) == distance_oracle.sampled_gamma(x, **kw)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_sampled_gamma_holds_one_pair_index_array(self, include_self):
+        # 1100 rows give 1.2M ordered pairs, so 1e6 are sampled: the row
+        # indices take 8 MB, and the column indices only a chunk at a time
+        n, max_pairs = 1100, 1_000_000
+        d = np.ones((n, n))
+        np.fill_diagonal(d, 0.0)
+        tracemalloc.start()
+        try:
+            gamma = gamma_from_distances(d, include_self_pairs=include_self, max_pairs=max_pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gamma == pytest.approx(1.0, rel=0.01)
+        assert peak < 2 * 8 * max_pairs
 
     def test_euclidean_blocks_agree_to_rounding(self):
         # squared Euclidean distances come from a matrix product whose
