@@ -1,0 +1,214 @@
+#!/usr/bin/env python3
+"""Time the dual solver with every step batched against its default, which
+finishes the last few live rows one at a time, and write BENCH_smo.json.
+
+    python3 scripts/bench_smo.py                  # writes BENCH_smo.json
+    python3 scripts/bench_smo.py --repeats 1 --out /tmp/bench.json
+
+Run it from the repository root. The problems are every ``smo.solve`` call
+of one evaluation of each perfbench workload, on the corpus that
+``perfbench/corpus.py`` writes at ``--seed``, plus one SVR problem at the
+paper's shape: 520 clips of a 26-class ``LinearMapWorld`` with d_x=1000
+and d_z=300 unit-norm targets, at the default SVR settings.
+
+Each problem is solved ``--repeats`` times on each path, alternating, with
+``smo._TAIL_ROWS`` at 0 (``batched``: every step is one batched step) and at
+its default (``default``). For each path the file records the best and
+median wall time and a sha256 over every ``SmoResult`` field. For each
+problem it records its steps and row-iterations by live-row band: a step
+with L live rows counts once under L's band and adds L row-iterations. The
+default path takes the steps of the bands up to ``_TAIL_ROWS`` one row at a
+time. Each workload's entry also records the prediction hash, whether it
+matches the hash perfbench recorded for the seed, and the mean accuracy.
+Exits 1, after writing the file, if any hash differs between the paths.
+
+BLAS runs on one thread, as in perfbench.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
+from dataclasses import fields  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import corpus  # noqa: E402
+import worker  # noqa: E402
+from zslkit import smo  # noqa: E402
+from zslkit.kernels import RBF_CHI2, KernelSpec, gram_matrix, heuristic_gamma  # noqa: E402
+from zslkit.svr import SvrConfig, train_svr  # noqa: E402
+from zslkit.synthetic import make_world, world_dataset  # noqa: E402
+
+# upper ends of the live-row bands
+BANDS = (1, 2, 4, 12, 50)
+
+
+@contextmanager
+def recorded_solves():
+    """Collect the arguments of every ``smo.solve`` call made in the block."""
+    problems, solve = [], smo.solve
+
+    def keep(gram, z, p, c, tolerance, max_iter):
+        problems.append({"kind": "svr" if z.ndim == 1 else "svc",
+                         "args": (gram.copy(), z.copy(), p.copy(), c, tolerance, max_iter)})
+        return solve(gram, z, p, c, tolerance, max_iter)
+
+    smo.solve = keep
+    try:
+        yield problems
+    finally:
+        smo.solve = solve
+
+
+def capture(w: corpus.Workload, seed: int, root: Path) -> tuple[list[dict], dict]:
+    """Every solve of one evaluation of ``w``, and that run's outputs."""
+    paths = corpus.generate(w, seed, root / w.name)
+    with recorded_solves() as problems:
+        out_dir = root / "runs" / w.name
+        report, run_dir = worker.evaluator(w)(worker.experiment(w, paths, out_dir))
+    digest, wrong = worker.check_outputs(w, paths, report, run_dir)
+    if wrong:
+        raise RuntimeError(f"{w.name}: {wrong}")
+    run = {"output_hash": digest, "recorded": worker.recorded_hash(w.name, seed, [digest]),
+           "mean_accuracy_pct": report.mean_accuracy}
+    return problems, run
+
+
+def paper_problem(seed: int) -> dict:
+    """The SVR dual of 20 clips of each of 26 classes at d_z=300."""
+    rng = np.random.default_rng(seed)
+    world = make_world(26, 1000, 300, rng)
+    ds = world_dataset(world, list(range(26)), 20, rng)
+    targets = np.repeat(world.class_embeddings, 20, axis=0)  # rows come class by class
+    spec = KernelSpec(RBF_CHI2, heuristic_gamma(ds.features, RBF_CHI2))
+    with recorded_solves() as problems:
+        train_svr(gram_matrix(spec, ds.features), targets, SvrConfig())
+    return problems[0]
+
+
+def result_digest(res: smo.SmoResult) -> str:
+    h = hashlib.sha256()
+    for f in fields(res):
+        value = np.asarray(getattr(res, f.name))
+        h.update(repr((f.name, value.dtype.str, value.shape)).encode())
+        h.update(value.tobytes())
+    return h.hexdigest()
+
+
+def live_row_bands(row_iterations: np.ndarray) -> dict:
+    """Steps and row-iterations of a batched solve by live-row count. Every
+    live row takes each batched step, and a row stays live through its last
+    step, so step s has as many rows as there are rows with >= s steps."""
+    counts = np.sort(np.asarray(row_iterations))[::-1]
+    out = {}
+    low = 1
+    for high in (*BANDS, None):
+        live = np.arange(low, counts.size + 1 if high is None else min(high, counts.size) + 1)
+        # live rows L step (counts[L - 1] - counts[L]) times, counts[r] = 0
+        steps = counts[live - 1] - np.append(counts, 0)[live]
+        name = f"{low}+" if high is None else (f"{low}" if low == high else f"{low}-{high}")
+        out[name] = {"steps": int(steps.sum()), "row_iterations": int((steps * live).sum())}
+        if high is None:
+            break
+        low = high + 1
+    return out
+
+
+def bench_problem(prob: dict, repeats: int) -> dict:
+    gram, z, p, c, tolerance, max_iter = prob["args"]
+    default = smo._TAIL_ROWS
+    times = {"batched": [], "default": []}
+    digests = {}
+    try:
+        for _ in range(repeats):
+            for path, switch in (("batched", 0), ("default", default)):
+                smo._TAIL_ROWS = switch
+                start = time.perf_counter()
+                res = smo.solve(gram, z, p, c, tolerance, max_iter)
+                times[path].append(time.perf_counter() - start)
+                digests[path] = result_digest(res)
+    finally:
+        smo._TAIL_ROWS = default
+    entry = {"kind": prob["kind"], "n": gram.shape[0], "m": p.shape[1], "rows": p.shape[0],
+             "row_iterations": int(res.iterations),
+             "live_row_bands": live_row_bands(res.row_iterations)}
+    for path, ts in times.items():
+        entry[path] = {"best_s": round(min(ts), 5), "median_s": round(statistics.median(ts), 5),
+                       "sha256": digests[path]}
+    entry["speedup_best"] = round(entry["batched"]["best_s"] / entry["default"]["best_s"], 3)
+    entry["hashes_match"] = digests["batched"] == digests["default"]
+    return entry
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="corpus seed")
+    parser.add_argument("--repeats", type=int, default=5, help="timed solves per path and problem")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_smo.json"))
+    args = parser.parse_args()
+    corpora = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for w in corpus.WORKLOADS.values():
+            corpora[w.name] = capture(w, args.seed, Path(tmp))
+    corpora["paper-shape"] = ([paper_problem(args.seed)], None)
+
+    entries, totals = [], {}
+    for name, (problems, run) in corpora.items():
+        done = [bench_problem(prob, args.repeats) for prob in problems]
+        for i, e in enumerate(done):
+            entries.append({"corpus": name, "index": i, **e})
+        totals[name] = {
+            "problems": len(done),
+            "batched_best_s": round(sum(e["batched"]["best_s"] for e in done), 5),
+            "default_best_s": round(sum(e["default"]["best_s"] for e in done), 5),
+            "run": run,
+        }
+    doc = {
+        "benchmark": "smo.solve, every step batched vs the default per-row tail",
+        "command": f"python3 scripts/bench_smo.py --seed {args.seed} --repeats {args.repeats}",
+        "paths": {
+            "batched": "_TAIL_ROWS = 0: every step is one batched step over the live rows",
+            "default": f"_TAIL_ROWS = {smo._TAIL_ROWS}: the last rows finish one at a time",
+        },
+        "host": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "all_hashes_match": all(e["hashes_match"] for e in entries),
+        "corpora": totals,
+        "problems": entries,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    for e in entries:
+        print(f"{e['corpus']:>11} #{e['index']} {e['kind']} r={e['rows']:<3} "
+              f"iters={e['row_iterations']:<7} batched {e['batched']['best_s']:8.4f} s  "
+              f"default {e['default']['best_s']:8.4f} s  x{e['speedup_best']:<6} "
+              f"{'match' if e['hashes_match'] else 'HASH MISMATCH'}")
+    for name, t in totals.items():
+        print(f"{name:>11} total batched {t['batched_best_s']:8.4f} s  "
+              f"default {t['default_best_s']:8.4f} s  run {t['run']}")
+    return 0 if doc["all_hashes_match"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -194,7 +194,10 @@ def _read_feature_lines(path: Path):
         labels: list[Label] = []
         rows: list[np.ndarray] = []
         seen_ids: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
+        # a quoted cell can span lines: errors name the line a record starts on
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != d_x + 2:

@@ -59,6 +59,9 @@ def test_zsl_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     assert layers["smo.solves.svr"] == config.split_count
     assert layers["smo.iterations.svr"] == sum(int(r.iterations.sum()) for r in regressors) > 0
     assert layers["smo.solves.svc"] == 0
+    # the toy world's exact counts: a solver change that moves any row's
+    # iterates moves them
+    assert (layers["smo.iterations.svr"], layers["smo.iterations.svc"]) == (1425, 0)
     assert layers["zsl.nearest_prototype_calls"] == config.split_count
     datasets = [load_dataset(toy_world["target"]), load_dataset(toy_world["aux"])]
     assert_one_chi2_matrix(rec, layers, datasets)
@@ -77,4 +80,5 @@ def test_multishot_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     assert layers["smo.solves.svc"] == folds
     assert layers["smo.iterations.svr"] == sum(int(r.iterations.sum()) for r in regressors) > 0
     assert layers["smo.iterations.svc"] == sum(int(m.iterations.sum()) for m in classifiers) > 0
+    assert (layers["smo.iterations.svr"], layers["smo.iterations.svc"]) == (1010, 1188)
     assert_one_chi2_matrix(rec, layers, [load_dataset(toy_world["target"])])

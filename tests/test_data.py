@@ -57,6 +57,13 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="negative feature"):
             load_dataset(path)
 
+    def test_error_names_the_line_a_record_starts_on(self, tmp_path):
+        # the quoted id holds a newline, so the second record starts on line 4
+        path = tmp_path / "feats.csv"
+        path.write_text('id,label,f0\n"v\n1",run,1\nv2,run,-1\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"feats\.csv:4: negative feature value"):
+            load_dataset(path)
+
     def test_label_without_tokens_names_the_line(self, tmp_path):
         path = tmp_path / "feats.csv"
         write_csv(path, "id,label,f0", ["v1,run,1", "v2,___,2"])

@@ -1,9 +1,11 @@
 """The row-batched dual solver against the per-row reference solver in
 ``smo_reference.py``: every row must reproduce the reference's iterates
 bit for bit, in both the SVR form (one shared sign vector, Gram tiled
-twice) and the SVC form (one sign vector per row)."""
+twice) and the SVC form (one sign vector per row), whether the solver
+steps it in a batch or, once few rows are left, on its own."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +34,23 @@ def svc_batch(gram, signs, c, tolerance, max_iter):
     return smo.solve(gram, signs, -np.ones(signs.shape), c, tolerance, max_iter)
 
 
+def switch_points(r):
+    """Values of ``smo._TAIL_ROWS`` for a solve of r rows: every step
+    batched (0), per-row steps once half the rows are done, and every step
+    per row (r)."""
+    return sorted({0, max(1, r // 2), r})
+
+
+def on_each_path(solve, r):
+    """``solve()`` at each switch point."""
+    results = []
+    for switch in switch_points(r):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smo, "_TAIL_ROWS", switch)
+            results.append(solve())
+    return results
+
+
 def same_bits(x, y) -> bool:
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     return x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -55,29 +74,30 @@ def assert_row_matches(batch, k, row, z, c):
 
 
 def check_svr(gram, targets, c, epsilon, tolerance, max_iter):
-    """Compare every row with the reference; return the per-row reference
-    refresh round counts."""
-    batch = svr_batch(gram, targets, c, epsilon, tolerance, max_iter)
-    n = gram.shape[0]
+    """Compare every row with the reference on every path; return the
+    batched result and the per-row reference refresh round counts."""
+    n, r = targets.shape
     z = np.concatenate([np.ones(n), -np.ones(n)])
-    rounds = []
-    for k in range(targets.shape[1]):
-        row, n_rounds = ref.solve_svr_row(gram, targets[:, k], c, epsilon, tolerance, max_iter)
-        assert_row_matches(batch, k, row, z, c)
-        rounds.append(n_rounds)
-    assert batch.iterations == int(batch.row_iterations.sum())
-    return batch, rounds
+    rows = [
+        ref.solve_svr_row(gram, targets[:, k], c, epsilon, tolerance, max_iter) for k in range(r)
+    ]
+    batches = on_each_path(lambda: svr_batch(gram, targets, c, epsilon, tolerance, max_iter), r)
+    for batch in batches:
+        for k, (row, _) in enumerate(rows):
+            assert_row_matches(batch, k, row, z, c)
+        assert batch.iterations == int(batch.row_iterations.sum())
+    return batches[0], [n_rounds for _, n_rounds in rows]
 
 
 def check_svc(gram, signs, c, tolerance, max_iter):
-    batch = svc_batch(gram, signs, c, tolerance, max_iter)
-    rounds = []
-    for k in range(signs.shape[0]):
-        row, n_rounds = ref.solve_svc_row(gram, signs[k], c, tolerance, max_iter)
-        assert_row_matches(batch, k, row, signs[k], c)
-        rounds.append(n_rounds)
-    assert batch.iterations == int(batch.row_iterations.sum())
-    return batch, rounds
+    r = signs.shape[0]
+    rows = [ref.solve_svc_row(gram, signs[k], c, tolerance, max_iter) for k in range(r)]
+    batches = on_each_path(lambda: svc_batch(gram, signs, c, tolerance, max_iter), r)
+    for batch in batches:
+        for k, (row, _) in enumerate(rows):
+            assert_row_matches(batch, k, row, signs[k], c)
+        assert batch.iterations == int(batch.row_iterations.sum())
+    return batches[0], [n_rounds for _, n_rounds in rows]
 
 
 problems = st.fixed_dictionaries(
@@ -183,3 +203,45 @@ class TestEdgeCases:
         targets = rng.normal(scale=1e4, size=(5, 3))
         _, rounds = check_svr(gram, targets, 1e9, 0.0, 1e-12, 3000)
         assert rounds == [2, 1, 3]
+
+
+class TestTieRules:
+    """The step's two tie rules on a fixed problem. When both variables
+    reach their bounds in one step, i takes its bound and j the exact
+    remainder of the equality constraint; the remainder differs from j's
+    bound only after a rounding-level near-tie, which random problems
+    almost never reach. The clip keeps a remainder of -0.0 as -0.0."""
+
+    # a rank-4 Gram matrix of four random points, and two SVC-form rows
+    gram = np.array([
+        [4.252032332177325, -3.2209879768116396, -1.4851991261263475, -4.6292290323417395],
+        [-3.2209879768116396, 8.27333215168101, 1.6317375937221743, 5.47926254600873],
+        [-1.4851991261263475, 1.6317375937221743, 0.5975658892773276, 1.4451365974288426],
+        [-4.6292290323417395, 5.47926254600873, 1.4451365974288426, 9.318895125886076],
+    ])
+    signs = np.array([[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, -1.0]])
+    p = np.array([
+        [-0.2841988313528484, 0.8053461398673587, -0.33272522339462285, 0.6797359600738702],
+        [-0.68, -2.36, -0.24, 1.34],
+    ])
+    c = 0.24279925781866474
+
+    def test_matches_reference_on_every_path(self):
+        # Row 0, step 9: both variables reach c; j takes the remainder, one
+        # ulp below c. It runs out of its 40-step budget. Row 1, step 1:
+        # both reach c exactly; step 6: j reaches c and i's remainder is
+        # -0.0, which it keeps to the end.
+        tolerance, max_iter = 1e-14, 40
+        rows = [
+            ref.solve(lambda t: self.gram[:, t], np.diag(self.gram), self.signs[k], self.p[k],
+                      self.c, tolerance, max_iter, kmatvec=lambda v: self.gram @ v)
+            for k in range(2)
+        ]
+        batches = on_each_path(
+            lambda: smo.solve(self.gram, self.signs, self.p, self.c, tolerance, max_iter), 2
+        )
+        for batch in batches:
+            for k, row in enumerate(rows):
+                assert_row_matches(batch, k, row, self.signs[k], self.c)
+        assert list(batches[0].converged) == [False, True]
+        assert same_bits(batches[0].a[1, 0], -0.0)
