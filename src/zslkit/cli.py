@@ -30,11 +30,11 @@ from .embedding import Label, label_tokens, load_embeddings
 from .evaluate import (
     EvaluationReport,
     ExperimentConfig,
-    kernel_and_gram,
+    _run_distances,
     run_multishot_evaluation,
     run_zsl_evaluation,
 )
-from .kernels import distance_matrix
+from .kernels import fit_kernel
 from .model_io import save_model
 from .smo import ConvergenceError
 from .svr import train_semantic_regressor
@@ -140,9 +140,8 @@ def _cmd_train_regressor(args: argparse.Namespace) -> int:
         config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
     )
     pair = training_pair(dataset, store)
-    kernel, gram = kernel_and_gram(
-        config,
-        distance_matrix(config.kernel_kind, pair.features, chi2_halved=config.chi2_halved),
+    kernel, gram = fit_kernel(
+        config.kernel_kind, _run_distances(config, dataset), config.gamma, config.chi2_halved
     )
     regressor = train_semantic_regressor(
         pair.features, pair.embeddings, config.svr_config(), kernel, gram

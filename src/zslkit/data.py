@@ -30,6 +30,7 @@ import numpy as np
 
 from . import textblocks
 from .embedding import Label
+from .kernels import squared_euclidean_matrix
 
 
 @dataclass
@@ -306,12 +307,6 @@ class Codebook:
     inertia_history: list[float] = field(default_factory=list)
 
 
-def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    pn = (points * points).sum(axis=1)
-    cn = (centers * centers).sum(axis=1)
-    return np.maximum(pn[:, None] + cn[None, :] - 2.0 * (points @ centers.T), 0.0)
-
-
 def kmeans_codebook(
     descriptors: np.ndarray, k: int, seed: int = 0, max_iters: int = 100
 ) -> Codebook:
@@ -334,7 +329,7 @@ def kmeans_codebook(
 
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
     centroids[0] = x[int(rng.integers(n))]
-    closest = _sq_distances(x, centroids[:1])[:, 0]
+    closest = squared_euclidean_matrix(x, centroids[:1])[:, 0]
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -342,12 +337,12 @@ def kmeans_codebook(
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[c] = x[idx]
-        closest = np.minimum(closest, _sq_distances(x, centroids[c : c + 1])[:, 0])
+        closest = np.minimum(closest, squared_euclidean_matrix(x, centroids[c : c + 1])[:, 0])
 
     history: list[float] = []
     prev_assign: np.ndarray | None = None
     for _ in range(max_iters):
-        d2 = _sq_distances(x, centroids)
+        d2 = squared_euclidean_matrix(x, centroids)
         assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), assign].sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
@@ -380,7 +375,7 @@ def quantize(codebook: Codebook, descriptors: np.ndarray, normalize: bool = Fals
             f"descriptor dimension {x.shape[1]} does not match codebook "
             f"dimension {codebook.descriptor_dim}"
         )
-    assign = np.argmin(_sq_distances(x, codebook.centroids), axis=1)
+    assign = np.argmin(squared_euclidean_matrix(x, codebook.centroids), axis=1)
     hist = np.bincount(assign, minlength=codebook.k).astype(np.float64)
     if normalize:
         hist /= x.shape[0]

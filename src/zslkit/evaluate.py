@@ -24,10 +24,8 @@ from .embedding import Label, label_tokens, load_embeddings
 from .kernels import (
     KERNEL_KINDS,
     RBF_CHI2,
-    RBF_EUCLIDEAN,
-    KernelSpec,
     distance_matrix,
-    gamma_from_distances,
+    fit_kernel,
     heuristic_gamma,  # noqa: F401  (perfbench/spans.py wraps evaluate.heuristic_gamma)
     rbf_from_distances,
 )
@@ -219,21 +217,6 @@ def _run_distances(
     return distance_matrix(config.kernel_kind, features, chi2_halved=config.chi2_halved)
 
 
-def kernel_and_gram(
-    config: ExperimentConfig, distances: np.ndarray
-) -> tuple[KernelSpec, np.ndarray]:
-    """Kernel of a training set and its Gram matrix, from the set's
-    symmetric base-distance matrix. Gamma is the reciprocal mean distance
-    when ``config.gamma`` is "auto"; ``distances`` becomes the Gram matrix
-    in place."""
-    if config.gamma == "auto":
-        gamma = gamma_from_distances(distances)
-    else:
-        gamma = float(config.gamma)
-    kernel = KernelSpec(config.kernel_kind, gamma, chi2_halved=config.chi2_halved)
-    return kernel, rbf_from_distances(gamma, distances)
-
-
 def _row_index(dataset: Dataset, ids: list[str]) -> np.ndarray:
     pos = {id_: i for i, id_ in enumerate(dataset.ids)}
     return np.array([pos[id_] for id_ in ids], dtype=np.intp)
@@ -356,7 +339,9 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
             )
         pair = augment_training(train_ds, auxiliary, store, unseen=list(split.unseen))
         rows = np.concatenate([_row_index(target, train_ds.ids), aux_rows])
-        kernel, gram = kernel_and_gram(config, dist[np.ix_(rows, rows)])
+        kernel, gram = fit_kernel(
+            config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma, config.chi2_halved
+        )
         regressor = train_semantic_regressor(
             pair.features, pair.embeddings, config.svr_config(), kernel, gram
         )
@@ -414,23 +399,23 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
         test_ds = dataset.subset_ids(list(fold["test"]))
         pair = training_pair(train_ds, store)
         rows = _row_index(dataset, train_ds.ids)
-        kernel, gram = kernel_and_gram(config, dist[np.ix_(rows, rows)])
+        kernel, gram = fit_kernel(
+            config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma, config.chi2_halved
+        )
         regressor = train_semantic_regressor(
             pair.features, pair.embeddings, config.svr_config(), kernel, gram
         )
         pool = regressor.pool_indices
-        train_proj = _normalized_projections(regressor, train_ds, gram[:, pool])
+        train_proj = normalized_projections(
+            predict_batch(regressor, train_ds.features, gram[:, pool]), train_ds.ids
+        )
         del gram  # keep at most the run matrix and one unit's block alive
         kv = dist[np.ix_(_row_index(dataset, test_ds.ids), rows[pool])]
-        test_proj = _normalized_projections(
-            regressor, test_ds, rbf_from_distances(kernel.gamma, kv)
+        test_proj = normalized_projections(
+            predict_batch(regressor, test_ds.features, rbf_from_distances(kernel.gamma, kv)),
+            test_ds.ids,
         )
-        proj_dist = distance_matrix(RBF_EUCLIDEAN, train_proj)
-        svc_kernel = KernelSpec(RBF_EUCLIDEAN, gamma_from_distances(proj_dist))
-        model = train_svc(
-            train_proj, train_ds.labels, svc_config, svc_kernel,
-            rbf_from_distances(svc_kernel.gamma, proj_dist),
-        )
+        model = train_svc(train_proj, train_ds.labels, svc_config)
         predicted = classify_batch(model, test_proj)
         return test_ds.labels, [
             Prediction(id_, label, float("nan")) for id_, label in zip(test_ds.ids, predicted)
@@ -439,13 +424,6 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     return _run_units(
         config, "multishot", "SVM", "fold", list(enumerate(folds, start=1)), fit_predict
     )
-
-
-def _normalized_projections(
-    regressor, dataset: Dataset, kernel_rows: np.ndarray
-) -> np.ndarray:
-    raw = predict_batch(regressor, dataset.features, kernel_rows)
-    return normalized_projections(raw, dataset.ids)
 
 
 def simulate_random_guess(

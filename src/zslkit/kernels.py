@@ -237,6 +237,19 @@ def gram_matrix(spec: KernelSpec, rows, cols=None) -> np.ndarray:
     return rbf_from_distances(spec.gamma, d)
 
 
+def fit_kernel(
+    kind: str, distances: np.ndarray, gamma: float | str = "auto", chi2_halved: bool = True
+) -> tuple[KernelSpec, np.ndarray]:
+    """Kernel of a training set and its Gram matrix, from the set's
+    symmetric base-distance matrix. Gamma is the reciprocal mean distance
+    when ``gamma`` is "auto"; ``distances`` becomes the Gram matrix in
+    place."""
+    if gamma == "auto":
+        gamma = gamma_from_distances(distances)
+    kernel = KernelSpec(kind, float(gamma), chi2_halved=chi2_halved)
+    return kernel, rbf_from_distances(kernel.gamma, distances)
+
+
 def heuristic_gamma(
     data,
     kind: str = RBF_CHI2,

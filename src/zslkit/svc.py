@@ -10,7 +10,7 @@ import numpy as np
 
 from . import smo
 from .embedding import Label
-from .kernels import RBF_EUCLIDEAN, KernelSpec, gram_matrix, heuristic_gamma
+from .kernels import RBF_EUCLIDEAN, KernelSpec, distance_matrix, fit_kernel, gram_matrix
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,13 @@ def train_svc(
     labels: list[Label],
     config: SvcConfig,
     kernel: KernelSpec | None = None,
-    gram: np.ndarray | None = None,
 ) -> SvcModel:
     """Train one binary soft-margin SVM per class (one-vs-rest), all
     classes' duals solved in one batched call.
 
     ``points`` must be L2-normalized. With ``kernel=None`` an RBF kernel
     over Euclidean distance is used, with gamma set to the reciprocal mean
-    pairwise squared distance. ``gram`` is the points' Gram matrix under
-    ``kernel`` when the caller already has it; otherwise it is computed
-    here.
+    pairwise squared distance; both come from one distance matrix.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
@@ -77,14 +74,9 @@ def train_svc(
     if len(classes) < 2:
         raise ValueError("need at least 2 classes")
     if kernel is None:
-        kernel = KernelSpec(RBF_EUCLIDEAN, heuristic_gamma(x, RBF_EUCLIDEAN))
-    n = x.shape[0]
-    if gram is None:
+        kernel, gram = fit_kernel(RBF_EUCLIDEAN, distance_matrix(RBF_EUCLIDEAN, x))
+    else:
         gram = gram_matrix(kernel, x)
-    elif gram.shape != (n, n):
-        raise ValueError(f"gram matrix has shape {gram.shape}, expected ({n}, {n})")
-    elif not np.array_equal(gram, gram.T):
-        raise ValueError("gram matrix is not exactly symmetric")
 
     label_keys = np.array([lab.key for lab in labels])
     z = np.array([np.where(label_keys == cls.key, 1.0, -1.0) for cls in classes])

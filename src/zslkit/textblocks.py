@@ -31,6 +31,8 @@ def parse_block(texts: list[str], width: int, delimiter: str) -> np.ndarray | No
     """One row of finite float64 values per text, each bit-identical to
     Python's ``float`` of its cell, or None if any text is rejected or the
     block is not (len(texts), width)."""
+    if not any(text.strip() for text in texts):
+        return None  # loadtxt would warn that it found no data
     # comments=None: a "#" is part of a value, which float() then rejects
     try:
         values = np.loadtxt(texts, delimiter=delimiter, comments=None, ndmin=2)

@@ -11,6 +11,7 @@ import csv
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -251,6 +252,21 @@ def test_embedding_loader_agrees_with_line_loop(content, block_values, wanted):
         ),
     )
     assert got == want
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_block_without_values_skips_numpys_reader(ending, tmp_path):
+    # the token's text after its one space is only the line ending, so
+    # the block holds no value at all
+    path = tmp_path / "v.txt"
+    path.write_text(f"1 3\ntok {ending}", encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(lambda: load_embeddings(path))
+    want = outcome(lambda: embedding._read_embedding_lines(path, None))
+    message = f"{path}:2: expected 3 values for token 'tok', got 0"
+    assert got == want == ("raised", ValueError, message)
+    assert textblocks.parse_block([ending], 3, " ") is None
 
 
 @settings(max_examples=50, deadline=None)

@@ -17,12 +17,14 @@ from zslkit.kernels import (
     chi2_distance,
     chi2_distance_matrix,
     distance_matrix,
+    fit_kernel,
     gamma_from_distances,
     gram_matrix,
     heuristic_gamma,
     kernel_value,
     squared_euclidean,
 )
+from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
 
 histograms = hnp.arrays(
     np.float64,
@@ -238,6 +240,48 @@ class TestGramMatrix:
         spec = KernelSpec("rbf_chi2", 1.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             gram_matrix(spec, [[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+
+class TestFitKernel:
+    def test_gram_is_built_in_place_from_the_distances(self):
+        rng = np.random.default_rng(25)
+        x = rng.dirichlet(np.ones(6), size=10)
+        d = distance_matrix("rbf_chi2", x)
+        gamma = gamma_from_distances(d)
+        kernel, gram = fit_kernel("rbf_chi2", d)
+        assert gram is d
+        assert kernel == KernelSpec("rbf_chi2", gamma)
+        np.testing.assert_array_equal(gram, gram_matrix(kernel, x))
+        kernel, _ = fit_kernel("rbf_chi2", distance_matrix("rbf_chi2", x), gamma=2)
+        assert kernel.gamma == 2.0
+
+    # 40 rows take the exact mean; 1001 rows have more than the 1e6
+    # ordered pairs of the default budget, so gamma is sampled
+    @pytest.mark.parametrize("n", [40, 1001])
+    def test_chi2_halving_is_absorbed_by_auto_gamma(self, n):
+        rng = np.random.default_rng(26)
+        x = rng.dirichlet(np.full(8, 0.5), size=n)
+        probes = rng.dirichlet(np.full(8, 0.5), size=5)
+        targets = rng.normal(size=(n, 2))
+        fitted = {}
+        for halved in (True, False):
+            d = distance_matrix("rbf_chi2", x, chi2_halved=halved)
+            kernel, gram = fit_kernel("rbf_chi2", d, chi2_halved=halved)
+            regressor = train_semantic_regressor(x, targets, SvrConfig(), kernel, gram.copy())
+            fitted[halved] = kernel, gram, predict_batch(regressor, probes)
+        (half, half_gram, half_pred), (full, full_gram, full_pred) = fitted[True], fitted[False]
+        assert half.gamma == 2.0 * full.gamma
+        np.testing.assert_array_equal(bits(half_gram), bits(full_gram))
+        np.testing.assert_array_equal(bits(half_pred), bits(full_pred))
+
+    def test_chi2_halving_matters_with_a_numeric_gamma(self):
+        x = np.random.default_rng(27).dirichlet(np.ones(6), size=10)
+        half = fit_kernel("rbf_chi2", distance_matrix("rbf_chi2", x), gamma=1.0)[1]
+        full = fit_kernel(
+            "rbf_chi2", distance_matrix("rbf_chi2", x, chi2_halved=False), 1.0, False
+        )[1]
+        off = ~np.eye(10, dtype=bool)
+        assert np.all(half[off] > full[off])
 
 
 class TestRunWideDistances:

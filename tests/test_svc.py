@@ -7,7 +7,14 @@ import pytest
 from conftest import assert_same_fields
 from qp_oracle import svc_dual_oracle
 from zslkit.embedding import Label
-from zslkit.kernels import KernelSpec, gram_matrix
+import zslkit.kernels
+from zslkit.kernels import (
+    RBF_EUCLIDEAN,
+    KernelSpec,
+    distance_matrix,
+    gamma_from_distances,
+    gram_matrix,
+)
 from zslkit.model_io import load_model, save_model
 from zslkit.svc import SvcConfig, SvcModel, classify, classify_batch, decision_values, train_svc
 
@@ -91,20 +98,25 @@ class TestTrainSvc:
         with pytest.raises(ValueError, match="L2-normalized"):
             train_svc(pts, [Label.of("a"), Label.of("b")], SvcConfig())
 
-
-    def test_supplied_gram(self):
+    def test_default_kernel_takes_one_distance_pass(self, monkeypatch):
         rng = np.random.default_rng(6)
         pts, labels = two_clusters(rng, per_side=6)
-        kernel = KernelSpec("rbf_euclidean", 1.5)
-        gram = gram_matrix(kernel, pts)
-        given = train_svc(pts, labels, SvcConfig(), kernel, gram)
-        assert_same_fields(given, train_svc(pts, labels, SvcConfig(), kernel))
-        with pytest.raises(ValueError, match="shape"):
-            train_svc(pts, labels, SvcConfig(), kernel, gram[:-1, :-1])
-        skewed = gram.copy()
-        skewed[0, 1] += 1e-12
-        with pytest.raises(ValueError, match="exactly symmetric"):
-            train_svc(pts, labels, SvcConfig(), kernel, skewed)
+        calls = []
+        real = zslkit.kernels.squared_euclidean_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(zslkit.kernels, "squared_euclidean_matrix", counted)
+        model = train_svc(pts, labels, SvcConfig())
+        assert len(calls) == 1
+        # the same as training with the kernel fitted to the same distances
+        kernel = KernelSpec(
+            RBF_EUCLIDEAN, gamma_from_distances(distance_matrix(RBF_EUCLIDEAN, pts))
+        )
+        assert model.kernel == kernel
+        assert_same_fields(model, train_svc(pts, labels, SvcConfig(), kernel))
 
 
 class TestClassify:
