@@ -9,13 +9,16 @@ zero-shot task is learnable but not trivial.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from zslkit.data import write_features_csv
-from zslkit.embedding import save_embeddings
-from zslkit.synthetic import make_world, world_dataset, world_store
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from zslkit.data import write_features_csv  # noqa: E402
+from zslkit.embedding import save_embeddings  # noqa: E402
+from zslkit.synthetic import make_world, world_dataset, world_store  # noqa: E402
 
 
 def main() -> None:

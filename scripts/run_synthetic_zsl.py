@@ -11,7 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from zslkit.evaluate import ExperimentConfig, run_multishot_evaluation, run_zsl_evaluation
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from zslkit.evaluate import (  # noqa: E402
+    ExperimentConfig,
+    run_multishot_evaluation,
+    run_zsl_evaluation,
+)
 
 
 def ensure_corpus(data_dir: Path, seed: int) -> None:

@@ -141,7 +141,7 @@ def _cmd_train_regressor(args: argparse.Namespace) -> int:
     )
     pair = training_pair(dataset, store)
     kernel, gram = fit_kernel(
-        config.kernel_kind, _run_distances(config, dataset), config.gamma, config.chi2_halved
+        config.kernel_kind, _run_distances(config, dataset), config.gamma
     )
     regressor = train_semantic_regressor(
         pair.features, pair.embeddings, config.svr_config(), kernel, gram

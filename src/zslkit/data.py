@@ -56,7 +56,7 @@ class Dataset:
         for i, id_ in enumerate(self.ids):
             yield id_, self.labels[i], self.features[i]
 
-    def subset_classes(self, classes: list[Label], name: str | None = None) -> "Dataset":
+    def subset_classes(self, classes: list[Label]) -> "Dataset":
         """Restrict to instances of the given classes; the subset's
         vocabulary is exactly ``classes`` (kept even if instance-free)."""
         keys = {c.key for c in classes}
@@ -65,7 +65,7 @@ class Dataset:
             raise ValueError(f"class {missing[0]!r} not in dataset vocabulary")
         idx = [i for i, lab in enumerate(self.labels) if lab.key in keys]
         return Dataset(
-            name=name or self.name,
+            name=self.name,
             d_x=self.d_x,
             ids=[self.ids[i] for i in idx],
             labels=[self.labels[i] for i in idx],
@@ -73,7 +73,7 @@ class Dataset:
             class_vocabulary=list(classes),
         )
 
-    def subset_ids(self, instance_ids: list[str], name: str | None = None) -> "Dataset":
+    def subset_ids(self, instance_ids: list[str]) -> "Dataset":
         pos = {id_: i for i, id_ in enumerate(self.ids)}
         idx = []
         for id_ in instance_ids:
@@ -82,7 +82,7 @@ class Dataset:
             idx.append(pos[id_])
         labels = [self.labels[i] for i in idx]
         return Dataset(
-            name=name or self.name,
+            name=self.name,
             d_x=self.d_x,
             ids=list(instance_ids),
             labels=labels,
@@ -91,7 +91,7 @@ class Dataset:
         )
 
 
-def load_dataset(path: str | Path, format: str = "csv", name: str | None = None) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Parse a feature CSV into a :class:`Dataset`, validating shape,
     non-negativity and id uniqueness.
 
@@ -99,8 +99,6 @@ def load_dataset(path: str | Path, format: str = "csv", name: str | None = None)
     path cannot vouch for is re-read by the per-line loop, which raises
     every error.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported dataset format {format!r}")
     path = Path(path)
     try:
         parsed = _read_feature_blocks(path)
@@ -108,7 +106,7 @@ def load_dataset(path: str | Path, format: str = "csv", name: str | None = None)
         parsed = None
     d_x, ids, labels, features = _read_feature_lines(path) if parsed is None else parsed
     return Dataset(
-        name=name or path.stem,
+        name=path.stem,
         d_x=d_x,
         ids=ids,
         labels=labels,

@@ -96,9 +96,7 @@ class EmbeddingStore:
             raise ValueError(f"token {token!r} not in embedding vocabulary") from None
 
 
-def load_embeddings(
-    path: str | Path, format: str = "text", tokens: Iterable[str] | None = None
-) -> EmbeddingStore:
+def load_embeddings(path: str | Path, tokens: Iterable[str] | None = None) -> EmbeddingStore:
     """Parse a text word-vector file into an :class:`EmbeddingStore`.
 
     Given ``tokens``, only those entries are stored, so memory is bounded
@@ -112,8 +110,6 @@ def load_embeddings(
     path cannot vouch for is re-read by the per-line loop, which raises
     every error.
     """
-    if format != "text":
-        raise ValueError(f"unsupported embedding format {format!r}")
     path = Path(path)
     wanted = None if tokens is None else frozenset(tokens)
     try:

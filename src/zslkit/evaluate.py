@@ -46,6 +46,12 @@ from .zsl import (
 PREDICTOR_REGRESSOR = "regressor"
 PREDICTOR_RANDOM = "random"
 
+# Python counts True as the integer 1 and a non-empty string as true, so
+# these fields are checked by type before any value is used.
+_FLAG_FIELDS = ("augment", "self_train")
+_INTEGER_FIELDS = ("k_neighbors", "svr_max_passes", "svc_max_passes", "split_count", "split_seed")
+_REAL_FIELDS = ("gamma", "svr_c", "svr_epsilon", "svr_tolerance", "svc_c", "svc_tolerance")
+
 
 @dataclass
 class ExperimentConfig:
@@ -59,11 +65,8 @@ class ExperimentConfig:
     augment: bool = False
     self_train: bool = False
     k_neighbors: int | None = None
-    renormalize_prototypes: bool = True
-    normalize_prototypes: bool = True
     kernel_kind: str = RBF_CHI2
     gamma: float | str = "auto"
-    chi2_halved: bool = True
     svr_c: float = 2.0
     svr_epsilon: float = 0.1
     svr_tolerance: float = 1e-3
@@ -95,6 +98,18 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def validate(self, mode: str = "zsl") -> None:
+        for name in _FLAG_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        for name in _INTEGER_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            if (name, value) in (("k_neighbors", None), ("gamma", "auto")):
+                continue
+            kinds = int if name in _INTEGER_FIELDS else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not self.target_path:
             raise ValueError("target_path is required")
         if not Path(self.target_path).is_file():
@@ -116,9 +131,7 @@ class ExperimentConfig:
             raise ValueError("k_neighbors must be at least 1")
         if self.kernel_kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel_kind {self.kernel_kind!r}")
-        if self.gamma != "auto" and not (
-            isinstance(self.gamma, (int, float)) and self.gamma > 0
-        ):
+        if self.gamma != "auto" and not self.gamma > 0:
             raise ValueError("gamma must be 'auto' or a positive number")
         if self.predictor not in (PREDICTOR_REGRESSOR, PREDICTOR_RANDOM):
             raise ValueError(f"unknown predictor {self.predictor!r}")
@@ -214,7 +227,7 @@ def _run_distances(
                 f"auxiliary d_x={auxiliary.d_x}"
             )
         features = np.vstack([features, auxiliary.features])
-    return distance_matrix(config.kernel_kind, features, chi2_halved=config.chi2_halved)
+    return distance_matrix(config.kernel_kind, features)
 
 
 def _row_index(dataset: Dataset, ids: list[str]) -> np.ndarray:
@@ -318,20 +331,14 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     if config.predictor == PREDICTOR_REGRESSOR:
         dist = _run_distances(config, target, auxiliary)
         aux_rows = np.arange(len(target), dist.shape[0])
-    st_config = (
-        SelfTrainConfig(k=config.k_neighbors, renormalize=config.renormalize_prototypes)
-        if config.self_train
-        else None
-    )
+    st_config = SelfTrainConfig(k=config.k_neighbors) if config.self_train else None
 
     def fit_predict(split: SplitSpec, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
         (run_dir / "splits").mkdir(exist_ok=True)
         save_split(split, target.name, run_dir / "splits" / f"split_{split.index:03d}.json")
         train_ds = target.subset_classes(list(split.seen))
         test_ds = target.subset_classes(list(split.unseen))
-        prototypes = build_prototypes(
-            store, list(split.unseen), normalize=config.normalize_prototypes
-        )
+        prototypes = build_prototypes(store, list(split.unseen))
         problem = ZslProblem(train=train_ds, test=test_ds, prototypes=prototypes)
         if config.predictor == PREDICTOR_RANDOM:
             return test_ds.labels, _random_predictions(
@@ -340,7 +347,7 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
         pair = augment_training(train_ds, auxiliary, store, unseen=list(split.unseen))
         rows = np.concatenate([_row_index(target, train_ds.ids), aux_rows])
         kernel, gram = fit_kernel(
-            config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma, config.chi2_halved
+            config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma
         )
         regressor = train_semantic_regressor(
             pair.features, pair.embeddings, config.svr_config(), kernel, gram
@@ -400,7 +407,7 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
         pair = training_pair(train_ds, store)
         rows = _row_index(dataset, train_ds.ids)
         kernel, gram = fit_kernel(
-            config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma, config.chi2_halved
+            config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma
         )
         regressor = train_semantic_regressor(
             pair.features, pair.embeddings, config.svr_config(), kernel, gram

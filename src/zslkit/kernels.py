@@ -18,12 +18,10 @@ KERNEL_KINDS = (RBF_CHI2, RBF_EUCLIDEAN)
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth. ``chi2_halved`` selects the 1/2-factor
-    chi-square convention (the unhalved variant is exposed for ablation)."""
+    """Kernel family plus bandwidth."""
 
     kind: str
     gamma: float
-    chi2_halved: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
@@ -56,11 +54,10 @@ def _as_matrix(x, name: str, require_nonnegative: bool) -> np.ndarray:
     return m
 
 
-def chi2_distance(a, b, halved: bool = True) -> float:
-    """Chi-square histogram distance, sum over bins of (a-b)^2/(a+b).
+def chi2_distance(a, b) -> float:
+    """Chi-square histogram distance, 1/2 * sum over bins of (a-b)^2/(a+b).
 
-    Bins with a+b == 0 contribute 0. ``halved`` applies the conventional
-    1/2 factor.
+    Bins with a+b == 0 contribute 0.
     """
     a = _as_histogram(a, "a")
     b = _as_histogram(b, "b")
@@ -69,8 +66,7 @@ def chi2_distance(a, b, halved: bool = True) -> float:
     num = (a - b) ** 2
     den = a + b
     terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    total = float(terms.sum())
-    return 0.5 * total if halved else total
+    return 0.5 * float(terms.sum())
 
 
 def squared_euclidean(a, b) -> float:
@@ -82,15 +78,10 @@ def squared_euclidean(a, b) -> float:
     return float(d @ d)
 
 
-def pair_distance(spec: KernelSpec, a, b) -> float:
-    if spec.kind == RBF_CHI2:
-        return chi2_distance(a, b, halved=spec.chi2_halved)
-    return squared_euclidean(a, b)
-
-
 def kernel_value(spec: KernelSpec, a, b) -> float:
     """exp(-gamma * D(a, b)); lies in (0, 1], equal to 1 iff D == 0."""
-    return math.exp(-spec.gamma * pair_distance(spec, a, b))
+    d = chi2_distance(a, b) if spec.kind == RBF_CHI2 else squared_euclidean(a, b)
+    return math.exp(-spec.gamma * d)
 
 
 # Floats in one tile's scratch array: two such arrays per worker, 1 MB.
@@ -144,8 +135,9 @@ def _chi2_share(rows, cols, out, starts, height, width, scratch) -> None:
                 out[lo:c1, r0:r1] = tile[:, lo - c0 :].T
 
 
-def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True) -> np.ndarray:
-    """Chi-square distances between every row and every column vector.
+def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Chi-square distances between every row and every column vector,
+    with the 1/2 factor of :func:`chi2_distance`.
 
     The matrix is computed in tiles whose scratch holds about 2^16 floats,
     and row blocks are dealt round-robin to one thread per usable CPU; the
@@ -185,8 +177,7 @@ def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True
             t.join()
     if errors:
         raise errors[0]
-    if halved:
-        out *= 0.5
+    out *= 0.5
     return out
 
 
@@ -197,9 +188,7 @@ def squared_euclidean_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def distance_matrix(
-    kind: str, rows, cols=None, chi2_halved: bool = True
-) -> np.ndarray:
+def distance_matrix(kind: str, rows, cols=None) -> np.ndarray:
     """Pairwise base distances between two vector collections.
 
     With ``cols=None`` the matrix is computed against ``rows`` itself; it
@@ -212,7 +201,7 @@ def distance_matrix(
     if r.shape[1] != c.shape[1]:
         raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
     if kind == RBF_CHI2:
-        return chi2_distance_matrix(r, c, halved=chi2_halved)
+        return chi2_distance_matrix(r, c)
     if kind != RBF_EUCLIDEAN:
         raise ValueError(f"unknown kernel kind {kind!r}")
     d = squared_euclidean_matrix(r, c)
@@ -233,12 +222,12 @@ def gram_matrix(spec: KernelSpec, rows, cols=None) -> np.ndarray:
 
     When ``cols`` is omitted the result is symmetric with unit diagonal.
     """
-    d = distance_matrix(spec.kind, rows, cols, chi2_halved=spec.chi2_halved)
+    d = distance_matrix(spec.kind, rows, cols)
     return rbf_from_distances(spec.gamma, d)
 
 
 def fit_kernel(
-    kind: str, distances: np.ndarray, gamma: float | str = "auto", chi2_halved: bool = True
+    kind: str, distances: np.ndarray, gamma: float | str = "auto"
 ) -> tuple[KernelSpec, np.ndarray]:
     """Kernel of a training set and its Gram matrix, from the set's
     symmetric base-distance matrix. Gamma is the reciprocal mean distance
@@ -246,49 +235,33 @@ def fit_kernel(
     place."""
     if gamma == "auto":
         gamma = gamma_from_distances(distances)
-    kernel = KernelSpec(kind, float(gamma), chi2_halved=chi2_halved)
+    kernel = KernelSpec(kind, float(gamma))
     return kernel, rbf_from_distances(kernel.gamma, distances)
 
 
 def heuristic_gamma(
-    data,
-    kind: str = RBF_CHI2,
-    *,
-    chi2_halved: bool = True,
-    include_self_pairs: bool = False,
-    max_pairs: int = 1_000_000,
-    seed: int = 0,
+    data, kind: str = RBF_CHI2, *, max_pairs: int = 1_000_000, seed: int = 0
 ) -> float:
     """Reciprocal of the mean pairwise base distance of ``data``; see
     :func:`gamma_from_distances`."""
     x = _as_matrix(data, "data", require_nonnegative=kind == RBF_CHI2)
-    return gamma_from_distances(
-        distance_matrix(kind, x, chi2_halved=chi2_halved),
-        include_self_pairs=include_self_pairs,
-        max_pairs=max_pairs,
-        seed=seed,
-    )
+    return gamma_from_distances(distance_matrix(kind, x), max_pairs=max_pairs, seed=seed)
 
 
 def gamma_from_distances(
-    d: np.ndarray,
-    *,
-    include_self_pairs: bool = False,
-    max_pairs: int = 1_000_000,
-    seed: int = 0,
+    d: np.ndarray, *, max_pairs: int = 1_000_000, seed: int = 0
 ) -> float:
     """Reciprocal of the mean off-diagonal entry of a symmetric distance
     matrix with a zero diagonal, such as a block of a run-wide matrix.
 
-    The mean is over ordered pairs i != j by default; including self pairs
-    shrinks it by (n-1)/n and is exposed for comparison. When the ordered
-    pair count exceeds ``max_pairs``, pairs are subsampled uniformly with
-    a PCG64 generator seeded by ``seed``.
+    The mean is over ordered pairs i != j. When their count exceeds
+    ``max_pairs``, pairs are subsampled uniformly with a PCG64 generator
+    seeded by ``seed``.
     """
     n = d.shape[0]
     if n < 2:
         raise ValueError("gamma heuristic needs at least 2 vectors")
-    n_pairs = n * n if include_self_pairs else n * (n - 1)
+    n_pairs = n * (n - 1)
     if n_pairs <= max_pairs:
         mean = float(d.sum()) / n_pairs  # diagonal is exactly zero
     else:
@@ -301,10 +274,7 @@ def gamma_from_distances(
         chunk = 100_000
         for lo in range(0, max_pairs, chunk):
             rows = i[lo : lo + chunk]
-            if include_self_pairs:
-                cols = rng.integers(0, n, size=rows.size)
-            else:
-                cols = (rows + rng.integers(1, n, size=rows.size)) % n
+            cols = (rows + rng.integers(1, n, size=rows.size)) % n
             total += float(d[rows, cols].sum())
         mean = total / max_pairs
     if mean <= 0.0:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import Label
-from .kernels import KernelSpec
+from .kernels import RBF_CHI2, KernelSpec
 from .svc import SvcModel
 from .svr import SemanticRegressor
 
@@ -25,13 +25,16 @@ VERSION = 2
 
 
 def _kernel_doc(kernel: KernelSpec) -> dict:
-    return {"kind": kernel.kind, "gamma": kernel.gamma, "chi2_halved": kernel.chi2_halved}
+    return {"kind": kernel.kind, "gamma": kernel.gamma}
 
 
 def _kernel_from_doc(doc: dict) -> KernelSpec:
-    return KernelSpec(
-        kind=doc["kind"], gamma=float(doc["gamma"]), chi2_halved=bool(doc.get("chi2_halved", True))
-    )
+    """A chi-square kernel saved with ``"chi2_halved": false`` loads with
+    twice its gamma, as (D/2) * 2g rounds exactly as D * g does."""
+    gamma = float(doc["gamma"])
+    if doc["kind"] == RBF_CHI2 and doc.get("chi2_halved") is False:
+        gamma *= 2.0
+    return KernelSpec(kind=doc["kind"], gamma=gamma)
 
 
 def _matrix(a: np.ndarray) -> list[list[float]]:

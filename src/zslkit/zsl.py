@@ -28,33 +28,25 @@ class Prototype:
 
 @dataclass(frozen=True)
 class SelfTrainConfig:
-    """Neighbour count for prototype adaptation; ``renormalize`` restores
-    unit norm after averaging."""
+    """Neighbour count for prototype adaptation."""
 
     k: int = 10
-    renormalize: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
 
 
-def build_prototypes(
-    store: EmbeddingStore, labels: Sequence[Label], normalize: bool = True
-) -> list[Prototype]:
-    """Embed each label and (by default) L2-normalize it into a prototype.
-
-    Labels must be distinct; the unnormalized variant is kept for ablation.
-    """
+def build_prototypes(store: EmbeddingStore, labels: Sequence[Label]) -> list[Prototype]:
+    """Embed each label and L2-normalize it into a prototype. Labels must
+    be distinct."""
     seen: set[str] = set()
     protos: list[Prototype] = []
     for lab in labels:
         if lab.key in seen:
             raise ValueError(f"duplicate label {lab.key!r}")
         seen.add(lab.key)
-        vec = embed_label(store, lab)
-        if normalize:
-            vec = l2_normalize(vec)
+        vec = l2_normalize(embed_label(store, lab))
         protos.append(Prototype(label=lab, vector=vec, adapted=False))
     return protos
 
@@ -89,7 +81,8 @@ def self_train(
     projections: np.ndarray,
     config: SelfTrainConfig,
 ) -> list[Prototype]:
-    """Adapt each prototype to the mean of its K nearest test projections.
+    """Adapt each prototype to the L2-normalized mean of its K nearest
+    test projections.
 
     Neighbour search is exact and runs over all projections independently
     per prototype (prototypes may share neighbours); ties on distance are
@@ -107,9 +100,7 @@ def self_train(
     for proto in prototypes:
         d2 = ((proj - proto.vector) ** 2).sum(axis=1)
         neighbours = np.argsort(d2, kind="stable")[: config.k]
-        vec = proj[neighbours].mean(axis=0)
-        if config.renormalize:
-            vec = l2_normalize(vec)
+        vec = l2_normalize(proj[neighbours].mean(axis=0))
         adapted.append(Prototype(label=proto.label, vector=vec, adapted=True))
     return adapted
 
@@ -195,26 +186,21 @@ class TrainingPair:
     provenance: list[str] = field(default_factory=list)
 
 
-def _label_targets(
-    dataset: Dataset, store: EmbeddingStore, normalize: bool
-) -> np.ndarray:
+def _label_targets(dataset: Dataset, store: EmbeddingStore) -> np.ndarray:
     cache: dict[str, np.ndarray] = {}
     rows = []
     for lab in dataset.labels:
         if lab.key not in cache:
-            vec = embed_label(store, lab)
-            cache[lab.key] = l2_normalize(vec) if normalize else vec
+            cache[lab.key] = l2_normalize(embed_label(store, lab))
         rows.append(cache[lab.key])
     return np.vstack(rows) if rows else np.empty((0, store.dimension))
 
 
-def training_pair(
-    dataset: Dataset, store: EmbeddingStore, normalize_targets: bool = True
-) -> TrainingPair:
+def training_pair(dataset: Dataset, store: EmbeddingStore) -> TrainingPair:
     """Build (features, label embeddings) for one dataset."""
     return TrainingPair(
         features=dataset.features,
-        embeddings=_label_targets(dataset, store, normalize_targets),
+        embeddings=_label_targets(dataset, store),
         provenance=["target"] * len(dataset),
     )
 
@@ -225,7 +211,6 @@ def augment_training(
     store: EmbeddingStore,
     *,
     unseen: Sequence[Label] | None = None,
-    normalize_targets: bool = True,
 ) -> TrainingPair:
     """Concatenate target training data with an auxiliary dataset
     (target rows first), embedding labels as regression targets.
@@ -234,7 +219,7 @@ def augment_training(
     be disjoint from the problem's unseen classes; pass those via
     ``unseen`` to enforce the guard before any training happens.
     """
-    base = training_pair(target, store, normalize_targets)
+    base = training_pair(target, store)
     if auxiliary is None or len(auxiliary) == 0:
         return base
     if auxiliary.d_x != target.d_x:
@@ -249,7 +234,7 @@ def augment_training(
                 raise ValueError(
                     f"auxiliary class {lab.key!r} collides with an unseen class"
                 )
-    aux_targets = _label_targets(auxiliary, store, normalize_targets)
+    aux_targets = _label_targets(auxiliary, store)
     return TrainingPair(
         features=np.vstack([base.features, auxiliary.features]),
         embeddings=np.vstack([base.embeddings, aux_targets]),

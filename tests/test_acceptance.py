@@ -153,7 +153,7 @@ def _shifted_benchmark_trial(seed: int, dim: int = 10, per_class: int = 50):
         d2 = ((projections[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
         return float((np.argmin(d2, axis=1) == truth).mean())
 
-    adapted = self_train(prototypes, projections, SelfTrainConfig(k=k, renormalize=True))
+    adapted = self_train(prototypes, projections, SelfTrainConfig(k=k))
     return accuracy(prototypes), accuracy(adapted)
 
 

@@ -116,10 +116,6 @@ class TestLoadEmbeddings:
         assert list(store.table) == ["run"]
         np.testing.assert_array_equal(store.vector("run"), [0.0, 1.0])
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unsupported embedding format"):
-            load_embeddings(tmp_path / "x", format="binary")
-
     def test_save_load_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         store = EmbeddingStore(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -75,8 +76,7 @@ def _svr_config(config: ExperimentConfig) -> SvrConfig:
 
 
 def reference_kernel(config: ExperimentConfig, features: np.ndarray) -> KernelSpec:
-    gamma = heuristic_gamma(features, config.kernel_kind, chi2_halved=config.chi2_halved)
-    return KernelSpec(config.kernel_kind, gamma, chi2_halved=config.chi2_halved)
+    return KernelSpec(config.kernel_kind, heuristic_gamma(features, config.kernel_kind))
 
 
 def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
@@ -221,6 +221,29 @@ class TestZslEvaluation:
         with pytest.raises(ValueError, match="k_neighbors"):
             run_zsl_evaluation(config)
 
+    # Python takes True for the integer 1 and any non-empty string as true
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gamma", True, "gamma must be a number, got True"),
+            ("svr_c", True, "svr_c must be a number, got True"),
+            ("split_count", True, "split_count must be an integer, got True"),
+            ("k_neighbors", True, "k_neighbors must be an integer, got True"),
+            ("svc_max_passes", False, "svc_max_passes must be an integer, got False"),
+            ("split_seed", 1.5, "split_seed must be an integer, got 1.5"),
+            ("self_train", "false", "self_train must be true or false, got 'false'"),
+            ("augment", 1, "augment must be true or false, got 1"),
+        ],
+        ids=[
+            "gamma", "svr_c", "split_count", "k_neighbors", "svc_max_passes", "split_seed",
+            "self_train", "augment",
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(self, toy_world, tmp_path, field, value, message):
+        config = base_config(toy_world, tmp_path, **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_zsl_evaluation(config)
+
     def test_failing_split_is_named(self, toy_world, tmp_path):
         config = base_config(
             toy_world, tmp_path, self_train=True, k_neighbors=10_000
@@ -302,7 +325,6 @@ class TestZslEvaluation:
             ("self_train", True),
             ("k_neighbors", 10),
             ("predictor", "random"),
-            ("chi2_halved", False),
         ]:
             config = base_config(toy_world, tmp_path)
             setattr(config, field, value)
@@ -485,6 +507,51 @@ class TestCli:
         code = main(["eval-zsl", "--config", str(config_path)])
         assert code == 1
         assert "no_such_field" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize(
+        "field", ["chi2_halved", "normalize_prototypes", "renormalize_prototypes"]
+    )
+    def test_removed_config_field_rejected(self, tmp_path, field):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"target_path": "x", field: True}))
+        with pytest.raises(ValueError, match=f"unknown config field '{field}'"):
+            ExperimentConfig.from_file(config_path)
+
+    def test_config_value_of_the_wrong_type_fails(self, toy_world, tmp_path, capsys):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "target_path": str(toy_world["target"]),
+                    "embedding_path": str(toy_world["embeddings"]),
+                    "out_dir": str(tmp_path / "runs"),
+                    "split_count": True,
+                }
+            )
+        )
+        assert main(["eval-zsl", "--config", str(config_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "split_count must be an integer, got True"
+        assert not (tmp_path / "runs").exists()
+
+    def test_flags_give_typed_config_values(self, toy_world, tmp_path, capsys):
+        code = main(
+            [
+                "eval-zsl",
+                "--features", str(toy_world["target"]),
+                "--embeddings", str(toy_world["embeddings"]),
+                "--out", str(tmp_path / "runs"),
+                "--gamma", "1.5",
+                "--seed", "4",
+                "--splits", "1",
+                "--self-train",
+                "--k-neighbors", "3",
+            ]
+        )
+        assert code == 0
+        config = json.loads(next((tmp_path / "runs").glob("*/report.json")).read_text())["config"]
+        assert (config["gamma"], config["split_seed"], config["split_count"]) == (1.5, 4, 1)
+        assert (config["self_train"], config["k_neighbors"]) == (True, 3)
 
     def test_make_splits_deterministic(self, toy_world, tmp_path):
         for sub in ("a", "b"):

@@ -24,7 +24,6 @@ from zslkit.kernels import (
     kernel_value,
     squared_euclidean,
 )
-from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
 
 histograms = hnp.arrays(
     np.float64,
@@ -40,13 +39,13 @@ histogram_sets = hnp.arrays(
 )
 
 
-def brute_force_mean_pair_distance(vectors, include_self=False):
+def brute_force_mean_pair_distance(vectors):
     """Enumeration oracle for the gamma heuristic's documented convention."""
     n = len(vectors)
     total, count = 0.0, 0
     for i in range(n):
         for j in range(n):
-            if i == j and not include_self:
+            if i == j:
                 continue
             total += chi2_distance(vectors[i], vectors[j])
             count += 1
@@ -63,9 +62,6 @@ class TestChi2:
 
     def test_empty_mass_convention(self):
         assert chi2_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
-
-    def test_unhalved_variant(self):
-        assert chi2_distance([1.0, 0.0], [0.0, 1.0], halved=False) == pytest.approx(2.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -163,16 +159,6 @@ class TestHeuristicGamma:
             expected = 1.0 / brute_force_mean_pair_distance(list(vecs))
             assert heuristic_gamma(vecs) == pytest.approx(expected, rel=1e-12)
 
-    def test_self_pair_convention_is_explicit(self):
-        rng = np.random.default_rng(12)
-        vecs = rng.dirichlet(np.ones(4), size=5)
-        with_self = heuristic_gamma(vecs, include_self_pairs=True)
-        without = heuristic_gamma(vecs)
-        # n zero self-distances shrink the mean by (n-1)/n
-        assert with_self == pytest.approx(without * 5 / 4, rel=1e-12)
-        expected = 1.0 / brute_force_mean_pair_distance(list(vecs), include_self=True)
-        assert with_self == pytest.approx(expected, rel=1e-12)
-
     def test_duplicated_dataset_changes_gamma_per_convention(self):
         rng = np.random.default_rng(13)
         vecs = rng.dirichlet(np.ones(4), size=6)
@@ -255,45 +241,17 @@ class TestFitKernel:
         kernel, _ = fit_kernel("rbf_chi2", distance_matrix("rbf_chi2", x), gamma=2)
         assert kernel.gamma == 2.0
 
-    # 40 rows take the exact mean; 1001 rows have more than the 1e6
-    # ordered pairs of the default budget, so gamma is sampled
-    @pytest.mark.parametrize("n", [40, 1001])
-    def test_chi2_halving_is_absorbed_by_auto_gamma(self, n):
-        rng = np.random.default_rng(26)
-        x = rng.dirichlet(np.full(8, 0.5), size=n)
-        probes = rng.dirichlet(np.full(8, 0.5), size=5)
-        targets = rng.normal(size=(n, 2))
-        fitted = {}
-        for halved in (True, False):
-            d = distance_matrix("rbf_chi2", x, chi2_halved=halved)
-            kernel, gram = fit_kernel("rbf_chi2", d, chi2_halved=halved)
-            regressor = train_semantic_regressor(x, targets, SvrConfig(), kernel, gram.copy())
-            fitted[halved] = kernel, gram, predict_batch(regressor, probes)
-        (half, half_gram, half_pred), (full, full_gram, full_pred) = fitted[True], fitted[False]
-        assert half.gamma == 2.0 * full.gamma
-        np.testing.assert_array_equal(bits(half_gram), bits(full_gram))
-        np.testing.assert_array_equal(bits(half_pred), bits(full_pred))
-
-    def test_chi2_halving_matters_with_a_numeric_gamma(self):
-        x = np.random.default_rng(27).dirichlet(np.ones(6), size=10)
-        half = fit_kernel("rbf_chi2", distance_matrix("rbf_chi2", x), gamma=1.0)[1]
-        full = fit_kernel(
-            "rbf_chi2", distance_matrix("rbf_chi2", x, chi2_halved=False), 1.0, False
-        )[1]
-        off = ~np.eye(10, dtype=bool)
-        assert np.all(half[off] > full[off])
-
 
 class TestRunWideDistances:
     """A run computes one distance matrix and slices every split's gamma,
     Gram matrix and kernel rows from it; the slices must be bit-identical
     to computing each subset on its own."""
 
-    @given(histogram_sets, st.booleans())
-    def test_symmetric_chi2_equals_rows_vs_cols(self, x, halved):
-        d = distance_matrix("rbf_chi2", x, chi2_halved=halved)
-        np.testing.assert_array_equal(d, distance_matrix("rbf_chi2", x, x.copy(), chi2_halved=halved))
-        np.testing.assert_array_equal(d, distance_oracle.chi2_matrix(x, x, halved))
+    @given(histogram_sets)
+    def test_symmetric_chi2_equals_rows_vs_cols(self, x):
+        d = distance_matrix("rbf_chi2", x)
+        np.testing.assert_array_equal(d, distance_matrix("rbf_chi2", x, x.copy()))
+        np.testing.assert_array_equal(d, distance_oracle.chi2_matrix(x, x))
         np.testing.assert_array_equal(d, d.T)
         assert not np.any(np.diag(d))
 
@@ -309,15 +267,15 @@ class TestRunWideDistances:
                 d[np.ix_(t, s)], distance_matrix("rbf_chi2", x[t], x[s])
             )
 
-    @given(histogram_sets, st.data(), st.booleans())
-    def test_gamma_from_block_equals_heuristic(self, x, data, include_self):
+    @given(histogram_sets, st.data())
+    def test_gamma_from_block_equals_heuristic(self, x, data):
         n = x.shape[0]
         s = data.draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
         block = distance_matrix("rbf_chi2", x)[np.ix_(s, s)]
-        n_pairs = len(s) * (len(s) - 1 + include_self)
+        n_pairs = len(s) * (len(s) - 1)
         # the default budget takes the exact mean; one pair fewer samples
         for max_pairs in (1_000_000, n_pairs - 1):
-            kw = dict(include_self_pairs=include_self, max_pairs=max_pairs, seed=5)
+            kw = dict(max_pairs=max_pairs, seed=5)
             try:
                 expected = heuristic_gamma(x[s], **kw)
             except ValueError:
@@ -331,18 +289,11 @@ class TestRunWideDistances:
     def test_sampled_gamma_matches_direct_pairs_across_chunks(self):
         rng = np.random.default_rng(31)
         x = rng.dirichlet(np.full(40, 0.3), size=500)
-        kw = dict(max_pairs=240_000, seed=9)  # below n(n-1); chunks of 100k pairs
+        # below n(n-1); the last of the 100k-pair chunks is partial
+        kw = dict(max_pairs=240_000, seed=9)
         assert heuristic_gamma(x, **kw) == distance_oracle.sampled_gamma(x, **kw)
 
-    def test_sampled_self_pairs_match_direct_pairs_across_chunks(self):
-        rng = np.random.default_rng(31)
-        x = rng.dirichlet(np.full(40, 0.3), size=500)
-        # the last of the 100k-pair chunks is partial
-        kw = dict(max_pairs=240_000, seed=9, include_self_pairs=True)
-        assert heuristic_gamma(x, **kw) == distance_oracle.sampled_gamma(x, **kw)
-
-    @pytest.mark.parametrize("include_self", [False, True])
-    def test_sampled_gamma_holds_one_pair_index_array(self, include_self):
+    def test_sampled_gamma_holds_one_pair_index_array(self):
         # 1100 rows give 1.2M ordered pairs, so 1e6 are sampled: the row
         # indices take 8 MB, and the column indices only a chunk at a time
         n, max_pairs = 1100, 1_000_000
@@ -350,7 +301,7 @@ class TestRunWideDistances:
         np.fill_diagonal(d, 0.0)
         tracemalloc.start()
         try:
-            gamma = gamma_from_distances(d, include_self_pairs=include_self, max_pairs=max_pairs)
+            gamma = gamma_from_distances(d, max_pairs=max_pairs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,14 +350,13 @@ class TestTiledChi2:
         y = rng.random((m, d)) * (rng.random((m, d)) >= zero_frac)
         if n > 1:
             x[n // 2] = 0.0  # an all-zero row
-        halved = data.draw(st.booleans(), label="halved")
-        sym_ref = distance_oracle.chi2_distance_matrix(x, x, halved)
-        cross_ref = distance_oracle.chi2_distance_matrix(x, y, halved)
+        sym_ref = distance_oracle.chi2_distance_matrix(x, x)
+        cross_ref = distance_oracle.chi2_distance_matrix(x, y)
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(zslkit.kernels, "_worker_count", lambda w=workers: w)
-                sym = chi2_distance_matrix(x, x, halved)
-                cross = chi2_distance_matrix(x, y, halved)
+                sym = chi2_distance_matrix(x, x)
+                cross = chi2_distance_matrix(x, y)
             np.testing.assert_array_equal(bits(sym), bits(sym_ref))
             np.testing.assert_array_equal(bits(cross), bits(cross_ref))
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import distance_oracle
 from conftest import assert_same_fields
 from qp_oracle import svr_dual_oracle
 from zslkit.embedding import l2_normalize
@@ -319,6 +320,38 @@ class TestModelSerialization:
     def test_inconsistent_shapes_rejected(self, tmp_path, field, value, message):
         with pytest.raises(ValueError, match=message):
             load_model(self._corrupted(tmp_path, field, value))
+
+    # a file written while the chi-square convention was a kernel field;
+    # the unhalved distance is twice the halved one
+    @pytest.mark.parametrize(
+        "kernel, gamma",
+        [
+            ({"kind": "rbf_chi2", "gamma": 0.37, "chi2_halved": False}, 2 * 0.37),
+            ({"kind": "rbf_chi2", "gamma": 0.37, "chi2_halved": True}, 0.37),
+            ({"kind": "rbf_chi2", "gamma": 0.37}, 0.37),
+            ({"kind": "rbf_euclidean", "gamma": 0.37, "chi2_halved": False}, 0.37),
+        ],
+        ids=["unhalved", "halved", "current", "euclidean"],
+    )
+    def test_legacy_chi2_convention_folds_into_gamma(self, tmp_path, kernel, gamma):
+        loaded = load_model(self._corrupted(tmp_path, "kernel", kernel))
+        assert loaded.kernel == KernelSpec(kernel["kind"], gamma)
+
+    @pytest.mark.parametrize("g", [0.37, 1.0, 2.5, 13.3])
+    def test_unhalved_legacy_kernel_keeps_its_gram_matrix(self, tmp_path, g):
+        kernel = {"kind": "rbf_chi2", "gamma": g, "chi2_halved": False}
+        loaded = load_model(self._corrupted(tmp_path, "kernel", kernel))
+        x = np.random.default_rng(23).dirichlet(np.full(6, 0.5), size=40)
+        expected = np.exp(-g * distance_oracle.chi2_matrix(x, x, False))
+        np.testing.assert_array_equal(
+            gram_matrix(loaded.kernel, x).view(np.int64), expected.view(np.int64)
+        )
+
+    def test_kernel_is_saved_as_kind_and_gamma(self, tmp_path):
+        _, reg = self._trained(np.random.default_rng(24))
+        save_model(reg, tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert doc["kernel"] == {"kind": "rbf_chi2", "gamma": reg.kernel.gamma}
 
     def test_version_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(19)

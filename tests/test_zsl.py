@@ -50,9 +50,6 @@ class TestBuildPrototypes:
         with pytest.raises(ValueError, match="duplicate label"):
             build_prototypes(toy_store, [Label.of("run"), Label.of("run")])
 
-    def test_unnormalized_variant(self, toy_store):
-        protos = build_prototypes(toy_store, [Label.of("walk")], normalize=False)
-        np.testing.assert_array_equal(protos[0].vector, [2.0, 2.0, 0.0])
 
 
 # a few repeated values make exact distance ties common
@@ -124,8 +121,8 @@ class TestSelfTrain:
     def test_k1_snaps_to_nearest_projection(self):
         protos = [Prototype(Label.of("a"), np.array([1.0, 0.0]))]
         proj = np.array([[0.8, 0.6], [0.0, 1.0]])
-        adapted = self_train(protos, proj, SelfTrainConfig(k=1, renormalize=False))
-        np.testing.assert_array_equal(adapted[0].vector, [0.8, 0.6])
+        adapted = self_train(protos, proj, SelfTrainConfig(k=1))
+        np.testing.assert_array_equal(adapted[0].vector, l2_normalize(proj[0]))
         assert adapted[0].adapted
 
     def test_identical_projections_collapse(self):
@@ -141,16 +138,10 @@ class TestSelfTrain:
     def test_hand_computed_two_neighbour_mean(self):
         protos = [Prototype(Label.of("a"), np.array([1.0, 0.0]))]
         proj = np.array([[0.8, 0.6], [0.6, 0.8], [0.0, 1.0]])
-        adapted = self_train(protos, proj, SelfTrainConfig(k=2, renormalize=True))
+        adapted = self_train(protos, proj, SelfTrainConfig(k=2))
         np.testing.assert_allclose(
             adapted[0].vector, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12
         )
-
-    def test_without_renormalization_keeps_plain_mean(self):
-        protos = [Prototype(Label.of("a"), np.array([1.0, 0.0]))]
-        proj = np.array([[0.8, 0.6], [0.6, 0.8], [0.0, 1.0]])
-        adapted = self_train(protos, proj, SelfTrainConfig(k=2, renormalize=False))
-        np.testing.assert_allclose(adapted[0].vector, [0.7, 0.7], atol=1e-12)
 
     def test_inputs_unmodified(self):
         protos = [Prototype(Label.of("a"), np.array([1.0, 0.0]))]
@@ -252,7 +243,7 @@ class TestZslPredict:
             [protos[0].vector + delta, protos[0].vector - delta,
              protos[1].vector + delta, protos[1].vector - delta]
         )
-        adapted = self_train(protos, proj, SelfTrainConfig(k=2, renormalize=True))
+        adapted = self_train(protos, proj, SelfTrainConfig(k=2))
         for orig, new in zip(protos, adapted):
             np.testing.assert_allclose(orig.vector, new.vector, atol=1e-12)
         np.testing.assert_array_equal(
