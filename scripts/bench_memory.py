@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Trace and time the steps that now run in bounded chunks against their
+former whole-array forms, and write BENCH_memory.json.
+
+    python3 scripts/bench_memory.py                  # writes BENCH_memory.json
+    python3 scripts/bench_memory.py --repeats 1 --out /tmp/bench.json
+
+Run it from the repository root. Each stage runs at a fixed seeded shape:
+
+- ``matching``: ``zsl.nearest_prototype`` of 3,383 projections against 26
+  prototypes at d_z=300, one HMDB51 half-split;
+- ``gamma``: ``kernels.gamma_from_distances`` of a 1,040-row distance
+  matrix, whose 1,080,560 ordered pairs are sampled down to 1e6 (the
+  zsl-deep pool size);
+- ``symmetry``: ``svr._validate_gram`` of an exactly symmetric 4,000-row
+  Gram matrix;
+- ``pool``: the support pool's feature rows, 288 of 288 rows at d_x=1000
+  (zsl-wide's shape), as ``train_semantic_regressor`` now takes them
+  (``x[pool_idx]``, one copy) and as it took them before (a second copy).
+
+``reference`` is the former form, kept in ``tests/memory_reference.py``;
+``library`` is zslkit's code. For each path the file records the best and
+median wall time of ``--repeats`` calls, the peak memory traced by
+``tracemalloc`` during one more call (inputs are allocated before tracing
+starts) and a sha256 of the result. Exits 1, after writing the file, if any
+hash differs between the two paths.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+import memory_reference as reference  # noqa: E402
+from bench_parse import measure  # noqa: E402
+from zslkit import kernels, svr, zsl  # noqa: E402
+from zslkit.embedding import Label  # noqa: E402
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def matching(rng):
+    mat = rng.normal(size=(26, 300))
+    proj = rng.normal(size=(3383, 300))
+    protos = [zsl.Prototype(Label.of(f"c{i}"), row) for i, row in enumerate(mat)]
+    return ("3383 x 26 x 300",
+            lambda: reference.nearest_prototype(zsl.prototype_matrix(protos), proj),
+            lambda: zsl.nearest_prototype(protos, proj),
+            lambda r: digest(*r))
+
+
+def gamma(rng):
+    n, max_pairs = 1040, 1_000_000
+    d = rng.random((n, n))
+    d += d.T
+    np.fill_diagonal(d, 0.0)
+    return (f"n={n}, max_pairs={max_pairs}",
+            lambda: reference.sampled_gamma_from_distances(d, max_pairs),
+            lambda: kernels.gamma_from_distances(d, max_pairs=max_pairs),
+            lambda r: digest(np.float64(r)))
+
+
+def symmetry(rng):
+    n = 4000
+    v = rng.random(n)
+    g = np.add.outer(v, v)
+    return (f"n={n}", lambda: reference.validate_gram(g), lambda: svr._validate_gram(g),
+            lambda r: digest(r))
+
+
+def pool(rng):
+    x = rng.random((288, 1000))
+    pool_idx = np.arange(288)
+    return ("288 of 288 rows, d_x=1000",
+            lambda: reference.pool_features(x, pool_idx), lambda: x[pool_idx],
+            lambda r: digest(r))
+
+
+STAGES = {"matching": matching, "gamma": gamma, "symmetry": symmetry, "pool": pool}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="seed of the stage inputs")
+    parser.add_argument("--repeats", type=int, default=5, help="timed calls per path and stage")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_memory.json"))
+    args = parser.parse_args()
+    entries = []
+    for name, build in STAGES.items():
+        shape, ref_call, lib_call, result_digest = build(np.random.default_rng(args.seed))
+        entry = {"stage": name, "shape": shape}
+        entry["reference"] = measure(ref_call, result_digest, args.repeats)
+        entry["library"] = measure(lib_call, result_digest, args.repeats)
+        entry["hashes_match"] = entry["reference"]["sha256"] == entry["library"]["sha256"]
+        entries.append(entry)
+    doc = {
+        "benchmark": "traced peak memory, chunked steps vs their whole-array forms",
+        "command": f"python3 scripts/bench_memory.py --seed {args.seed} --repeats {args.repeats}",
+        "paths": {
+            "reference": "former whole-array form (tests/memory_reference.py)",
+            "library": "zslkit's chunked form; for pool, the single copy it now keeps",
+        },
+        "host": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "all_hashes_match": all(e["hashes_match"] for e in entries),
+        "stages": entries,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    for e in entries:
+        ref, lib = e["reference"], e["library"]
+        print(f"{e['stage']:>9} {e['shape']:<33} peak {ref['peak_traced_mb']:9.3f} -> "
+              f"{lib['peak_traced_mb']:7.3f} MB  best {ref['best_s']:7.4f} -> "
+              f"{lib['best_s']:7.4f} s  {'match' if e['hashes_match'] else 'HASH MISMATCH'}")
+    return 0 if doc["all_hashes_match"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -68,7 +68,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         config.augment = True
         config.auxiliary_path = args.augment
     if config.gamma != "auto" and not isinstance(config.gamma, (int, float)):
-        config.gamma = float(config.gamma)
+        try:
+            config.gamma = float(config.gamma)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"gamma must be 'auto' or a positive number, got {config.gamma!r}"
+            ) from None
     return config
 
 

@@ -86,6 +86,8 @@ def kernel_value(spec: KernelSpec, a, b) -> float:
 
 # Floats in one tile's scratch array: two such arrays per worker, 1 MB.
 _TILE_FLOATS = 1 << 16
+# Sampled gamma pairs per chunk; the chunk boundaries fix the summation order.
+_PAIR_CHUNK = 100_000
 # For non-negative bins a+b is 0 or at least this, so max(a+b, _TINY) changes
 # only empty bins, whose term becomes 0/_TINY = +0.0.
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -265,16 +267,23 @@ def gamma_from_distances(
     if n_pairs <= max_pairs:
         mean = float(d.sum()) / n_pairs  # diagonal is exactly zero
     else:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=max_pairs)
-        # chunked partial sums fix the summation order of reported gammas;
-        # j is drawn a chunk at a time, which continues the generator's
-        # stream exactly as one draw of max_pairs would
+        # the pairs are those of one draw of max_pairs row indices followed
+        # by one draw of max_pairs column offsets. PCG64 keeps its buffered
+        # bits in the generator state, so draws a chunk at a time continue
+        # each stream exactly: ``cols_rng`` skips the row draws, then
+        # ``rows_rng`` replays them in step with the column draws
+        cols_rng = np.random.default_rng(seed)
+        for lo in range(0, max_pairs, _PAIR_CHUNK):
+            cols_rng.integers(0, n, size=min(_PAIR_CHUNK, max_pairs - lo))
+        rows_rng = np.random.default_rng(seed)
+        # chunked partial sums fix the summation order of reported gammas
         total = 0.0
-        chunk = 100_000
-        for lo in range(0, max_pairs, chunk):
-            rows = i[lo : lo + chunk]
-            cols = (rows + rng.integers(1, n, size=rows.size)) % n
+        for lo in range(0, max_pairs, _PAIR_CHUNK):
+            size = min(_PAIR_CHUNK, max_pairs - lo)
+            rows = rows_rng.integers(0, n, size=size)
+            cols = cols_rng.integers(1, n, size=size)
+            cols += rows
+            cols %= n
             total += float(d[rows, cols].sum())
         mean = total / max_pairs
     if mean <= 0.0:

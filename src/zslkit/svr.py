@@ -32,15 +32,25 @@ class SvrConfig:
             raise ValueError("max_passes must be at least 1")
 
 
+# Cells of the Gram matrix compared per block in the symmetry check; each
+# block's comparison holds a bool array of this many entries.
+_SYMMETRY_BLOCK_CELLS = 1 << 17
+
+
 def _validate_gram(gram: np.ndarray) -> np.ndarray:
     g = np.asarray(gram, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"gram matrix must be square, got shape {g.shape}")
+    # rows lo:hi against columns lo:hi, so no temporary grows as n^2;
+    # both tests are elementwise, so the blocks decide as the whole would
+    n = g.shape[0]
+    step = max(1, _SYMMETRY_BLOCK_CELLS // max(n, 1))
+    blocks = [(g[lo : lo + step], g[:, lo : lo + step].T) for lo in range(0, n, step)]
     # exact equality settles the usual exactly symmetric Gram cheaply; the
     # solver reads rows as columns, so rounding-level asymmetry is averaged
-    if np.array_equal(g, g.T):
+    if all(np.array_equal(rows, cols) for rows, cols in blocks):
         return g
-    if not np.allclose(g, g.T, atol=1e-8):
+    if not all(np.allclose(rows, cols, atol=1e-8) for rows, cols in blocks):
         raise ValueError("gram matrix is not symmetric")
     return 0.5 * (g + g.T)
 
@@ -132,7 +142,7 @@ def train_semantic_regressor(
         kernel=kernel,
         n_train=n,
         pool_indices=pool_idx,
-        pool_features=x[pool_idx].copy(),
+        pool_features=x[pool_idx],  # fancy indexing copies
         # C order, so that predict_batch multiplies by it without a copy
         coefficients=np.ascontiguousarray(res.coef[:, pool_idx]),
         biases=res.bias,

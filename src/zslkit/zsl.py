@@ -3,7 +3,7 @@ transductive self-training, and auxiliary-data augmentation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -55,6 +55,16 @@ def prototype_matrix(prototypes: Sequence[Prototype]) -> np.ndarray:
     return np.vstack([p.vector for p in prototypes])
 
 
+# Floats in one chunk's (rows, prototypes, d_z) difference tensor, 256 KB,
+# which stays in cache while its norms are taken.
+_MATCH_FLOATS = 1 << 15
+
+
+def _match_rows(mat: np.ndarray) -> int:
+    """Projection rows matched per chunk against prototype matrix ``mat``."""
+    return max(1, _MATCH_FLOATS // max(mat.size, 1))
+
+
 def nearest_prototype(
     prototypes: Sequence[Prototype], projections: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -70,10 +80,18 @@ def nearest_prototype(
             f"projections of shape {proj.shape} do not match prototypes (n, {mat.shape[1]})"
         )
     # row differences rather than the |a|^2+|b|^2-2ab expansion keep each
-    # distance bit-identical to the per-row norm(mat - v, axis=1)
-    d = np.linalg.norm(proj[:, None, :] - mat[None], axis=2)
-    idx = np.argmin(d, axis=1)
-    return idx, d[np.arange(idx.size), idx]
+    # distance bit-identical to the per-row norm(mat - v, axis=1); rows are
+    # independent, so a chunk's difference tensor bounds the memory
+    n = proj.shape[0]
+    idx = np.empty(n, dtype=np.intp)
+    dist = np.empty(n)
+    step = _match_rows(mat)
+    for lo in range(0, n, step):
+        d = np.linalg.norm(proj[lo : lo + step, None, :] - mat[None], axis=2)
+        best = np.argmin(d, axis=1)
+        idx[lo : lo + step] = best
+        dist[lo : lo + step] = d[np.arange(best.size), best]
+    return idx, dist
 
 
 def self_train(
@@ -179,11 +197,10 @@ def write_predictions_csv(predictions: Sequence[Prediction], path: str | Path) -
 @dataclass
 class TrainingPair:
     """Features and matching label-embedding targets for regressor
-    training, with per-row provenance ("target" or "auxiliary")."""
+    training."""
 
     features: np.ndarray
     embeddings: np.ndarray
-    provenance: list[str] = field(default_factory=list)
 
 
 def _label_targets(dataset: Dataset, store: EmbeddingStore) -> np.ndarray:
@@ -201,7 +218,6 @@ def training_pair(dataset: Dataset, store: EmbeddingStore) -> TrainingPair:
     return TrainingPair(
         features=dataset.features,
         embeddings=_label_targets(dataset, store),
-        provenance=["target"] * len(dataset),
     )
 
 
@@ -238,5 +254,4 @@ def augment_training(
     return TrainingPair(
         features=np.vstack([base.features, auxiliary.features]),
         embeddings=np.vstack([base.embeddings, aux_targets]),
-        provenance=base.provenance + ["auxiliary"] * len(auxiliary),
     )

@@ -1,0 +1,49 @@
+"""Whole-array forms of the steps that now run in bounded chunks.
+
+Each function is the expression the chunked code replaced, kept verbatim:
+one (n, P, d_z) difference tensor for prototype matching, one
+max_pairs-long row-index array for the sampled gamma, and one n^2 bool
+array for the Gram symmetry check. Tests require the chunked code to
+reproduce them bit for bit; ``scripts/bench_memory.py`` times and traces
+both forms.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def nearest_prototype(mat: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and distance of each projection row's closest row of ``mat``."""
+    d = np.linalg.norm(proj[:, None, :] - mat[None], axis=2)
+    idx = np.argmin(d, axis=1)
+    return idx, d[np.arange(idx.size), idx]
+
+
+def sampled_gamma_from_distances(d: np.ndarray, max_pairs: int, seed: int = 0) -> float:
+    """Reciprocal mean of ``max_pairs`` seeded off-diagonal entries of ``d``."""
+    n = d.shape[0]
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, size=max_pairs)
+    total = 0.0
+    chunk = 100_000
+    for lo in range(0, max_pairs, chunk):
+        rows = i[lo : lo + chunk]
+        cols = (rows + rng.integers(1, n, size=rows.size)) % n
+        total += float(d[rows, cols].sum())
+    return 1.0 / (total / max_pairs)
+
+
+def validate_gram(g: np.ndarray) -> np.ndarray:
+    """``g`` if exactly symmetric, its average with ``g.T`` if symmetric to
+    rounding; raises otherwise."""
+    if np.array_equal(g, g.T):
+        return g
+    if not np.allclose(g, g.T, atol=1e-8):
+        raise ValueError("gram matrix is not symmetric")
+    return 0.5 * (g + g.T)
+
+
+def pool_features(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
+    """The support pool's feature rows, copied a second time."""
+    return x[pool_idx].copy()

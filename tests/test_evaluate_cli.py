@@ -553,6 +553,29 @@ class TestCli:
         assert (config["gamma"], config["split_seed"], config["split_count"]) == (1.5, 4, 1)
         assert (config["self_train"], config["k_neighbors"]) == (True, 3)
 
+    @pytest.mark.parametrize("gamma", ["0.5", "auto", "fast"])
+    def test_gamma_flag_takes_auto_or_a_number(self, toy_world, tmp_path, capsys, gamma):
+        out = tmp_path / "runs"
+        code = main(
+            [
+                "eval-zsl",
+                "--features", str(toy_world["target"]),
+                "--embeddings", str(toy_world["embeddings"]),
+                "--out", str(out),
+                "--splits", "1",
+                "--gamma", gamma,
+            ]
+        )
+        if gamma == "fast":
+            assert code == 1
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error == "gamma must be 'auto' or a positive number, got 'fast'"
+            assert not out.exists()
+            return
+        assert code == 0
+        config = json.loads(next(out.glob("*/report.json")).read_text())["config"]
+        assert config["gamma"] == (0.5 if gamma == "0.5" else "auto")
+
     def test_make_splits_deterministic(self, toy_world, tmp_path):
         for sub in ("a", "b"):
             code = main(

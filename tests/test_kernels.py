@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import distance_oracle
+import memory_reference
 import zslkit.kernels
 from zslkit.kernels import (
     KernelSpec,
@@ -307,6 +308,31 @@ class TestRunWideDistances:
             tracemalloc.stop()
         assert gamma == pytest.approx(1.0, rel=0.01)
         assert peak < 2 * 8 * max_pairs
+
+    def test_sampled_gamma_holds_only_chunks(self):
+        # the row indices are replayed a chunk at a time, so no array grows
+        # with max_pairs; the whole-length row-index array alone took 8 MB
+        n, max_pairs = 1100, 1_000_000
+        d = np.add.outer(np.arange(n), np.arange(n)) % 7 + 1.0
+        np.fill_diagonal(d, 0.0)
+        tracemalloc.start()
+        try:
+            gamma = gamma_from_distances(d, max_pairs=max_pairs, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert gamma == memory_reference.sampled_gamma_from_distances(d, max_pairs, seed=3)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sampled_gamma_matches_direct_pairs_with_odd_pair_count(self, seed):
+        # an odd count leaves half of a 64-bit draw buffered in the
+        # generator between the row and the column streams
+        rng = np.random.default_rng(33)
+        x = rng.dirichlet(np.full(20, 0.3), size=600)
+        kw = dict(max_pairs=250_001, seed=seed)
+        gamma = gamma_from_distances(distance_matrix("rbf_chi2", x), **kw)
+        assert gamma == distance_oracle.sampled_gamma(x, **kw)
 
     def test_euclidean_blocks_agree_to_rounding(self):
         # squared Euclidean distances come from a matrix product whose

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import distance_oracle
+import memory_reference
 from conftest import assert_same_fields
 from qp_oracle import svr_dual_oracle
 from zslkit.embedding import l2_normalize
@@ -12,7 +14,9 @@ from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
 from zslkit.model_io import load_model, save_model
 from zslkit.smo import ConvergenceError
 from zslkit.svr import (
+    _SYMMETRY_BLOCK_CELLS,
     SvrConfig,
+    _validate_gram,
     predict_batch,
     train_semantic_regressor,
     train_svr,
@@ -127,6 +131,48 @@ class TestTrainSvr:
             SvrConfig(tolerance=0.0)
 
 
+class TestGramSymmetryCheck:
+    """The symmetry check compares row blocks with column blocks, so it
+    holds no n^2 temporary and decides as the whole-matrix check does."""
+
+    def test_symmetric_gram_peak_is_bounded(self):
+        n = 3000
+        v = np.random.default_rng(20).random(n)
+        g = np.add.outer(v, v)  # exactly symmetric
+        tracemalloc.start()
+        try:
+            out = _validate_gram(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is g
+        # the whole-matrix check held an n^2 bool array, 8.6 MiB here
+        assert peak < 2**20
+
+    def _gram_and_last_block_cell(self):
+        n = 600
+        rows = _SYMMETRY_BLOCK_CELLS // n
+        assert n > rows >= 2  # several blocks; the cell's pair shares the last
+        x = np.random.default_rng(21).dirichlet(np.ones(5), size=n)
+        return gram_matrix(KernelSpec("rbf_chi2", 1.0), x), (n - 1, n - 2)
+
+    def test_one_ulp_asymmetry_in_last_block_is_averaged(self):
+        g, cell = self._gram_and_last_block_cell()
+        g[cell] = np.nextafter(g[cell], np.inf)
+        out = _validate_gram(g)
+        assert out is not g
+        assert out[cell] == out[cell[::-1]]
+        assert out.tobytes() == memory_reference.validate_gram(g).tobytes()
+
+    def test_clear_asymmetry_in_last_block_raises(self):
+        g, cell = self._gram_and_last_block_cell()
+        g[cell] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            _validate_gram(g)
+        with pytest.raises(ValueError, match="symmetric"):
+            memory_reference.validate_gram(g)
+
+
 class TestSemanticRegressor:
     def test_single_dimension_reduces_to_train_svr(self):
         rng = np.random.default_rng(8)
@@ -164,6 +210,14 @@ class TestSemanticRegressor:
         b = train_semantic_regressor(x, scrambled, config, spec)
         np.testing.assert_array_equal(dense_coefficients(a, 0), dense_coefficients(b, 0))
         assert a.biases[0] == b.biases[0]
+
+    def test_pool_features_are_one_copy_of_the_support_rows(self):
+        rng = np.random.default_rng(22)
+        x, spec, gram = random_problem(rng, 12, 5)
+        reg = train_semantic_regressor(x, rng.normal(size=(12, 3)), SvrConfig(), spec, gram)
+        assert reg.pool_indices.size > 0
+        np.testing.assert_array_equal(reg.pool_features, x[reg.pool_indices])
+        assert not np.shares_memory(reg.pool_features, x)
 
     def test_no_support_vectors_predicts_bias(self):
         rng = np.random.default_rng(11)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import memory_reference
 from zslkit.data import Dataset
 from zslkit.embedding import Label, l2_normalize
 from zslkit.kernels import KernelSpec, heuristic_gamma
@@ -14,7 +17,9 @@ from zslkit.zsl import (
     ZslProblem,
     augment_training,
     build_prototypes,
+    _match_rows,
     nearest_prototype,
+    prototype_matrix,
     self_train,
     training_pair,
     write_predictions_csv,
@@ -115,6 +120,52 @@ class TestNnClassify:
             j = int(np.argmin(d))
             assert idx[i] == j
             assert dist[i].tobytes() == d[j].tobytes()
+
+
+class TestChunkedMatching:
+    """Matching runs over row chunks; it must equal the one-tensor form
+    bit for bit and hold only a chunk's difference tensor."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equals_one_tensor_form_bitwise(self, data):
+        n_proto = data.draw(st.integers(1, 30), label="prototypes")
+        d_z = data.draw(st.sampled_from([1, 2, 7, 50, 300]), label="d_z")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        mat = rng.normal(size=(n_proto, d_z))
+        if n_proto > 1 and data.draw(st.booleans(), label="tied"):
+            mat[-1] = mat[0]  # an exact tie, which the first prototype wins
+        step = _match_rows(mat)
+        n_proj = data.draw(
+            st.sampled_from([1, step, step + 1, 3 * step + 2]), label="projections"
+        )
+        proj = rng.normal(size=(n_proj, d_z))
+        protos = [Prototype(Label.of(f"c{i}"), row) for i, row in enumerate(mat)]
+        idx, dist = nearest_prototype(protos, proj)
+        ref_idx, ref_dist = memory_reference.nearest_prototype(prototype_matrix(protos), proj)
+        assert idx.dtype == ref_idx.dtype
+        np.testing.assert_array_equal(idx, ref_idx)
+        assert dist.tobytes() == ref_dist.tobytes()
+
+    def test_no_projections(self):
+        protos = [Prototype(Label.of("a"), np.array([1.0, 0.0]))]
+        idx, dist = nearest_prototype(protos, np.empty((0, 2)))
+        assert idx.shape == dist.shape == (0,)
+
+    def test_half_split_peak_is_bounded(self):
+        # one HMDB51 half-split at d_z=300: the one-tensor form traced
+        # 404 MiB here
+        rng = np.random.default_rng(40)
+        mat = rng.normal(size=(26, 300))
+        protos = [Prototype(Label.of(f"c{i}"), row) for i, row in enumerate(mat)]
+        proj = rng.normal(size=(3383, 300))
+        tracemalloc.start()
+        try:
+            nearest_prototype(protos, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSelfTrain:
@@ -285,7 +336,7 @@ class TestAugmentTraining:
         merged = augment_training(target, None, toy_store)
         np.testing.assert_array_equal(base.features, merged.features)
         np.testing.assert_array_equal(base.embeddings, merged.embeddings)
-        assert merged.provenance == ["target"] * 10
+        assert merged.features.shape[0] == merged.embeddings.shape[0] == 10
 
     def test_concatenation_order_and_counts(self, toy_store):
         rng = np.random.default_rng(6)
@@ -294,7 +345,9 @@ class TestAugmentTraining:
         assert merged.features.shape == (25, 3)
         np.testing.assert_array_equal(merged.features[:10], target.features)
         np.testing.assert_array_equal(merged.features[10:], aux.features)
-        assert merged.provenance == ["target"] * 10 + ["auxiliary"] * 15
+        for rows, part in ((slice(0, 10), target), (slice(10, 25), aux)):
+            stacked = training_pair(part, toy_store).embeddings
+            np.testing.assert_array_equal(merged.embeddings[rows], stacked)
 
     def test_targets_are_normalized_label_embeddings(self, toy_store):
         rng = np.random.default_rng(7)
