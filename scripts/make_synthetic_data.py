@@ -55,7 +55,7 @@ def main() -> None:
 
     # two instance-level folds over the target data for the multi-shot path
     by_class: dict[str, list[str]] = {}
-    for id_, lab, _ in target.instances():
+    for id_, lab in zip(target.ids, target.labels):
         by_class.setdefault(lab.key, []).append(id_)
     cut = args.per_class * 2 // 3
     folds = []

@@ -10,7 +10,6 @@ from .data import Codebook, Dataset, SplitSpec, generate_splits, kmeans_codebook
 from .embedding import (
     EmbeddingStore,
     Label,
-    cosine_distance,
     embed_label,
     l2_normalize,
     load_embeddings,
@@ -22,12 +21,11 @@ from .evaluate import (
     ExperimentConfig,
     run_multishot_evaluation,
     run_zsl_evaluation,
-    simulate_random_guess,
 )
-from .kernels import KernelSpec, chi2_distance, gram_matrix, heuristic_gamma, kernel_value
+from .kernels import KernelSpec, gram_matrix, heuristic_gamma
 from .model_io import load_model, save_model
 from .smo import ConvergenceError
-from .svc import SvcConfig, SvcModel, classify, decision_values, train_svc
+from .svc import SvcConfig, SvcModel, classify_batch, decision_values, train_svc
 from .svr import (
     SemanticRegressor,
     SvrConfig,

@@ -1,9 +1,9 @@
 """Command-line driver.
 
-Subcommands: ``make-splits``, ``quantize``, ``train-regressor``,
-``eval-zsl``, ``eval-multishot``. Exit code is 0 iff a report (or the
-subcommand's output files) was written; otherwise a machine-readable
-error JSON goes to stderr and the exit code is 1.
+Subcommands: ``quantize``, ``train-regressor``, ``eval-zsl``,
+``eval-multishot``. Exit code is 0 iff a report (or the subcommand's
+output files) was written; otherwise a machine-readable error JSON goes
+to stderr and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    generate_splits,
     kmeans_codebook,
     load_dataset,
     quantize,
     read_descriptor_file,
     save_codebook,
-    save_split,
     write_features_csv,
 )
 from .embedding import Label, label_tokens, load_embeddings
@@ -87,18 +85,6 @@ def _print_report(report: EvaluationReport, run_dir: Path) -> None:
     )
     print(f"class-balanced mean: {report.mean_class_balanced:.2f}%")
     print(f"report written to  : {run_dir / 'report.json'}")
-
-
-def _cmd_make_splits(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.features)
-    splits = generate_splits(dataset.class_vocabulary, args.count, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = args.dataset_name or dataset.name
-    for split in splits:
-        save_split(split, name, out / f"split_{split.index:03d}.json")
-    print(f"wrote {len(splits)} split files to {out}")
-    return 0
 
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
@@ -202,14 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-shot action classification via embedding-space regression",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    splits = sub.add_parser("make-splits", help="generate seeded 50/50 category splits")
-    splits.add_argument("--features", required=True)
-    splits.add_argument("--count", type=int, default=30)
-    splits.add_argument("--seed", type=int, default=0)
-    splits.add_argument("--out", required=True)
-    splits.add_argument("--dataset-name")
-    splits.set_defaults(func=_cmd_make_splits)
 
     quant = sub.add_parser("quantize", help="build a k-means codebook and BoW features")
     quant.add_argument("--descriptors", nargs="+", required=True, help="descriptor CSV files")

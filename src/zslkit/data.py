@@ -9,8 +9,9 @@ label cells use underscores for spaces, features are non-negative reals.
 Descriptor CSV: headerless, one descriptor per row, optionally with a
 leading non-numeric video-id column for grouped quantization.
 
-Split JSON: ``{"dataset":..., "seed":..., "index":..., "seen":[...],
-"unseen":[...]}`` with class slugs.
+Split JSON, as ``eval-zsl`` writes each split into its run directory:
+``{"dataset":..., "seed":..., "index":..., "seen":[...], "unseen":[...]}``
+with class slugs.
 
 All randomness flows from explicit seeds through numpy's PCG64
 generator (``np.random.default_rng``); split index i uses the seed
@@ -51,10 +52,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def instances(self):
-        for i, id_ in enumerate(self.ids):
-            yield id_, self.labels[i], self.features[i]
 
     def subset_classes(self, classes: list[Label]) -> "Dataset":
         """Restrict to instances of the given classes; the subset's
@@ -285,16 +282,6 @@ def save_split(split: SplitSpec, dataset_name: str, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def load_split(path: str | Path) -> tuple[str, SplitSpec]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return doc["dataset"], SplitSpec(
-        seed=int(doc["seed"]),
-        index=int(doc["index"]),
-        seen=tuple(Label.of(s) for s in doc["seen"]),
-        unseen=tuple(Label.of(s) for s in doc["unseen"]),
-    )
-
-
 @dataclass
 class Codebook:
     """K-means centroids over descriptor space."""
@@ -393,30 +380,6 @@ def save_codebook(codebook: Codebook, path: str | Path, seed: int | None = None)
         "centroids": [[float(v) for v in row] for row in codebook.centroids],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def load_codebook(path: str | Path) -> Codebook:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or doc.get("schema") != "zslkit-codebook":
-        raise ValueError(f"{path}: not a codebook file")
-    if doc.get("version") != CODEBOOK_VERSION:
-        raise ValueError(f"{path}: unsupported codebook schema version {doc.get('version')!r}")
-    try:
-        k, dim, rows = int(doc["k"]), int(doc["descriptor_dim"]), doc["centroids"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
-    try:
-        centroids = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: centroids is not a numeric array ({exc})") from None
-    if centroids.shape != (k, dim):
-        raise ValueError(
-            f"{path}: centroids has shape {centroids.shape}, expected ({k}, {dim}) "
-            f"to match k and descriptor_dim"
-        )
-    if not np.all(np.isfinite(centroids)):
-        raise ValueError(f"{path}: centroids contain non-finite values")
-    return Codebook(k=k, centroids=centroids, descriptor_dim=dim)
 
 
 def read_descriptor_file(path: str | Path) -> list[tuple[str | None, np.ndarray]]:

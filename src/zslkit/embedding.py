@@ -240,18 +240,3 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("cannot normalize zero vector")
     return v / norm
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2]. For unit vectors this is half the squared
-    Euclidean distance, so Euclidean and cosine nearest neighbours agree
-    after L2 normalization."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for zero vector")
-    return float(np.clip(1.0 - float(a @ b) / (na * nb), 0.0, 2.0))

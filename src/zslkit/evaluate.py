@@ -365,16 +365,24 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     )
 
 
+def _id_list(ids) -> bool:
+    return isinstance(ids, list) and bool(ids) and all(isinstance(i, str) for i in ids)
+
+
 def load_folds(path: str | Path) -> list[dict]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     folds = doc.get("folds") if isinstance(doc, dict) else None
     if not isinstance(folds, list) or not folds:
         raise ValueError(f"{path}: expected {{'folds': [{{'train': [...], 'test': [...]}}]}}")
     for i, fold in enumerate(folds, start=1):
+        if not isinstance(fold, dict):
+            raise ValueError(
+                f"{path}: fold {i} must be an object, got {type(fold).__name__}"
+            )
         train = fold.get("train")
         test = fold.get("test")
-        if not train or not test:
-            raise ValueError(f"{path}: fold {i} must list train and test ids")
+        if not _id_list(train) or not _id_list(test):
+            raise ValueError(f"{path}: fold {i} must list train and test ids as strings")
         overlap = set(train) & set(test)
         if overlap:
             raise ValueError(
@@ -431,15 +439,3 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     return _run_units(
         config, "multishot", "SVM", "fold", list(enumerate(folds, start=1)), fit_predict
     )
-
-
-def simulate_random_guess(
-    n_classes: int, n_instances: int, trials: int, seed: int = 0
-) -> np.ndarray:
-    """Per-trial accuracy fractions of a uniform-random predictor."""
-    if n_classes < 1 or n_instances < 1 or trials < 1:
-        raise ValueError("n_classes, n_instances and trials must be positive")
-    rng = np.random.default_rng(seed)
-    truths = rng.integers(0, n_classes, size=(trials, n_instances))
-    guesses = rng.integers(0, n_classes, size=(trials, n_instances))
-    return (truths == guesses).mean(axis=1)

@@ -30,17 +30,6 @@ class KernelSpec:
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
 
 
-def _as_histogram(x, name: str = "histogram") -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(v < 0):
-        raise ValueError(f"{name} contains negative entries")
-    return v
-
-
 def _as_matrix(x, name: str, require_nonnegative: bool) -> np.ndarray:
     m = np.asarray(x, dtype=np.float64)
     if m.ndim == 1:
@@ -52,36 +41,6 @@ def _as_matrix(x, name: str, require_nonnegative: bool) -> np.ndarray:
     if require_nonnegative and np.any(m < 0):
         raise ValueError(f"{name} contains negative entries")
     return m
-
-
-def chi2_distance(a, b) -> float:
-    """Chi-square histogram distance, 1/2 * sum over bins of (a-b)^2/(a+b).
-
-    Bins with a+b == 0 contribute 0.
-    """
-    a = _as_histogram(a, "a")
-    b = _as_histogram(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    num = (a - b) ** 2
-    den = a + b
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return 0.5 * float(terms.sum())
-
-
-def squared_euclidean(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(d @ d)
-
-
-def kernel_value(spec: KernelSpec, a, b) -> float:
-    """exp(-gamma * D(a, b)); lies in (0, 1], equal to 1 iff D == 0."""
-    d = chi2_distance(a, b) if spec.kind == RBF_CHI2 else squared_euclidean(a, b)
-    return math.exp(-spec.gamma * d)
 
 
 # Floats in one tile's scratch array: two such arrays per worker, 1 MB.
@@ -139,7 +98,7 @@ def _chi2_share(rows, cols, out, starts, height, width, scratch) -> None:
 
 def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Chi-square distances between every row and every column vector,
-    with the 1/2 factor of :func:`chi2_distance`.
+    1/2 * sum over bins of (a-b)^2/(a+b); bins with a+b == 0 contribute 0.
 
     The matrix is computed in tiles whose scratch holds about 2^16 floats,
     and row blocks are dealt round-robin to one thread per usable CPU; the
@@ -220,7 +179,7 @@ def rbf_from_distances(gamma: float, d: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, rows, cols=None) -> np.ndarray:
-    """Kernel matrix M[i][j] = kernel_value(rows[i], cols[j]).
+    """Kernel matrix M[i][j] = exp(-gamma * D(rows[i], cols[j])), in (0, 1].
 
     When ``cols`` is omitted the result is symmetric with unit diagonal.
     """

@@ -49,18 +49,13 @@ class SvcModel:
     dual_objectives: np.ndarray
 
 
-def train_svc(
-    points: np.ndarray,
-    labels: list[Label],
-    config: SvcConfig,
-    kernel: KernelSpec | None = None,
-) -> SvcModel:
+def train_svc(points: np.ndarray, labels: list[Label], config: SvcConfig) -> SvcModel:
     """Train one binary soft-margin SVM per class (one-vs-rest), all
     classes' duals solved in one batched call.
 
-    ``points`` must be L2-normalized. With ``kernel=None`` an RBF kernel
-    over Euclidean distance is used, with gamma set to the reciprocal mean
-    pairwise squared distance; both come from one distance matrix.
+    ``points`` must be L2-normalized. The kernel is an RBF over Euclidean
+    distance with gamma set to the reciprocal mean pairwise squared
+    distance; both come from one distance matrix.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
@@ -73,10 +68,7 @@ def train_svc(
     classes: list[Label] = list(dict.fromkeys(labels))
     if len(classes) < 2:
         raise ValueError("need at least 2 classes")
-    if kernel is None:
-        kernel, gram = fit_kernel(RBF_EUCLIDEAN, distance_matrix(RBF_EUCLIDEAN, x))
-    else:
-        gram = gram_matrix(kernel, x)
+    kernel, gram = fit_kernel(RBF_EUCLIDEAN, distance_matrix(RBF_EUCLIDEAN, x))
 
     label_keys = np.array([lab.key for lab in labels])
     z = np.array([np.where(label_keys == cls.key, 1.0, -1.0) for cls in classes])
@@ -96,26 +88,21 @@ def train_svc(
 
 
 def decision_values(model: SvcModel, points: np.ndarray) -> np.ndarray:
-    """Per-class decision values, shape (n_points, n_classes) or (n_classes,)."""
+    """Per-class decision values of (n_points, d) points, shape
+    (n_points, n_classes)."""
     x = np.asarray(points, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"points must be 2-D, got shape {x.shape}")
     if x.shape[1] != model.train_points.shape[1]:
         raise ValueError(
             f"dimension mismatch: {x.shape[1]} vs {model.train_points.shape[1]}"
         )
     kv = gram_matrix(model.kernel, x, model.train_points)
-    vals = kv @ np.ascontiguousarray(model.coefficients).T + model.biases
-    return vals[0] if single else vals
-
-
-def classify(model: SvcModel, point: np.ndarray) -> Label:
-    """Argmax class of the decision values; ties go to the first class."""
-    vals = decision_values(model, point)
-    return model.classes[int(np.argmax(vals))]
+    return kv @ np.ascontiguousarray(model.coefficients).T + model.biases
 
 
 def classify_batch(model: SvcModel, points: np.ndarray) -> list[Label]:
+    """Argmax class of each point's decision values; ties go to the first
+    class."""
     vals = decision_values(model, points)
     return [model.classes[int(i)] for i in np.argmax(vals, axis=1)]

@@ -156,17 +156,15 @@ def predict_batch(
     features: np.ndarray,
     kernel_rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Project feature rows into the embedding space, (n, d_z); a single
-    1-D feature vector gives a d_z vector.
+    """Project (n, d_x) feature rows into the embedding space, (n, d_z).
 
     ``kernel_rows`` are the rows' kernel values against the regressor's
     support pool, (n, pool size), when the caller already has them;
     otherwise they are computed here.
     """
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {x.shape}")
     feature_dim = regressor.pool_features.shape[1]
     if x.shape[1] != feature_dim:
         raise ValueError(f"feature dimension mismatch: {x.shape[1]} vs {feature_dim}")
@@ -177,5 +175,4 @@ def predict_batch(
             f"kernel rows have shape {kernel_rows.shape}, expected "
             f"({x.shape[0]}, {regressor.coefficients.shape[1]})"
         )
-    out = kernel_rows @ np.ascontiguousarray(regressor.coefficients).T + regressor.biases
-    return out[0] if single else out
+    return kernel_rows @ np.ascontiguousarray(regressor.coefficients).T + regressor.biases

@@ -16,14 +16,10 @@ from .svr import SemanticRegressor, predict_batch
 
 @dataclass
 class Prototype:
-    """A labelled point in embedding space used as a classification target.
-
-    ``adapted`` marks prototypes that were moved by self-training.
-    """
+    """A labelled point in embedding space used as a classification target."""
 
     label: Label
     vector: np.ndarray
-    adapted: bool = False
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ def build_prototypes(store: EmbeddingStore, labels: Sequence[Label]) -> list[Pro
             raise ValueError(f"duplicate label {lab.key!r}")
         seen.add(lab.key)
         vec = l2_normalize(embed_label(store, lab))
-        protos.append(Prototype(label=lab, vector=vec, adapted=False))
+        protos.append(Prototype(label=lab, vector=vec))
     return protos
 
 
@@ -119,7 +115,7 @@ def self_train(
         d2 = ((proj - proto.vector) ** 2).sum(axis=1)
         neighbours = np.argsort(d2, kind="stable")[: config.k]
         vec = l2_normalize(proj[neighbours].mean(axis=0))
-        adapted.append(Prototype(label=proto.label, vector=vec, adapted=True))
+        adapted.append(Prototype(label=proto.label, vector=vec))
     return adapted
 
 

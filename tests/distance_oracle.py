@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def chi2_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True) -> np.ndarray:
+def chi2_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Chi-square distance of every row to every column, one row at a time."""
     out = np.empty((rows.shape[0], cols.shape[0]), dtype=np.float64)
     for i in range(rows.shape[0]):
@@ -21,10 +21,10 @@ def chi2_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True) -> np.n
         den = rows[i] + cols
         terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         out[i] = terms.sum(axis=1)
-    return 0.5 * out if halved else out
+    return 0.5 * out
 
 
-def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True) -> np.ndarray:
+def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Chi-square distances between every row and every column vector.
 
     When ``cols is rows`` only the upper triangle is computed and then
@@ -52,8 +52,7 @@ def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray, halved: bool = True
         nu.sum(axis=1, out=out[i, lo:])
         if symmetric:
             out[lo:, i] = out[i, lo:]
-    if halved:
-        out *= 0.5
+    out *= 0.5
     return out
 
 
@@ -61,8 +60,6 @@ def sampled_gamma(
     x: np.ndarray,
     kind: str = "rbf_chi2",
     *,
-    chi2_halved: bool = True,
-    include_self_pairs: bool = False,
     max_pairs: int = 1_000_000,
     seed: int = 0,
 ) -> float:
@@ -71,10 +68,7 @@ def sampled_gamma(
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=max_pairs)
-    if include_self_pairs:
-        j = rng.integers(0, n, size=max_pairs)
-    else:
-        j = (i + rng.integers(1, n, size=max_pairs)) % n
+    j = (i + rng.integers(1, n, size=max_pairs)) % n
     total = 0.0
     chunk = 100_000
     for lo in range(0, max_pairs, chunk):
@@ -85,8 +79,7 @@ def sampled_gamma(
             den = a + b
             terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
             vals = terms.sum(axis=1)
-            if chi2_halved:
-                vals *= 0.5
+            vals *= 0.5
         else:
             diff = a - b
             vals = (diff * diff).sum(axis=1)

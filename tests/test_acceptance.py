@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from qp_oracle import svr_dual_oracle
-from zslkit.data import generate_splits, kmeans_codebook, save_split
-from zslkit.embedding import Label
-from zslkit.evaluate import run_zsl_evaluation, simulate_random_guess
+from zslkit.data import generate_splits, kmeans_codebook, save_split, write_features_csv
+from zslkit.embedding import Label, save_embeddings
+from zslkit.evaluate import ExperimentConfig, run_zsl_evaluation
 from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor, train_svr
 from zslkit.synthetic import make_world, world_dataset, world_store
@@ -87,10 +87,33 @@ def test_criterion_2_rbf_chi2_gram_psd():
     assert elapsed < 60.0
 
 
-def test_criterion_3_random_guess_anchor():
+def _random_predictor_accuracy(root, n_classes: int, per_class: int, seed: int):
+    """Mean accuracy (%) and guess count of ``eval-zsl --predictor random``
+    over 100 half splits of an ``n_classes``-class dataset."""
+    rng = np.random.default_rng(seed)
+    world = make_world(n_classes, d_x=2, d_z=2, rng=rng)
+    dataset = world_dataset(world, list(range(n_classes)), per_class, rng)
+    root.mkdir()
+    write_features_csv(root / "target.csv", dataset.ids, dataset.labels, dataset.features)
+    save_embeddings(world_store(world), root / "embeddings.txt")
+    config = ExperimentConfig(
+        target_path=str(root / "target.csv"),
+        embedding_path=str(root / "embeddings.txt"),
+        out_dir=str(root / "runs"),
+        predictor="random",
+        split_count=100,
+        split_seed=seed,
+    )
+    report, _ = run_zsl_evaluation(config)
+    return report.mean_accuracy, sum(report.n_test_per_split)
+
+
+def test_criterion_3_random_guess_anchor(tmp_path):
     started = time.time()
-    acc25 = 100.0 * float(simulate_random_guess(25, 100, 10_000, seed=1).mean())
-    acc50 = 100.0 * float(simulate_random_guess(50, 100, 10_000, seed=2).mean())
+    # 25 and 50 unseen classes, 400,000 guesses each
+    acc25, n25 = _random_predictor_accuracy(tmp_path / "c50", 50, 160, seed=1)
+    acc50, n50 = _random_predictor_accuracy(tmp_path / "c100", 100, 80, seed=2)
+    assert min(n25, n50) >= 400_000
     elapsed = time.time() - started
     ok = abs(acc25 - 4.0) <= 0.2 and abs(acc50 - 2.0) <= 0.1 and elapsed < 60.0
     report_line(
@@ -274,10 +297,6 @@ def test_criterion_7_kmeans_recovery():
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path):
-    from zslkit.data import write_features_csv
-    from zslkit.embedding import save_embeddings
-    from zslkit.evaluate import ExperimentConfig
-
     rng = np.random.default_rng(88)
     world = make_world(8, d_x=8, d_z=5, rng=rng, concentration=80.0)
     dataset = world_dataset(world, list(range(8)), per_class=8, rng=rng, name="target")

@@ -10,9 +10,7 @@ from zslkit.data import (
     Codebook,
     generate_splits,
     kmeans_codebook,
-    load_codebook,
     load_dataset,
-    load_split,
     quantize,
     read_descriptor_file,
     save_codebook,
@@ -132,9 +130,10 @@ class TestGenerateSplits:
         split = generate_splits(vocab, 1, 3)[0]
         path = tmp_path / "split.json"
         save_split(split, "toy", path)
-        name, loaded = load_split(path)
-        assert name == "toy"
-        assert loaded == split
+        doc = json.loads(path.read_text())
+        assert (doc["dataset"], doc["seed"], doc["index"]) == ("toy", 3, 1)
+        assert tuple(map(Label.of, doc["seen"])) == split.seen
+        assert tuple(map(Label.of, doc["unseen"])) == split.unseen
 
     def test_unseen_frequency_is_balanced(self):
         # distribution check over many splits of a 10-class vocabulary
@@ -184,42 +183,17 @@ class TestKmeans:
 
 
 class TestCodebookFiles:
-    def _saved(self, tmp_path, edit=None):
-        path = tmp_path / "codebook.json"
-        save_codebook(Codebook(k=3, centroids=np.arange(6.0).reshape(3, 2), descriptor_dim=2), path)
-        if edit is not None:
-            doc = json.loads(path.read_text())
-            edit(doc)
-            path.write_text(json.dumps(doc))
-        return path
-
     def test_round_trip(self, tmp_path):
-        book = load_codebook(self._saved(tmp_path))
-        assert (book.k, book.descriptor_dim) == (3, 2)
-        np.testing.assert_array_equal(book.centroids, np.arange(6.0).reshape(3, 2))
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda doc: doc.update(version=2), "unsupported codebook schema version 2"),
-            (lambda doc: doc["centroids"].append([6.0, 7.0]),
-             r"centroids has shape \(4, 2\), expected \(3, 2\) to match k"),
-            (lambda doc: doc.update(descriptor_dim=3),
-             r"centroids has shape \(3, 2\), expected \(3, 3\)"),
-            (lambda doc: doc["centroids"][1].pop(), "centroids is not a numeric array"),
-            (lambda doc: doc.pop("k"), "missing field 'k'"),
-            (lambda doc: doc["centroids"][2].__setitem__(0, float("nan")),
-             "centroids contain non-finite values"),
-            (lambda doc: doc["centroids"][0].__setitem__(1, float("inf")),
-             "centroids contain non-finite values"),
-        ],
-        ids=["version", "extra_centroid", "descriptor_dim", "ragged", "missing", "nan", "inf"],
-    )
-    def test_inconsistent_file_rejected(self, tmp_path, edit, message):
-        path = self._saved(tmp_path, edit)
-        with pytest.raises(ValueError, match=message) as err:
-            load_codebook(path)
-        assert str(err.value).startswith(f"{path}: ")
+        # quantize writes the codebook it fitted; every centroid survives
+        # the JSON round trip exactly
+        rng = np.random.default_rng(4)
+        centroids = rng.normal(size=(3, 2))
+        path = tmp_path / "codebook.json"
+        save_codebook(Codebook(k=3, centroids=centroids, descriptor_dim=2), path, seed=5)
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == "zslkit-codebook"
+        assert (doc["version"], doc["k"], doc["descriptor_dim"], doc["seed"]) == (1, 3, 2, 5)
+        np.testing.assert_array_equal(np.array(doc["centroids"]), centroids)
 
 
 class TestQuantize:

@@ -7,7 +7,6 @@ from conftest import write_embedding_file
 from zslkit.embedding import (
     EmbeddingStore,
     Label,
-    cosine_distance,
     embed_label,
     l2_normalize,
     load_embeddings,
@@ -182,23 +181,6 @@ class TestGeometry:
         with pytest.raises(ValueError, match="cannot normalize zero vector"):
             l2_normalize(np.zeros(3))
 
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            ([1.0, 0.0], [1.0, 0.0], 0.0),
-            ([1.0, 0.0], [0.0, 1.0], 1.0),
-            ([1.0, 0.0], [-1.0, 0.0], 2.0),
-        ],
-    )
-    def test_cosine_distance_values(self, a, b, expected):
-        assert cosine_distance(np.array(a), np.array(b)) == pytest.approx(expected)
-
-    def test_cosine_distance_errors(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            cosine_distance(np.zeros(2), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="length mismatch"):
-            cosine_distance(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
     @given(
         st.lists(st.floats(-5, 5), min_size=2, max_size=6),
         st.lists(st.floats(-5, 5), min_size=2, max_size=6),
@@ -211,4 +193,4 @@ class TestGeometry:
             return
         u, v = l2_normalize(u), l2_normalize(v)
         lhs = float(np.sum((u - v) ** 2))
-        assert lhs == pytest.approx(2.0 * cosine_distance(u, v), abs=1e-9)
+        assert lhs == pytest.approx(2.0 * (1.0 - float(u @ v)), abs=1e-9)

@@ -13,9 +13,8 @@ from zslkit.evaluate import (
     load_folds,
     run_multishot_evaluation,
     run_zsl_evaluation,
-    simulate_random_guess,
 )
-from zslkit.kernels import RBF_EUCLIDEAN, KernelSpec, heuristic_gamma
+from zslkit.kernels import KernelSpec, heuristic_gamma
 from zslkit.smo import ConvergenceError
 from zslkit.svc import SvcConfig, classify_batch, train_svc
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
@@ -116,8 +115,7 @@ def reference_multishot_predictions(config: ExperimentConfig, out_dir) -> None:
             normalized_projections(predict_batch(regressor, ds.features), ds.ids)
             for ds in (train, test)
         )
-        svc_kernel = KernelSpec(RBF_EUCLIDEAN, heuristic_gamma(train_proj, RBF_EUCLIDEAN))
-        model = train_svc(train_proj, train.labels, SvcConfig(), svc_kernel)
+        model = train_svc(train_proj, train.labels, SvcConfig())
         predicted = classify_batch(model, test_proj)
         write_predictions_csv(
             [Prediction(id_, lab, float("nan")) for id_, lab in zip(test.ids, predicted)],
@@ -333,20 +331,10 @@ class TestZslEvaluation:
             seen.add(fp)
 
 
-class TestRandomGuess:
-    def test_matches_one_over_k(self):
-        acc = simulate_random_guess(25, n_instances=100, trials=4000, seed=0)
-        assert abs(float(acc.mean()) - 0.04) < 0.002
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            simulate_random_guess(0, 10, 10)
-
-
 class TestMultishot:
     def _write_folds(self, path, dataset, per_class=10, train_frac=0.6):
         ids_by_class: dict[str, list[str]] = {}
-        for id_, lab, _ in dataset.instances():
+        for id_, lab in zip(dataset.ids, dataset.labels):
             ids_by_class.setdefault(lab.key, []).append(id_)
         cut = int(per_class * train_frac)
         folds = []
@@ -397,6 +385,21 @@ class TestMultishot:
         config = base_config(toy_world, tmp_path, folds_path=str(folds_path))
         with pytest.raises(ValueError, match="overlapping instance ids"):
             run_multishot_evaluation(config)
+
+    @pytest.mark.parametrize(
+        "folds, message",
+        [
+            ([["a"], ["b"]], "fold 1 must be an object, got list"),
+            ([{"train": ["a"], "test": ["b"]}, {"train": "ab", "test": "cd"}],
+             "fold 2 must list train and test ids as strings"),
+        ],
+        ids=["fold_not_object", "ids_not_list"],
+    )
+    def test_malformed_fold_file_names_path_and_fold(self, tmp_path, folds, message):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps({"folds": folds}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_folds(path)
 
     def test_missing_folds_path(self, toy_world, tmp_path):
         config = base_config(toy_world, tmp_path)
@@ -575,24 +578,6 @@ class TestCli:
         assert code == 0
         config = json.loads(next(out.glob("*/report.json")).read_text())["config"]
         assert config["gamma"] == (0.5 if gamma == "0.5" else "auto")
-
-    def test_make_splits_deterministic(self, toy_world, tmp_path):
-        for sub in ("a", "b"):
-            code = main(
-                [
-                    "make-splits",
-                    "--features", str(toy_world["target"]),
-                    "--count", "3",
-                    "--seed", "11",
-                    "--out", str(tmp_path / sub),
-                ]
-            )
-            assert code == 0
-        for i in (1, 2, 3):
-            name = f"split_{i:03d}.json"
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name
-            ).read_bytes()
 
     def test_train_regressor_writes_model(self, toy_world, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -15,15 +15,12 @@ import memory_reference
 import zslkit.kernels
 from zslkit.kernels import (
     KernelSpec,
-    chi2_distance,
     chi2_distance_matrix,
     distance_matrix,
     fit_kernel,
     gamma_from_distances,
     gram_matrix,
     heuristic_gamma,
-    kernel_value,
-    squared_euclidean,
 )
 
 histograms = hnp.arrays(
@@ -42,66 +39,71 @@ histogram_sets = hnp.arrays(
 
 def brute_force_mean_pair_distance(vectors):
     """Enumeration oracle for the gamma heuristic's documented convention."""
-    n = len(vectors)
-    total, count = 0.0, 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            total += chi2_distance(vectors[i], vectors[j])
-            count += 1
-    return total / count
+    v = np.asarray(vectors, dtype=np.float64)
+    d = distance_oracle.chi2_matrix(v, v)
+    n = len(v)
+    return sum(d[i, j] for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
+
+
+def chi2(a, b) -> float:
+    """The package's chi-square distance between two histograms."""
+    return float(distance_matrix("rbf_chi2", [a], [b])[0, 0])
+
+
+def kernel_at(spec, a, b) -> float:
+    """The package's kernel value between two vectors."""
+    return float(gram_matrix(spec, [a], [b])[0, 0])
 
 
 class TestChi2:
     def test_identical_histograms(self):
-        assert chi2_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert chi2([0.5, 0.5], [0.5, 0.5]) == 0.0
 
     def test_disjoint_mass(self):
         # 0.5 * (1/1 + 1/1)
-        assert chi2_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+        assert chi2([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_empty_mass_convention(self):
-        assert chi2_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
+        assert chi2([0.0, 0.0], [0.0, 0.0]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            chi2_distance([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            chi2([1.0], [1.0, 2.0])
 
     def test_negative_entry(self):
         with pytest.raises(ValueError, match="negative"):
-            chi2_distance([1.0, -0.1], [1.0, 0.0])
+            chi2([1.0, -0.1], [1.0, 0.0])
 
     @given(histograms, histograms)
     def test_symmetric_nonnegative(self, a, b):
         if a.shape != b.shape:
             return
-        d_ab = chi2_distance(a, b)
+        d_ab = chi2(a, b)
         assert d_ab >= 0.0
-        assert d_ab == pytest.approx(chi2_distance(b, a), abs=1e-12)
+        assert d_ab == pytest.approx(chi2(b, a), abs=1e-12)
 
     @given(histograms)
     def test_vanishes_only_on_equal(self, a):
-        assert chi2_distance(a, a) == 0.0
+        assert chi2(a, a) == 0.0
         shifted = a.copy()
         shifted[0] += 1.0
-        assert chi2_distance(a, shifted) > 0.0
+        assert chi2(a, shifted) > 0.0
 
 
 class TestKernelValue:
     def test_zero_distance_gives_one(self):
         spec = KernelSpec("rbf_chi2", 3.0)
-        assert kernel_value(spec, [0.2, 0.8], [0.2, 0.8]) == 1.0
+        assert kernel_at(spec, [0.2, 0.8], [0.2, 0.8]) == 1.0
 
     def test_analytic_half(self):
         # chi2 distance (c+d)/2 for disjoint single-bin mass c, d
         ln2 = math.log(2.0)
         spec = KernelSpec("rbf_chi2", 1.0)
-        assert kernel_value(spec, [ln2, 0.0], [0.0, ln2]) == pytest.approx(0.5)
+        assert kernel_at(spec, [ln2, 0.0], [0.0, ln2]) == pytest.approx(0.5)
 
     def test_composed_example(self):
         spec = KernelSpec("rbf_chi2", 0.25)
-        assert kernel_value(spec, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(
+        assert kernel_at(spec, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(
             math.exp(-0.25)
         )
 
@@ -118,15 +120,15 @@ class TestKernelValue:
         if a.shape != b.shape:
             return
         spec = KernelSpec("rbf_chi2", gamma)
-        v = kernel_value(spec, a, b)
+        v = kernel_at(spec, a, b)
         assert 0.0 < v <= 1.0
-        d = chi2_distance(a, b)
+        d = chi2(a, b)
         if d == 0.0:
             assert v == 1.0
         elif gamma * d > 1e-9:  # above float rounding of exp near 1
             assert v < 1.0
             # strictly decreasing in the distance at fixed gamma
-            assert kernel_value(KernelSpec("rbf_chi2", gamma * 2.0), a, b) < v
+            assert kernel_at(KernelSpec("rbf_chi2", gamma * 2.0), a, b) < v
 
 
 class TestHeuristicGamma:
@@ -137,9 +139,10 @@ class TestHeuristicGamma:
     def test_three_vectors_mean_two(self):
         # pairwise chi2 distances {1, 2, 3}, mean 2 -> gamma 1/2
         vecs = [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 4.0]]
-        assert chi2_distance(vecs[0], vecs[1]) == pytest.approx(1.0)
-        assert chi2_distance(vecs[0], vecs[2]) == pytest.approx(2.0)
-        assert chi2_distance(vecs[1], vecs[2]) == pytest.approx(3.0)
+        d = distance_matrix("rbf_chi2", vecs)
+        assert d[0, 1] == pytest.approx(1.0)
+        assert d[0, 2] == pytest.approx(2.0)
+        assert d[1, 2] == pytest.approx(3.0)
         assert heuristic_gamma(vecs) == pytest.approx(0.5)
         assert heuristic_gamma(vecs) == pytest.approx(
             1.0 / brute_force_mean_pair_distance(vecs)
@@ -178,11 +181,7 @@ class TestHeuristicGamma:
 
     def test_euclidean_variant_uses_squared_distance(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        total = (
-            squared_euclidean(pts[0], pts[1])
-            + squared_euclidean(pts[0], pts[2])
-            + squared_euclidean(pts[1], pts[2])
-        )
+        total = 1.0 + 4.0 + 5.0  # squared distances of the three pairs
         expected = 1.0 / (2 * total / 6)
         assert heuristic_gamma(pts, "rbf_euclidean") == pytest.approx(expected)
 
@@ -214,7 +213,8 @@ class TestGramMatrix:
         spec = KernelSpec("rbf_chi2", 2.0)
         g = gram_matrix(spec, rows, cols)
         assert g.shape == (4, 7)
-        assert g[1, 2] == pytest.approx(kernel_value(spec, rows[1], cols[2]))
+        d = distance_oracle.chi2_matrix(rows[1:2], cols[2:3])[0, 0]
+        assert g[1, 2] == pytest.approx(math.exp(-2.0 * d))
 
     def test_euclidean_gram_psd(self):
         rng = np.random.default_rng(24)

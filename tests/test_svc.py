@@ -16,7 +16,7 @@ from zslkit.kernels import (
     gram_matrix,
 )
 from zslkit.model_io import load_model, save_model
-from zslkit.svc import SvcConfig, SvcModel, classify, classify_batch, decision_values, train_svc
+from zslkit.svc import SvcConfig, SvcModel, classify_batch, decision_values, train_svc
 
 
 def unit_rows(x):
@@ -59,11 +59,8 @@ class TestTrainSvc:
     def test_duplicating_points_keeps_sign_pattern(self):
         rng = np.random.default_rng(2)
         pts, labels = two_clusters(rng, per_side=10)
-        kernel = KernelSpec("rbf_euclidean", 1.5)
-        base = train_svc(pts, labels, SvcConfig(), kernel)
-        doubled = train_svc(
-            np.vstack([pts, pts]), labels + labels, SvcConfig(), kernel
-        )
+        base = train_svc(pts, labels, SvcConfig())
+        doubled = train_svc(np.vstack([pts, pts]), labels + labels, SvcConfig())
         probes = unit_rows(rng.normal(size=(100, 4)))
         np.testing.assert_array_equal(
             np.sign(decision_values(base, probes)),
@@ -81,10 +78,7 @@ class TestTrainSvc:
         pts, labels = two_clusters(rng)
         model = train_svc(pts, labels, SvcConfig(tolerance=1e-8))
         perm = rng.permutation(len(labels))
-        permuted = train_svc(
-            pts[perm], [labels[i] for i in perm], SvcConfig(tolerance=1e-8),
-            kernel=model.kernel,
-        )
+        permuted = train_svc(pts[perm], [labels[i] for i in perm], SvcConfig(tolerance=1e-8))
         probes = unit_rows(rng.normal(size=(50, 4)))
         assert classify_batch(model, probes) == classify_batch(permuted, probes)
 
@@ -111,12 +105,11 @@ class TestTrainSvc:
         monkeypatch.setattr(zslkit.kernels, "squared_euclidean_matrix", counted)
         model = train_svc(pts, labels, SvcConfig())
         assert len(calls) == 1
-        # the same as training with the kernel fitted to the same distances
+        # the kernel is the one fitted to those distances
         kernel = KernelSpec(
             RBF_EUCLIDEAN, gamma_from_distances(distance_matrix(RBF_EUCLIDEAN, pts))
         )
         assert model.kernel == kernel
-        assert_same_fields(model, train_svc(pts, labels, SvcConfig(), kernel))
 
 
 class TestClassify:
@@ -131,15 +124,16 @@ class TestClassify:
     def test_interior_training_point_gets_its_class(self):
         rng = np.random.default_rng(6)
         model = self._three_class_model(rng)
-        assert classify(model, model.train_points[0]) == Label.of("left")
-        assert classify(model, model.train_points[20]) == Label.of("mid")
+        assert classify_batch(model, model.train_points[[0, 20]]) == [
+            Label.of("left"), Label.of("mid")
+        ]
 
     def test_argmax_over_decision_values(self):
         rng = np.random.default_rng(7)
         model = self._three_class_model(rng)
-        probe = model.train_points[30]
+        probe = model.train_points[30:31]
         vals = decision_values(model, probe)
-        assert classify(model, probe) == model.classes[int(np.argmax(vals))]
+        assert classify_batch(model, probe) == [model.classes[int(np.argmax(vals))]]
 
     def test_exact_tie_takes_first_declared_class(self):
         rng = np.random.default_rng(8)
@@ -153,19 +147,24 @@ class TestClassify:
             iterations=np.zeros(3, dtype=np.int64),
             dual_objectives=np.zeros(3),
         )
-        assert classify(tied, model.train_points[0]) == model.classes[0]
+        assert classify_batch(tied, model.train_points[:1]) == [model.classes[0]]
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
         model = self._three_class_model(rng)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            classify(model, np.ones(5) / np.sqrt(5))
+        for points, message in [
+            (np.ones((2, 5)) / np.sqrt(5), "dimension mismatch"),
+            (model.train_points[0], r"points must be 2-D, got shape \(3,\)"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                classify_batch(model, points)
+            with pytest.raises(ValueError, match=message):
+                decision_values(model, points)
 
     def test_added_remote_class_changes_values_not_argmax(self):
         rng = np.random.default_rng(10)
         pts, labels = two_clusters(rng, per_side=12)
-        kernel = KernelSpec("rbf_euclidean", 1.5)
-        base = train_svc(pts, labels, SvcConfig(), kernel)
+        base = train_svc(pts, labels, SvcConfig())
         remote = np.zeros((6, 4))
         remote[:, 3] = 1.0
         remote = unit_rows(remote + 0.02 * rng.normal(size=(6, 4)))
@@ -173,7 +172,6 @@ class TestClassify:
             np.vstack([pts, remote]),
             labels + [Label.of("remote")] * 6,
             SvcConfig(),
-            kernel,
         )
         vals_base = decision_values(base, pts)
         vals_ext = decision_values(extended, pts)[:, :2]

@@ -195,8 +195,8 @@ class TestSemanticRegressor:
         target = l2_normalize(np.array([1.0, 2.0, 2.0]))
         emb = np.tile(target, (10, 1))
         reg = train_semantic_regressor(x, emb, SvrConfig(epsilon=0.05), spec)
-        probe = rng.dirichlet(np.ones(5))
-        np.testing.assert_allclose(predict_batch(reg, probe), target, atol=0.05 + 1e-9)
+        probe = rng.dirichlet(np.ones(5), size=1)
+        np.testing.assert_allclose(predict_batch(reg, probe)[0], target, atol=0.05 + 1e-9)
 
     def test_per_dimension_independence(self):
         rng = np.random.default_rng(10)
@@ -227,7 +227,7 @@ class TestSemanticRegressor:
         reg = train_semantic_regressor(x, emb, SvrConfig(epsilon=0.1), spec)
         assert reg.pool_features.shape[0] == 0
         np.testing.assert_allclose(
-            predict_batch(reg, rng.dirichlet(np.ones(4))), [0.25, -0.5], atol=1e-12
+            predict_batch(reg, rng.dirichlet(np.ones(4), size=1))[0], [0.25, -0.5], atol=1e-12
         )
 
     def test_support_storage_order_is_immaterial(self):
@@ -275,8 +275,12 @@ class TestSemanticRegressor:
         rng = np.random.default_rng(15)
         x = rng.dirichlet(np.ones(3), size=4)
         reg = train_semantic_regressor(x, rng.normal(size=(4, 2)), SvrConfig(epsilon=0.0), spec)
-        with pytest.raises(ValueError, match="feature dimension mismatch"):
-            predict_batch(reg, np.ones(5) / 5)
+        for features, message in [
+            (np.ones((2, 5)) / 5, "feature dimension mismatch"),
+            (x[0], r"features must be 2-D, got shape \(3,\)"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                predict_batch(reg, features)
         pool = reg.coefficients.shape[1]
         with pytest.raises(ValueError, match="kernel rows have shape"):
             predict_batch(reg, x, np.ones((3, pool)))
@@ -396,7 +400,8 @@ class TestModelSerialization:
         kernel = {"kind": "rbf_chi2", "gamma": g, "chi2_halved": False}
         loaded = load_model(self._corrupted(tmp_path, "kernel", kernel))
         x = np.random.default_rng(23).dirichlet(np.full(6, 0.5), size=40)
-        expected = np.exp(-g * distance_oracle.chi2_matrix(x, x, False))
+        # the unhalved distance, exactly twice the halved one
+        expected = np.exp(-g * (2.0 * distance_oracle.chi2_matrix(x, x)))
         np.testing.assert_array_equal(
             gram_matrix(loaded.kernel, x).view(np.int64), expected.view(np.int64)
         )
