@@ -13,10 +13,7 @@ Run it from the repository root. Each stage runs at a fixed seeded shape:
   matrix, whose 1,080,560 ordered pairs are sampled down to 1e6 (the
   zsl-deep pool size);
 - ``symmetry``: ``svr._validate_gram`` of an exactly symmetric 4,000-row
-  Gram matrix;
-- ``pool``: the support pool's feature rows, 288 of 288 rows at d_x=1000
-  (zsl-wide's shape), as ``train_semantic_regressor`` now takes them
-  (``x[pool_idx]``, one copy) and as it took them before (a second copy).
+  Gram matrix.
 
 ``reference`` is the former form, kept in ``tests/memory_reference.py``;
 ``library`` is zslkit's code. For each path the file records the best and
@@ -85,15 +82,7 @@ def symmetry(rng):
             lambda r: digest(r))
 
 
-def pool(rng):
-    x = rng.random((288, 1000))
-    pool_idx = np.arange(288)
-    return ("288 of 288 rows, d_x=1000",
-            lambda: reference.pool_features(x, pool_idx), lambda: x[pool_idx],
-            lambda r: digest(r))
-
-
-STAGES = {"matching": matching, "gamma": gamma, "symmetry": symmetry, "pool": pool}
+STAGES = {"matching": matching, "gamma": gamma, "symmetry": symmetry}
 
 
 def main() -> int:
@@ -115,7 +104,7 @@ def main() -> int:
         "command": f"python3 scripts/bench_memory.py --seed {args.seed} --repeats {args.repeats}",
         "paths": {
             "reference": "former whole-array form (tests/memory_reference.py)",
-            "library": "zslkit's chunked form; for pool, the single copy it now keeps",
+            "library": "zslkit's chunked form",
         },
         "host": {
             "python": platform.python_version(),

@@ -41,8 +41,8 @@ from .zsl import (
     augment_training,
     build_prototypes,
     nearest_prototype,
+    label_targets,
     self_train,
-    training_pair,
     zsl_predict,
 )
 

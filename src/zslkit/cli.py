@@ -36,7 +36,7 @@ from .kernels import fit_kernel
 from .model_io import save_model
 from .smo import ConvergenceError
 from .svr import train_semantic_regressor
-from .zsl import training_pair
+from .zsl import label_targets
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -130,16 +130,14 @@ def _cmd_train_regressor(args: argparse.Namespace) -> int:
     store = load_embeddings(
         config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
     )
-    pair = training_pair(dataset, store)
+    targets = label_targets(dataset.labels, store)
     kernel, gram = fit_kernel(
         config.kernel_kind, _run_distances(config, dataset), config.gamma
     )
-    regressor = train_semantic_regressor(
-        pair.features, pair.embeddings, config.svr_config(), kernel, gram
-    )
+    regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
     out = Path(args.model_out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(regressor, out)
+    save_model(regressor, dataset.features[regressor.pool_indices], out)
     print(f"trained on {len(dataset)} instances, d_z={regressor.coefficients.shape[0]}")
     print(f"model written to {out}")
     return 0

@@ -353,8 +353,8 @@ def quantize(codebook: Codebook, descriptors: np.ndarray, normalize: bool = Fals
     if x.size == 0:
         warnings.warn("quantize: empty descriptor list, returning zero histogram")
         return np.zeros(codebook.k, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"descriptors must be 2-D, got shape {x.shape}")
     if x.shape[1] != codebook.descriptor_dim:
         raise ValueError(
             f"descriptor dimension {x.shape[1]} does not match codebook "

@@ -37,8 +37,8 @@ from .zsl import (
     ZslProblem,
     augment_training,
     build_prototypes,
+    label_targets,
     normalized_projections,
-    training_pair,
     write_predictions_csv,
     zsl_predict,
 )
@@ -110,6 +110,12 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 what = "an integer" if kinds is int else "a number"
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+        # each solver config's message starts with the bare field name
+        for prefix, solver_config in (("svr_", self.svr_config), ("svc_", self.svc_config)):
+            try:
+                solver_config()
+            except ValueError as exc:
+                raise ValueError(f"{prefix}{exc}") from None
         if not self.target_path:
             raise ValueError("target_path is required")
         if not Path(self.target_path).is_file():
@@ -151,6 +157,11 @@ class ExperimentConfig:
             epsilon=self.svr_epsilon,
             tolerance=self.svr_tolerance,
             max_passes=self.svr_max_passes,
+        )
+
+    def svc_config(self) -> SvcConfig:
+        return SvcConfig(
+            c=self.svc_c, tolerance=self.svc_tolerance, max_passes=self.svc_max_passes
         )
 
     def variant_name(self) -> str:
@@ -344,19 +355,17 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
             return test_ds.labels, _random_predictions(
                 test_ds, split.unseen, config.split_seed, split.index
             )
-        pair = augment_training(train_ds, auxiliary, store, unseen=list(split.unseen))
+        targets = augment_training(train_ds, auxiliary, store, unseen=list(split.unseen))
         rows = np.concatenate([_row_index(target, train_ds.ids), aux_rows])
         kernel, gram = fit_kernel(
             config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma
         )
-        regressor = train_semantic_regressor(
-            pair.features, pair.embeddings, config.svr_config(), kernel, gram
-        )
+        regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
         del gram  # keep at most the run matrix and one unit's block alive
         test_rows = _row_index(target, test_ds.ids)
         kv = dist[np.ix_(test_rows, rows[regressor.pool_indices])]
         return test_ds.labels, zsl_predict(
-            regressor, problem, st_config, rbf_from_distances(kernel.gamma, kv)
+            regressor, problem, rbf_from_distances(kernel.gamma, kv), st_config
         )
 
     variant = config.variant_name() if config.predictor == PREDICTOR_REGRESSOR else "Random"
@@ -383,6 +392,10 @@ def load_folds(path: str | Path) -> list[dict]:
         test = fold.get("test")
         if not _id_list(train) or not _id_list(test):
             raise ValueError(f"{path}: fold {i} must list train and test ids as strings")
+        for name, ids in (("train", train), ("test", test)):
+            if len(set(ids)) != len(ids):
+                repeated = next(id_ for k, id_ in enumerate(ids) if id_ in ids[:k])
+                raise ValueError(f"{path}: fold {i} repeats {name} id {repeated!r}")
         overlap = set(train) & set(test)
         if overlap:
             raise ValueError(
@@ -405,30 +418,25 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     )
     folds = load_folds(config.folds_path)
     dist = _run_distances(config, dataset)
-    svc_config = SvcConfig(
-        c=config.svc_c, tolerance=config.svc_tolerance, max_passes=config.svc_max_passes
-    )
+    svc_config = config.svc_config()
 
     def fit_predict(fold: dict, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
         train_ds = dataset.subset_ids(list(fold["train"]))
         test_ds = dataset.subset_ids(list(fold["test"]))
-        pair = training_pair(train_ds, store)
+        targets = label_targets(train_ds.labels, store)
         rows = _row_index(dataset, train_ds.ids)
         kernel, gram = fit_kernel(
             config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma
         )
-        regressor = train_semantic_regressor(
-            pair.features, pair.embeddings, config.svr_config(), kernel, gram
-        )
+        regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
         pool = regressor.pool_indices
         train_proj = normalized_projections(
-            predict_batch(regressor, train_ds.features, gram[:, pool]), train_ds.ids
+            predict_batch(regressor, gram[:, pool]), train_ds.ids
         )
         del gram  # keep at most the run matrix and one unit's block alive
         kv = dist[np.ix_(_row_index(dataset, test_ds.ids), rows[pool])]
         test_proj = normalized_projections(
-            predict_batch(regressor, test_ds.features, rbf_from_distances(kernel.gamma, kv)),
-            test_ds.ids,
+            predict_batch(regressor, rbf_from_distances(kernel.gamma, kv)), test_ds.ids
         )
         model = train_svc(train_proj, train_ds.labels, svc_config)
         predicted = classify_batch(model, test_proj)

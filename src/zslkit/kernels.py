@@ -32,8 +32,6 @@ class KernelSpec:
 
 def _as_matrix(x, name: str, require_nonnegative: bool) -> np.ndarray:
     m = np.asarray(x, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[None, :]
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

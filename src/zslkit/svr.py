@@ -9,7 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smo
-from .kernels import KernelSpec, gram_matrix
+from .kernels import (
+    KernelSpec,
+    gram_matrix,  # noqa: F401  (perfbench/spans.py wraps svr.gram_matrix)
+)
 
 
 @dataclass(frozen=True)
@@ -88,18 +91,19 @@ def train_svr(gram: np.ndarray, targets: np.ndarray, config: SvrConfig) -> smo.S
 
 @dataclass
 class SemanticRegressor:
-    """Per-dimension SVRs sharing one support-vector pool.
+    """Per-dimension SVRs sharing one support-vector pool, as a kernel
+    expansion over the training rows.
 
-    ``pool_features`` are the training samples used by at least one output
-    dimension; ``coefficients`` is dense (dimension x pool size), and
-    ``iterations`` and ``dual_objectives`` hold each dimension's solver
-    statistics.
+    ``pool_indices`` are the training rows (of ``n_train``) used by at
+    least one output dimension; ``coefficients`` is dense (dimension x pool
+    size), and ``iterations`` and ``dual_objectives`` hold each dimension's
+    solver statistics. The model holds no feature rows: a projection takes
+    the kernel values of its rows against the pool's training rows.
     """
 
     kernel: KernelSpec
     n_train: int
     pool_indices: np.ndarray
-    pool_features: np.ndarray
     coefficients: np.ndarray
     biases: np.ndarray
     iterations: np.ndarray
@@ -107,42 +111,30 @@ class SemanticRegressor:
 
 
 def train_semantic_regressor(
-    features: np.ndarray,
     embeddings: np.ndarray,
     config: SvrConfig,
     kernel: KernelSpec,
-    gram: np.ndarray | None = None,
+    gram: np.ndarray,
 ) -> SemanticRegressor:
     """Train one SVR per embedding coordinate over a shared Gram matrix,
     all solved in one batched call.
 
-    Dimension j regresses coordinate j of the instance's label embedding.
-    ``gram`` is the features' Gram matrix under ``kernel`` when the caller
-    already has it; otherwise it is computed here.
+    Row i of ``embeddings`` is training row i's label embedding, and
+    dimension j regresses its coordinate j. ``gram`` is the training
+    rows' Gram matrix under ``kernel``.
     """
-    x = np.asarray(features, dtype=np.float64)
     zt = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2 or zt.ndim != 2:
-        raise ValueError("features and embeddings must be 2-D arrays")
-    if x.shape[0] != zt.shape[0]:
+    if zt.ndim != 2 or zt.shape[1] < 1:
         raise ValueError(
-            f"sample count mismatch: {x.shape[0]} features vs {zt.shape[0]} embeddings"
+            f"embeddings must be 2-D with at least one column, got shape {zt.shape}"
         )
-    if not np.all(np.isfinite(zt)):
-        raise ValueError("embeddings contain non-finite values")
-    n, d_z = zt.shape[0], zt.shape[1]
-    if d_z < 1:
-        raise ValueError("embeddings must have at least one dimension")
-    if gram is None:
-        gram = gram_matrix(kernel, x)
     res = train_svr(gram, zt, config)
 
     pool_idx = np.flatnonzero(res.coef.any(axis=0))
     return SemanticRegressor(
         kernel=kernel,
-        n_train=n,
+        n_train=zt.shape[0],
         pool_indices=pool_idx,
-        pool_features=x[pool_idx],  # fancy indexing copies
         # C order, so that predict_batch multiplies by it without a copy
         coefficients=np.ascontiguousarray(res.coef[:, pool_idx]),
         biases=res.bias,
@@ -151,28 +143,10 @@ def train_semantic_regressor(
     )
 
 
-def predict_batch(
-    regressor: SemanticRegressor,
-    features: np.ndarray,
-    kernel_rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Project (n, d_x) feature rows into the embedding space, (n, d_z).
-
-    ``kernel_rows`` are the rows' kernel values against the regressor's
-    support pool, (n, pool size), when the caller already has them;
-    otherwise they are computed here.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {x.shape}")
-    feature_dim = regressor.pool_features.shape[1]
-    if x.shape[1] != feature_dim:
-        raise ValueError(f"feature dimension mismatch: {x.shape[1]} vs {feature_dim}")
-    if kernel_rows is None:
-        kernel_rows = gram_matrix(regressor.kernel, x, regressor.pool_features)
-    elif kernel_rows.shape != (x.shape[0], regressor.coefficients.shape[1]):
-        raise ValueError(
-            f"kernel rows have shape {kernel_rows.shape}, expected "
-            f"({x.shape[0]}, {regressor.coefficients.shape[1]})"
-        )
+def predict_batch(regressor: SemanticRegressor, kernel_rows: np.ndarray) -> np.ndarray:
+    """Project n rows into the embedding space, (n, d_z), from their kernel
+    values against the regressor's support pool, (n, pool size)."""
+    pool = regressor.coefficients.shape[1]
+    if kernel_rows.ndim != 2 or kernel_rows.shape[1] != pool:
+        raise ValueError(f"kernel rows have shape {kernel_rows.shape}, expected (n, {pool})")
     return kernel_rows @ np.ascontiguousarray(regressor.coefficients).T + regressor.biases

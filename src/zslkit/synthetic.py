@@ -18,29 +18,6 @@ from .embedding import EmbeddingStore, Label
 _ALPHA_FLOOR = 0.05
 
 
-def separated_unit_vectors(
-    count: int,
-    dim: int,
-    min_cosine_distance: float,
-    rng: np.random.Generator,
-    max_tries: int = 100_000,
-) -> np.ndarray:
-    """Sample unit vectors whose pairwise cosine distance is at least the
-    given floor, by rejection."""
-    chosen: list[np.ndarray] = []
-    for _ in range(max_tries):
-        v = rng.normal(size=dim)
-        v /= np.linalg.norm(v)
-        if all(1.0 - float(v @ u) >= min_cosine_distance for u in chosen):
-            chosen.append(v)
-            if len(chosen) == count:
-                return np.vstack(chosen)
-    raise RuntimeError(
-        f"could not place {count} unit vectors at cosine distance "
-        f">= {min_cosine_distance} in {dim} dimensions"
-    )
-
-
 @dataclass
 class LinearMapWorld:
     """Ground-truth linear visual-to-embedding map with Dirichlet classes."""

@@ -161,17 +161,23 @@ def normalized_projections(raw: np.ndarray, ids: Sequence[str]) -> np.ndarray:
 def zsl_predict(
     regressor: SemanticRegressor,
     problem: ZslProblem,
+    kernel_rows: np.ndarray,
     config: SelfTrainConfig | None = None,
-    kernel_rows: np.ndarray | None = None,
 ) -> list[Prediction]:
     """Project every test instance, L2-normalize, optionally self-train the
     prototypes on the projections, then nearest-prototype classify.
 
-    ``kernel_rows`` are passed on to :func:`~zslkit.svr.predict_batch`.
+    ``kernel_rows`` are the test instances' kernel values against the
+    regressor's support pool, one row per instance, for
+    :func:`~zslkit.svr.predict_batch`.
     """
+    if kernel_rows.shape[0] != len(problem.test):
+        raise ValueError(
+            f"{kernel_rows.shape[0]} kernel rows for {len(problem.test)} test instances"
+        )
     if len(problem.test) == 0:
         return []
-    raw = predict_batch(regressor, problem.test.features, kernel_rows)
+    raw = predict_batch(regressor, kernel_rows)
     proj = normalized_projections(raw, problem.test.ids)
     prototypes = problem.prototypes
     if config is not None:
@@ -190,31 +196,16 @@ def write_predictions_csv(predictions: Sequence[Prediction], path: str | Path) -
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass
-class TrainingPair:
-    """Features and matching label-embedding targets for regressor
-    training."""
-
-    features: np.ndarray
-    embeddings: np.ndarray
-
-
-def _label_targets(dataset: Dataset, store: EmbeddingStore) -> np.ndarray:
+def label_targets(labels: Sequence[Label], store: EmbeddingStore) -> np.ndarray:
+    """The L2-normalized label embedding of each label, (n, d_z): the
+    regression targets of the instances so labelled."""
     cache: dict[str, np.ndarray] = {}
     rows = []
-    for lab in dataset.labels:
+    for lab in labels:
         if lab.key not in cache:
             cache[lab.key] = l2_normalize(embed_label(store, lab))
         rows.append(cache[lab.key])
     return np.vstack(rows) if rows else np.empty((0, store.dimension))
-
-
-def training_pair(dataset: Dataset, store: EmbeddingStore) -> TrainingPair:
-    """Build (features, label embeddings) for one dataset."""
-    return TrainingPair(
-        features=dataset.features,
-        embeddings=_label_targets(dataset, store),
-    )
 
 
 def augment_training(
@@ -223,17 +214,17 @@ def augment_training(
     store: EmbeddingStore,
     *,
     unseen: Sequence[Label] | None = None,
-) -> TrainingPair:
-    """Concatenate target training data with an auxiliary dataset
-    (target rows first), embedding labels as regression targets.
+) -> np.ndarray:
+    """Regression targets of the target's training rows followed by the
+    auxiliary dataset's rows: the row order of the training kernel.
 
     Auxiliary classes may overlap the target's training classes but must
     be disjoint from the problem's unseen classes; pass those via
     ``unseen`` to enforce the guard before any training happens.
     """
-    base = training_pair(target, store)
+    targets = label_targets(target.labels, store)
     if auxiliary is None or len(auxiliary) == 0:
-        return base
+        return targets
     if auxiliary.d_x != target.d_x:
         raise ValueError(
             f"feature dimension mismatch: target d_x={target.d_x}, "
@@ -246,8 +237,4 @@ def augment_training(
                 raise ValueError(
                     f"auxiliary class {lab.key!r} collides with an unseen class"
                 )
-    aux_targets = _label_targets(auxiliary, store)
-    return TrainingPair(
-        features=np.vstack([base.features, auxiliary.features]),
-        embeddings=np.vstack([base.embeddings, aux_targets]),
-    )
+    return np.vstack([targets, label_targets(auxiliary.labels, store)])

@@ -42,8 +42,3 @@ def validate_gram(g: np.ndarray) -> np.ndarray:
     if not np.allclose(g, g.T, atol=1e-8):
         raise ValueError("gram matrix is not symmetric")
     return 0.5 * (g + g.T)
-
-
-def pool_features(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
-    """The support pool's feature rows, copied a second time."""
-    return x[pool_idx].copy()

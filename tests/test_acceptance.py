@@ -212,10 +212,13 @@ def _augmentation_trial(seed: int):
     truth = np.vstack([store.vector(lab.tokens[0]) for lab in heldout.labels])
     errors = []
     for use_aux in (False, True):
-        pair = augment_training(target, auxiliary if use_aux else None, store, unseen=unseen)
-        kernel = KernelSpec("rbf_chi2", heuristic_gamma(pair.features))
-        regressor = train_semantic_regressor(pair.features, pair.embeddings, config, kernel)
-        proj = predict_batch(regressor, heldout.features)
+        targets = augment_training(target, auxiliary if use_aux else None, store, unseen=unseen)
+        x = np.vstack([target.features, auxiliary.features]) if use_aux else target.features
+        kernel = KernelSpec("rbf_chi2", heuristic_gamma(x))
+        regressor = train_semantic_regressor(targets, config, kernel, gram_matrix(kernel, x))
+        proj = predict_batch(
+            regressor, gram_matrix(kernel, heldout.features, x[regressor.pool_indices])
+        )
         proj /= np.linalg.norm(proj, axis=1, keepdims=True)
         errors.append(float(np.mean(1.0 - np.sum(proj * truth, axis=1))))
     return errors[0], errors[1]

@@ -232,6 +232,8 @@ class TestQuantize:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match codebook"):
             quantize(self._book(), np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"descriptors must be 2-D, got shape \(4,\)"):
+            quantize(self._book(), np.ones(4))
 
     @settings(max_examples=25)
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1))

@@ -14,7 +14,8 @@ from zslkit.evaluate import (
     run_multishot_evaluation,
     run_zsl_evaluation,
 )
-from zslkit.kernels import KernelSpec, heuristic_gamma
+from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
+from zslkit.model_io import load_model
 from zslkit.smo import ConvergenceError
 from zslkit.svc import SvcConfig, classify_batch, train_svc
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
@@ -25,8 +26,8 @@ from zslkit.zsl import (
     ZslProblem,
     augment_training,
     build_prototypes,
+    label_targets,
     normalized_projections,
-    training_pair,
     write_predictions_csv,
     zsl_predict,
 )
@@ -78,9 +79,15 @@ def reference_kernel(config: ExperimentConfig, features: np.ndarray) -> KernelSp
     return KernelSpec(config.kernel_kind, heuristic_gamma(features, config.kernel_kind))
 
 
+def reference_regressor(config: ExperimentConfig, x: np.ndarray, targets: np.ndarray):
+    """The regressor of training rows ``x``, from their own Gram matrix."""
+    kernel = reference_kernel(config, x)
+    return train_semantic_regressor(targets, _svr_config(config), kernel, gram_matrix(kernel, x))
+
+
 def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
-    """Per-split prediction CSVs from the features-in entry points, each
-    split computing its own distances."""
+    """Per-split prediction CSVs from features, each split computing its
+    own distances."""
     target = load_dataset(config.target_path)
     store = load_embeddings(config.embedding_path)
     auxiliary = load_dataset(config.auxiliary_path) if config.augment else None
@@ -89,30 +96,32 @@ def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
         train = target.subset_classes(list(split.seen))
         test = target.subset_classes(list(split.unseen))
         problem = ZslProblem(train, test, build_prototypes(store, list(split.unseen)))
-        pair = augment_training(train, auxiliary, store, unseen=list(split.unseen))
-        regressor = train_semantic_regressor(
-            pair.features, pair.embeddings, _svr_config(config),
-            reference_kernel(config, pair.features),
-        )
+        targets = augment_training(train, auxiliary, store, unseen=list(split.unseen))
+        x = train.features if auxiliary is None else np.vstack([train.features, auxiliary.features])
+        regressor = reference_regressor(config, x, targets)
+        kernel_rows = gram_matrix(regressor.kernel, test.features, x[regressor.pool_indices])
         write_predictions_csv(
-            zsl_predict(regressor, problem, st_config), out_dir / f"split_{split.index:03d}.csv"
+            zsl_predict(regressor, problem, kernel_rows, st_config),
+            out_dir / f"split_{split.index:03d}.csv",
         )
 
 
 def reference_multishot_predictions(config: ExperimentConfig, out_dir) -> None:
-    """Per-fold prediction CSVs from the features-in entry points."""
+    """Per-fold prediction CSVs from features, each fold computing its own
+    distances."""
     dataset = load_dataset(config.target_path)
     store = load_embeddings(config.embedding_path)
     for index, fold in enumerate(load_folds(config.folds_path), start=1):
         train = dataset.subset_ids(list(fold["train"]))
         test = dataset.subset_ids(list(fold["test"]))
-        pair = training_pair(train, store)
-        regressor = train_semantic_regressor(
-            pair.features, pair.embeddings, _svr_config(config),
-            reference_kernel(config, pair.features),
+        regressor = reference_regressor(
+            config, train.features, label_targets(train.labels, store)
         )
+        pool = train.features[regressor.pool_indices]
         train_proj, test_proj = (
-            normalized_projections(predict_batch(regressor, ds.features), ds.ids)
+            normalized_projections(
+                predict_batch(regressor, gram_matrix(regressor.kernel, ds.features, pool)), ds.ids
+            )
             for ds in (train, test)
         )
         model = train_svc(train_proj, train.labels, SvcConfig())
@@ -392,8 +401,11 @@ class TestMultishot:
             ([["a"], ["b"]], "fold 1 must be an object, got list"),
             ([{"train": ["a"], "test": ["b"]}, {"train": "ab", "test": "cd"}],
              "fold 2 must list train and test ids as strings"),
+            ([{"train": ["a", "a", "b"], "test": ["c"]}], "fold 1 repeats train id 'a'"),
+            ([{"train": ["a"], "test": ["b"]}, {"train": ["a", "b"], "test": ["c", "d", "c"]}],
+             "fold 2 repeats test id 'c'"),
         ],
-        ids=["fold_not_object", "ids_not_list"],
+        ids=["fold_not_object", "ids_not_list", "repeated_train_id", "repeated_test_id"],
     )
     def test_malformed_fold_file_names_path_and_fold(self, tmp_path, folds, message):
         path = tmp_path / "folds.json"
@@ -537,6 +549,35 @@ class TestCli:
         assert error == "split_count must be an integer, got True"
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("svr_c", -1, "svr_c must be positive, got -1"),
+            ("svr_epsilon", -0.5, "svr_epsilon must be non-negative, got -0.5"),
+            ("svr_max_passes", 0, "svr_max_passes must be at least 1"),
+            ("svc_c", 0, "svc_c must be positive, got 0"),
+            ("svc_tolerance", 0.0, "svc_tolerance must be positive, got 0.0"),
+        ],
+        ids=["svr_c", "svr_epsilon", "svr_max_passes", "svc_c", "svc_tolerance"],
+    )
+    def test_config_solver_value_out_of_range_fails(
+        self, toy_world, tmp_path, capsys, field, value, message
+    ):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "target_path": str(toy_world["target"]),
+                    "embedding_path": str(toy_world["embeddings"]),
+                    "out_dir": str(tmp_path / "runs"),
+                    field: value,
+                }
+            )
+        )
+        assert main(["eval-zsl", "--config", str(config_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == message
+        assert not (tmp_path / "runs").exists()
+
     def test_flags_give_typed_config_values(self, toy_world, tmp_path, capsys):
         code = main(
             [
@@ -594,6 +635,9 @@ class TestCli:
         doc = json.loads(model_path.read_text())
         assert doc["type"] == "semantic_regressor"
         assert "d_z=6" in capsys.readouterr().out
+        regressor, pool_features = load_model(model_path)
+        features = load_dataset(toy_world["target"]).features
+        np.testing.assert_array_equal(pool_features, features[regressor.pool_indices])
 
     def test_eval_multishot_cli(self, toy_world, tmp_path, capsys):
         dataset = load_dataset(toy_world["target"])

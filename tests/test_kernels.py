@@ -155,6 +155,8 @@ class TestHeuristicGamma:
     def test_needs_two_vectors(self):
         with pytest.raises(ValueError, match="at least 2"):
             heuristic_gamma([[1.0, 2.0]])
+        with pytest.raises(ValueError, match=r"data must be 2-D, got shape \(2,\)"):
+            heuristic_gamma([0.2, 0.8])
 
     def test_matches_enumeration_on_random_sets(self):
         rng = np.random.default_rng(11)
@@ -227,6 +229,10 @@ class TestGramMatrix:
         spec = KernelSpec("rbf_chi2", 1.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             gram_matrix(spec, [[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"rows must be 2-D, got shape \(2,\)"):
+            distance_matrix("rbf_chi2", [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match=r"cols must be 2-D, got shape \(2,\)"):
+            gram_matrix(spec, [[1.0, 2.0]], [1.0, 2.0])
 
 
 class TestFitKernel:

@@ -1,10 +1,8 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_fields
 from qp_oracle import svc_dual_oracle
 from zslkit.embedding import Label
 import zslkit.kernels
@@ -15,7 +13,6 @@ from zslkit.kernels import (
     gamma_from_distances,
     gram_matrix,
 )
-from zslkit.model_io import load_model, save_model
 from zslkit.svc import SvcConfig, SvcModel, classify_batch, decision_values, train_svc
 
 
@@ -182,21 +179,6 @@ class TestClassify:
             extended.classes[i] for i in np.argmax(vals_ext, axis=1)
         ]
 
-
-class TestSvcSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        pts, labels = two_clusters(rng)
-        model = train_svc(pts, labels, SvcConfig())
-        path = tmp_path / "svc.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        probes = unit_rows(rng.normal(size=(30, 4)))
-        np.testing.assert_allclose(
-            decision_values(model, probes), decision_values(loaded, probes), atol=1e-12
-        )
-        assert classify_batch(model, probes) == classify_batch(loaded, probes)
-
     def test_coefficient_memory_order_is_immaterial(self):
         rng = np.random.default_rng(15)
         # enough classes and support vectors that the product's blocking
@@ -209,48 +191,3 @@ class TestSvcSerialization:
         np.testing.assert_array_equal(
             decision_values(flipped, probes), decision_values(model, probes)
         )
-
-    def test_round_trip_equals_model(self, tmp_path):
-        rng = np.random.default_rng(13)
-        pts, labels = two_clusters(rng)
-        model = train_svc(pts, labels, SvcConfig())
-        assert model.iterations.min() > 0
-        path = tmp_path / "svc.json"
-        save_model(model, path)
-        assert_same_fields(load_model(path), model)
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda doc: doc.update(train_points=doc["train_points"][1:]),
-             "coefficients have shape .* match train_points"),
-            (lambda doc: doc["coefficients"][0].pop(), "coefficients is not a numeric array"),
-            (lambda doc: doc.pop("biases"), "missing field 'biases'"),
-            (lambda doc: doc.update(classes=[doc["classes"][0]] * 2), "classes repeats"),
-        ],
-        ids=["train_points", "ragged", "missing", "repeated_class"],
-    )
-    def test_malformed_arrays_rejected(self, tmp_path, edit, message):
-        rng = np.random.default_rng(14)
-        pts, labels = two_clusters(rng)
-        path = tmp_path / "svc.json"
-        save_model(train_svc(pts, labels, SvcConfig()), path)
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=message):
-            load_model(path)
-
-    def test_model_types_share_container_but_not_tags(self, tmp_path):
-        rng = np.random.default_rng(12)
-        pts, labels = two_clusters(rng)
-        model = train_svc(pts, labels, SvcConfig())
-        path = tmp_path / "svc.json"
-        save_model(model, path)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "zslkit-model"
-        assert doc["type"] == "svc_one_vs_rest"
-        doc["type"] = "something_else"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unknown model type"):
-            load_model(path)

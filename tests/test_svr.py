@@ -30,6 +30,16 @@ def dense_coefficients(reg, j):
     return beta
 
 
+def fit(x, emb, config, spec):
+    """The regressor of training rows ``x`` and targets ``emb``."""
+    return train_semantic_regressor(emb, config, spec, gram_matrix(spec, x))
+
+
+def project(reg, x, probes):
+    """Projections of ``probes`` by ``reg``, trained on rows ``x``."""
+    return predict_batch(reg, gram_matrix(reg.kernel, probes, x[reg.pool_indices]))
+
+
 def random_problem(rng, n, d, gamma=None):
     x = rng.dirichlet(np.ones(d), size=n)
     spec = KernelSpec("rbf_chi2", gamma or heuristic_gamma(x))
@@ -179,7 +189,7 @@ class TestSemanticRegressor:
         x, spec, gram = random_problem(rng, 8, 5)
         y = rng.normal(size=8)
         config = SvrConfig(c=2.0, epsilon=0.05)
-        reg = train_semantic_regressor(x, y[:, None], config, spec)
+        reg = train_semantic_regressor(y[:, None], config, spec, gram)
         solo = train_svr(gram, y, config)
         support = np.flatnonzero(solo.coef[0])
         np.testing.assert_array_equal(reg.pool_indices, support)
@@ -194,57 +204,48 @@ class TestSemanticRegressor:
         spec = KernelSpec("rbf_chi2", heuristic_gamma(x))
         target = l2_normalize(np.array([1.0, 2.0, 2.0]))
         emb = np.tile(target, (10, 1))
-        reg = train_semantic_regressor(x, emb, SvrConfig(epsilon=0.05), spec)
+        reg = fit(x, emb, SvrConfig(epsilon=0.05), spec)
         probe = rng.dirichlet(np.ones(5), size=1)
-        np.testing.assert_allclose(predict_batch(reg, probe)[0], target, atol=0.05 + 1e-9)
+        np.testing.assert_allclose(project(reg, x, probe)[0], target, atol=0.05 + 1e-9)
 
     def test_per_dimension_independence(self):
         rng = np.random.default_rng(10)
-        x, spec, _ = random_problem(rng, 8, 5)
+        _, spec, gram = random_problem(rng, 8, 5)
         emb = rng.normal(size=(8, 3))
         scrambled = emb.copy()
         scrambled[:, 1] = rng.permutation(scrambled[:, 1])
         scrambled[:, 2] = -scrambled[:, 2]
         config = SvrConfig(c=2.0, epsilon=0.05)
-        a = train_semantic_regressor(x, emb, config, spec)
-        b = train_semantic_regressor(x, scrambled, config, spec)
+        a = train_semantic_regressor(emb, config, spec, gram)
+        b = train_semantic_regressor(scrambled, config, spec, gram)
         np.testing.assert_array_equal(dense_coefficients(a, 0), dense_coefficients(b, 0))
         assert a.biases[0] == b.biases[0]
-
-    def test_pool_features_are_one_copy_of_the_support_rows(self):
-        rng = np.random.default_rng(22)
-        x, spec, gram = random_problem(rng, 12, 5)
-        reg = train_semantic_regressor(x, rng.normal(size=(12, 3)), SvrConfig(), spec, gram)
-        assert reg.pool_indices.size > 0
-        np.testing.assert_array_equal(reg.pool_features, x[reg.pool_indices])
-        assert not np.shares_memory(reg.pool_features, x)
 
     def test_no_support_vectors_predicts_bias(self):
         rng = np.random.default_rng(11)
         x = rng.dirichlet(np.ones(4), size=6)
         spec = KernelSpec("rbf_chi2", 1.0)
         emb = np.tile([0.25, -0.5], (6, 1))
-        reg = train_semantic_regressor(x, emb, SvrConfig(epsilon=0.1), spec)
-        assert reg.pool_features.shape[0] == 0
+        reg = fit(x, emb, SvrConfig(epsilon=0.1), spec)
+        assert reg.pool_indices.size == 0
         np.testing.assert_allclose(
-            predict_batch(reg, rng.dirichlet(np.ones(4), size=1))[0], [0.25, -0.5], atol=1e-12
+            project(reg, x, rng.dirichlet(np.ones(4), size=1))[0], [0.25, -0.5], atol=1e-12
         )
 
     def test_support_storage_order_is_immaterial(self):
         rng = np.random.default_rng(12)
         x, spec, _ = random_problem(rng, 10, 5)
         emb = rng.normal(size=(10, 2))
-        reg = train_semantic_regressor(x, emb, SvrConfig(epsilon=0.01), spec)
-        perm = rng.permutation(reg.pool_features.shape[0])
+        reg = fit(x, emb, SvrConfig(epsilon=0.01), spec)
+        perm = rng.permutation(reg.pool_indices.size)
         permuted = dataclasses.replace(
             reg,
             pool_indices=reg.pool_indices[perm],
-            pool_features=reg.pool_features[perm],
             coefficients=reg.coefficients[:, perm],
         )
         probes = rng.dirichlet(np.ones(5), size=20)
         np.testing.assert_allclose(
-            predict_batch(reg, probes), predict_batch(permuted, probes), atol=1e-10
+            project(reg, x, probes), project(permuted, x, probes), atol=1e-10
         )
 
     def test_beats_constant_mean_on_synthetic_linear_map(self):
@@ -256,8 +257,8 @@ class TestSemanticRegressor:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         x_tr, x_te, z_tr, z_te = x[:n_train], x[n_train:], z[:n_train], z[n_train:]
         spec = KernelSpec("rbf_chi2", heuristic_gamma(x_tr))
-        reg = train_semantic_regressor(x_tr, z_tr, SvrConfig(epsilon=0.05), spec)
-        proj = predict_batch(reg, x_te)
+        reg = fit(x_tr, z_tr, SvrConfig(epsilon=0.05), spec)
+        proj = project(reg, x_tr, x_te)
 
         def mean_cosdist(pred):
             pn = pred / np.linalg.norm(pred, axis=1, keepdims=True)
@@ -268,39 +269,45 @@ class TestSemanticRegressor:
 
     def test_shape_validation(self):
         spec = KernelSpec("rbf_chi2", 1.0)
-        with pytest.raises(ValueError, match="sample count mismatch"):
-            train_semantic_regressor(
-                np.ones((3, 2)) / 2, np.ones((2, 2)), SvrConfig(), spec
-            )
-        rng = np.random.default_rng(15)
-        x = rng.dirichlet(np.ones(3), size=4)
-        reg = train_semantic_regressor(x, rng.normal(size=(4, 2)), SvrConfig(epsilon=0.0), spec)
-        for features, message in [
-            (np.ones((2, 5)) / 5, "feature dimension mismatch"),
-            (x[0], r"features must be 2-D, got shape \(3,\)"),
+        gram = gram_matrix(spec, np.ones((3, 2)) / 2)
+        for embeddings, message in [
+            (np.ones((2, 2)), "targets length 2 does not match gram size 3"),
+            (np.ones(3), r"embeddings must be 2-D .*, got shape \(3,\)"),
+            (np.ones((3, 0)), r"at least one column, got shape \(3, 0\)"),
         ]:
             with pytest.raises(ValueError, match=message):
-                predict_batch(reg, features)
+                train_semantic_regressor(embeddings, SvrConfig(), spec, gram)
+        rng = np.random.default_rng(15)
+        x = rng.dirichlet(np.ones(3), size=4)
+        reg = fit(x, rng.normal(size=(4, 2)), SvrConfig(epsilon=0.0), spec)
         pool = reg.coefficients.shape[1]
-        with pytest.raises(ValueError, match="kernel rows have shape"):
-            predict_batch(reg, x, np.ones((3, pool)))
+        expected = rf"kernel rows have shape .*, expected \(n, {pool}\)"
+        for rows in (np.ones((3, pool + 1)), np.ones(pool)):
+            with pytest.raises(ValueError, match=expected):
+                predict_batch(reg, rows)
 
 
 class TestModelSerialization:
     def _trained(self, rng):
         x, spec, _ = random_problem(rng, 8, 4)
         emb = rng.normal(size=(8, 3))
-        return x, train_semantic_regressor(x, emb, SvrConfig(epsilon=0.01), spec)
+        return x, fit(x, emb, SvrConfig(epsilon=0.01), spec)
+
+    def _saved(self, rng, path):
+        x, reg = self._trained(rng)
+        save_model(reg, x[reg.pool_indices], path)
+        return x, reg
 
     def test_round_trip_predicts_identically(self, tmp_path):
         rng = np.random.default_rng(16)
-        _, reg = self._trained(rng)
         path = tmp_path / "model.json"
-        save_model(reg, path)
-        loaded = load_model(path)
+        x, reg = self._saved(rng, path)
+        loaded, pool_features = load_model(path)
         probes = rng.dirichlet(np.ones(4), size=100)
         np.testing.assert_allclose(
-            predict_batch(reg, probes), predict_batch(loaded, probes), atol=1e-12
+            project(reg, x, probes),
+            predict_batch(loaded, gram_matrix(loaded.kernel, probes, pool_features)),
+            atol=1e-12,
         )
         # loaded coefficients are C-ordered, and so are the trained ones, so
         # predict_batch multiplies either without a copy
@@ -309,46 +316,53 @@ class TestModelSerialization:
     def test_coefficient_memory_order_is_immaterial(self):
         rng = np.random.default_rng(21)
         x, spec, _ = random_problem(rng, 60, 4)
-        reg = train_semantic_regressor(x, rng.normal(size=(60, 12)), SvrConfig(epsilon=0.01), spec)
+        reg = fit(x, rng.normal(size=(60, 12)), SvrConfig(epsilon=0.01), spec)
         assert reg.coefficients.shape[1] >= 30  # the product's blocking depends on layout
         flipped = dataclasses.replace(reg, coefficients=np.asfortranarray(reg.coefficients))
         probes = rng.dirichlet(np.ones(4), size=200)
-        np.testing.assert_array_equal(predict_batch(flipped, probes), predict_batch(reg, probes))
+        np.testing.assert_array_equal(project(flipped, x, probes), project(reg, x, probes))
 
     def test_truncated_file_rejected(self, tmp_path):
-        rng = np.random.default_rng(17)
-        _, reg = self._trained(rng)
         path = tmp_path / "model.json"
-        save_model(reg, path)
+        self._saved(np.random.default_rng(17), path)
         path.write_text(path.read_text()[: path.stat().st_size // 2])
         with pytest.raises(ValueError, match="invalid model file"):
             load_model(path)
 
     def test_round_trip_equals_model(self, tmp_path):
-        rng = np.random.default_rng(20)
-        _, reg = self._trained(rng)
         path = tmp_path / "model.json"
-        save_model(reg, path)
-        assert_same_fields(load_model(path), reg)
+        x, reg = self._saved(np.random.default_rng(20), path)
+        loaded, pool_features = load_model(path)
+        assert_same_fields(loaded, reg)
+        np.testing.assert_array_equal(pool_features, x[reg.pool_indices])
 
     def test_empty_pool_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
         x = rng.dirichlet(np.ones(4), size=6)
-        reg = train_semantic_regressor(
+        reg = fit(
             x, np.tile([0.25, -0.5], (6, 1)), SvrConfig(epsilon=0.1), KernelSpec("rbf_chi2", 1.0)
         )
-        assert reg.pool_features.shape == (0, 4)
+        assert reg.pool_indices.size == 0
         path = tmp_path / "model.json"
-        save_model(reg, path)
-        assert_same_fields(load_model(path), reg)
+        save_model(reg, x[reg.pool_indices], path)
+        loaded, pool_features = load_model(path)
+        assert_same_fields(loaded, reg)
+        assert pool_features.shape == (0, 4)
+
+    def test_pool_features_must_match_the_pool(self, tmp_path):
+        x, reg = self._trained(np.random.default_rng(25))
+        pool = reg.pool_indices.size
+        with pytest.raises(ValueError, match=rf"pool_features has shape \({pool - 1}, 4\)"):
+            save_model(reg, x[reg.pool_indices][1:], tmp_path / "model.json")
 
     def _corrupted(self, tmp_path, field, value):
-        rng = np.random.default_rng(18)
-        _, reg = self._trained(rng)
         path = tmp_path / "model.json"
-        save_model(reg, path)
+        self._saved(np.random.default_rng(18), path)
         doc = json.loads(path.read_text())
-        doc[field] = value
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
         path.write_text(json.dumps(doc))
         return path
 
@@ -369,10 +383,14 @@ class TestModelSerialization:
             ("pool_indices", [0, 1, 2, 3, 4, 5, 6, -1], "pool_indices must be distinct"),
             ("pool_indices", [0, 1, 2, 3, 4, 5, 6, 6], "pool_indices must be distinct"),
             ("n_train", 0, r"distinct indices in \[0, n_train=0\)"),
+            ("coefficients", [[0.5, 0.5], [0.5]], "coefficients is not a numeric array"),
+            ("biases", None, "missing field 'biases'"),
+            ("type", "svc_one_vs_rest", "unknown model type 'svc_one_vs_rest'"),
         ],
         ids=[
             "iterations", "dual_objectives", "pool_indices", "feature_dim", "coefficients",
             "pool_index_too_large", "pool_index_negative", "pool_index_repeated", "n_train",
+            "ragged", "missing", "type",
         ],
     )
     def test_inconsistent_shapes_rejected(self, tmp_path, field, value, message):
@@ -392,13 +410,13 @@ class TestModelSerialization:
         ids=["unhalved", "halved", "current", "euclidean"],
     )
     def test_legacy_chi2_convention_folds_into_gamma(self, tmp_path, kernel, gamma):
-        loaded = load_model(self._corrupted(tmp_path, "kernel", kernel))
+        loaded, _ = load_model(self._corrupted(tmp_path, "kernel", kernel))
         assert loaded.kernel == KernelSpec(kernel["kind"], gamma)
 
     @pytest.mark.parametrize("g", [0.37, 1.0, 2.5, 13.3])
     def test_unhalved_legacy_kernel_keeps_its_gram_matrix(self, tmp_path, g):
         kernel = {"kind": "rbf_chi2", "gamma": g, "chi2_halved": False}
-        loaded = load_model(self._corrupted(tmp_path, "kernel", kernel))
+        loaded, _ = load_model(self._corrupted(tmp_path, "kernel", kernel))
         x = np.random.default_rng(23).dirichlet(np.full(6, 0.5), size=40)
         # the unhalved distance, exactly twice the halved one
         expected = np.exp(-g * (2.0 * distance_oracle.chi2_matrix(x, x)))
@@ -407,18 +425,11 @@ class TestModelSerialization:
         )
 
     def test_kernel_is_saved_as_kind_and_gamma(self, tmp_path):
-        _, reg = self._trained(np.random.default_rng(24))
-        save_model(reg, tmp_path / "model.json")
+        _, reg = self._saved(np.random.default_rng(24), tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
         assert doc["kernel"] == {"kind": "rbf_chi2", "gamma": reg.kernel.gamma}
 
     def test_version_mismatch_rejected(self, tmp_path):
-        rng = np.random.default_rng(19)
-        _, reg = self._trained(rng)
-        path = tmp_path / "model.json"
-        save_model(reg, path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 1
-        path.write_text(json.dumps(doc))
+        path = self._corrupted(tmp_path, "version", 1)
         with pytest.raises(ValueError, match="unsupported model schema version"):
             load_model(path)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 import memory_reference
 from zslkit.data import Dataset
 from zslkit.embedding import Label, l2_normalize
-from zslkit.kernels import KernelSpec, heuristic_gamma
+from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
 from zslkit.svr import SvrConfig, train_semantic_regressor
 from zslkit.zsl import (
     Prototype,
@@ -17,11 +17,11 @@ from zslkit.zsl import (
     ZslProblem,
     augment_training,
     build_prototypes,
+    label_targets,
     _match_rows,
     nearest_prototype,
     prototype_matrix,
     self_train,
-    training_pair,
     write_predictions_csv,
     zsl_predict,
 )
@@ -257,10 +257,17 @@ class TestZslPredict:
              for i in range(12)],
             3,
         )
-        pair = training_pair(train, toy_store)
-        kern = KernelSpec("rbf_chi2", heuristic_gamma(pair.features))
-        reg = train_semantic_regressor(pair.features, pair.embeddings, SvrConfig(epsilon=0.05), kern)
+        kern = KernelSpec("rbf_chi2", heuristic_gamma(train.features))
+        reg = train_semantic_regressor(
+            label_targets(train.labels, toy_store), SvrConfig(epsilon=0.05), kern,
+            gram_matrix(kern, train.features),
+        )
         return train, reg
+
+    @staticmethod
+    def _predict(train, reg, problem):
+        pool = train.features[reg.pool_indices]
+        return zsl_predict(reg, problem, gram_matrix(reg.kernel, problem.test.features, pool))
 
     def test_zero_test_instances(self, toy_store):
         rng = np.random.default_rng(2)
@@ -269,7 +276,18 @@ class TestZslPredict:
         problem = ZslProblem(
             train=train, test=test, prototypes=build_prototypes(toy_store, [Label.of("walk")])
         )
-        assert zsl_predict(reg, problem) == []
+        assert self._predict(train, reg, problem) == []
+
+    def test_kernel_rows_must_match_the_test_instances(self, toy_store):
+        rng = np.random.default_rng(5)
+        train, reg = self._fitted(rng, toy_store)
+        test = make_dataset("test", [("te0", "walk", rng.dirichlet([1, 1, 1]))], 3)
+        problem = ZslProblem(
+            train=train, test=test, prototypes=build_prototypes(toy_store, [Label.of("walk")])
+        )
+        rows = np.ones((2, reg.pool_indices.size))
+        with pytest.raises(ValueError, match="2 kernel rows for 1 test instances"):
+            zsl_predict(reg, problem, rows)
 
     def test_single_unseen_class_is_forced(self, toy_store):
         rng = np.random.default_rng(3)
@@ -280,7 +298,7 @@ class TestZslPredict:
         problem = ZslProblem(
             train=train, test=test, prototypes=build_prototypes(toy_store, [Label.of("walk")])
         )
-        preds = zsl_predict(reg, problem)
+        preds = self._predict(train, reg, problem)
         assert len(preds) == 5
         assert all(p.label == Label.of("walk") for p in preds)
 
@@ -313,7 +331,7 @@ class TestZslPredict:
             train=train, test=test,
             prototypes=build_prototypes(toy_store, [Label.of("brush hair")]),
         )
-        preds = zsl_predict(reg, problem)
+        preds = self._predict(train, reg, problem)
         out = tmp_path / "preds.csv"
         write_predictions_csv(preds, out)
         lines = out.read_text().splitlines()
@@ -334,29 +352,24 @@ class TestAugmentTraining:
     def test_empty_auxiliary_is_identity(self, toy_store):
         rng = np.random.default_rng(5)
         target, _ = self._sets(rng, toy_store)
-        base = training_pair(target, toy_store)
         merged = augment_training(target, None, toy_store)
-        np.testing.assert_array_equal(base.features, merged.features)
-        np.testing.assert_array_equal(base.embeddings, merged.embeddings)
-        assert merged.features.shape[0] == merged.embeddings.shape[0] == 10
+        np.testing.assert_array_equal(merged, label_targets(target.labels, toy_store))
+        assert merged.shape == (10, 3)
 
     def test_concatenation_order_and_counts(self, toy_store):
         rng = np.random.default_rng(6)
         target, aux = self._sets(rng, toy_store)
         merged = augment_training(target, aux, toy_store)
-        assert merged.features.shape == (25, 3)
-        np.testing.assert_array_equal(merged.features[:10], target.features)
-        np.testing.assert_array_equal(merged.features[10:], aux.features)
+        assert merged.shape == (25, 3)
         for rows, part in ((slice(0, 10), target), (slice(10, 25), aux)):
-            stacked = training_pair(part, toy_store).embeddings
-            np.testing.assert_array_equal(merged.embeddings[rows], stacked)
+            np.testing.assert_array_equal(merged[rows], label_targets(part.labels, toy_store))
 
     def test_targets_are_normalized_label_embeddings(self, toy_store):
         rng = np.random.default_rng(7)
         target, aux = self._sets(rng, toy_store)
         merged = augment_training(target, aux, toy_store)
-        np.testing.assert_allclose(merged.embeddings[0], l2_normalize([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(merged.embeddings[10], l2_normalize([0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(merged[0], l2_normalize([1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(merged[10], l2_normalize([0.0, 1.0, 0.0]))
 
     def test_unseen_collision_is_named(self, toy_store):
         rng = np.random.default_rng(8)
