@@ -37,7 +37,6 @@ from .zsl import (
     Prediction,
     Prototype,
     SelfTrainConfig,
-    ZslProblem,
     augment_training,
     build_prototypes,
     nearest_prototype,

@@ -70,7 +70,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             config.gamma = float(config.gamma)
         except (TypeError, ValueError):
             raise ValueError(
-                f"gamma must be 'auto' or a positive number, got {config.gamma!r}"
+                f"gamma must be 'auto' or a positive finite number, got {config.gamma!r}"
             ) from None
     return config
 

@@ -36,12 +36,8 @@ from .kernels import squared_euclidean_matrix
 
 @dataclass
 class Dataset:
-    """Labelled feature vectors with a class vocabulary.
-
-    The vocabulary may list classes with no instances (e.g. after
-    restricting to a category split side); every instance label must be
-    in the vocabulary.
-    """
+    """Labelled feature vectors with a class vocabulary, which lists every
+    instance label in order of first appearance."""
 
     name: str
     d_x: int
@@ -52,40 +48,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def subset_classes(self, classes: list[Label]) -> "Dataset":
-        """Restrict to instances of the given classes; the subset's
-        vocabulary is exactly ``classes`` (kept even if instance-free)."""
-        keys = {c.key for c in classes}
-        missing = [c.key for c in classes if c.key not in {v.key for v in self.class_vocabulary}]
-        if missing:
-            raise ValueError(f"class {missing[0]!r} not in dataset vocabulary")
-        idx = [i for i, lab in enumerate(self.labels) if lab.key in keys]
-        return Dataset(
-            name=self.name,
-            d_x=self.d_x,
-            ids=[self.ids[i] for i in idx],
-            labels=[self.labels[i] for i in idx],
-            features=self.features[idx] if idx else np.empty((0, self.d_x)),
-            class_vocabulary=list(classes),
-        )
-
-    def subset_ids(self, instance_ids: list[str]) -> "Dataset":
-        pos = {id_: i for i, id_ in enumerate(self.ids)}
-        idx = []
-        for id_ in instance_ids:
-            if id_ not in pos:
-                raise ValueError(f"instance id {id_!r} not in dataset {self.name!r}")
-            idx.append(pos[id_])
-        labels = [self.labels[i] for i in idx]
-        return Dataset(
-            name=self.name,
-            d_x=self.d_x,
-            ids=list(instance_ids),
-            labels=labels,
-            features=self.features[idx] if idx else np.empty((0, self.d_x)),
-            class_vocabulary=list(dict.fromkeys(labels)),
-        )
 
 
 def load_dataset(path: str | Path) -> Dataset:

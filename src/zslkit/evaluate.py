@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -30,11 +31,10 @@ from .kernels import (
     rbf_from_distances,
 )
 from .svc import SvcConfig, classify_batch, train_svc
-from .svr import SvrConfig, predict_batch, train_semantic_regressor
+from .svr import SemanticRegressor, SvrConfig, predict_batch, train_semantic_regressor
 from .zsl import (
     Prediction,
     SelfTrainConfig,
-    ZslProblem,
     augment_training,
     build_prototypes,
     label_targets,
@@ -137,8 +137,10 @@ class ExperimentConfig:
             raise ValueError("k_neighbors must be at least 1")
         if self.kernel_kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel_kind {self.kernel_kind!r}")
-        if self.gamma != "auto" and not self.gamma > 0:
-            raise ValueError("gamma must be 'auto' or a positive number")
+        if self.gamma != "auto" and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(
+                f"gamma must be 'auto' or a positive finite number, got {self.gamma!r}"
+            )
         if self.predictor not in (PREDICTOR_REGRESSOR, PREDICTOR_RANDOM):
             raise ValueError(f"unknown predictor {self.predictor!r}")
         if self.split_count < 1:
@@ -241,20 +243,45 @@ def _run_distances(
     return distance_matrix(config.kernel_kind, features)
 
 
-def _row_index(dataset: Dataset, ids: list[str]) -> np.ndarray:
-    pos = {id_: i for i, id_ in enumerate(dataset.ids)}
-    return np.array([pos[id_] for id_ in ids], dtype=np.intp)
+def _fit_regressor(
+    config: ExperimentConfig,
+    dist: np.ndarray,
+    rows: np.ndarray,
+    targets: np.ndarray,
+    test_rows: np.ndarray,
+    *,
+    own: bool = False,
+) -> tuple[SemanticRegressor, list[np.ndarray]]:
+    """The regressor trained on rows ``rows`` of the run matrix ``dist``
+    (regression ``targets`` in the same order) and the kernel rows of
+    ``test_rows`` against its support pool. With ``own``, the kernel rows
+    of ``rows`` come first, as the pool columns of their Gram block:
+    recomputed, they would hold the same values in another memory layout,
+    which the projection's matrix product rounds differently.
+    """
+    kernel, gram = fit_kernel(config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma)
+    regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
+    pool = regressor.pool_indices
+    kernel_rows = [gram[:, pool]] if own else []
+    del gram  # keep at most the run matrix and one unit's block alive
+    kv = dist[np.ix_(test_rows, rows[pool])]
+    return regressor, kernel_rows + [rbf_from_distances(kernel.gamma, kv)]
+
+
+def _class_rows(dataset: Dataset, classes: Sequence[Label]) -> np.ndarray:
+    """Rows of ``dataset`` whose label is one of ``classes``, in order."""
+    keys = {lab.key for lab in classes}
+    return np.array(
+        [i for i, lab in enumerate(dataset.labels) if lab.key in keys], dtype=np.intp
+    )
 
 
 def _random_predictions(
-    test: Dataset, unseen: tuple[Label, ...], seed: int, index: int
+    ids: list[str], unseen: tuple[Label, ...], seed: int, index: int
 ) -> list[Prediction]:
     rng = np.random.default_rng([seed, 104729, index])
-    picks = rng.integers(0, len(unseen), size=len(test))
-    return [
-        Prediction(test.ids[i], unseen[int(picks[i])], float("nan"))
-        for i in range(len(test))
-    ]
+    picks = rng.integers(0, len(unseen), size=len(ids))
+    return [Prediction(id_, unseen[int(k)], float("nan")) for id_, k in zip(ids, picks)]
 
 
 def _run_units(
@@ -347,26 +374,22 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     def fit_predict(split: SplitSpec, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
         (run_dir / "splits").mkdir(exist_ok=True)
         save_split(split, target.name, run_dir / "splits" / f"split_{split.index:03d}.json")
-        train_ds = target.subset_classes(list(split.seen))
-        test_ds = target.subset_classes(list(split.unseen))
-        prototypes = build_prototypes(store, list(split.unseen))
-        problem = ZslProblem(train=train_ds, test=test_ds, prototypes=prototypes)
+        train_rows = _class_rows(target, split.seen)
+        test_rows = _class_rows(target, split.unseen)
+        test_ids = [target.ids[i] for i in test_rows]
+        truths = [target.labels[i] for i in test_rows]
+        prototypes = build_prototypes(store, split.unseen)
         if config.predictor == PREDICTOR_RANDOM:
-            return test_ds.labels, _random_predictions(
-                test_ds, split.unseen, config.split_seed, split.index
+            return truths, _random_predictions(
+                test_ids, split.unseen, config.split_seed, split.index
             )
-        targets = augment_training(train_ds, auxiliary, store, unseen=list(split.unseen))
-        rows = np.concatenate([_row_index(target, train_ds.ids), aux_rows])
-        kernel, gram = fit_kernel(
-            config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma
+        targets = augment_training(
+            [target.labels[i] for i in train_rows], auxiliary, store, unseen=split.unseen
         )
-        regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
-        del gram  # keep at most the run matrix and one unit's block alive
-        test_rows = _row_index(target, test_ds.ids)
-        kv = dist[np.ix_(test_rows, rows[regressor.pool_indices])]
-        return test_ds.labels, zsl_predict(
-            regressor, problem, rbf_from_distances(kernel.gamma, kv), st_config
+        regressor, (kernel_rows,) = _fit_regressor(
+            config, dist, np.concatenate([train_rows, aux_rows]), targets, test_rows
         )
+        return truths, zsl_predict(regressor, prototypes, kernel_rows, test_ids, st_config)
 
     variant = config.variant_name() if config.predictor == PREDICTOR_REGRESSOR else "Random"
     return _run_units(
@@ -378,11 +401,17 @@ def _id_list(ids) -> bool:
     return isinstance(ids, list) and bool(ids) and all(isinstance(i, str) for i in ids)
 
 
-def load_folds(path: str | Path) -> list[dict]:
+def load_folds(path: str | Path, ids: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each fold of a folds file as its (train rows, test rows) in the
+    dataset whose instance ids are ``ids``, in the order the file lists
+    them. A malformed fold or an id not in ``ids`` is named with the path
+    and the fold."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     folds = doc.get("folds") if isinstance(doc, dict) else None
     if not isinstance(folds, list) or not folds:
         raise ValueError(f"{path}: expected {{'folds': [{{'train': [...], 'test': [...]}}]}}")
+    row_of = {id_: k for k, id_ in enumerate(ids)}
+    rows = []
     for i, fold in enumerate(folds, start=1):
         if not isinstance(fold, dict):
             raise ValueError(
@@ -392,16 +421,22 @@ def load_folds(path: str | Path) -> list[dict]:
         test = fold.get("test")
         if not _id_list(train) or not _id_list(test):
             raise ValueError(f"{path}: fold {i} must list train and test ids as strings")
-        for name, ids in (("train", train), ("test", test)):
-            if len(set(ids)) != len(ids):
-                repeated = next(id_ for k, id_ in enumerate(ids) if id_ in ids[:k])
+        for name, side in (("train", train), ("test", test)):
+            if len(set(side)) != len(side):
+                repeated = next(id_ for k, id_ in enumerate(side) if id_ in side[:k])
                 raise ValueError(f"{path}: fold {i} repeats {name} id {repeated!r}")
+            unknown = [id_ for id_ in side if id_ not in row_of]
+            if unknown:
+                raise ValueError(f"{path}: fold {i} lists unknown {name} id {unknown[0]!r}")
         overlap = set(train) & set(test)
         if overlap:
             raise ValueError(
                 f"{path}: fold {i} has overlapping instance ids (e.g. {sorted(overlap)[0]!r})"
             )
-    return folds
+        rows.append(
+            tuple(np.array([row_of[id_] for id_ in side], dtype=np.intp) for side in (train, test))
+        )
+    return rows
 
 
 def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path]:
@@ -416,32 +451,28 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     store = load_embeddings(
         config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
     )
-    folds = load_folds(config.folds_path)
+    folds = load_folds(config.folds_path, dataset.ids)
     dist = _run_distances(config, dataset)
     svc_config = config.svc_config()
 
-    def fit_predict(fold: dict, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
-        train_ds = dataset.subset_ids(list(fold["train"]))
-        test_ds = dataset.subset_ids(list(fold["test"]))
-        targets = label_targets(train_ds.labels, store)
-        rows = _row_index(dataset, train_ds.ids)
-        kernel, gram = fit_kernel(
-            config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma
+    def fit_predict(
+        fold: tuple[np.ndarray, np.ndarray], run_dir: Path
+    ) -> tuple[list[Label], list[Prediction]]:
+        train_rows, test_rows = fold
+        train_labels, test_labels = ([dataset.labels[i] for i in rows] for rows in fold)
+        train_ids, test_ids = ([dataset.ids[i] for i in rows] for rows in fold)
+        regressor, kernel_rows = _fit_regressor(
+            config, dist, train_rows, label_targets(train_labels, store), test_rows, own=True
         )
-        regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
-        pool = regressor.pool_indices
-        train_proj = normalized_projections(
-            predict_batch(regressor, gram[:, pool]), train_ds.ids
+        train_proj, test_proj = (
+            normalized_projections(predict_batch(regressor, k), ids)
+            for k, ids in zip(kernel_rows, (train_ids, test_ids))
         )
-        del gram  # keep at most the run matrix and one unit's block alive
-        kv = dist[np.ix_(_row_index(dataset, test_ds.ids), rows[pool])]
-        test_proj = normalized_projections(
-            predict_batch(regressor, rbf_from_distances(kernel.gamma, kv)), test_ds.ids
-        )
-        model = train_svc(train_proj, train_ds.labels, svc_config)
+        del kernel_rows  # not alive beside the SVM's own Gram matrix
+        model = train_svc(train_proj, train_labels, svc_config)
         predicted = classify_batch(model, test_proj)
-        return test_ds.labels, [
-            Prediction(id_, label, float("nan")) for id_, label in zip(test_ds.ids, predicted)
+        return test_labels, [
+            Prediction(id_, label, float("nan")) for id_, label in zip(test_ids, predicted)
         ]
 
     return _run_units(

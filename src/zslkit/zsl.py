@@ -119,30 +119,6 @@ def self_train(
     return adapted
 
 
-@dataclass
-class ZslProblem:
-    """A zero-shot task: seen-class training data, unseen-class test data
-    (labels used only for scoring), and one prototype per unseen class."""
-
-    train: Dataset
-    test: Dataset
-    prototypes: list[Prototype]
-
-    def __post_init__(self) -> None:
-        train_keys = {lab.key for lab in self.train.class_vocabulary}
-        test_keys = {lab.key for lab in self.test.class_vocabulary}
-        overlap = sorted(train_keys & test_keys)
-        if overlap:
-            raise ValueError(
-                f"seen and unseen classes must be disjoint; {overlap[0]!r} is in both"
-            )
-        proto_keys = [p.label.key for p in self.prototypes]
-        if len(set(proto_keys)) != len(proto_keys):
-            raise ValueError("duplicate prototype labels")
-        if set(proto_keys) != test_keys:
-            raise ValueError("prototypes must cover exactly the unseen classes")
-
-
 class Prediction(NamedTuple):
     instance_id: str
     label: Label
@@ -160,32 +136,28 @@ def normalized_projections(raw: np.ndarray, ids: Sequence[str]) -> np.ndarray:
 
 def zsl_predict(
     regressor: SemanticRegressor,
-    problem: ZslProblem,
+    prototypes: Sequence[Prototype],
     kernel_rows: np.ndarray,
+    ids: Sequence[str],
     config: SelfTrainConfig | None = None,
 ) -> list[Prediction]:
     """Project every test instance, L2-normalize, optionally self-train the
     prototypes on the projections, then nearest-prototype classify.
 
     ``kernel_rows`` are the test instances' kernel values against the
-    regressor's support pool, one row per instance, for
+    regressor's support pool, one row per id in ``ids``, for
     :func:`~zslkit.svr.predict_batch`.
     """
-    if kernel_rows.shape[0] != len(problem.test):
-        raise ValueError(
-            f"{kernel_rows.shape[0]} kernel rows for {len(problem.test)} test instances"
-        )
-    if len(problem.test) == 0:
+    if kernel_rows.shape[0] != len(ids):
+        raise ValueError(f"{kernel_rows.shape[0]} kernel rows for {len(ids)} test instances")
+    if len(ids) == 0:
         return []
-    raw = predict_batch(regressor, kernel_rows)
-    proj = normalized_projections(raw, problem.test.ids)
-    prototypes = problem.prototypes
+    proj = normalized_projections(predict_batch(regressor, kernel_rows), ids)
     if config is not None:
         prototypes = self_train(prototypes, proj, config)
     idx, dist = nearest_prototype(prototypes, proj)
     return [
-        Prediction(id_, prototypes[i].label, float(d))
-        for id_, i, d in zip(problem.test.ids, idx, dist)
+        Prediction(id_, prototypes[i].label, float(d)) for id_, i, d in zip(ids, idx, dist)
     ]
 
 
@@ -209,27 +181,22 @@ def label_targets(labels: Sequence[Label], store: EmbeddingStore) -> np.ndarray:
 
 
 def augment_training(
-    target: Dataset,
+    labels: Sequence[Label],
     auxiliary: Dataset | None,
     store: EmbeddingStore,
     *,
     unseen: Sequence[Label] | None = None,
 ) -> np.ndarray:
-    """Regression targets of the target's training rows followed by the
-    auxiliary dataset's rows: the row order of the training kernel.
+    """Regression targets of the target's training ``labels`` followed by
+    the auxiliary dataset's rows: the row order of the training kernel.
 
     Auxiliary classes may overlap the target's training classes but must
     be disjoint from the problem's unseen classes; pass those via
     ``unseen`` to enforce the guard before any training happens.
     """
-    targets = label_targets(target.labels, store)
+    targets = label_targets(labels, store)
     if auxiliary is None or len(auxiliary) == 0:
         return targets
-    if auxiliary.d_x != target.d_x:
-        raise ValueError(
-            f"feature dimension mismatch: target d_x={target.d_x}, "
-            f"auxiliary d_x={auxiliary.d_x}"
-        )
     if unseen is not None:
         unseen_keys = {lab.key for lab in unseen}
         for lab in auxiliary.class_vocabulary:

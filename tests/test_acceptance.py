@@ -212,7 +212,9 @@ def _augmentation_trial(seed: int):
     truth = np.vstack([store.vector(lab.tokens[0]) for lab in heldout.labels])
     errors = []
     for use_aux in (False, True):
-        targets = augment_training(target, auxiliary if use_aux else None, store, unseen=unseen)
+        targets = augment_training(
+            target.labels, auxiliary if use_aux else None, store, unseen=unseen
+        )
         x = np.vstack([target.features, auxiliary.features]) if use_aux else target.features
         kernel = KernelSpec("rbf_chi2", heuristic_gamma(x))
         regressor = train_semantic_regressor(targets, config, kernel, gram_matrix(kernel, x))

@@ -76,19 +76,6 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="header"):
             load_dataset(path)
 
-    def test_subsets(self, tmp_path):
-        path = tmp_path / "feats.csv"
-        write_csv(
-            path, "id,label,f0", ["v1,run,1", "v2,jump,2", "v3,run,3"]
-        )
-        ds = load_dataset(path)
-        sub = ds.subset_classes([Label.of("run")])
-        assert sub.ids == ["v1", "v3"]
-        byid = ds.subset_ids(["v2"])
-        assert byid.labels == [Label.of("jump")]
-        with pytest.raises(ValueError, match="not in dataset"):
-            ds.subset_ids(["nope"])
-
 
 class TestGenerateSplits:
     def test_fifty_one_classes_split_26_25(self):

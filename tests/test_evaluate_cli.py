@@ -1,9 +1,12 @@
 import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zslkit.evaluate
 import zslkit.smo
 from zslkit.cli import main
 from zslkit.data import generate_splits, load_dataset, write_features_csv
@@ -23,7 +26,6 @@ from zslkit.synthetic import make_world, world_dataset, world_store
 from zslkit.zsl import (
     Prediction,
     SelfTrainConfig,
-    ZslProblem,
     augment_training,
     build_prototypes,
     label_targets,
@@ -85,6 +87,20 @@ def reference_regressor(config: ExperimentConfig, x: np.ndarray, targets: np.nda
     return train_semantic_regressor(targets, _svr_config(config), kernel, gram_matrix(kernel, x))
 
 
+def class_rows(dataset, classes) -> list[int]:
+    """Rows of ``dataset`` labelled with one of ``classes``, in order."""
+    keys = {lab.key for lab in classes}
+    return [i for i, lab in enumerate(dataset.labels) if lab.key in keys]
+
+
+def write_class_subset(dataset, classes, path) -> None:
+    rows = class_rows(dataset, classes)
+    write_features_csv(
+        path, [dataset.ids[i] for i in rows], [dataset.labels[i] for i in rows],
+        dataset.features[rows],
+    )
+
+
 def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
     """Per-split prediction CSVs from features, each split computing its
     own distances."""
@@ -93,15 +109,22 @@ def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
     auxiliary = load_dataset(config.auxiliary_path) if config.augment else None
     st_config = SelfTrainConfig(k=config.k_neighbors) if config.self_train else None
     for split in generate_splits(target.class_vocabulary, config.split_count, config.split_seed):
-        train = target.subset_classes(list(split.seen))
-        test = target.subset_classes(list(split.unseen))
-        problem = ZslProblem(train, test, build_prototypes(store, list(split.unseen)))
-        targets = augment_training(train, auxiliary, store, unseen=list(split.unseen))
-        x = train.features if auxiliary is None else np.vstack([train.features, auxiliary.features])
+        train, test = class_rows(target, split.seen), class_rows(target, split.unseen)
+        targets = augment_training(
+            [target.labels[i] for i in train], auxiliary, store, unseen=split.unseen
+        )
+        x = target.features[train]
+        if auxiliary is not None:
+            x = np.vstack([x, auxiliary.features])
         regressor = reference_regressor(config, x, targets)
-        kernel_rows = gram_matrix(regressor.kernel, test.features, x[regressor.pool_indices])
+        kernel_rows = gram_matrix(
+            regressor.kernel, target.features[test], x[regressor.pool_indices]
+        )
         write_predictions_csv(
-            zsl_predict(regressor, problem, kernel_rows, st_config),
+            zsl_predict(
+                regressor, build_prototypes(store, split.unseen), kernel_rows,
+                [target.ids[i] for i in test], st_config,
+            ),
             out_dir / f"split_{split.index:03d}.csv",
         )
 
@@ -111,23 +134,25 @@ def reference_multishot_predictions(config: ExperimentConfig, out_dir) -> None:
     distances."""
     dataset = load_dataset(config.target_path)
     store = load_embeddings(config.embedding_path)
-    for index, fold in enumerate(load_folds(config.folds_path), start=1):
-        train = dataset.subset_ids(list(fold["train"]))
-        test = dataset.subset_ids(list(fold["test"]))
-        regressor = reference_regressor(
-            config, train.features, label_targets(train.labels, store)
-        )
-        pool = train.features[regressor.pool_indices]
+    row_of = {id_: i for i, id_ in enumerate(dataset.ids)}
+    folds = json.loads(Path(config.folds_path).read_text())["folds"]
+    for index, fold in enumerate(folds, start=1):
+        train, test = ([row_of[id_] for id_ in fold[side]] for side in ("train", "test"))
+        train_labels = [dataset.labels[i] for i in train]
+        x = dataset.features[train]
+        regressor = reference_regressor(config, x, label_targets(train_labels, store))
+        pool = x[regressor.pool_indices]
         train_proj, test_proj = (
             normalized_projections(
-                predict_batch(regressor, gram_matrix(regressor.kernel, ds.features, pool)), ds.ids
+                predict_batch(regressor, gram_matrix(regressor.kernel, dataset.features[rows], pool)),
+                [dataset.ids[i] for i in rows],
             )
-            for ds in (train, test)
+            for rows in (train, test)
         )
-        model = train_svc(train_proj, train.labels, SvcConfig())
+        model = train_svc(train_proj, train_labels, SvcConfig())
         predicted = classify_batch(model, test_proj)
         write_predictions_csv(
-            [Prediction(id_, lab, float("nan")) for id_, lab in zip(test.ids, predicted)],
+            [Prediction(id_, lab, float("nan")) for id_, lab in zip(fold["test"], predicted)],
             out_dir / f"fold_{index:03d}.csv",
         )
 
@@ -195,9 +220,8 @@ class TestZslEvaluation:
     def test_single_unseen_class_forces_perfect_accuracy(self, toy_world, tmp_path):
         # restrict the target to 2 classes: one seen, one unseen
         ds = load_dataset(toy_world["target"])
-        sub = ds.subset_classes(ds.class_vocabulary[:2])
         path = tmp_path / "two.csv"
-        write_features_csv(path, sub.ids, sub.labels, sub.features)
+        write_class_subset(ds, ds.class_vocabulary[:2], path)
         config = base_config(toy_world, tmp_path, split_count=1)
         config.target_path = str(path)
         report, _ = run_zsl_evaluation(config)
@@ -214,6 +238,43 @@ class TestZslEvaluation:
         ref_dir.mkdir()
         reference_zsl_predictions(config, ref_dir)
         assert_same_predictions(run_dir, ref_dir, kernel_kind)
+
+    def test_units_copy_no_feature_rows(self, tmp_path, monkeypatch):
+        # wide histograms make one copy of the target's rows stand out
+        rng = np.random.default_rng(3)
+        world = make_world(4, d_x=4000, d_z=6, rng=rng, concentration=80.0)
+        target = world_dataset(world, list(range(4)), per_class=6, rng=rng, name="wide")
+        write_features_csv(tmp_path / "wide.csv", target.ids, target.labels, target.features)
+        save_embeddings(world_store(world), tmp_path / "embeddings.txt")
+        config = ExperimentConfig(
+            target_path=str(tmp_path / "wide.csv"),
+            embedding_path=str(tmp_path / "embeddings.txt"),
+            out_dir=str(tmp_path / "runs"),
+            split_count=2,
+        )
+        # traced growth from a unit's first call to its last
+        growth: list[int] = []
+        save_split = zslkit.evaluate.save_split
+        write_predictions = zslkit.evaluate.write_predictions_csv
+
+        def unit_start(*args):
+            tracemalloc.reset_peak()
+            growth.append(-tracemalloc.get_traced_memory()[0])
+            return save_split(*args)
+
+        def unit_end(*args):
+            growth[-1] += tracemalloc.get_traced_memory()[1]
+            return write_predictions(*args)
+
+        monkeypatch.setattr(zslkit.evaluate, "save_split", unit_start)
+        monkeypatch.setattr(zslkit.evaluate, "write_predictions_csv", unit_end)
+        tracemalloc.start()
+        try:
+            run_zsl_evaluation(config)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 2
+        assert max(growth) < target.features.nbytes / 2
 
     def test_auxiliary_dimension_mismatch_fails(self, toy_world, tmp_path):
         ds = load_dataset(toy_world["aux"])
@@ -311,9 +372,8 @@ class TestZslEvaluation:
         # auxiliary data reusing a target class must be rejected on any
         # split that holds that class out
         ds = load_dataset(toy_world["target"])
-        bad_aux = ds.subset_classes(ds.class_vocabulary[:3])
         path = tmp_path / "bad_aux.csv"
-        write_features_csv(path, bad_aux.ids, bad_aux.labels, bad_aux.features)
+        write_class_subset(ds, ds.class_vocabulary[:3], path)
         config = base_config(
             toy_world, tmp_path, augment=True, auxiliary_path=str(path), split_count=4
         )
@@ -404,14 +464,17 @@ class TestMultishot:
             ([{"train": ["a", "a", "b"], "test": ["c"]}], "fold 1 repeats train id 'a'"),
             ([{"train": ["a"], "test": ["b"]}, {"train": ["a", "b"], "test": ["c", "d", "c"]}],
              "fold 2 repeats test id 'c'"),
+            ([{"train": ["a"], "test": ["b"]}, {"train": ["a", "b"], "test": ["c", "nope"]}],
+             "fold 2 lists unknown test id 'nope'"),
         ],
-        ids=["fold_not_object", "ids_not_list", "repeated_train_id", "repeated_test_id"],
+        ids=["fold_not_object", "ids_not_list", "repeated_train_id", "repeated_test_id",
+             "unknown_id"],
     )
     def test_malformed_fold_file_names_path_and_fold(self, tmp_path, folds, message):
         path = tmp_path / "folds.json"
         path.write_text(json.dumps({"folds": folds}))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
-            load_folds(path)
+            load_folds(path, ["a", "b", "c", "d"])
 
     def test_missing_folds_path(self, toy_world, tmp_path):
         config = base_config(toy_world, tmp_path)
@@ -597,8 +660,14 @@ class TestCli:
         assert (config["gamma"], config["split_seed"], config["split_count"]) == (1.5, 4, 1)
         assert (config["self_train"], config["k_neighbors"]) == (True, 3)
 
-    @pytest.mark.parametrize("gamma", ["0.5", "auto", "fast"])
-    def test_gamma_flag_takes_auto_or_a_number(self, toy_world, tmp_path, capsys, gamma):
+    # a number that is not a positive finite real fails validation: no run directory
+    @pytest.mark.parametrize(
+        "gamma, got",
+        [("0.5", None), ("auto", None), ("fast", "'fast'"), ("inf", "inf"), ("1e400", "inf"),
+         ("-1", "-1.0"), ("nan", "nan")],
+        ids=["0.5", "auto", "fast", "inf", "1e400", "-1", "nan"],
+    )
+    def test_gamma_flag_takes_auto_or_a_number(self, toy_world, tmp_path, capsys, gamma, got):
         out = tmp_path / "runs"
         code = main(
             [
@@ -610,10 +679,10 @@ class TestCli:
                 "--gamma", gamma,
             ]
         )
-        if gamma == "fast":
+        if got is not None:
             assert code == 1
             error = json.loads(capsys.readouterr().err)["error"]
-            assert error == "gamma must be 'auto' or a positive number, got 'fast'"
+            assert error == f"gamma must be 'auto' or a positive finite number, got {got}"
             assert not out.exists()
             return
         assert code == 0

@@ -14,7 +14,6 @@ from zslkit.svr import SvrConfig, train_semantic_regressor
 from zslkit.zsl import (
     Prototype,
     SelfTrainConfig,
-    ZslProblem,
     augment_training,
     build_prototypes,
     label_targets,
@@ -27,7 +26,7 @@ from zslkit.zsl import (
 )
 
 
-def make_dataset(name, entries, d_x, vocab=None):
+def make_dataset(name, entries, d_x):
     """entries: list of (id, label string, feature list)."""
     labels = [Label.of(lab) for _, lab, _ in entries]
     return Dataset(
@@ -36,7 +35,7 @@ def make_dataset(name, entries, d_x, vocab=None):
         ids=[e[0] for e in entries],
         labels=labels,
         features=np.array([e[2] for e in entries], dtype=float).reshape(-1, d_x),
-        class_vocabulary=vocab or list(dict.fromkeys(labels)),
+        class_vocabulary=list(dict.fromkeys(labels)),
     )
 
 
@@ -230,75 +229,42 @@ class TestSelfTrain:
             np.testing.assert_allclose(a.vector, b.vector, atol=1e-12)
 
 
-class TestZslProblem:
-    def test_disjointness_enforced(self):
-        train = make_dataset("t", [("1", "run", [1, 0])], 2)
-        test = make_dataset("s", [("2", "run", [0, 1])], 2)
-        with pytest.raises(ValueError, match="disjoint"):
-            ZslProblem(train=train, test=test, prototypes=[
-                Prototype(Label.of("run"), np.array([1.0, 0.0]))
-            ])
-
-    def test_prototypes_must_cover_unseen_classes(self):
-        train = make_dataset("t", [("1", "run", [1, 0])], 2)
-        test = make_dataset("s", [("2", "jump", [0, 1])], 2)
-        with pytest.raises(ValueError, match="cover exactly"):
-            ZslProblem(train=train, test=test, prototypes=[
-                Prototype(Label.of("walk"), np.array([1.0, 0.0]))
-            ])
-
-
 class TestZslPredict:
     def _fitted(self, rng, toy_store):
-        train = make_dataset(
-            "train",
-            [(f"tr{i}", "run" if i % 2 == 0 else "jump",
-              rng.dirichlet([3, 1, 1]) if i % 2 == 0 else rng.dirichlet([1, 1, 3]))
-             for i in range(12)],
-            3,
+        labels = [Label.of("run" if i % 2 == 0 else "jump") for i in range(12)]
+        x = np.array(
+            [rng.dirichlet([3, 1, 1]) if i % 2 == 0 else rng.dirichlet([1, 1, 3]) for i in range(12)]
         )
-        kern = KernelSpec("rbf_chi2", heuristic_gamma(train.features))
+        kern = KernelSpec("rbf_chi2", heuristic_gamma(x))
         reg = train_semantic_regressor(
-            label_targets(train.labels, toy_store), SvrConfig(epsilon=0.05), kern,
-            gram_matrix(kern, train.features),
+            label_targets(labels, toy_store), SvrConfig(epsilon=0.05), kern, gram_matrix(kern, x)
         )
-        return train, reg
+        return x, reg
 
     @staticmethod
-    def _predict(train, reg, problem):
-        pool = train.features[reg.pool_indices]
-        return zsl_predict(reg, problem, gram_matrix(reg.kernel, problem.test.features, pool))
+    def _predict(x, reg, toy_store, unseen, test_x):
+        kernel_rows = gram_matrix(reg.kernel, test_x, x[reg.pool_indices])
+        ids = [f"te{i}" for i in range(len(test_x))]
+        return zsl_predict(reg, build_prototypes(toy_store, [unseen]), kernel_rows, ids)
 
     def test_zero_test_instances(self, toy_store):
         rng = np.random.default_rng(2)
-        train, reg = self._fitted(rng, toy_store)
-        test = make_dataset("test", [], 3, vocab=[Label.of("walk")])
-        problem = ZslProblem(
-            train=train, test=test, prototypes=build_prototypes(toy_store, [Label.of("walk")])
-        )
-        assert self._predict(train, reg, problem) == []
+        x, reg = self._fitted(rng, toy_store)
+        assert self._predict(x, reg, toy_store, Label.of("walk"), np.empty((0, 3))) == []
 
     def test_kernel_rows_must_match_the_test_instances(self, toy_store):
         rng = np.random.default_rng(5)
-        train, reg = self._fitted(rng, toy_store)
-        test = make_dataset("test", [("te0", "walk", rng.dirichlet([1, 1, 1]))], 3)
-        problem = ZslProblem(
-            train=train, test=test, prototypes=build_prototypes(toy_store, [Label.of("walk")])
-        )
+        _, reg = self._fitted(rng, toy_store)
+        prototypes = build_prototypes(toy_store, [Label.of("walk")])
         rows = np.ones((2, reg.pool_indices.size))
         with pytest.raises(ValueError, match="2 kernel rows for 1 test instances"):
-            zsl_predict(reg, problem, rows)
+            zsl_predict(reg, prototypes, rows, ["te0"])
 
     def test_single_unseen_class_is_forced(self, toy_store):
         rng = np.random.default_rng(3)
-        train, reg = self._fitted(rng, toy_store)
-        test = make_dataset(
-            "test", [(f"te{i}", "walk", rng.dirichlet([1, 1, 1])) for i in range(5)], 3
-        )
-        problem = ZslProblem(
-            train=train, test=test, prototypes=build_prototypes(toy_store, [Label.of("walk")])
-        )
-        preds = self._predict(train, reg, problem)
+        x, reg = self._fitted(rng, toy_store)
+        test_x = rng.dirichlet([1, 1, 1], size=5)
+        preds = self._predict(x, reg, toy_store, Label.of("walk"), test_x)
         assert len(preds) == 5
         assert all(p.label == Label.of("walk") for p in preds)
 
@@ -323,15 +289,9 @@ class TestZslPredict:
 
     def test_predictions_csv_format(self, tmp_path, toy_store):
         rng = np.random.default_rng(4)
-        train, reg = self._fitted(rng, toy_store)
-        test = make_dataset(
-            "test", [(f"te{i}", "brush hair", rng.dirichlet([1, 1, 1])) for i in range(3)], 3
-        )
-        problem = ZslProblem(
-            train=train, test=test,
-            prototypes=build_prototypes(toy_store, [Label.of("brush hair")]),
-        )
-        preds = self._predict(train, reg, problem)
+        x, reg = self._fitted(rng, toy_store)
+        test_x = rng.dirichlet([1, 1, 1], size=3)
+        preds = self._predict(x, reg, toy_store, Label.of("brush hair"), test_x)
         out = tmp_path / "preds.csv"
         write_predictions_csv(preds, out)
         lines = out.read_text().splitlines()
@@ -340,46 +300,25 @@ class TestZslPredict:
 
 
 class TestAugmentTraining:
-    def _sets(self, rng, toy_store):
-        target = make_dataset(
-            "target", [(f"t{i}", "run", rng.dirichlet([2, 1, 1])) for i in range(10)], 3
-        )
-        aux = make_dataset(
-            "aux", [(f"a{i}", "jump", rng.dirichlet([1, 2, 1])) for i in range(15)], 3
-        )
-        return target, aux
+    TARGET = [Label.of("run")] * 10
+    AUX = make_dataset("aux", [(f"a{i}", "jump", [1.0, 0.0, 0.0]) for i in range(15)], 3)
 
     def test_empty_auxiliary_is_identity(self, toy_store):
-        rng = np.random.default_rng(5)
-        target, _ = self._sets(rng, toy_store)
-        merged = augment_training(target, None, toy_store)
-        np.testing.assert_array_equal(merged, label_targets(target.labels, toy_store))
+        merged = augment_training(self.TARGET, None, toy_store)
+        np.testing.assert_array_equal(merged, label_targets(self.TARGET, toy_store))
         assert merged.shape == (10, 3)
 
     def test_concatenation_order_and_counts(self, toy_store):
-        rng = np.random.default_rng(6)
-        target, aux = self._sets(rng, toy_store)
-        merged = augment_training(target, aux, toy_store)
+        merged = augment_training(self.TARGET, self.AUX, toy_store)
         assert merged.shape == (25, 3)
-        for rows, part in ((slice(0, 10), target), (slice(10, 25), aux)):
-            np.testing.assert_array_equal(merged[rows], label_targets(part.labels, toy_store))
+        for rows, labels in ((slice(0, 10), self.TARGET), (slice(10, 25), self.AUX.labels)):
+            np.testing.assert_array_equal(merged[rows], label_targets(labels, toy_store))
 
     def test_targets_are_normalized_label_embeddings(self, toy_store):
-        rng = np.random.default_rng(7)
-        target, aux = self._sets(rng, toy_store)
-        merged = augment_training(target, aux, toy_store)
+        merged = augment_training(self.TARGET, self.AUX, toy_store)
         np.testing.assert_allclose(merged[0], l2_normalize([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(merged[10], l2_normalize([0.0, 1.0, 0.0]))
 
     def test_unseen_collision_is_named(self, toy_store):
-        rng = np.random.default_rng(8)
-        target, aux = self._sets(rng, toy_store)
         with pytest.raises(ValueError, match="auxiliary class 'jump' collides"):
-            augment_training(target, aux, toy_store, unseen=[Label.of("jump")])
-
-    def test_dimension_mismatch(self, toy_store):
-        rng = np.random.default_rng(9)
-        target, _ = self._sets(rng, toy_store)
-        aux = make_dataset("aux", [("a0", "jump", [0.5, 0.5])], 2)
-        with pytest.raises(ValueError, match="feature dimension mismatch"):
-            augment_training(target, aux, toy_store)
+            augment_training(self.TARGET, self.AUX, toy_store, unseen=[Label.of("jump")])
