@@ -2,10 +2,9 @@
 """Count the package's source lines and the values a user can set, and
 print them as JSON.
 
-    python3 scripts/count_settable.py              # counts src/zslkit/*.py
-    python3 scripts/count_settable.py path/to/pkg  # any directory of modules
+    python3 scripts/count_settable.py
 
-The counts come from an AST walk over the directory's ``*.py`` files:
+The counts come from an AST walk over ``src/zslkit/*.py``:
 
 - ``source_lines``: lines of all the files together (``cat *.py | wc -l``);
 - ``cli_flags``: calls to ``add_argument``;
@@ -18,10 +17,8 @@ The counts come from an AST walk over the directory's ``*.py`` files:
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,20 +61,9 @@ def count(directory: Path) -> dict[str, int]:
     return counts
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "directory", nargs="?", default=str(ROOT / "src" / "zslkit"),
-        help="directory of Python modules (default: src/zslkit)",
-    )
-    args = parser.parse_args(argv)
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        print(f"not a directory: {directory}", file=sys.stderr)
-        return 1
-    print(json.dumps(count(directory), indent=2))
-    return 0
+def main() -> None:
+    print(json.dumps(count(ROOT / "src" / "zslkit"), indent=2))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

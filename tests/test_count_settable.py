@@ -1,4 +1,3 @@
-import json
 import sys
 from pathlib import Path
 
@@ -49,12 +48,10 @@ def main():
 '''
 
 
-def test_counts_of_a_small_module(tmp_path, capsys):
+def test_counts_of_a_small_module(tmp_path):
     (tmp_path / "mod.py").write_text(MODULE)
     (tmp_path / "notes.txt").write_text("def ignored(x): pass\n")
-    assert count_settable.main([str(tmp_path)]) == 0
-    counts = json.loads(capsys.readouterr().out)
-    assert counts == {
+    assert count_settable.count(tmp_path) == {
         "source_lines": MODULE.count("\n"),
         "cli_flags": 2,
         # scaled: factor, offset; build: size; run: path, values, verbose,
@@ -63,8 +60,3 @@ def test_counts_of_a_small_module(tmp_path, capsys):
         "dataclass_fields": 2,
         "settable": 12,
     }
-
-
-def test_missing_directory_fails(tmp_path, capsys):
-    assert count_settable.main([str(tmp_path / "absent")]) == 1
-    assert "not a directory" in capsys.readouterr().err
