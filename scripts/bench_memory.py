@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Trace and time the steps that now run in bounded chunks against their
-former whole-array forms, and write BENCH_memory.json.
+former whole-array or per-prototype forms, and write BENCH_memory.json.
 
     python3 scripts/bench_memory.py                  # writes BENCH_memory.json
     python3 scripts/bench_memory.py --repeats 1 --out /tmp/bench.json
@@ -9,6 +9,8 @@ Run it from the repository root. Each stage runs at a fixed seeded shape:
 
 - ``matching``: ``zsl.nearest_prototype`` of 3,383 projections against 26
   prototypes at d_z=300, one HMDB51 half-split;
+- ``self_train``: ``zsl.self_train`` of the same 26 prototypes on the same
+  3,383 projections, k=10;
 - ``gamma``: ``kernels.gamma_from_distances`` of a 1,040-row distance
   matrix, whose 1,080,560 ordered pairs are sampled down to 1e6 (the
   zsl-deep pool size);
@@ -41,7 +43,6 @@ import numpy as np  # noqa: E402
 import memory_reference as reference  # noqa: E402
 from bench_parse import measure  # noqa: E402
 from zslkit import kernels, svr, zsl  # noqa: E402
-from zslkit.embedding import Label  # noqa: E402
 
 
 def digest(*arrays) -> str:
@@ -56,11 +57,20 @@ def digest(*arrays) -> str:
 def matching(rng):
     mat = rng.normal(size=(26, 300))
     proj = rng.normal(size=(3383, 300))
-    protos = [zsl.Prototype(Label.of(f"c{i}"), row) for i, row in enumerate(mat)]
     return ("3383 x 26 x 300",
-            lambda: reference.nearest_prototype(zsl.prototype_matrix(protos), proj),
-            lambda: zsl.nearest_prototype(protos, proj),
+            lambda: reference.nearest_prototype(mat, proj),
+            lambda: zsl.nearest_prototype(mat, proj),
             lambda r: digest(*r))
+
+
+def self_train(rng):
+    mat = rng.normal(size=(26, 300))
+    proj = rng.normal(size=(3383, 300))
+    proj /= np.linalg.norm(proj, axis=1, keepdims=True)
+    return ("3383 x 26 x 300, k=10",
+            lambda: reference.self_train(mat, proj, 10),
+            lambda: zsl.self_train(mat, proj, 10),
+            lambda r: digest(r))
 
 
 def gamma(rng):
@@ -82,7 +92,7 @@ def symmetry(rng):
             lambda r: digest(r))
 
 
-STAGES = {"matching": matching, "gamma": gamma, "symmetry": symmetry}
+STAGES = {"matching": matching, "self_train": self_train, "gamma": gamma, "symmetry": symmetry}
 
 
 def main() -> int:
@@ -100,10 +110,10 @@ def main() -> int:
         entry["hashes_match"] = entry["reference"]["sha256"] == entry["library"]["sha256"]
         entries.append(entry)
     doc = {
-        "benchmark": "traced peak memory, chunked steps vs their whole-array forms",
+        "benchmark": "traced peak memory, chunked steps vs their former forms",
         "command": f"python3 scripts/bench_memory.py --seed {args.seed} --repeats {args.repeats}",
         "paths": {
-            "reference": "former whole-array form (tests/memory_reference.py)",
+            "reference": "former whole-array or per-prototype form (tests/memory_reference.py)",
             "library": "zslkit's chunked form",
         },
         "host": {
@@ -118,7 +128,7 @@ def main() -> int:
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for e in entries:
         ref, lib = e["reference"], e["library"]
-        print(f"{e['stage']:>9} {e['shape']:<33} peak {ref['peak_traced_mb']:9.3f} -> "
+        print(f"{e['stage']:>10} {e['shape']:<33} peak {ref['peak_traced_mb']:9.3f} -> "
               f"{lib['peak_traced_mb']:7.3f} MB  best {ref['best_s']:7.4f} -> "
               f"{lib['best_s']:7.4f} s  {'match' if e['hashes_match'] else 'HASH MISMATCH'}")
     return 0 if doc["all_hashes_match"] else 1

@@ -35,10 +35,7 @@ from .svr import (
 )
 from .zsl import (
     Prediction,
-    Prototype,
-    SelfTrainConfig,
     augment_training,
-    build_prototypes,
     nearest_prototype,
     label_targets,
     self_train,

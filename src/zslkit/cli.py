@@ -28,6 +28,7 @@ from .embedding import Label, label_tokens, load_embeddings
 from .evaluate import (
     EvaluationReport,
     ExperimentConfig,
+    _run_classes,
     _run_distances,
     run_multishot_evaluation,
     run_zsl_evaluation,
@@ -36,7 +37,6 @@ from .kernels import fit_kernel
 from .model_io import save_model
 from .smo import ConvergenceError
 from .svr import train_semantic_regressor
-from .zsl import label_targets
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -130,11 +130,11 @@ def _cmd_train_regressor(args: argparse.Namespace) -> int:
     store = load_embeddings(
         config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
     )
-    targets = label_targets(dataset.labels, store)
+    _, vectors, class_of = _run_classes(store, dataset)
     kernel, gram = fit_kernel(
         config.kernel_kind, _run_distances(config, dataset), config.gamma
     )
-    regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
+    regressor = train_semantic_regressor(vectors[class_of], config.svr_config(), kernel, gram)
     out = Path(args.model_out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(regressor, dataset.features[regressor.pool_indices], out)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import smo
 from .data import Dataset, SplitSpec, generate_splits, load_dataset, save_split
-from .embedding import Label, label_tokens, load_embeddings
+from .embedding import EmbeddingStore, Label, label_tokens, load_embeddings
 from .kernels import (
     KERNEL_KINDS,
     RBF_CHI2,
@@ -34,9 +34,7 @@ from .svc import SvcConfig, classify_batch, train_svc
 from .svr import SemanticRegressor, SvrConfig, predict_batch, train_semantic_regressor
 from .zsl import (
     Prediction,
-    SelfTrainConfig,
     augment_training,
-    build_prototypes,
     label_targets,
     normalized_projections,
     write_predictions_csv,
@@ -268,12 +266,17 @@ def _fit_regressor(
     return regressor, kernel_rows + [rbf_from_distances(kernel.gamma, kv)]
 
 
-def _class_rows(dataset: Dataset, classes: Sequence[Label]) -> np.ndarray:
-    """Rows of ``dataset`` whose label is one of ``classes``, in order."""
-    keys = {lab.key for lab in classes}
-    return np.array(
-        [i for i, lab in enumerate(dataset.labels) if lab.key in keys], dtype=np.intp
-    )
+def _run_classes(
+    store: EmbeddingStore, target: Dataset, auxiliary: Dataset | None = None
+) -> tuple[dict[Label, int], np.ndarray, np.ndarray]:
+    """Each class of the run with its index, in order of first appearance
+    over the target rows and then the auxiliary rows; the (C, d_z) word
+    vectors of those classes; and the class index of every run row. A
+    label whose word ``store`` lacks fails here, before any unit runs."""
+    labels = target.labels + (auxiliary.labels if auxiliary is not None else [])
+    index = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+    class_of = np.array([index[lab] for lab in labels], dtype=np.intp)
+    return index, label_targets(list(index), store), class_of
 
 
 def _random_predictions(
@@ -352,8 +355,9 @@ def _run_units(
 def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path]:
     """Evaluate the zero-shot pipeline over generated category splits.
 
-    Per split: train the regressor on seen-class instances (plus the
-    auxiliary dataset when augmenting), build unseen-class prototypes,
+    Each class is embedded once, before any split runs. Per split: train
+    the regressor on seen-class instances (plus the auxiliary dataset when
+    augmenting), take the unseen classes' word vectors as prototypes,
     project and classify the unseen-class instances (self-training the
     prototypes first when enabled), and score per-instance accuracy.
     Returns the aggregated report and the run directory.
@@ -366,30 +370,30 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
         config.embedding_path, tokens=label_tokens(target.class_vocabulary + aux_vocabulary)
     )
     splits = generate_splits(target.class_vocabulary, config.split_count, config.split_seed)
+    index, vectors, class_of = _run_classes(store, target, auxiliary)
     if config.predictor == PREDICTOR_REGRESSOR:
         dist = _run_distances(config, target, auxiliary)
         aux_rows = np.arange(len(target), dist.shape[0])
-    st_config = SelfTrainConfig(k=config.k_neighbors) if config.self_train else None
+    k = config.k_neighbors if config.self_train else None
 
     def fit_predict(split: SplitSpec, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
         (run_dir / "splits").mkdir(exist_ok=True)
         save_split(split, target.name, run_dir / "splits" / f"split_{split.index:03d}.json")
-        train_rows = _class_rows(target, split.seen)
-        test_rows = _class_rows(target, split.unseen)
+        unseen = np.array([index[lab] for lab in split.unseen], dtype=np.intp)
+        is_test = np.isin(class_of[: len(target)], unseen)
+        train_rows, test_rows = np.flatnonzero(~is_test), np.flatnonzero(is_test)
         test_ids = [target.ids[i] for i in test_rows]
         truths = [target.labels[i] for i in test_rows]
-        prototypes = build_prototypes(store, split.unseen)
         if config.predictor == PREDICTOR_RANDOM:
             return truths, _random_predictions(
                 test_ids, split.unseen, config.split_seed, split.index
             )
-        targets = augment_training(
-            [target.labels[i] for i in train_rows], auxiliary, store, unseen=split.unseen
+        rows = np.concatenate([train_rows, aux_rows])
+        targets = augment_training(vectors, class_of[rows], list(index), unseen)
+        regressor, (kernel_rows,) = _fit_regressor(config, dist, rows, targets, test_rows)
+        return truths, zsl_predict(
+            regressor, vectors[unseen], split.unseen, kernel_rows, test_ids, k
         )
-        regressor, (kernel_rows,) = _fit_regressor(
-            config, dist, np.concatenate([train_rows, aux_rows]), targets, test_rows
-        )
-        return truths, zsl_predict(regressor, prototypes, kernel_rows, test_ids, st_config)
 
     variant = config.variant_name() if config.predictor == PREDICTOR_REGRESSOR else "Random"
     return _run_units(
@@ -452,6 +456,7 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
         config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
     )
     folds = load_folds(config.folds_path, dataset.ids)
+    _, vectors, class_of = _run_classes(store, dataset)
     dist = _run_distances(config, dataset)
     svc_config = config.svc_config()
 
@@ -462,7 +467,7 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
         train_labels, test_labels = ([dataset.labels[i] for i in rows] for rows in fold)
         train_ids, test_ids = ([dataset.ids[i] for i in rows] for rows in fold)
         regressor, kernel_rows = _fit_regressor(
-            config, dist, train_rows, label_targets(train_labels, store), test_rows, own=True
+            config, dist, train_rows, vectors[class_of[train_rows]], test_rows, own=True
         )
         train_proj, test_proj = (
             normalized_projections(predict_batch(regressor, k), ids)

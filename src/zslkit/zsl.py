@@ -1,58 +1,24 @@
-"""Zero-shot machinery: class prototypes, nearest-prototype matching,
-transductive self-training, and auxiliary-data augmentation."""
+"""Zero-shot machinery: class word vectors, nearest-prototype matching,
+transductive self-training, and auxiliary-data augmentation.
+
+A run embeds each of its classes once, as one row of a (C, d_z) matrix of
+L2-normalized word vectors (:func:`label_targets`). That row is the
+regression target of the class's training instances and, while the class
+is unseen, its prototype.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset
 from .embedding import EmbeddingStore, Label, embed_label, l2_normalize
 from .svr import SemanticRegressor, predict_batch
 
-
-@dataclass
-class Prototype:
-    """A labelled point in embedding space used as a classification target."""
-
-    label: Label
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class SelfTrainConfig:
-    """Neighbour count for prototype adaptation."""
-
-    k: int = 10
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-
-
-def build_prototypes(store: EmbeddingStore, labels: Sequence[Label]) -> list[Prototype]:
-    """Embed each label and L2-normalize it into a prototype. Labels must
-    be distinct."""
-    seen: set[str] = set()
-    protos: list[Prototype] = []
-    for lab in labels:
-        if lab.key in seen:
-            raise ValueError(f"duplicate label {lab.key!r}")
-        seen.add(lab.key)
-        vec = l2_normalize(embed_label(store, lab))
-        protos.append(Prototype(label=lab, vector=vec))
-    return protos
-
-
-def prototype_matrix(prototypes: Sequence[Prototype]) -> np.ndarray:
-    return np.vstack([p.vector for p in prototypes])
-
-
 # Floats in one chunk's (rows, prototypes, d_z) difference tensor, 256 KB,
-# which stays in cache while its norms are taken.
+# which stays in cache while its squares are summed.
 _MATCH_FLOATS = 1 << 15
 
 
@@ -61,42 +27,45 @@ def _match_rows(mat: np.ndarray) -> int:
     return max(1, _MATCH_FLOATS // max(mat.size, 1))
 
 
-def nearest_prototype(
-    prototypes: Sequence[Prototype], projections: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index and Euclidean distance of the closest prototype for each row
-    of an (n, d_z) projection matrix; the first prototype wins exact ties.
-    After L2 normalization the closest prototype is also the cosine-nearest."""
-    if not prototypes:
+def _squared_distances(prototypes: np.ndarray, projections: np.ndarray) -> np.ndarray:
+    """(n, P) squared Euclidean distances from each row of an (n, d_z)
+    projection matrix to each row of a (P, d_z) prototype matrix."""
+    if prototypes.shape[0] == 0:
         raise ValueError("no prototypes to match against")
-    mat = prototype_matrix(prototypes)
     proj = np.asarray(projections, dtype=np.float64)
-    if proj.ndim != 2 or proj.shape[1] != mat.shape[1]:
+    if proj.ndim != 2 or proj.shape[1] != prototypes.shape[1]:
         raise ValueError(
-            f"projections of shape {proj.shape} do not match prototypes (n, {mat.shape[1]})"
+            f"projections of shape {proj.shape} do not match prototypes "
+            f"(n, {prototypes.shape[1]})"
         )
     # row differences rather than the |a|^2+|b|^2-2ab expansion keep each
-    # distance bit-identical to the per-row norm(mat - v, axis=1); rows are
-    # independent, so a chunk's difference tensor bounds the memory
-    n = proj.shape[0]
-    idx = np.empty(n, dtype=np.intp)
-    dist = np.empty(n)
-    step = _match_rows(mat)
-    for lo in range(0, n, step):
-        d = np.linalg.norm(proj[lo : lo + step, None, :] - mat[None], axis=2)
-        best = np.argmin(d, axis=1)
-        idx[lo : lo + step] = best
-        dist[lo : lo + step] = d[np.arange(best.size), best]
-    return idx, dist
+    # value bit-identical to the per-row ((mat - v) ** 2).sum(axis=1); rows
+    # are independent, so a chunk's difference tensor bounds the memory
+    d2 = np.empty((proj.shape[0], prototypes.shape[0]))
+    step = _match_rows(prototypes)
+    for lo in range(0, proj.shape[0], step):
+        diff = proj[lo : lo + step, None, :] - prototypes[None]
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=d2[lo : lo + step])
+    return d2
 
 
-def self_train(
-    prototypes: Sequence[Prototype],
-    projections: np.ndarray,
-    config: SelfTrainConfig,
-) -> list[Prototype]:
-    """Adapt each prototype to the L2-normalized mean of its K nearest
-    test projections.
+def nearest_prototype(
+    prototypes: np.ndarray, projections: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index and Euclidean distance of the closest row of a (P, d_z)
+    prototype matrix for each row of an (n, d_z) projection matrix; the
+    first prototype wins exact ties. After L2 normalization the closest
+    prototype is also the cosine-nearest."""
+    d = _squared_distances(prototypes, projections)
+    np.sqrt(d, out=d)
+    idx = np.argmin(d, axis=1)
+    return idx, d[np.arange(idx.size), idx]
+
+
+def self_train(prototypes: np.ndarray, projections: np.ndarray, k: int) -> np.ndarray:
+    """Adapt each row of a (P, d_z) prototype matrix to the L2-normalized
+    mean of its ``k`` nearest test projections.
 
     Neighbour search is exact and runs over all projections independently
     per prototype (prototypes may share neighbours); ties on distance are
@@ -104,19 +73,13 @@ def self_train(
     applied; the input prototypes are left unmodified.
     """
     proj = np.asarray(projections, dtype=np.float64)
-    if proj.ndim != 2 or proj.shape[0] == 0:
-        raise ValueError("projections must be a non-empty 2-D array")
-    if config.k > proj.shape[0]:
+    d2 = _squared_distances(prototypes, proj)
+    if not 1 <= k <= proj.shape[0]:
         raise ValueError(
-            f"k={config.k} exceeds the number of test projections ({proj.shape[0]})"
+            f"k={k} is not between 1 and the number of test projections ({proj.shape[0]})"
         )
-    adapted: list[Prototype] = []
-    for proto in prototypes:
-        d2 = ((proj - proto.vector) ** 2).sum(axis=1)
-        neighbours = np.argsort(d2, kind="stable")[: config.k]
-        vec = l2_normalize(proj[neighbours].mean(axis=0))
-        adapted.append(Prototype(label=proto.label, vector=vec))
-    return adapted
+    means = proj[np.argsort(d2, axis=0, kind="stable")[:k]].mean(axis=0)
+    return np.array([l2_normalize(m) for m in means])
 
 
 class Prediction(NamedTuple):
@@ -136,13 +99,15 @@ def normalized_projections(raw: np.ndarray, ids: Sequence[str]) -> np.ndarray:
 
 def zsl_predict(
     regressor: SemanticRegressor,
-    prototypes: Sequence[Prototype],
+    prototypes: np.ndarray,
+    labels: Sequence[Label],
     kernel_rows: np.ndarray,
     ids: Sequence[str],
-    config: SelfTrainConfig | None = None,
+    k: int | None = None,
 ) -> list[Prediction]:
-    """Project every test instance, L2-normalize, optionally self-train the
-    prototypes on the projections, then nearest-prototype classify.
+    """Project every test instance, L2-normalize, self-train the (P, d_z)
+    ``prototypes`` on the projections when ``k`` is given, then label each
+    instance with the nearest prototype's entry of ``labels``.
 
     ``kernel_rows`` are the test instances' kernel values against the
     regressor's support pool, one row per id in ``ids``, for
@@ -153,12 +118,10 @@ def zsl_predict(
     if len(ids) == 0:
         return []
     proj = normalized_projections(predict_batch(regressor, kernel_rows), ids)
-    if config is not None:
-        prototypes = self_train(prototypes, proj, config)
+    if k is not None:
+        prototypes = self_train(prototypes, proj, k)
     idx, dist = nearest_prototype(prototypes, proj)
-    return [
-        Prediction(id_, prototypes[i].label, float(d)) for id_, i, d in zip(ids, idx, dist)
-    ]
+    return [Prediction(id_, labels[i], float(d)) for id_, i, d in zip(ids, idx, dist)]
 
 
 def write_predictions_csv(predictions: Sequence[Prediction], path: str | Path) -> None:
@@ -168,40 +131,31 @@ def write_predictions_csv(predictions: Sequence[Prediction], path: str | Path) -
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def label_targets(labels: Sequence[Label], store: EmbeddingStore) -> np.ndarray:
-    """The L2-normalized label embedding of each label, (n, d_z): the
-    regression targets of the instances so labelled."""
-    cache: dict[str, np.ndarray] = {}
-    rows = []
-    for lab in labels:
-        if lab.key not in cache:
-            cache[lab.key] = l2_normalize(embed_label(store, lab))
-        rows.append(cache[lab.key])
-    return np.vstack(rows) if rows else np.empty((0, store.dimension))
+def label_targets(classes: Sequence[Label], store: EmbeddingStore) -> np.ndarray:
+    """The (C, d_z) L2-normalized label embedding of each class. A token
+    missing from ``store`` is named with its label."""
+    return np.array([l2_normalize(embed_label(store, lab)) for lab in classes])
 
 
 def augment_training(
-    labels: Sequence[Label],
-    auxiliary: Dataset | None,
-    store: EmbeddingStore,
-    *,
-    unseen: Sequence[Label] | None = None,
+    vectors: np.ndarray,
+    class_of: np.ndarray,
+    classes: Sequence[Label],
+    unseen: np.ndarray,
 ) -> np.ndarray:
-    """Regression targets of the target's training ``labels`` followed by
-    the auxiliary dataset's rows: the row order of the training kernel.
+    """Regression targets of the training rows whose class indices are
+    ``class_of`` (the target's seen rows, then the auxiliary rows): their
+    rows of the run's class matrix ``vectors``, whose classes are
+    ``classes``.
 
     Auxiliary classes may overlap the target's training classes but must
-    be disjoint from the problem's unseen classes; pass those via
-    ``unseen`` to enforce the guard before any training happens.
+    be disjoint from the split's ``unseen`` class indices; the target's
+    training rows are all of seen classes, so only an auxiliary row can
+    collide.
     """
-    targets = label_targets(labels, store)
-    if auxiliary is None or len(auxiliary) == 0:
-        return targets
-    if unseen is not None:
-        unseen_keys = {lab.key for lab in unseen}
-        for lab in auxiliary.class_vocabulary:
-            if lab.key in unseen_keys:
-                raise ValueError(
-                    f"auxiliary class {lab.key!r} collides with an unseen class"
-                )
-    return np.vstack([targets, label_targets(auxiliary.labels, store)])
+    clash = class_of[np.isin(class_of, unseen)]
+    if clash.size:
+        raise ValueError(
+            f"auxiliary class {classes[clash[0]].key!r} collides with an unseen class"
+        )
+    return vectors[class_of]

@@ -1,16 +1,18 @@
 """Whole-array forms of the steps that now run in bounded chunks.
 
 Each function is the expression the chunked code replaced, kept verbatim:
-one (n, P, d_z) difference tensor for prototype matching, one
-max_pairs-long row-index array for the sampled gamma, and one n^2 bool
-array for the Gram symmetry check. Tests require the chunked code to
-reproduce them bit for bit; ``scripts/bench_memory.py`` times and traces
-both forms.
+one (n, P, d_z) difference tensor for prototype matching, one full
+(n, d_z) pass per prototype for self-training, one max_pairs-long
+row-index array for the sampled gamma, and one n^2 bool array for the
+Gram symmetry check. Tests require the chunked code to reproduce them bit
+for bit; ``scripts/bench_memory.py`` times and traces both forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from zslkit.embedding import l2_normalize
 
 
 def nearest_prototype(mat: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -18,6 +20,17 @@ def nearest_prototype(mat: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np
     d = np.linalg.norm(proj[:, None, :] - mat[None], axis=2)
     idx = np.argmin(d, axis=1)
     return idx, d[np.arange(idx.size), idx]
+
+
+def self_train(mat: np.ndarray, proj: np.ndarray, k: int) -> np.ndarray:
+    """Each row of ``mat`` moved to the L2-normalized mean of its ``k``
+    nearest rows of ``proj``, ties toward lower rows."""
+    adapted = []
+    for vector in mat:
+        d2 = ((proj - vector) ** 2).sum(axis=1)
+        neighbours = np.argsort(d2, kind="stable")[:k]
+        adapted.append(l2_normalize(proj[neighbours].mean(axis=0)))
+    return np.vstack(adapted)
 
 
 def sampled_gamma_from_distances(d: np.ndarray, max_pairs: int, seed: int = 0) -> float:

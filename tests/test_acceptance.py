@@ -18,7 +18,7 @@ from zslkit.evaluate import ExperimentConfig, run_zsl_evaluation
 from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor, train_svr
 from zslkit.synthetic import make_world, world_dataset, world_store
-from zslkit.zsl import Prototype, SelfTrainConfig, augment_training, self_train
+from zslkit.zsl import label_targets, self_train
 
 
 def report_line(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -162,7 +162,6 @@ def _shifted_benchmark_trial(seed: int, dim: int = 10, per_class: int = 50):
     sigma, shift_mag, k = 0.15, 0.2, 10
     rng = np.random.default_rng(seed)
     proto_vecs, shift_dir = _shifted_benchmark_prototypes(dim, rng)
-    prototypes = [Prototype(Label.of(f"c{i}"), proto_vecs[i]) for i in range(10)]
     clouds = [
         proto_vecs[c] + sigma * rng.normal(size=(per_class, dim)) + shift_mag * shift_dir
         for c in range(10)
@@ -171,13 +170,12 @@ def _shifted_benchmark_trial(seed: int, dim: int = 10, per_class: int = 50):
     truth = np.repeat(np.arange(10), per_class)
     projections /= np.linalg.norm(projections, axis=1, keepdims=True)
 
-    def accuracy(protos):
-        mat = np.vstack([p.vector for p in protos])
+    def accuracy(mat):
         d2 = ((projections[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
         return float((np.argmin(d2, axis=1) == truth).mean())
 
-    adapted = self_train(prototypes, projections, SelfTrainConfig(k=k))
-    return accuracy(prototypes), accuracy(adapted)
+    adapted = self_train(proto_vecs, projections, k)
+    return accuracy(proto_vecs), accuracy(adapted)
 
 
 def test_criterion_4_self_training_efficacy():
@@ -207,14 +205,11 @@ def _augmentation_trial(seed: int):
     auxiliary = world_dataset(world, list(range(5, 10)), per_class=20, rng=rng, name="aux")
     heldout = world_dataset(world, list(range(10, 15)), per_class=20, rng=rng, name="held")
     store = world_store(world)
-    unseen = list(heldout.class_vocabulary)
     config = SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-3)
     truth = np.vstack([store.vector(lab.tokens[0]) for lab in heldout.labels])
     errors = []
     for use_aux in (False, True):
-        targets = augment_training(
-            target.labels, auxiliary if use_aux else None, store, unseen=unseen
-        )
+        targets = label_targets(target.labels + (auxiliary.labels if use_aux else []), store)
         x = np.vstack([target.features, auxiliary.features]) if use_aux else target.features
         kernel = KernelSpec("rbf_chi2", heuristic_gamma(x))
         regressor = train_semantic_regressor(targets, config, kernel, gram_matrix(kernel, x))

@@ -25,9 +25,6 @@ from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
 from zslkit.synthetic import make_world, world_dataset, world_store
 from zslkit.zsl import (
     Prediction,
-    SelfTrainConfig,
-    augment_training,
-    build_prototypes,
     label_targets,
     normalized_projections,
     write_predictions_csv,
@@ -107,23 +104,23 @@ def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
     target = load_dataset(config.target_path)
     store = load_embeddings(config.embedding_path)
     auxiliary = load_dataset(config.auxiliary_path) if config.augment else None
-    st_config = SelfTrainConfig(k=config.k_neighbors) if config.self_train else None
+    k = config.k_neighbors if config.self_train else None
     for split in generate_splits(target.class_vocabulary, config.split_count, config.split_seed):
         train, test = class_rows(target, split.seen), class_rows(target, split.unseen)
-        targets = augment_training(
-            [target.labels[i] for i in train], auxiliary, store, unseen=split.unseen
-        )
+        labels = [target.labels[i] for i in train]
         x = target.features[train]
         if auxiliary is not None:
+            labels += auxiliary.labels
             x = np.vstack([x, auxiliary.features])
+        targets = label_targets(labels, store)
         regressor = reference_regressor(config, x, targets)
         kernel_rows = gram_matrix(
             regressor.kernel, target.features[test], x[regressor.pool_indices]
         )
         write_predictions_csv(
             zsl_predict(
-                regressor, build_prototypes(store, split.unseen), kernel_rows,
-                [target.ids[i] for i in test], st_config,
+                regressor, label_targets(split.unseen, store), split.unseen, kernel_rows,
+                [target.ids[i] for i in test], k,
             ),
             out_dir / f"split_{split.index:03d}.csv",
         )
@@ -283,6 +280,22 @@ class TestZslEvaluation:
         config = base_config(toy_world, tmp_path, augment=True, auxiliary_path=str(path))
         with pytest.raises(ValueError, match="feature dimension mismatch"):
             run_zsl_evaluation(config)
+
+    @pytest.mark.parametrize("predictor", ["regressor", "random"])
+    def test_missing_label_word_fails_at_setup(self, toy_world, tmp_path, predictor):
+        label = load_dataset(toy_world["target"]).class_vocabulary[3]
+        (token,) = label.tokens
+        store = load_embeddings(toy_world["embeddings"])
+        del store.table[token]
+        save_embeddings(store, tmp_path / "embeddings.txt")
+        config = base_config(
+            toy_world, tmp_path / "runs", predictor=predictor,
+            embedding_path=str(tmp_path / "embeddings.txt"),
+        )
+        message = f"token {token!r} of label {label.raw!r} not in embedding vocabulary"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_zsl_evaluation(config)
+        assert not (tmp_path / "runs").exists()
 
     def test_self_train_requires_explicit_k(self, toy_world, tmp_path):
         config = base_config(toy_world, tmp_path, self_train=True)
