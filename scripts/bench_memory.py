@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Trace and time the steps that now run in bounded chunks against their
-former whole-array or per-prototype forms, and write BENCH_memory.json.
+former whole-array, per-prototype or stacked forms, and write
+BENCH_memory.json.
 
     python3 scripts/bench_memory.py                  # writes BENCH_memory.json
     python3 scripts/bench_memory.py --repeats 1 --out /tmp/bench.json
@@ -15,7 +16,11 @@ Run it from the repository root. Each stage runs at a fixed seeded shape:
   matrix, whose 1,080,560 ordered pairs are sampled down to 1e6 (the
   zsl-deep pool size);
 - ``symmetry``: ``svr._validate_gram`` of an exactly symmetric 4,000-row
-  Gram matrix.
+  Gram matrix;
+- ``run_distances``: ``evaluate._run_distances``, the run-wide chi-square
+  matrix of 320 target and 128 auxiliary histograms of 1,000 bins (the
+  zsl-wide shape), filled in place from the two row blocks; its former
+  form computes it from a stacked copy of the rows.
 
 ``reference`` is the former form, kept in ``tests/memory_reference.py``;
 ``library`` is zslkit's code. For each path the file records the best and
@@ -42,7 +47,7 @@ import numpy as np  # noqa: E402
 
 import memory_reference as reference  # noqa: E402
 from bench_parse import measure  # noqa: E402
-from zslkit import kernels, svr, zsl  # noqa: E402
+from zslkit import evaluate, kernels, svr, zsl  # noqa: E402
 
 
 def digest(*arrays) -> str:
@@ -92,7 +97,16 @@ def symmetry(rng):
             lambda r: digest(r))
 
 
-STAGES = {"matching": matching, "self_train": self_train, "gamma": gamma, "symmetry": symmetry}
+def run_distances(rng):
+    target, aux = (rng.random((n, 1000)) * (rng.random((n, 1000)) < 0.5) for n in (320, 128))
+    return ("320 + 128 x 1000",
+            lambda: reference.run_distances(kernels.RBF_CHI2, target, aux),
+            lambda: evaluate._run_distances(kernels.RBF_CHI2, target, aux),
+            lambda r: digest(r))
+
+
+STAGES = {"matching": matching, "self_train": self_train, "gamma": gamma, "symmetry": symmetry,
+          "run_distances": run_distances}
 
 
 def main() -> int:
@@ -110,11 +124,13 @@ def main() -> int:
         entry["hashes_match"] = entry["reference"]["sha256"] == entry["library"]["sha256"]
         entries.append(entry)
     doc = {
-        "benchmark": "traced peak memory, chunked steps vs their former forms",
+        "benchmark": "traced peak memory, chunked or blockwise steps vs their former forms",
         "command": f"python3 scripts/bench_memory.py --seed {args.seed} --repeats {args.repeats}",
         "paths": {
-            "reference": "former whole-array or per-prototype form (tests/memory_reference.py)",
-            "library": "zslkit's chunked form",
+            "reference": (
+                "former whole-array, per-prototype or stacked form (tests/memory_reference.py)"
+            ),
+            "library": "zslkit's chunked or blockwise form",
         },
         "host": {
             "python": platform.python_version(),
@@ -128,7 +144,7 @@ def main() -> int:
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for e in entries:
         ref, lib = e["reference"], e["library"]
-        print(f"{e['stage']:>10} {e['shape']:<33} peak {ref['peak_traced_mb']:9.3f} -> "
+        print(f"{e['stage']:>13} {e['shape']:<33} peak {ref['peak_traced_mb']:9.3f} -> "
               f"{lib['peak_traced_mb']:7.3f} MB  best {ref['best_s']:7.4f} -> "
               f"{lib['best_s']:7.4f} s  {'match' if e['hashes_match'] else 'HASH MISMATCH'}")
     return 0 if doc["all_hashes_match"] else 1

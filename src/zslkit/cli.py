@@ -29,11 +29,10 @@ from .evaluate import (
     EvaluationReport,
     ExperimentConfig,
     _run_classes,
-    _run_distances,
     run_multishot_evaluation,
     run_zsl_evaluation,
 )
-from .kernels import fit_kernel
+from .kernels import distance_matrix, fit_kernel
 from .model_io import save_model
 from .smo import ConvergenceError
 from .svr import train_semantic_regressor
@@ -132,7 +131,7 @@ def _cmd_train_regressor(args: argparse.Namespace) -> int:
     )
     _, vectors, class_of = _run_classes(store, dataset)
     kernel, gram = fit_kernel(
-        config.kernel_kind, _run_distances(config, dataset), config.gamma
+        config.kernel_kind, distance_matrix(config.kernel_kind, dataset.features), config.gamma
     )
     regressor = train_semantic_regressor(vectors[class_of], config.svr_config(), kernel, gram)
     out = Path(args.model_out)

@@ -225,20 +225,57 @@ def _score(
 
 
 def _run_distances(
-    config: ExperimentConfig, target: Dataset, auxiliary: Dataset | None = None
+    kind: str, target: np.ndarray, auxiliary: np.ndarray | None = None
 ) -> np.ndarray:
     """Base distances between all target rows followed by all auxiliary
     rows. Every split or fold slices its gamma, Gram matrix and test
-    kernel rows from this one matrix."""
-    features = target.features
-    if auxiliary is not None and len(auxiliary):
-        if auxiliary.d_x != target.d_x:
-            raise ValueError(
-                f"feature dimension mismatch: target d_x={target.d_x}, "
-                f"auxiliary d_x={auxiliary.d_x}"
-            )
-        features = np.vstack([features, auxiliary.features])
-    return distance_matrix(config.kernel_kind, features)
+    kernel rows from this one matrix.
+
+    The matrix is filled in place from the row blocks: each block against
+    itself by the symmetric path, and the target rows against the
+    auxiliary rows once, then mirrored. No stacked copy of the features
+    is made, and every cell equals the one the stacked rows would give.
+    """
+    if auxiliary is None or not len(auxiliary):
+        return distance_matrix(kind, target)
+    if auxiliary.shape[1] != target.shape[1]:
+        raise ValueError(
+            f"feature dimension mismatch: target d_x={target.shape[1]}, "
+            f"auxiliary d_x={auxiliary.shape[1]}"
+        )
+    n = len(target)
+    dist = np.empty((n + len(auxiliary),) * 2)
+    distance_matrix(kind, target, out=dist[:n, :n])
+    distance_matrix(kind, target, auxiliary, out=dist[:n, n:])
+    distance_matrix(kind, auxiliary, out=dist[n:, n:])
+    dist[n:, :n] = dist[:n, n:].T
+    return dist
+
+
+def _mem_available() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where it cannot
+    be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(n_run: int, n_unit: int) -> None:
+    """Refuse a run whose (n_run, n_run) distance matrix and largest
+    unit's (n_unit, n_unit) Gram block, both float64, exceed the memory
+    available now, before any distance is computed."""
+    need = 8 * (n_run * n_run + n_unit * n_unit)
+    available = _mem_available()
+    if available is not None and need > available:
+        raise ValueError(
+            f"run needs {need:,} bytes for its {n_run}-row distance matrix and its "
+            f"largest unit's {n_unit}-row Gram block, but {available:,} bytes are available"
+        )
 
 
 def _fit_regressor(
@@ -371,19 +408,27 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     )
     splits = generate_splits(target.class_vocabulary, config.split_count, config.split_seed)
     index, vectors, class_of = _run_classes(store, target, auxiliary)
+    name, ids, labels, n_target = target.name, target.ids, target.labels, len(target)
     if config.predictor == PREDICTOR_REGRESSOR:
-        dist = _run_distances(config, target, auxiliary)
-        aux_rows = np.arange(len(target), dist.shape[0])
+        rows_of = np.bincount(class_of[:n_target], minlength=len(index))
+        seen = max(sum(int(rows_of[index[lab]]) for lab in s.seen) for s in splits)
+        _check_memory(len(class_of), seen + len(class_of) - n_target)
+        dist = _run_distances(
+            config.kernel_kind, target.features,
+            auxiliary.features if auxiliary is not None else None,
+        )
+        aux_rows = np.arange(n_target, dist.shape[0])
+    del target, auxiliary  # a unit reads the run matrix, not the features
     k = config.k_neighbors if config.self_train else None
 
     def fit_predict(split: SplitSpec, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
         (run_dir / "splits").mkdir(exist_ok=True)
-        save_split(split, target.name, run_dir / "splits" / f"split_{split.index:03d}.json")
+        save_split(split, name, run_dir / "splits" / f"split_{split.index:03d}.json")
         unseen = np.array([index[lab] for lab in split.unseen], dtype=np.intp)
-        is_test = np.isin(class_of[: len(target)], unseen)
+        is_test = np.isin(class_of[:n_target], unseen)
         train_rows, test_rows = np.flatnonzero(~is_test), np.flatnonzero(is_test)
-        test_ids = [target.ids[i] for i in test_rows]
-        truths = [target.labels[i] for i in test_rows]
+        test_ids = [ids[i] for i in test_rows]
+        truths = [labels[i] for i in test_rows]
         if config.predictor == PREDICTOR_RANDOM:
             return truths, _random_predictions(
                 test_ids, split.unseen, config.split_seed, split.index
@@ -457,15 +502,18 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     )
     folds = load_folds(config.folds_path, dataset.ids)
     _, vectors, class_of = _run_classes(store, dataset)
-    dist = _run_distances(config, dataset)
+    ids, labels = dataset.ids, dataset.labels
+    _check_memory(len(ids), max(train.size for train, _ in folds))
+    dist = _run_distances(config.kernel_kind, dataset.features)
+    del dataset  # a unit reads the run matrix, not the features
     svc_config = config.svc_config()
 
     def fit_predict(
         fold: tuple[np.ndarray, np.ndarray], run_dir: Path
     ) -> tuple[list[Label], list[Prediction]]:
         train_rows, test_rows = fold
-        train_labels, test_labels = ([dataset.labels[i] for i in rows] for rows in fold)
-        train_ids, test_ids = ([dataset.ids[i] for i in rows] for rows in fold)
+        train_labels, test_labels = ([labels[i] for i in rows] for rows in fold)
+        train_ids, test_ids = ([ids[i] for i in rows] for rows in fold)
         regressor, kernel_rows = _fit_regressor(
             config, dist, train_rows, vectors[class_of[train_rows]], test_rows, own=True
         )

@@ -94,9 +94,13 @@ def _chi2_share(rows, cols, out, starts, height, width, scratch) -> None:
                 out[lo:c1, r0:r1] = tile[:, lo - c0 :].T
 
 
-def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def chi2_distance_matrix(
+    rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Chi-square distances between every row and every column vector,
     1/2 * sum over bins of (a-b)^2/(a+b); bins with a+b == 0 contribute 0.
+    They are written into ``out`` when it is given, a float64 array or
+    view of shape (len(rows), len(cols)), and it is returned.
 
     The matrix is computed in tiles whose scratch holds about 2^16 floats,
     and row blocks are dealt round-robin to one thread per usable CPU; the
@@ -108,7 +112,12 @@ def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     n_rows, n_cols = rows.shape[0], cols.shape[0]
     d = max(rows.shape[1], 1)
-    out = np.empty((n_rows, n_cols), dtype=np.float64)
+    if out is None:
+        out = np.empty((n_rows, n_cols), dtype=np.float64)
+    elif out.shape != (n_rows, n_cols) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be float64 of shape {(n_rows, n_cols)}, got {out.dtype} {out.shape}"
+        )
     width = max(1, min(n_cols, _TILE_FLOATS // d))
     height = max(1, _TILE_FLOATS // (width * d))
     starts = range(0, n_rows, height)
@@ -147,8 +156,9 @@ def squared_euclidean_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def distance_matrix(kind: str, rows, cols=None) -> np.ndarray:
-    """Pairwise base distances between two vector collections.
+def distance_matrix(kind: str, rows, cols=None, out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise base distances between two vector collections, written
+    into ``out`` when it is given (see :func:`chi2_distance_matrix`).
 
     With ``cols=None`` the matrix is computed against ``rows`` itself; it
     is exactly symmetric with an exactly-zero diagonal.
@@ -160,14 +170,17 @@ def distance_matrix(kind: str, rows, cols=None) -> np.ndarray:
     if r.shape[1] != c.shape[1]:
         raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
     if kind == RBF_CHI2:
-        return chi2_distance_matrix(r, c)
+        return chi2_distance_matrix(r, c, out)
     if kind != RBF_EUCLIDEAN:
         raise ValueError(f"unknown kernel kind {kind!r}")
     d = squared_euclidean_matrix(r, c)
     if symmetric:
         d = 0.5 * (d + d.T)
         np.fill_diagonal(d, 0.0)
-    return d
+    if out is None:
+        return d
+    out[...] = d
+    return out
 
 
 def rbf_from_distances(gamma: float, d: np.ndarray) -> np.ndarray:

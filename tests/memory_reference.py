@@ -3,9 +3,11 @@
 Each function is the expression the chunked code replaced, kept verbatim:
 one (n, P, d_z) difference tensor for prototype matching, one full
 (n, d_z) pass per prototype for self-training, one max_pairs-long
-row-index array for the sampled gamma, and one n^2 bool array for the
-Gram symmetry check. Tests require the chunked code to reproduce them bit
-for bit; ``scripts/bench_memory.py`` times and traces both forms.
+row-index array for the sampled gamma, one n^2 bool array for the Gram
+symmetry check, and one stacked copy of the target and auxiliary rows
+for the run-wide distance matrix. Tests require the chunked code to
+reproduce them bit for bit; ``scripts/bench_memory.py`` times and traces
+both forms.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from zslkit.embedding import l2_normalize
+from zslkit.kernels import distance_matrix
 
 
 def nearest_prototype(mat: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,3 +58,8 @@ def validate_gram(g: np.ndarray) -> np.ndarray:
     if not np.allclose(g, g.T, atol=1e-8):
         raise ValueError("gram matrix is not symmetric")
     return 0.5 * (g + g.T)
+
+
+def run_distances(kind: str, target: np.ndarray, auxiliary: np.ndarray) -> np.ndarray:
+    """Base distances of the target rows stacked on the auxiliary rows."""
+    return distance_matrix(kind, np.vstack([target, auxiliary]))

@@ -2,10 +2,10 @@
 
 Solves  min_a 0.5 a'Qa + p'a  s.t. z'a = 0, 0 <= a <= c  by accelerated
 projected gradient descent (projection onto the box-hyperplane
-intersection via bisection on the shift multiplier), then polishes the
-guessed active set by solving the equality-constrained KKT system
-exactly. Deliberately shares no code with the package's decomposition
-solver.
+intersection by an exact breakpoint solve for the shift multiplier), then
+polishes the guessed active set by solving the equality-constrained KKT
+system exactly. Deliberately shares no code with the package's
+decomposition solver.
 """
 
 from __future__ import annotations
@@ -17,23 +17,21 @@ def project_box_hyperplane(v: np.ndarray, z: np.ndarray, c: float) -> np.ndarray
     """Euclidean projection onto {a : z'a = 0, 0 <= a <= c} for z in {-1,+1}.
 
     The projection has the closed form a(lam) = clip(v - lam*z, 0, c) where
-    lam solves z'a(lam) = 0; z'a(lam) is non-increasing in lam, so bisect.
+    lam solves z'a(lam) = 0. z'a(lam) is continuous, non-increasing and
+    linear between its breakpoints lam = z*v and lam = z*(v - c), positive
+    or zero before the first and negative or zero after the last, so lam
+    is interpolated between the last breakpoint where it is positive and
+    the first where it is not.
     """
-
-    def constraint(lam: float) -> float:
-        return float(z @ np.clip(v - lam * z, 0.0, c))
-
-    span = float(np.max(np.abs(v))) + c + 1.0
-    lo, hi = -span, span
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    breaks = np.sort(np.concatenate([z * v, z * (v - c)]))
+    f = np.clip(v[None, :] - breaks[:, None] * z[None, :], 0.0, c) @ z
+    j = int(np.argmax(f <= 0.0))
+    lam = float(breaks[j])
+    if f[j] < 0.0:
+        lo, f_lo = float(breaks[j - 1]), float(f[j - 1])
+        lam = lo + f_lo * (lam - lo) / (f_lo - float(f[j]))
     a = np.clip(v - lam * z, 0.0, c)
-    # exact feasibility: absorb the bisection residue into a free coordinate
+    # exact feasibility: absorb the rounding residue into a free coordinate
     resid = float(z @ a)
     free = np.flatnonzero((a > 1e-12) & (a < c - 1e-12))
     for idx in free:

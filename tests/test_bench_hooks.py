@@ -36,12 +36,15 @@ def traced(evaluate, config, monkeypatch):
     return rec, report, rec.layer_totals(), models
 
 
-def assert_one_chi2_matrix(rec, layers, datasets):
-    """One traced chi-square call covering every target and auxiliary row,
-    and an embedding store holding only the labels' tokens."""
-    n = sum(len(ds) for ds in datasets)
-    assert [s[0] for s in rec.spans].count("kernels.chi2_distance_matrix") == 1
-    assert layers["kernels.chi2_cells"] == n * n
+def assert_chi2_blocks(rec, layers, datasets):
+    """One traced chi-square call for each row block against itself and
+    against each later block, so that the blocks below the diagonal are
+    mirrored, not computed; and an embedding store holding only the
+    labels' tokens."""
+    sizes = [len(ds) for ds in datasets]
+    pairs = [(m, n) for i, m in enumerate(sizes) for n in sizes[i:]]
+    assert [s[0] for s in rec.spans].count("kernels.chi2_distance_matrix") == len(pairs)
+    assert layers["kernels.chi2_cells"] == sum(m * n for m, n in pairs)
     vocabulary = [label for ds in datasets for label in ds.class_vocabulary]
     assert layers["embedding.tokens"] == len(label_tokens(vocabulary))
 
@@ -64,7 +67,7 @@ def test_zsl_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     assert (layers["smo.iterations.svr"], layers["smo.iterations.svc"]) == (1425, 0)
     assert layers["zsl.nearest_prototype_calls"] == config.split_count
     datasets = [load_dataset(toy_world["target"]), load_dataset(toy_world["aux"])]
-    assert_one_chi2_matrix(rec, layers, datasets)
+    assert_chi2_blocks(rec, layers, datasets)
 
 
 def test_multishot_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
@@ -81,4 +84,4 @@ def test_multishot_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     assert layers["smo.iterations.svr"] == sum(int(r.iterations.sum()) for r in regressors) > 0
     assert layers["smo.iterations.svc"] == sum(int(m.iterations.sum()) for m in classifiers) > 0
     assert (layers["smo.iterations.svr"], layers["smo.iterations.svc"]) == (1010, 1188)
-    assert_one_chi2_matrix(rec, layers, [load_dataset(toy_world["target"])])
+    assert_chi2_blocks(rec, layers, [load_dataset(toy_world["target"])])

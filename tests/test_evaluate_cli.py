@@ -495,6 +495,109 @@ class TestMultishot:
             run_multishot_evaluation(config)
 
 
+@pytest.fixture(scope="module")
+def wide_world(tmp_path_factory):
+    """d_x=4000 histograms: 4 target classes and 2 auxiliary classes of 6
+    clips, with two instance folds over the target."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(5)
+    world = make_world(6, d_x=4000, d_z=6, rng=rng, concentration=80.0)
+    sets = {
+        "target": world_dataset(world, list(range(4)), per_class=6, rng=rng, name="target"),
+        "aux": world_dataset(world, [4, 5], per_class=6, rng=rng, name="aux"),
+    }
+    paths = {"embeddings": root / "embeddings.txt", "folds": root / "folds.json"}
+    for name, ds in sets.items():
+        paths[name] = root / f"{name}.csv"
+        write_features_csv(paths[name], ds.ids, ds.labels, ds.features)
+    save_embeddings(world_store(world), paths["embeddings"])
+    TestMultishot()._write_folds(paths["folds"], sets["target"], per_class=6, train_frac=0.5)
+    paths["feature_bytes"] = min(ds.features.nbytes for ds in sets.values())
+    return paths
+
+
+def run_mode(mode: str, config: ExperimentConfig):
+    return (run_zsl_evaluation if mode == "zsl" else run_multishot_evaluation)(config)
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("mode", ["zsl", "multishot"])
+    def test_units_start_holding_no_feature_array(self, wide_world, tmp_path, monkeypatch, mode):
+        # once the run matrix exists a unit reads only it, so no traced
+        # block is as large as the smallest parsed feature array
+        config = base_config(
+            wide_world, tmp_path, augment=mode == "zsl", auxiliary_path=str(wide_world["aux"]),
+            folds_path=str(wide_world["folds"]),
+        )
+        largest: list[int] = []
+        fit = zslkit.evaluate._fit_regressor
+
+        def first_unit(*args, **kwargs):
+            if not largest:
+                largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(zslkit.evaluate, "_fit_regressor", first_unit)
+        tracemalloc.start()
+        try:
+            run_mode(mode, config)
+        finally:
+            tracemalloc.stop()
+        assert largest and largest[0] < wide_world["feature_bytes"]
+
+    # zsl: 120 run rows; a split's 4 seen classes give 40 rows, plus 40
+    # auxiliary rows. multi-shot: 80 rows, the larger fold trains on 48.
+    @pytest.mark.parametrize(
+        "mode, n_run, n_unit", [("zsl", 120, 80), ("multishot", 80, 48)]
+    )
+    def test_over_budget_run_refused_before_distances(
+        self, toy_world, tmp_path, monkeypatch, mode, n_run, n_unit
+    ):
+        need = 8 * (n_run**2 + n_unit**2)
+
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distances computed")
+
+        folds_path = tmp_path / "folds.json"
+        TestMultishot()._write_folds(folds_path, load_dataset(toy_world["target"]))
+        config = base_config(
+            toy_world, tmp_path / "runs", augment=mode == "zsl",
+            auxiliary_path=str(toy_world["aux"]), folds_path=str(folds_path),
+        )
+        monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(zslkit.evaluate, "distance_matrix", no_distances)
+            message = (
+                f"run needs {need:,} bytes for its {n_run}-row distance matrix and its "
+                f"largest unit's {n_unit}-row Gram block, but {need - 1:,} bytes are available"
+            )
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_mode(mode, config)
+        assert not (tmp_path / "runs").exists()
+        monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: need)
+        run_mode(mode, config)
+        assert (tmp_path / "runs").is_dir()
+
+    def test_unread_budget_or_random_predictor_is_not_refused(
+        self, toy_world, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: None)
+        run_zsl_evaluation(base_config(toy_world, tmp_path / "unread"))
+        # the random baseline computes no distance matrix
+        monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: 0)
+        run_zsl_evaluation(base_config(toy_world, tmp_path / "random", predictor="random"))
+
+    def test_mem_available_reads_meminfo_or_gives_none(self, monkeypatch):
+        available = zslkit.evaluate._mem_available()
+        assert available is None or available > 0
+
+        def unreadable(*args, **kwargs):
+            raise PermissionError("denied")
+
+        monkeypatch.setattr(zslkit.evaluate, "open", unreadable, raising=False)
+        assert zslkit.evaluate._mem_available() is None
+
+
 class TestCli:
     def test_eval_zsl_exit_zero_and_report(self, toy_world, tmp_path, capsys):
         code = main(

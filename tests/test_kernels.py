@@ -6,14 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import distance_oracle
 import memory_reference
 import zslkit.kernels
+from zslkit.evaluate import _run_distances
 from zslkit.kernels import (
+    RBF_CHI2,
+    RBF_EUCLIDEAN,
     KernelSpec,
     chi2_distance_matrix,
     distance_matrix,
@@ -358,6 +361,72 @@ class TestRunWideDistances:
 
 def bits(a):
     return a.view(np.int64)
+
+
+class TestBlockwiseRunMatrix:
+    """An Aux run fills its matrix from the target and auxiliary row blocks
+    in place; it must equal the matrix of the stacked rows bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([1, 3, 32, 1000]),
+        n_t=st.integers(1, 90),
+        n_a=st.integers(1, 40),
+        zero_frac=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1000, n_t=30, n_a=1, zero_frac=0.5, seed=0)  # one auxiliary row
+    @example(d=1, n_t=25, n_a=7, zero_frac=0.5, seed=1)  # d_x=1 with empty bins
+    @example(d=1, n_t=1, n_a=1, zero_frac=1.0, seed=2)  # all bins empty
+    def test_equals_stacked_matrix_bitwise(self, d, n_t, n_a, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        t, a = (rng.random((n, d)) * (rng.random((n, d)) >= zero_frac) for n in (n_t, n_a))
+        dist = _run_distances(RBF_CHI2, t, a)
+        stacked = distance_matrix(RBF_CHI2, np.vstack([t, a]))
+        np.testing.assert_array_equal(bits(dist), bits(stacked))
+        np.testing.assert_array_equal(dist, dist.T)
+        assert not np.any(np.diag(dist))
+
+    def test_euclidean_is_symmetric_and_agrees_to_rounding(self):
+        rng = np.random.default_rng(45)
+        t, a = rng.dirichlet(np.ones(300), size=60), rng.dirichlet(np.ones(300), size=25)
+        dist = _run_distances(RBF_EUCLIDEAN, t, a)
+        np.testing.assert_array_equal(dist, dist.T)
+        assert not np.any(np.diag(dist))
+        np.testing.assert_allclose(
+            dist, distance_matrix(RBF_EUCLIDEAN, np.vstack([t, a])), rtol=0, atol=1e-12
+        )
+
+    def test_each_block_is_checked(self):
+        good = np.ones((3, 4))
+        for bad, message in ((-good, "negative"), (good * np.inf, "non-finite")):
+            for pair in ((good, bad), (bad, good)):
+                with pytest.raises(ValueError, match=message):
+                    _run_distances(RBF_CHI2, *pair)
+        with pytest.raises(ValueError, match="feature dimension mismatch"):
+            _run_distances(RBF_CHI2, good, np.ones((3, 5)))
+
+    def test_out_must_fit_the_result(self):
+        x = np.ones((3, 4))
+        for out in (np.empty((3, 2)), np.empty((3, 3), dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be float64 of shape"):
+                chi2_distance_matrix(x, x, out)
+
+    def test_peak_holds_no_stacked_copy(self, monkeypatch):
+        # the stacked rows would take 3 MB beside the 74 KB matrix; one
+        # worker's chi-square scratch is two arrays of 2^16 floats (1 MiB),
+        # and the input checks' bool temporaries (256 KB) end before it
+        monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 1)
+        rng = np.random.default_rng(46)
+        t, a = rng.random((64, 4000)), rng.random((32, 4000))
+        tracemalloc.start()
+        try:
+            dist = _run_distances(RBF_CHI2, t, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = 2 * 8 * zslkit.kernels._TILE_FLOATS
+        assert peak < dist.nbytes + scratch + 2**18
 
 
 class TestTiledChi2:
