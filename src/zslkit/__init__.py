@@ -23,7 +23,6 @@ from .evaluate import (
     run_zsl_evaluation,
 )
 from .kernels import KernelSpec, gram_matrix, heuristic_gamma
-from .model_io import load_model, save_model
 from .smo import ConvergenceError
 from .svc import SvcConfig, SvcModel, classify_batch, decision_values, train_svc
 from .svr import (

@@ -1,9 +1,9 @@
 """Command-line driver.
 
-Subcommands: ``quantize``, ``train-regressor``, ``eval-zsl``,
-``eval-multishot``. Exit code is 0 iff a report (or the subcommand's
-output files) was written; otherwise a machine-readable error JSON goes
-to stderr and the exit code is 1.
+Subcommands: ``quantize``, ``eval-zsl``, ``eval-multishot``. Exit code
+is 0 iff a report (or the subcommand's output files) was written;
+otherwise a machine-readable error JSON goes to stderr and the exit code
+is 1.
 """
 
 from __future__ import annotations
@@ -18,24 +18,19 @@ import numpy as np
 
 from .data import (
     kmeans_codebook,
-    load_dataset,
     quantize,
     read_descriptor_file,
     save_codebook,
     write_features_csv,
 )
-from .embedding import Label, label_tokens, load_embeddings
+from .embedding import Label
 from .evaluate import (
     EvaluationReport,
     ExperimentConfig,
-    _run_classes,
     run_multishot_evaluation,
     run_zsl_evaluation,
 )
-from .kernels import distance_matrix, fit_kernel
-from .model_io import save_model
 from .smo import ConvergenceError
-from .svr import train_semantic_regressor
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -122,26 +117,6 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train_regressor(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    config.validate("zsl")
-    dataset = load_dataset(config.target_path)
-    store = load_embeddings(
-        config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
-    )
-    _, vectors, class_of = _run_classes(store, dataset)
-    kernel, gram = fit_kernel(
-        config.kernel_kind, distance_matrix(config.kernel_kind, dataset.features), config.gamma
-    )
-    regressor = train_semantic_regressor(vectors[class_of], config.svr_config(), kernel, gram)
-    out = Path(args.model_out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(regressor, dataset.features[regressor.pool_indices], out)
-    print(f"trained on {len(dataset)} instances, d_z={regressor.coefficients.shape[0]}")
-    print(f"model written to {out}")
-    return 0
-
-
 def _cmd_eval_zsl(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     if args.ablation_grid:
@@ -196,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     quant.add_argument("--normalize", action="store_true", help="emit frequencies, not counts")
     quant.add_argument("--out", required=True)
     quant.set_defaults(func=_cmd_quantize)
-
-    train = sub.add_parser("train-regressor", help="train the visual-to-embedding regressor")
-    _add_common_eval_flags(train)
-    train.add_argument("--model-out", required=True, help="output model JSON path")
-    train.set_defaults(func=_cmd_train_regressor)
 
     ezsl = sub.add_parser("eval-zsl", help="zero-shot evaluation over category splits")
     _add_common_eval_flags(ezsl)

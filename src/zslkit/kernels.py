@@ -34,10 +34,14 @@ def _as_matrix(x, name: str, require_nonnegative: bool) -> np.ndarray:
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if require_nonnegative and np.any(m < 0):
-        raise ValueError(f"{name} contains negative entries")
+    if m.size:
+        # NaN propagates through min and max, and an infinity is an extreme,
+        # so two reductions decide both checks without a bool temporary
+        lo, hi = m.min(), m.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} contains non-finite entries")
+        if require_nonnegative and lo < 0:
+            raise ValueError(f"{name} contains negative entries")
     return m
 
 

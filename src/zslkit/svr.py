@@ -94,20 +94,18 @@ class SemanticRegressor:
     """Per-dimension SVRs sharing one support-vector pool, as a kernel
     expansion over the training rows.
 
-    ``pool_indices`` are the training rows (of ``n_train``) used by at
-    least one output dimension; ``coefficients`` is dense (dimension x pool
-    size), and ``iterations`` and ``dual_objectives`` hold each dimension's
-    solver statistics. The model holds no feature rows: a projection takes
-    the kernel values of its rows against the pool's training rows.
+    ``pool_indices`` are the training rows used by at least one output
+    dimension; ``coefficients`` is dense (dimension x pool size), and
+    ``iterations`` holds each dimension's solver iteration count. The
+    model holds no feature rows: a projection takes the kernel values of
+    its rows against the pool's training rows.
     """
 
     kernel: KernelSpec
-    n_train: int
     pool_indices: np.ndarray
     coefficients: np.ndarray
     biases: np.ndarray
     iterations: np.ndarray
-    dual_objectives: np.ndarray
 
 
 def train_semantic_regressor(
@@ -133,13 +131,11 @@ def train_semantic_regressor(
     pool_idx = np.flatnonzero(res.coef.any(axis=0))
     return SemanticRegressor(
         kernel=kernel,
-        n_train=zt.shape[0],
         pool_indices=pool_idx,
         # C order, so that predict_batch multiplies by it without a copy
         coefficients=np.ascontiguousarray(res.coef[:, pool_idx]),
         biases=res.bias,
         iterations=res.row_iterations,
-        dual_objectives=-res.objective,
     )
 
 

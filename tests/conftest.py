@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -27,15 +25,3 @@ def write_embedding_file(path, entries: dict[str, list[float]]) -> None:
         lines.append(token + " " + " ".join(str(v) for v in values))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def assert_same_fields(a, b):
-    """Field-by-field equality of two model dataclasses, arrays exactly
-    and with the same dtype."""
-    assert type(a) is type(b)
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            assert isinstance(y, np.ndarray) and x.dtype == y.dtype, f.name
-            np.testing.assert_array_equal(x, y, err_msg=f.name)
-        else:
-            assert x == y, f.name

@@ -1,13 +1,16 @@
-"""Whole-array forms of the steps that now run in bounded chunks.
+"""Whole-array forms of the steps that now run in bounded chunks or
+allocation-free reductions.
 
-Each function is the expression the chunked code replaced, kept verbatim:
-one (n, P, d_z) difference tensor for prototype matching, one full
-(n, d_z) pass per prototype for self-training, one max_pairs-long
+Each function is the expression the bounded code replaced, kept
+verbatim: one (n, P, d_z) difference tensor for prototype matching, one
+full (n, d_z) pass per prototype for self-training, one max_pairs-long
 row-index array for the sampled gamma, one n^2 bool array for the Gram
-symmetry check, and one stacked copy of the target and auxiliary rows
-for the run-wide distance matrix. Tests require the chunked code to
-reproduce them bit for bit; ``scripts/bench_memory.py`` times and traces
-both forms.
+symmetry check, one stacked copy of the target and auxiliary rows for
+the run-wide distance matrix, and two whole-array bool masks for the
+input check. Tests require the bounded code to reproduce them bit for
+bit, and the input check to raise exactly as its mask form does;
+``scripts/bench_memory.py`` times and traces the chunked steps' two
+forms.
 """
 
 from __future__ import annotations
@@ -63,3 +66,12 @@ def validate_gram(g: np.ndarray) -> np.ndarray:
 def run_distances(kind: str, target: np.ndarray, auxiliary: np.ndarray) -> np.ndarray:
     """Base distances of the target rows stacked on the auxiliary rows."""
     return distance_matrix(kind, np.vstack([target, auxiliary]))
+
+
+def check_matrix(m: np.ndarray, name: str, require_nonnegative: bool) -> None:
+    """Raise as ``kernels._as_matrix`` does for a non-finite entry, then for
+    a negative one when ``require_nonnegative``."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if require_nonnegative and np.any(m < 0):
+        raise ValueError(f"{name} contains negative entries")

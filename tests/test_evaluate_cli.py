@@ -18,7 +18,6 @@ from zslkit.evaluate import (
     run_zsl_evaluation,
 )
 from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
-from zslkit.model_io import load_model
 from zslkit.smo import ConvergenceError
 from zslkit.svc import SvcConfig, classify_batch, train_svc
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
@@ -804,25 +803,6 @@ class TestCli:
         assert code == 0
         config = json.loads(next(out.glob("*/report.json")).read_text())["config"]
         assert config["gamma"] == (0.5 if gamma == "0.5" else "auto")
-
-    def test_train_regressor_writes_model(self, toy_world, tmp_path, capsys):
-        model_path = tmp_path / "model.json"
-        code = main(
-            [
-                "train-regressor",
-                "--features", str(toy_world["target"]),
-                "--embeddings", str(toy_world["embeddings"]),
-                "--model-out", str(model_path),
-            ]
-        )
-        assert code == 0
-        assert model_path.is_file()
-        doc = json.loads(model_path.read_text())
-        assert doc["type"] == "semantic_regressor"
-        assert "d_z=6" in capsys.readouterr().out
-        regressor, pool_features = load_model(model_path)
-        features = load_dataset(toy_world["target"]).features
-        np.testing.assert_array_equal(pool_features, features[regressor.pool_indices])
 
     def test_eval_multishot_cli(self, toy_world, tmp_path, capsys):
         dataset = load_dataset(toy_world["target"])

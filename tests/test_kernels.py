@@ -18,6 +18,7 @@ from zslkit.kernels import (
     RBF_CHI2,
     RBF_EUCLIDEAN,
     KernelSpec,
+    _as_matrix,
     chi2_distance_matrix,
     distance_matrix,
     fit_kernel,
@@ -415,7 +416,7 @@ class TestBlockwiseRunMatrix:
     def test_peak_holds_no_stacked_copy(self, monkeypatch):
         # the stacked rows would take 3 MB beside the 74 KB matrix; one
         # worker's chi-square scratch is two arrays of 2^16 floats (1 MiB),
-        # and the input checks' bool temporaries (256 KB) end before it
+        # and the input checks' min and max reductions allocate no array
         monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 1)
         rng = np.random.default_rng(46)
         t, a = rng.random((64, 4000)), rng.random((32, 4000))
@@ -427,6 +428,56 @@ class TestBlockwiseRunMatrix:
             tracemalloc.stop()
         scratch = 2 * 8 * zslkit.kernels._TILE_FLOATS
         assert peak < dist.nbytes + scratch + 2**18
+
+
+class TestInputCheck:
+    """``_as_matrix`` decides its checks with one min and one max; it must
+    raise exactly when the whole-array mask form does, and hold no mask."""
+
+    @staticmethod
+    def _error(check, m, require_nonnegative):
+        try:
+            check(m, "x", require_nonnegative)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            elements=st.floats(0, 10),
+        ),
+        specials=st.lists(
+            st.tuples(
+                st.integers(0, 35),
+                st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1.0, -5e-324]),
+            ),
+            max_size=3,
+        ),
+        require_nonnegative=st.booleans(),
+    )
+    @example(m=np.empty((0, 4)), specials=[], require_nonnegative=True)
+    @example(m=np.empty((4, 0)), specials=[], require_nonnegative=True)
+    @example(m=np.ones((2, 2)), specials=[(3, -1.0), (0, math.nan)], require_nonnegative=True)
+    def test_raises_as_the_mask_form_does(self, m, specials, require_nonnegative):
+        for cell, value in specials:
+            if m.size:
+                m.flat[cell % m.size] = value
+        expected = self._error(memory_reference.check_matrix, m, require_nonnegative)
+        assert self._error(_as_matrix, m, require_nonnegative) == expected
+
+    def test_holds_no_mask(self):
+        m = np.random.default_rng(47).random((512, 512))
+        tracemalloc.start()
+        try:
+            _as_matrix(m, "x", require_nonnegative=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one bool mask of this block would be 256 KB
+        assert peak < 2**16
 
 
 class TestTiledChi2:
