@@ -106,7 +106,7 @@ def bench_file(corpus_name: str, path: Path, tokens, repeats: int) -> dict:
 
         def block():
             ds = data.load_dataset(path)
-            return ds.d_x, ds.ids, ds.labels, ds.features
+            return ds.features.shape[1], ds.ids, ds.labels, ds.features
 
         def line():
             return data._read_feature_lines(path)

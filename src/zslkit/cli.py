@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    kmeans_codebook,
-    quantize,
-    read_descriptor_file,
-    save_codebook,
-    write_features_csv,
-)
+from .data import kmeans_codebook, quantize, read_descriptor_file, write_features_csv
 from .embedding import Label
 from .evaluate import (
     EvaluationReport,
@@ -93,7 +87,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
         sample = all_desc[np.sort(idx)]
     else:
         sample = all_desc
-    codebook = kmeans_codebook(sample, args.k, seed=args.seed, max_iters=args.max_iters)
+    centroids = kmeans_codebook(sample, args.k, seed=args.seed, max_iters=args.max_iters)
 
     labels_map: dict[str, str] = {}
     if args.labels:
@@ -105,15 +99,13 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     ids = [key for key, _ in groups]
     labels = [Label.of(labels_map.get(key, "unknown")) for key in ids]
     features = np.vstack(
-        [quantize(codebook, mat, normalize=args.normalize) for _, mat in groups]
+        [quantize(centroids, mat, normalize=args.normalize) for _, mat in groups]
     )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_features_csv(out / "features.csv", ids, labels, features)
-    save_codebook(codebook, out / "codebook.json", seed=args.seed)
     print(f"quantized {len(groups)} groups into {out / 'features.csv'}")
-    print(f"codebook (k={args.k}) written to {out / 'codebook.json'}")
     return 0
 
 
@@ -122,15 +114,17 @@ def _cmd_eval_zsl(args: argparse.Namespace) -> int:
     if args.ablation_grid:
         if not base.auxiliary_path:
             raise ValueError("--ablation-grid requires --augment <auxiliary dataset>")
-        rows = []
-        for self_train, augment in ((False, False), (True, False), (False, True), (True, True)):
-            config = dataclasses.replace(base, self_train=self_train, augment=augment)
-            report, run_dir = run_zsl_evaluation(config)
-            rows.append((report.variant, report, run_dir))
+        configs = [
+            dataclasses.replace(base, self_train=self_train, augment=augment)
+            for self_train, augment in ((False, False), (True, False), (False, True), (True, True))
+        ]
+        for config in configs:  # every variant is checked before the first one runs
+            config.validate("zsl")
+        rows = [run_zsl_evaluation(config) for config in configs]
         print(f"{'variant':<12} {'mean':>8} {'std':>8}")
-        for variant, report, _ in rows:
-            print(f"{variant:<12} {report.mean_accuracy:>8.2f} {report.std_accuracy:>8.2f}")
-        for _, report, run_dir in rows:
+        for report, _ in rows:
+            print(f"{report.variant:<12} {report.mean_accuracy:>8.2f} {report.std_accuracy:>8.2f}")
+        for report, run_dir in rows:
             print(f"{report.variant}: {run_dir / 'report.json'}")
         return 0
     report, run_dir = run_zsl_evaluation(base)

@@ -24,7 +24,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ class Dataset:
     instance label in order of first appearance."""
 
     name: str
-    d_x: int
     ids: list[str]
     labels: list[Label]
     features: np.ndarray
@@ -63,10 +62,9 @@ def load_dataset(path: str | Path) -> Dataset:
         parsed = _read_feature_blocks(path)
     except ValueError:  # a label without tokens, or undecodable text
         parsed = None
-    d_x, ids, labels, features = _read_feature_lines(path) if parsed is None else parsed
+    _, ids, labels, features = _read_feature_lines(path) if parsed is None else parsed
     return Dataset(
         name=path.stem,
-        d_x=d_x,
         ids=ids,
         labels=labels,
         features=features,
@@ -244,25 +242,15 @@ def save_split(split: SplitSpec, dataset_name: str, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass
-class Codebook:
-    """K-means centroids over descriptor space."""
-
-    k: int
-    centroids: np.ndarray
-    descriptor_dim: int
-    inertia_history: list[float] = field(default_factory=list)
-
-
 def kmeans_codebook(
     descriptors: np.ndarray, k: int, seed: int = 0, max_iters: int = 100
-) -> Codebook:
-    """Lloyd's algorithm with seeded k-means++ initialization.
+) -> np.ndarray:
+    """The (k, d) centroids that Lloyd's algorithm with seeded k-means++
+    initialization fits to ``descriptors``.
 
-    Stops when assignments are stable or ``max_iters`` is reached. Empty
-    clusters are re-seeded to the point farthest from its assigned
-    centroid. ``inertia_history`` records the (non-increasing) inertia at
-    each assignment step.
+    Stops when assignments are stable or ``max_iters`` is reached; with
+    ``max_iters=0`` the k-means++ seeds are returned. Empty clusters are
+    re-seeded to the point farthest from its assigned centroid.
     """
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2:
@@ -286,12 +274,10 @@ def kmeans_codebook(
         centroids[c] = x[idx]
         closest = np.minimum(closest, squared_euclidean_matrix(x, centroids[c : c + 1])[:, 0])
 
-    history: list[float] = []
     prev_assign: np.ndarray | None = None
     for _ in range(max_iters):
         d2 = squared_euclidean_matrix(x, centroids)
         assign = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), assign].sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
@@ -304,44 +290,32 @@ def kmeans_codebook(
                 far = int(np.argmax(assigned_d2))
                 centroids[c] = x[far]
                 assigned_d2[far] = 0.0
-    return Codebook(k=k, centroids=centroids, descriptor_dim=x.shape[1], inertia_history=history)
+    return centroids
 
 
-def quantize(codebook: Codebook, descriptors: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """Histogram of nearest-centroid assignments (ties take the lowest
-    centroid index). With ``normalize`` the bins sum to 1. An empty
-    descriptor list yields a zero histogram and a warning."""
+def quantize(
+    centroids: np.ndarray, descriptors: np.ndarray, normalize: bool = False
+) -> np.ndarray:
+    """Histogram of nearest-centroid assignments over the (k, d)
+    ``centroids`` (ties take the lowest centroid index). With
+    ``normalize`` the bins sum to 1. An empty descriptor list yields a
+    zero histogram and a warning."""
+    k, d = centroids.shape
     x = np.asarray(descriptors, dtype=np.float64)
     if x.size == 0:
         warnings.warn("quantize: empty descriptor list, returning zero histogram")
-        return np.zeros(codebook.k, dtype=np.float64)
+        return np.zeros(k, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"descriptors must be 2-D, got shape {x.shape}")
-    if x.shape[1] != codebook.descriptor_dim:
+    if x.shape[1] != d:
         raise ValueError(
-            f"descriptor dimension {x.shape[1]} does not match codebook "
-            f"dimension {codebook.descriptor_dim}"
+            f"descriptor dimension {x.shape[1]} does not match codebook dimension {d}"
         )
-    assign = np.argmin(squared_euclidean_matrix(x, codebook.centroids), axis=1)
-    hist = np.bincount(assign, minlength=codebook.k).astype(np.float64)
+    assign = np.argmin(squared_euclidean_matrix(x, centroids), axis=1)
+    hist = np.bincount(assign, minlength=k).astype(np.float64)
     if normalize:
         hist /= x.shape[0]
     return hist
-
-
-CODEBOOK_VERSION = 1
-
-
-def save_codebook(codebook: Codebook, path: str | Path, seed: int | None = None) -> None:
-    doc = {
-        "schema": "zslkit-codebook",
-        "version": CODEBOOK_VERSION,
-        "k": codebook.k,
-        "descriptor_dim": codebook.descriptor_dim,
-        "seed": seed,
-        "centroids": [[float(v) for v in row] for row in codebook.centroids],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def read_descriptor_file(path: str | Path) -> list[tuple[str | None, np.ndarray]]:

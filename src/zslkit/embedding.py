@@ -83,17 +83,8 @@ class EmbeddingStore:
     table: dict[str, np.ndarray] = field(default_factory=dict)
     duplicates_replaced: int = 0
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.table
-
     def __len__(self) -> int:
         return len(self.table)
-
-    def vector(self, token: str) -> np.ndarray:
-        try:
-            return self.table[token]
-        except KeyError:
-            raise ValueError(f"token {token!r} not in embedding vocabulary") from None
 
 
 def load_embeddings(path: str | Path, tokens: Iterable[str] | None = None) -> EmbeddingStore:

@@ -23,7 +23,6 @@ from . import smo
 from .data import Dataset, SplitSpec, generate_splits, load_dataset, save_split
 from .embedding import EmbeddingStore, Label, label_tokens, load_embeddings
 from .kernels import (
-    KERNEL_KINDS,
     RBF_CHI2,
     distance_matrix,
     fit_kernel,
@@ -63,7 +62,6 @@ class ExperimentConfig:
     augment: bool = False
     self_train: bool = False
     k_neighbors: int | None = None
-    kernel_kind: str = RBF_CHI2
     gamma: float | str = "auto"
     svr_c: float = 2.0
     svr_epsilon: float = 0.1
@@ -133,8 +131,6 @@ class ExperimentConfig:
             )
         if self.k_neighbors is not None and self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
-        if self.kernel_kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel_kind {self.kernel_kind!r}")
         if self.gamma != "auto" and not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(
                 f"gamma must be 'auto' or a positive finite number, got {self.gamma!r}"
@@ -224,10 +220,8 @@ def _score(
     return accuracy, balanced, confusion
 
 
-def _run_distances(
-    kind: str, target: np.ndarray, auxiliary: np.ndarray | None = None
-) -> np.ndarray:
-    """Base distances between all target rows followed by all auxiliary
+def _run_distances(target: np.ndarray, auxiliary: np.ndarray | None = None) -> np.ndarray:
+    """Chi-square distances between all target rows followed by all auxiliary
     rows. Every split or fold slices its gamma, Gram matrix and test
     kernel rows from this one matrix.
 
@@ -237,7 +231,7 @@ def _run_distances(
     is made, and every cell equals the one the stacked rows would give.
     """
     if auxiliary is None or not len(auxiliary):
-        return distance_matrix(kind, target)
+        return distance_matrix(RBF_CHI2, target)
     if auxiliary.shape[1] != target.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: target d_x={target.shape[1]}, "
@@ -245,9 +239,9 @@ def _run_distances(
         )
     n = len(target)
     dist = np.empty((n + len(auxiliary),) * 2)
-    distance_matrix(kind, target, out=dist[:n, :n])
-    distance_matrix(kind, target, auxiliary, out=dist[:n, n:])
-    distance_matrix(kind, auxiliary, out=dist[n:, n:])
+    distance_matrix(RBF_CHI2, target, out=dist[:n, :n])
+    distance_matrix(RBF_CHI2, target, auxiliary, out=dist[:n, n:])
+    distance_matrix(RBF_CHI2, auxiliary, out=dist[n:, n:])
     dist[n:, :n] = dist[:n, n:].T
     return dist
 
@@ -294,7 +288,7 @@ def _fit_regressor(
     recomputed, they would hold the same values in another memory layout,
     which the projection's matrix product rounds differently.
     """
-    kernel, gram = fit_kernel(config.kernel_kind, dist[np.ix_(rows, rows)], config.gamma)
+    kernel, gram = fit_kernel(RBF_CHI2, dist[np.ix_(rows, rows)], config.gamma)
     regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
     pool = regressor.pool_indices
     kernel_rows = [gram[:, pool]] if own else []
@@ -414,8 +408,7 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
         seen = max(sum(int(rows_of[index[lab]]) for lab in s.seen) for s in splits)
         _check_memory(len(class_of), seen + len(class_of) - n_target)
         dist = _run_distances(
-            config.kernel_kind, target.features,
-            auxiliary.features if auxiliary is not None else None,
+            target.features, auxiliary.features if auxiliary is not None else None
         )
         aux_rows = np.arange(n_target, dist.shape[0])
     del target, auxiliary  # a unit reads the run matrix, not the features
@@ -504,7 +497,7 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     _, vectors, class_of = _run_classes(store, dataset)
     ids, labels = dataset.ids, dataset.labels
     _check_memory(len(ids), max(train.size for train, _ in folds))
-    dist = _run_distances(config.kernel_kind, dataset.features)
+    dist = _run_distances(dataset.features)
     del dataset  # a unit reads the run matrix, not the features
     svc_config = config.svc_config()
 

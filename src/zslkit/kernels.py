@@ -161,8 +161,9 @@ def squared_euclidean_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def distance_matrix(kind: str, rows, cols=None, out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise base distances between two vector collections, written
-    into ``out`` when it is given (see :func:`chi2_distance_matrix`).
+    """Pairwise base distances between two vector collections. Chi-square
+    distances are written into ``out`` when it is given (see
+    :func:`chi2_distance_matrix`); squared Euclidean ones take no ``out``.
 
     With ``cols=None`` the matrix is computed against ``rows`` itself; it
     is exactly symmetric with an exactly-zero diagonal.
@@ -177,14 +178,13 @@ def distance_matrix(kind: str, rows, cols=None, out: np.ndarray | None = None) -
         return chi2_distance_matrix(r, c, out)
     if kind != RBF_EUCLIDEAN:
         raise ValueError(f"unknown kernel kind {kind!r}")
+    if out is not None:
+        raise ValueError(f"out is for chi-square distances only, not {kind!r}")
     d = squared_euclidean_matrix(r, c)
     if symmetric:
         d = 0.5 * (d + d.T)
         np.fill_diagonal(d, 0.0)
-    if out is None:
-        return d
-    out[...] = d
-    return out
+    return d
 
 
 def rbf_from_distances(gamma: float, d: np.ndarray) -> np.ndarray:

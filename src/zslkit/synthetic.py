@@ -88,7 +88,6 @@ def world_dataset(
             rows.append(feats[s])
     return Dataset(
         name=name,
-        d_x=world.class_centers.shape[1],
         ids=ids,
         labels=labels,
         features=np.vstack(rows),

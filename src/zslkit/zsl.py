@@ -9,6 +9,7 @@ is unseen, its prototype.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -125,10 +126,14 @@ def zsl_predict(
 
 
 def write_predictions_csv(predictions: Sequence[Prediction], path: str | Path) -> None:
-    lines = ["instance_id,predicted_label,distance"]
-    for pred in predictions:
-        lines.append(f"{pred.instance_id},{pred.label.slug},{pred.distance!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One ``instance_id,predicted_label,distance`` row per prediction; a
+    cell with a comma, a quote or a newline is quoted, as
+    :func:`~zslkit.data.load_dataset` reads it."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["instance_id", "predicted_label", "distance"])
+        for pred in predictions:
+            writer.writerow([pred.instance_id, pred.label.slug, repr(pred.distance)])
 
 
 def label_targets(classes: Sequence[Label], store: EmbeddingStore) -> np.ndarray:

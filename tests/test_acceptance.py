@@ -6,6 +6,7 @@ reproduction is an optional, skipped entry (it needs the original video
 features and pretrained embeddings).
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -206,7 +207,7 @@ def _augmentation_trial(seed: int):
     heldout = world_dataset(world, list(range(10, 15)), per_class=20, rng=rng, name="held")
     store = world_store(world)
     config = SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-3)
-    truth = np.vstack([store.vector(lab.tokens[0]) for lab in heldout.labels])
+    truth = np.vstack([store.table[lab.tokens[0]] for lab in heldout.labels])
     errors = []
     for use_aux in (False, True):
         targets = label_targets(target.labels + (auxiliary.labels if use_aux else []), store)
@@ -279,11 +280,15 @@ def test_criterion_7_kmeans_recovery():
     gaps = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
     assert gaps[np.triu_indices(3, 1)].min() >= 1.0
     x = np.vstack([m + 0.05 * rng.normal(size=(60, 3)) for m in means])
-    book = kmeans_codebook(x, k=3, seed=13)
-    worst = max(
-        float(np.linalg.norm(book.centroids - m, axis=1).min()) for m in means
-    )
-    hist = book.inertia_history
+    centroids = kmeans_codebook(x, k=3, seed=13)
+    worst = max(float(np.linalg.norm(centroids - m, axis=1).min()) for m in means)
+    # inertia after 0, 1, ... Lloyd steps, up to the default run's centroids
+    hist = []
+    for steps in itertools.count():
+        step = kmeans_codebook(x, k=3, seed=13, max_iters=steps)
+        hist.append(float(((x[:, None] - step[None]) ** 2).sum(axis=2).min(axis=1).sum()))
+        if np.array_equal(step, centroids):
+            break
     monotone = all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
     ok = worst <= 0.1 and monotone
     report_line(

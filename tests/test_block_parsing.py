@@ -205,7 +205,7 @@ def load_both(content, name, block_values, public, loop):
 def public_dataset(path):
     ds = load_dataset(path)
     assert ds.class_vocabulary == list(dict.fromkeys(ds.labels))
-    return dataset_fields(ds.d_x, ds.ids, ds.labels, ds.features)
+    return dataset_fields(ds.features.shape[1], ds.ids, ds.labels, ds.features)
 
 
 def loop_dataset(path):

@@ -40,7 +40,7 @@ class TestLoadEmbeddings:
         store = load_embeddings(path)
         assert store.dimension == 3
         assert len(store) == 2
-        np.testing.assert_array_equal(store.vector("run"), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(store.table["run"], [1.0, 0.0, 0.0])
 
     def test_wrong_value_count(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -77,7 +77,7 @@ class TestLoadEmbeddings:
         path.write_text("2 2\nrun 1 0\nrun 0 1\n")
         store = load_embeddings(path)
         assert store.duplicates_replaced == 1
-        np.testing.assert_array_equal(store.vector("run"), [0.0, 1.0])
+        np.testing.assert_array_equal(store.table["run"], [0.0, 1.0])
 
     def test_token_filter_keeps_exactly_the_requested_entries(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -89,7 +89,7 @@ class TestLoadEmbeddings:
         assert set(kept.table) == wanted & set(full.table)
         assert kept.dimension == full.dimension
         for token, vec in kept.table.items():
-            np.testing.assert_array_equal(vec, full.vector(token))
+            np.testing.assert_array_equal(vec, full.table[token])
         assert len(load_embeddings(path, tokens=[])) == 0
 
     def test_token_filter_still_checks_every_line(self, tmp_path):
@@ -113,7 +113,7 @@ class TestLoadEmbeddings:
         store = load_embeddings(path, tokens={"run"})
         assert store.duplicates_replaced == 1
         assert list(store.table) == ["run"]
-        np.testing.assert_array_equal(store.vector("run"), [0.0, 1.0])
+        np.testing.assert_array_equal(store.table["run"], [0.0, 1.0])
 
     def test_save_load_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -125,7 +125,7 @@ class TestLoadEmbeddings:
         save_embeddings(store, first)
         loaded = load_embeddings(first)
         for token in store.table:
-            np.testing.assert_array_equal(loaded.vector(token), store.vector(token))
+            np.testing.assert_array_equal(loaded.table[token], store.table[token])
         second = tmp_path / "b.txt"
         save_embeddings(loaded, second)
         assert first.read_bytes() == second.read_bytes()

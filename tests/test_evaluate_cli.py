@@ -17,7 +17,7 @@ from zslkit.evaluate import (
     run_multishot_evaluation,
     run_zsl_evaluation,
 )
-from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
+from zslkit.kernels import RBF_CHI2, KernelSpec, gram_matrix, heuristic_gamma
 from zslkit.smo import ConvergenceError
 from zslkit.svc import SvcConfig, classify_batch, train_svc
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
@@ -73,13 +73,9 @@ def _svr_config(config: ExperimentConfig) -> SvrConfig:
     )
 
 
-def reference_kernel(config: ExperimentConfig, features: np.ndarray) -> KernelSpec:
-    return KernelSpec(config.kernel_kind, heuristic_gamma(features, config.kernel_kind))
-
-
 def reference_regressor(config: ExperimentConfig, x: np.ndarray, targets: np.ndarray):
     """The regressor of training rows ``x``, from their own Gram matrix."""
-    kernel = reference_kernel(config, x)
+    kernel = KernelSpec(RBF_CHI2, heuristic_gamma(x))
     return train_semantic_regressor(targets, _svr_config(config), kernel, gram_matrix(kernel, x))
 
 
@@ -153,26 +149,13 @@ def reference_multishot_predictions(config: ExperimentConfig, out_dir) -> None:
         )
 
 
-def assert_same_predictions(run_dir, ref_dir, kernel_kind: str) -> None:
-    """Byte-identical CSVs under the chi-square kernel; under RBF-Euclidean
-    the distances may differ by matrix-product rounding, to 1e-12."""
+def assert_same_predictions(run_dir, ref_dir) -> None:
+    """Byte-identical prediction CSVs."""
     names = sorted(p.name for p in ref_dir.iterdir())
     assert names and names == sorted(p.name for p in (run_dir / "predictions").iterdir())
     for name in names:
         got = (run_dir / "predictions" / name).read_text()
-        want = (ref_dir / name).read_text()
-        if kernel_kind == "rbf_chi2":
-            assert got == want, name
-            continue
-        got_rows = [line.split(",") for line in got.splitlines()]
-        want_rows = [line.split(",") for line in want.splitlines()]
-        assert [r[:2] for r in got_rows] == [r[:2] for r in want_rows], name
-        np.testing.assert_allclose(
-            [float(r[2]) for r in got_rows[1:]],
-            [float(r[2]) for r in want_rows[1:]],
-            rtol=0,
-            atol=1e-12,
-        )
+        assert got == (ref_dir / name).read_text(), name
 
 
 class TestZslEvaluation:
@@ -223,17 +206,16 @@ class TestZslEvaluation:
         report, _ = run_zsl_evaluation(config)
         assert report.per_split_accuracy == [100.0]
 
-    @pytest.mark.parametrize("kernel_kind", ["rbf_chi2", "rbf_euclidean"])
-    def test_matches_per_split_reference(self, toy_world, tmp_path, kernel_kind):
+    def test_matches_per_split_reference(self, toy_world, tmp_path):
         config = base_config(
             toy_world, tmp_path, self_train=True, k_neighbors=5, split_count=3,
-            augment=True, auxiliary_path=str(toy_world["aux"]), kernel_kind=kernel_kind,
+            augment=True, auxiliary_path=str(toy_world["aux"]),
         )
         _, run_dir = run_zsl_evaluation(config)
         ref_dir = tmp_path / "reference"
         ref_dir.mkdir()
         reference_zsl_predictions(config, ref_dir)
-        assert_same_predictions(run_dir, ref_dir, kernel_kind)
+        assert_same_predictions(run_dir, ref_dir)
 
     def test_units_copy_no_feature_rows(self, tmp_path, monkeypatch):
         # wide histograms make one copy of the target's rows stand out
@@ -444,18 +426,15 @@ class TestMultishot:
         )
         assert (run_dir / "predictions" / "fold_001.csv").is_file()
 
-    @pytest.mark.parametrize("kernel_kind", ["rbf_chi2", "rbf_euclidean"])
-    def test_matches_per_fold_reference(self, toy_world, tmp_path, kernel_kind):
+    def test_matches_per_fold_reference(self, toy_world, tmp_path):
         folds_path = tmp_path / "folds.json"
         self._write_folds(folds_path, load_dataset(toy_world["target"]))
-        config = base_config(
-            toy_world, tmp_path, folds_path=str(folds_path), kernel_kind=kernel_kind
-        )
+        config = base_config(toy_world, tmp_path, folds_path=str(folds_path))
         _, run_dir = run_multishot_evaluation(config)
         ref_dir = tmp_path / "reference"
         ref_dir.mkdir()
         reference_multishot_predictions(config, ref_dir)
-        assert_same_predictions(run_dir, ref_dir, kernel_kind)
+        assert_same_predictions(run_dir, ref_dir)
 
     def test_overlapping_fold_rejected(self, toy_world, tmp_path):
         dataset = load_dataset(toy_world["target"])
@@ -652,6 +631,27 @@ class TestCli:
         for name in ("NN", "NN+ST", "NN+Aux", "NN+ST+Aux"):
             assert name in out
 
+    def test_ablation_grid_checks_every_variant_before_the_first_runs(
+        self, toy_world, tmp_path, capsys
+    ):
+        # without --k-neighbors the ST variants are invalid; the NN variant
+        # must not run and write a report before that is found
+        code = main(
+            [
+                "eval-zsl",
+                "--features", str(toy_world["target"]),
+                "--embeddings", str(toy_world["embeddings"]),
+                "--augment", str(toy_world["aux"]),
+                "--out", str(tmp_path / "runs"),
+                "--splits", "2",
+                "--ablation-grid",
+            ]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "self_train=true requires k_neighbors to be set explicitly"
+        assert not (tmp_path / "runs").exists()
+
     def test_config_file_with_flag_override(self, toy_world, tmp_path, capsys):
         config_path = tmp_path / "exp.json"
         config_path.write_text(
@@ -709,6 +709,25 @@ class TestCli:
         config_path.write_text(json.dumps({"target_path": "x", field: True}))
         with pytest.raises(ValueError, match=f"unknown config field '{field}'"):
             ExperimentConfig.from_file(config_path)
+
+    def test_kernel_kind_is_an_unknown_field(self, toy_world, tmp_path, capsys):
+        # the regressor's kernel is always chi-square RBF; a config that
+        # still names it is rejected rather than silently read
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "target_path": str(toy_world["target"]),
+                    "embedding_path": str(toy_world["embeddings"]),
+                    "out_dir": str(tmp_path / "runs"),
+                    "kernel_kind": "rbf_chi2",
+                }
+            )
+        )
+        assert main(["eval-zsl", "--config", str(config_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == f"{config_path}: unknown config field 'kernel_kind'"
+        assert not (tmp_path / "runs").exists()
 
     def test_config_value_of_the_wrong_type_fails(self, toy_world, tmp_path, capsys):
         config_path = tmp_path / "exp.json"
@@ -841,7 +860,13 @@ class TestQuantizeCli:
         assert code == 0
         ds = load_dataset(out / "features.csv")
         assert len(ds) == 3
-        assert ds.d_x == 4
+        assert ds.features.shape[1] == 4
+
+    def test_writes_only_the_features(self, tmp_path):
+        paths = self._write_descriptors(tmp_path)
+        out = tmp_path / "out"
+        assert main(["quantize", "--descriptors", *paths, "--k", "4", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["features.csv"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         paths = self._write_descriptors(tmp_path)
@@ -852,7 +877,6 @@ class TestQuantizeCli:
                 ["quantize", "--descriptors", *paths, "--k", "4", "--seed", "9", "--out", str(out)]
             ) == 0
             outs.append(out)
-        assert (outs[0] / "codebook.json").read_bytes() == (outs[1] / "codebook.json").read_bytes()
         assert (outs[0] / "features.csv").read_bytes() == (outs[1] / "features.csv").read_bytes()
 
     def test_k_larger_than_descriptor_count_fails(self, tmp_path, capsys):

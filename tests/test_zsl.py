@@ -1,3 +1,4 @@
+import csv
 import re
 import tracemalloc
 
@@ -12,6 +13,7 @@ from zslkit.embedding import Label, l2_normalize
 from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
 from zslkit.svr import SvrConfig, train_semantic_regressor
 from zslkit.zsl import (
+    Prediction,
     augment_training,
     label_targets,
     _match_rows,
@@ -294,6 +296,22 @@ class TestZslPredict:
         lines = out.read_text().splitlines()
         assert lines[0] == "instance_id,predicted_label,distance"
         assert lines[1].startswith("te0,brush_hair,")
+
+    def test_predictions_csv_quotes_ids(self, tmp_path):
+        # load_dataset reads a quoted id with a comma, a quote or a newline;
+        # the prediction file must give it back as one cell
+        preds = [
+            Prediction("clip,1", Label.of("run"), 0.25),
+            Prediction('say "hi"', Label.of("jump"), float("nan")),
+            Prediction("two\nlines", Label.of("run"), 1.5),
+        ]
+        out = tmp_path / "preds.csv"
+        write_predictions_csv(preds, out)
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [
+            ["clip,1", "run", "0.25"], ['say "hi"', "jump", "nan"], ["two\nlines", "run", "1.5"]
+        ]
 
 
 class TestAugmentTraining:
