@@ -53,7 +53,7 @@ import numpy as np  # noqa: E402
 import corpus  # noqa: E402
 import worker  # noqa: E402
 from zslkit import smo  # noqa: E402
-from zslkit.kernels import RBF_CHI2, KernelSpec, gram_matrix, heuristic_gamma  # noqa: E402
+from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma  # noqa: E402
 from zslkit.svr import SvrConfig, train_svr  # noqa: E402
 from zslkit.synthetic import make_world, world_dataset  # noqa: E402
 
@@ -98,9 +98,9 @@ def paper_problem(seed: int) -> dict:
     world = make_world(26, 1000, 300, rng)
     ds = world_dataset(world, list(range(26)), 20, rng)
     targets = np.repeat(world.class_embeddings, 20, axis=0)  # rows come class by class
-    spec = KernelSpec(RBF_CHI2, heuristic_gamma(ds.features, RBF_CHI2))
+    gram = gram_matrix(heuristic_gamma(ds.features), distance_matrix(ds.features))
     with recorded_solves() as problems:
-        train_svr(gram_matrix(spec, ds.features), targets, SvrConfig())
+        train_svr(gram, targets, SvrConfig())
     return problems[0]
 
 

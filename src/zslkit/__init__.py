@@ -22,7 +22,7 @@ from .evaluate import (
     run_multishot_evaluation,
     run_zsl_evaluation,
 )
-from .kernels import KernelSpec, gram_matrix, heuristic_gamma
+from .kernels import gram_matrix, heuristic_gamma
 from .smo import ConvergenceError
 from .svc import SvcConfig, SvcModel, classify_batch, decision_values, train_svc
 from .svr import (

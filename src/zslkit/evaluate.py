@@ -23,11 +23,10 @@ from . import smo
 from .data import Dataset, SplitSpec, generate_splits, load_dataset, save_split
 from .embedding import EmbeddingStore, Label, label_tokens, load_embeddings
 from .kernels import (
-    RBF_CHI2,
     distance_matrix,
     fit_kernel,
+    gram_matrix,
     heuristic_gamma,  # noqa: F401  (perfbench/spans.py wraps evaluate.heuristic_gamma)
-    rbf_from_distances,
 )
 from .svc import SvcConfig, classify_batch, train_svc
 from .svr import SemanticRegressor, SvrConfig, predict_batch, train_semantic_regressor
@@ -231,7 +230,7 @@ def _run_distances(target: np.ndarray, auxiliary: np.ndarray | None = None) -> n
     is made, and every cell equals the one the stacked rows would give.
     """
     if auxiliary is None or not len(auxiliary):
-        return distance_matrix(RBF_CHI2, target)
+        return distance_matrix(target)
     if auxiliary.shape[1] != target.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: target d_x={target.shape[1]}, "
@@ -239,9 +238,9 @@ def _run_distances(target: np.ndarray, auxiliary: np.ndarray | None = None) -> n
         )
     n = len(target)
     dist = np.empty((n + len(auxiliary),) * 2)
-    distance_matrix(RBF_CHI2, target, out=dist[:n, :n])
-    distance_matrix(RBF_CHI2, target, auxiliary, out=dist[:n, n:])
-    distance_matrix(RBF_CHI2, auxiliary, out=dist[n:, n:])
+    distance_matrix(target, out=dist[:n, :n])
+    distance_matrix(target, auxiliary, out=dist[:n, n:])
+    distance_matrix(auxiliary, out=dist[n:, n:])
     dist[n:, :n] = dist[:n, n:].T
     return dist
 
@@ -288,13 +287,13 @@ def _fit_regressor(
     recomputed, they would hold the same values in another memory layout,
     which the projection's matrix product rounds differently.
     """
-    kernel, gram = fit_kernel(RBF_CHI2, dist[np.ix_(rows, rows)], config.gamma)
-    regressor = train_semantic_regressor(targets, config.svr_config(), kernel, gram)
+    gamma, gram = fit_kernel(dist[np.ix_(rows, rows)], config.gamma)
+    regressor = train_semantic_regressor(targets, config.svr_config(), gram)
     pool = regressor.pool_indices
     kernel_rows = [gram[:, pool]] if own else []
     del gram  # keep at most the run matrix and one unit's block alive
     kv = dist[np.ix_(test_rows, rows[pool])]
-    return regressor, kernel_rows + [rbf_from_distances(kernel.gamma, kv)]
+    return regressor, kernel_rows + [gram_matrix(gamma, kv)]
 
 
 def _run_classes(

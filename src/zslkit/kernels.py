@@ -1,33 +1,19 @@
 """Histogram kernels: chi-square distance, RBF kernels, the mean-distance
 gamma heuristic, and Gram-matrix construction shared by the regressor and
-the classifier."""
+the classifier.
+
+Each model fixes its kernel family: the regressor's is an RBF over
+chi-square distance, the classifier's an RBF over squared Euclidean
+distance. A kernel is therefore its bandwidth gamma, a plain float.
+"""
 
 from __future__ import annotations
 
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
-
-RBF_CHI2 = "rbf_chi2"
-RBF_EUCLIDEAN = "rbf_euclidean"
-KERNEL_KINDS = (RBF_CHI2, RBF_EUCLIDEAN)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family plus bandwidth."""
-
-    kind: str
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
 
 
 def _as_matrix(x, name: str, require_nonnegative: bool) -> np.ndarray:
@@ -160,68 +146,59 @@ def squared_euclidean_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def distance_matrix(kind: str, rows, cols=None, out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise base distances between two vector collections. Chi-square
-    distances are written into ``out`` when it is given (see
-    :func:`chi2_distance_matrix`); squared Euclidean ones take no ``out``.
+def _validated_pair(rows, cols, require_nonnegative: bool) -> tuple[np.ndarray, np.ndarray]:
+    r = _as_matrix(rows, "rows", require_nonnegative)
+    c = r if cols is None else _as_matrix(cols, "cols", require_nonnegative)
+    if r.shape[1] != c.shape[1]:
+        raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
+    return r, c
+
+
+def distance_matrix(rows, cols=None, out: np.ndarray | None = None) -> np.ndarray:
+    """Chi-square distances between two histogram collections, written
+    into ``out`` when it is given (see :func:`chi2_distance_matrix`).
 
     With ``cols=None`` the matrix is computed against ``rows`` itself; it
     is exactly symmetric with an exactly-zero diagonal.
     """
-    require_nonneg = kind == RBF_CHI2
-    r = _as_matrix(rows, "rows", require_nonneg)
-    symmetric = cols is None
-    c = r if symmetric else _as_matrix(cols, "cols", require_nonneg)
-    if r.shape[1] != c.shape[1]:
-        raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
-    if kind == RBF_CHI2:
-        return chi2_distance_matrix(r, c, out)
-    if kind != RBF_EUCLIDEAN:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    if out is not None:
-        raise ValueError(f"out is for chi-square distances only, not {kind!r}")
+    return chi2_distance_matrix(*_validated_pair(rows, cols, True), out)
+
+
+def squared_euclidean_distances(rows, cols=None) -> np.ndarray:
+    """Squared Euclidean distances between two vector collections. With
+    ``cols=None`` the matrix is made exactly symmetric with a zero
+    diagonal."""
+    r, c = _validated_pair(rows, cols, False)
     d = squared_euclidean_matrix(r, c)
-    if symmetric:
+    if cols is None:
         d = 0.5 * (d + d.T)
         np.fill_diagonal(d, 0.0)
     return d
 
 
-def rbf_from_distances(gamma: float, d: np.ndarray) -> np.ndarray:
-    """exp(-gamma * d), computed in place over ``d`` and returned."""
+def gram_matrix(gamma: float, d: np.ndarray) -> np.ndarray:
+    """Kernel matrix exp(-gamma * d) of a base-distance matrix, computed in
+    place over ``d`` and returned."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be a positive finite real, got {gamma}")
     d *= -gamma
     return np.exp(d, out=d)
 
 
-def gram_matrix(spec: KernelSpec, rows, cols=None) -> np.ndarray:
-    """Kernel matrix M[i][j] = exp(-gamma * D(rows[i], cols[j])), in (0, 1].
-
-    When ``cols`` is omitted the result is symmetric with unit diagonal.
-    """
-    d = distance_matrix(spec.kind, rows, cols)
-    return rbf_from_distances(spec.gamma, d)
-
-
-def fit_kernel(
-    kind: str, distances: np.ndarray, gamma: float | str = "auto"
-) -> tuple[KernelSpec, np.ndarray]:
-    """Kernel of a training set and its Gram matrix, from the set's
+def fit_kernel(distances: np.ndarray, gamma: float | str = "auto") -> tuple[float, np.ndarray]:
+    """Gamma of a training set and its Gram matrix, from the set's
     symmetric base-distance matrix. Gamma is the reciprocal mean distance
     when ``gamma`` is "auto"; ``distances`` becomes the Gram matrix in
     place."""
-    if gamma == "auto":
-        gamma = gamma_from_distances(distances)
-    kernel = KernelSpec(kind, float(gamma))
-    return kernel, rbf_from_distances(kernel.gamma, distances)
+    gamma = gamma_from_distances(distances) if gamma == "auto" else float(gamma)
+    return gamma, gram_matrix(gamma, distances)
 
 
-def heuristic_gamma(
-    data, kind: str = RBF_CHI2, *, max_pairs: int = 1_000_000, seed: int = 0
-) -> float:
-    """Reciprocal of the mean pairwise base distance of ``data``; see
+def heuristic_gamma(data, *, max_pairs: int = 1_000_000, seed: int = 0) -> float:
+    """Reciprocal of the mean pairwise chi-square distance of ``data``; see
     :func:`gamma_from_distances`."""
-    x = _as_matrix(data, "data", require_nonnegative=kind == RBF_CHI2)
-    return gamma_from_distances(distance_matrix(kind, x), max_pairs=max_pairs, seed=seed)
+    x = _as_matrix(data, "data", require_nonnegative=True)
+    return gamma_from_distances(distance_matrix(x), max_pairs=max_pairs, seed=seed)
 
 
 def gamma_from_distances(

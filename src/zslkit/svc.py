@@ -10,7 +10,7 @@ import numpy as np
 
 from . import smo
 from .embedding import Label
-from .kernels import RBF_EUCLIDEAN, KernelSpec, distance_matrix, fit_kernel, gram_matrix
+from .kernels import fit_kernel, gram_matrix, squared_euclidean_distances
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,17 @@ class SvcModel:
     points, so class c's support vectors are its nonzero entries; the
     per-class decision value is sum_i coef K(x_i, .) + bias and the
     predicted label is the argmax over classes (ties go to the first class
-    in declared order). ``iterations`` and ``dual_objectives`` hold each
-    class's solver statistics.
+    in declared order). ``gamma`` is the bandwidth of the RBF kernel over
+    squared Euclidean distance, and ``iterations`` holds each class's
+    solver iteration count.
     """
 
     classes: list[Label]
-    kernel: KernelSpec
+    gamma: float
     train_points: np.ndarray
     coefficients: np.ndarray
     biases: np.ndarray
     iterations: np.ndarray
-    dual_objectives: np.ndarray
 
 
 def train_svc(points: np.ndarray, labels: list[Label], config: SvcConfig) -> SvcModel:
@@ -68,7 +68,7 @@ def train_svc(points: np.ndarray, labels: list[Label], config: SvcConfig) -> Svc
     classes: list[Label] = list(dict.fromkeys(labels))
     if len(classes) < 2:
         raise ValueError("need at least 2 classes")
-    kernel, gram = fit_kernel(RBF_EUCLIDEAN, distance_matrix(RBF_EUCLIDEAN, x))
+    gamma, gram = fit_kernel(squared_euclidean_distances(x))
 
     label_keys = np.array([lab.key for lab in labels])
     z = np.array([np.where(label_keys == cls.key, 1.0, -1.0) for cls in classes])
@@ -78,12 +78,11 @@ def train_svc(points: np.ndarray, labels: list[Label], config: SvcConfig) -> Svc
     )
     return SvcModel(
         classes=classes,
-        kernel=kernel,
+        gamma=gamma,
         train_points=x.copy(),
         coefficients=res.coef,
         biases=res.bias,
         iterations=res.row_iterations,
-        dual_objectives=-res.objective,
     )
 
 
@@ -97,7 +96,7 @@ def decision_values(model: SvcModel, points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {x.shape[1]} vs {model.train_points.shape[1]}"
         )
-    kv = gram_matrix(model.kernel, x, model.train_points)
+    kv = gram_matrix(model.gamma, squared_euclidean_distances(x, model.train_points))
     return kv @ np.ascontiguousarray(model.coefficients).T + model.biases
 
 

@@ -9,10 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smo
-from .kernels import (
-    KernelSpec,
-    gram_matrix,  # noqa: F401  (perfbench/spans.py wraps svr.gram_matrix)
-)
+from .kernels import gram_matrix  # noqa: F401  (perfbench/spans.py wraps svr.gram_matrix)
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,6 @@ class SemanticRegressor:
     its rows against the pool's training rows.
     """
 
-    kernel: KernelSpec
     pool_indices: np.ndarray
     coefficients: np.ndarray
     biases: np.ndarray
@@ -111,7 +107,6 @@ class SemanticRegressor:
 def train_semantic_regressor(
     embeddings: np.ndarray,
     config: SvrConfig,
-    kernel: KernelSpec,
     gram: np.ndarray,
 ) -> SemanticRegressor:
     """Train one SVR per embedding coordinate over a shared Gram matrix,
@@ -119,7 +114,7 @@ def train_semantic_regressor(
 
     Row i of ``embeddings`` is training row i's label embedding, and
     dimension j regresses its coordinate j. ``gram`` is the training
-    rows' Gram matrix under ``kernel``.
+    rows' chi-square RBF Gram matrix.
     """
     zt = np.asarray(embeddings, dtype=np.float64)
     if zt.ndim != 2 or zt.shape[1] < 1:
@@ -130,7 +125,6 @@ def train_semantic_regressor(
 
     pool_idx = np.flatnonzero(res.coef.any(axis=0))
     return SemanticRegressor(
-        kernel=kernel,
         pool_indices=pool_idx,
         # C order, so that predict_batch multiplies by it without a copy
         coefficients=np.ascontiguousarray(res.coef[:, pool_idx]),

@@ -127,13 +127,17 @@ def zsl_predict(
 
 def write_predictions_csv(predictions: Sequence[Prediction], path: str | Path) -> None:
     """One ``instance_id,predicted_label,distance`` row per prediction; a
-    cell with a comma, a quote or a newline is quoted, as
-    :func:`~zslkit.data.load_dataset` reads it."""
+    cell with a comma, a quote, a newline or a carriage return is quoted,
+    as :func:`~zslkit.data.load_dataset` reads it."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # the writer quotes for the characters of its line terminator only,
+        # so the row of an id with a bare carriage return is quoted in full
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["instance_id", "predicted_label", "distance"])
         for pred in predictions:
-            writer.writerow([pred.instance_id, pred.label.slug, repr(pred.distance)])
+            row = [pred.instance_id, pred.label.slug, repr(pred.distance)]
+            (quoted if "\r" in pred.instance_id else writer).writerow(row)
 
 
 def label_targets(classes: Sequence[Label], store: EmbeddingStore) -> np.ndarray:

@@ -56,15 +56,9 @@ def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def sampled_gamma(
-    x: np.ndarray,
-    kind: str = "rbf_chi2",
-    *,
-    max_pairs: int = 1_000_000,
-    seed: int = 0,
-) -> float:
-    """Reciprocal mean distance over ``max_pairs`` seeded random pairs,
-    each distance computed directly from its two feature rows."""
+def sampled_gamma(x: np.ndarray, *, max_pairs: int = 1_000_000, seed: int = 0) -> float:
+    """Reciprocal mean chi-square distance over ``max_pairs`` seeded random
+    pairs, each distance computed directly from its two feature rows."""
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=max_pairs)
@@ -74,14 +68,10 @@ def sampled_gamma(
     for lo in range(0, max_pairs, chunk):
         a = x[i[lo : lo + chunk]]
         b = x[j[lo : lo + chunk]]
-        if kind == "rbf_chi2":
-            num = (a - b) ** 2
-            den = a + b
-            terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-            vals = terms.sum(axis=1)
-            vals *= 0.5
-        else:
-            diff = a - b
-            vals = (diff * diff).sum(axis=1)
+        num = (a - b) ** 2
+        den = a + b
+        terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        vals = terms.sum(axis=1)
+        vals *= 0.5
         total += float(vals.sum())
     return 1.0 / (total / max_pairs)

@@ -63,9 +63,9 @@ def validate_gram(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def run_distances(kind: str, target: np.ndarray, auxiliary: np.ndarray) -> np.ndarray:
-    """Base distances of the target rows stacked on the auxiliary rows."""
-    return distance_matrix(kind, np.vstack([target, auxiliary]))
+def run_distances(target: np.ndarray, auxiliary: np.ndarray) -> np.ndarray:
+    """Chi-square distances of the target rows stacked on the auxiliary rows."""
+    return distance_matrix(np.vstack([target, auxiliary]))
 
 
 def check_matrix(m: np.ndarray, name: str, require_nonnegative: bool) -> None:

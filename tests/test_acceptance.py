@@ -16,7 +16,7 @@ from qp_oracle import svr_dual_oracle
 from zslkit.data import generate_splits, kmeans_codebook, save_split, write_features_csv
 from zslkit.embedding import Label, save_embeddings
 from zslkit.evaluate import ExperimentConfig, run_zsl_evaluation
-from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
+from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor, train_svr
 from zslkit.synthetic import make_world, world_dataset, world_store
 from zslkit.zsl import label_targets, self_train
@@ -36,14 +36,14 @@ def test_criterion_1_svr_oracle_equivalence():
         n = int(rng.integers(4, 21))
         d = int(rng.integers(3, 12))
         x = rng.dirichlet(np.ones(d), size=n)
-        spec = KernelSpec("rbf_chi2", heuristic_gamma(x))
-        gram = gram_matrix(spec, x)
+        gamma = heuristic_gamma(x)
+        gram = gram_matrix(gamma, distance_matrix(x))
         y = rng.normal(size=n)
         epsilon = float(rng.choice([0.0, 0.05, 0.1]))
         res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=epsilon, tolerance=1e-10))
         beta_o, bias_o, obj_o = svr_dual_oracle(gram, y, 2.0, epsilon)
         probes = rng.dirichlet(np.ones(d), size=5)
-        kv = gram_matrix(spec, np.vstack([x, probes]), x)
+        kv = gram_matrix(gamma, distance_matrix(np.vstack([x, probes]), x))
         preds_solver = kv @ res.coef[0] + res.bias[0]
         preds_oracle = kv @ beta_o + bias_o
         worst_obj = max(
@@ -64,7 +64,7 @@ def test_criterion_1_svr_oracle_equivalence():
     assert elapsed < 60.0
 
 
-def test_criterion_2_rbf_chi2_gram_psd():
+def test_criterion_2_chi2_gram_psd():
     rng = np.random.default_rng(2025)
     started = time.time()
     min_eig = np.inf
@@ -74,7 +74,7 @@ def test_criterion_2_rbf_chi2_gram_psd():
         x = rng.gamma(shape=0.7, scale=2.0, size=(n, d))  # sparse-ish histograms
         x[rng.random(size=x.shape) < 0.3] = 0.0
         gamma = float(rng.uniform(0.1, 5.0))
-        gram = gram_matrix(KernelSpec("rbf_chi2", gamma), x)
+        gram = gram_matrix(gamma, distance_matrix(x))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram).min()))
     elapsed = time.time() - started
     ok = min_eig >= -1e-8 and elapsed < 60.0
@@ -212,11 +212,13 @@ def _augmentation_trial(seed: int):
     for use_aux in (False, True):
         targets = label_targets(target.labels + (auxiliary.labels if use_aux else []), store)
         x = np.vstack([target.features, auxiliary.features]) if use_aux else target.features
-        kernel = KernelSpec("rbf_chi2", heuristic_gamma(x))
-        regressor = train_semantic_regressor(targets, config, kernel, gram_matrix(kernel, x))
-        proj = predict_batch(
-            regressor, gram_matrix(kernel, heldout.features, x[regressor.pool_indices])
+        gamma = heuristic_gamma(x)
+        gram = gram_matrix(gamma, distance_matrix(x))
+        regressor = train_semantic_regressor(targets, config, gram)
+        kernel_rows = gram_matrix(
+            gamma, distance_matrix(heldout.features, x[regressor.pool_indices])
         )
+        proj = predict_batch(regressor, kernel_rows)
         proj /= np.linalg.norm(proj, axis=1, keepdims=True)
         errors.append(float(np.mean(1.0 - np.sum(proj * truth, axis=1))))
     return errors[0], errors[1]

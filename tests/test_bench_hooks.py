@@ -49,6 +49,19 @@ def assert_chi2_blocks(rec, layers, datasets):
     assert layers["embedding.tokens"] == len(label_tokens(vocabulary))
 
 
+def spans_per_unit(rec, name):
+    """How many ``name`` spans each unit span holds, in unit order."""
+
+    def unit_of(i):
+        while i != -1 and rec.spans[i][0] != spans.UNIT:
+            i = rec.spans[i][1]
+        return i
+
+    units = [i for i, span in enumerate(rec.spans) if span[0] == spans.UNIT]
+    owners = [unit_of(i) for i, span in enumerate(rec.spans) if span[0] == name]
+    return [owners.count(u) for u in units]
+
+
 def test_zsl_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     config = ev.base_config(
         toy_world, tmp_path, self_train=True, k_neighbors=5,
@@ -84,4 +97,8 @@ def test_multishot_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     assert layers["smo.iterations.svr"] == sum(int(r.iterations.sum()) for r in regressors) > 0
     assert layers["smo.iterations.svc"] == sum(int(m.iterations.sum()) for m in classifiers) > 0
     assert (layers["smo.iterations.svr"], layers["smo.iterations.svc"]) == (1010, 1188)
+    # each fold's SVM takes its training distances and its test-vs-train
+    # distances, and the exp of the test kernel rows
+    assert spans_per_unit(rec, "kernels.sqeuclid_matrix") == [2] * folds
+    assert spans_per_unit(rec, "kernels.gram_matrix") == [1] * folds
     assert_chi2_blocks(rec, layers, [load_dataset(toy_world["target"])])

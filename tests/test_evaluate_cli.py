@@ -17,7 +17,7 @@ from zslkit.evaluate import (
     run_multishot_evaluation,
     run_zsl_evaluation,
 )
-from zslkit.kernels import RBF_CHI2, KernelSpec, gram_matrix, heuristic_gamma
+from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
 from zslkit.smo import ConvergenceError
 from zslkit.svc import SvcConfig, classify_batch, train_svc
 from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
@@ -74,9 +74,11 @@ def _svr_config(config: ExperimentConfig) -> SvrConfig:
 
 
 def reference_regressor(config: ExperimentConfig, x: np.ndarray, targets: np.ndarray):
-    """The regressor of training rows ``x``, from their own Gram matrix."""
-    kernel = KernelSpec(RBF_CHI2, heuristic_gamma(x))
-    return train_semantic_regressor(targets, _svr_config(config), kernel, gram_matrix(kernel, x))
+    """The gamma and the regressor of training rows ``x``, from their own
+    Gram matrix."""
+    gamma = heuristic_gamma(x)
+    gram = gram_matrix(gamma, distance_matrix(x))
+    return gamma, train_semantic_regressor(targets, _svr_config(config), gram)
 
 
 def class_rows(dataset, classes) -> list[int]:
@@ -108,9 +110,9 @@ def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
             labels += auxiliary.labels
             x = np.vstack([x, auxiliary.features])
         targets = label_targets(labels, store)
-        regressor = reference_regressor(config, x, targets)
+        gamma, regressor = reference_regressor(config, x, targets)
         kernel_rows = gram_matrix(
-            regressor.kernel, target.features[test], x[regressor.pool_indices]
+            gamma, distance_matrix(target.features[test], x[regressor.pool_indices])
         )
         write_predictions_csv(
             zsl_predict(
@@ -132,11 +134,13 @@ def reference_multishot_predictions(config: ExperimentConfig, out_dir) -> None:
         train, test = ([row_of[id_] for id_ in fold[side]] for side in ("train", "test"))
         train_labels = [dataset.labels[i] for i in train]
         x = dataset.features[train]
-        regressor = reference_regressor(config, x, label_targets(train_labels, store))
+        gamma, regressor = reference_regressor(config, x, label_targets(train_labels, store))
         pool = x[regressor.pool_indices]
         train_proj, test_proj = (
             normalized_projections(
-                predict_batch(regressor, gram_matrix(regressor.kernel, dataset.features[rows], pool)),
+                predict_batch(
+                    regressor, gram_matrix(gamma, distance_matrix(dataset.features[rows], pool))
+                ),
                 [dataset.ids[i] for i in rows],
             )
             for rows in (train, test)
@@ -720,7 +724,7 @@ class TestCli:
                     "target_path": str(toy_world["target"]),
                     "embedding_path": str(toy_world["embeddings"]),
                     "out_dir": str(tmp_path / "runs"),
-                    "kernel_kind": "rbf_chi2",
+                    "kernel_kind": "chi-square",
                 }
             )
         )

@@ -15,9 +15,6 @@ import memory_reference
 import zslkit.kernels
 from zslkit.evaluate import _run_distances
 from zslkit.kernels import (
-    RBF_CHI2,
-    RBF_EUCLIDEAN,
-    KernelSpec,
     _as_matrix,
     chi2_distance_matrix,
     distance_matrix,
@@ -25,6 +22,7 @@ from zslkit.kernels import (
     gamma_from_distances,
     gram_matrix,
     heuristic_gamma,
+    squared_euclidean_distances,
 )
 
 histograms = hnp.arrays(
@@ -51,12 +49,12 @@ def brute_force_mean_pair_distance(vectors):
 
 def chi2(a, b) -> float:
     """The package's chi-square distance between two histograms."""
-    return float(distance_matrix("rbf_chi2", [a], [b])[0, 0])
+    return float(distance_matrix([a], [b])[0, 0])
 
 
-def kernel_at(spec, a, b) -> float:
-    """The package's kernel value between two vectors."""
-    return float(gram_matrix(spec, [a], [b])[0, 0])
+def kernel_at(gamma, a, b) -> float:
+    """The package's chi-square kernel value between two histograms."""
+    return float(gram_matrix(gamma, distance_matrix([a], [b]))[0, 0])
 
 
 class TestChi2:
@@ -96,35 +94,30 @@ class TestChi2:
 
 class TestKernelValue:
     def test_zero_distance_gives_one(self):
-        spec = KernelSpec("rbf_chi2", 3.0)
-        assert kernel_at(spec, [0.2, 0.8], [0.2, 0.8]) == 1.0
+        assert kernel_at(3.0, [0.2, 0.8], [0.2, 0.8]) == 1.0
 
     def test_analytic_half(self):
         # chi2 distance (c+d)/2 for disjoint single-bin mass c, d
         ln2 = math.log(2.0)
-        spec = KernelSpec("rbf_chi2", 1.0)
-        assert kernel_at(spec, [ln2, 0.0], [0.0, ln2]) == pytest.approx(0.5)
+        assert kernel_at(1.0, [ln2, 0.0], [0.0, ln2]) == pytest.approx(0.5)
 
     def test_composed_example(self):
-        spec = KernelSpec("rbf_chi2", 0.25)
-        assert kernel_at(spec, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(
+        assert kernel_at(0.25, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(
             math.exp(-0.25)
         )
 
-    def test_invalid_specs(self):
-        with pytest.raises(ValueError, match="gamma"):
-            KernelSpec("rbf_chi2", 0.0)
-        with pytest.raises(ValueError, match="gamma"):
-            KernelSpec("rbf_chi2", float("nan"))
-        with pytest.raises(ValueError, match="kernel kind"):
-            KernelSpec("polynomial", 1.0)
+    def test_invalid_gammas(self):
+        for gamma in (0.0, -1.0, float("nan"), float("inf")):
+            d = np.ones((2, 2))
+            with pytest.raises(ValueError, match="gamma must be a positive finite real"):
+                gram_matrix(gamma, d)
+            np.testing.assert_array_equal(d, np.ones((2, 2)))  # rejected before any write
 
     @given(histograms, histograms, st.floats(0.01, 10.0))
     def test_bounded_and_monotone(self, a, b, gamma):
         if a.shape != b.shape:
             return
-        spec = KernelSpec("rbf_chi2", gamma)
-        v = kernel_at(spec, a, b)
+        v = kernel_at(gamma, a, b)
         assert 0.0 < v <= 1.0
         d = chi2(a, b)
         if d == 0.0:
@@ -132,7 +125,7 @@ class TestKernelValue:
         elif gamma * d > 1e-9:  # above float rounding of exp near 1
             assert v < 1.0
             # strictly decreasing in the distance at fixed gamma
-            assert kernel_at(KernelSpec("rbf_chi2", gamma * 2.0), a, b) < v
+            assert kernel_at(gamma * 2.0, a, b) < v
 
 
 class TestHeuristicGamma:
@@ -143,7 +136,7 @@ class TestHeuristicGamma:
     def test_three_vectors_mean_two(self):
         # pairwise chi2 distances {1, 2, 3}, mean 2 -> gamma 1/2
         vecs = [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 4.0]]
-        d = distance_matrix("rbf_chi2", vecs)
+        d = distance_matrix(vecs)
         assert d[0, 1] == pytest.approx(1.0)
         assert d[0, 2] == pytest.approx(2.0)
         assert d[1, 2] == pytest.approx(3.0)
@@ -189,35 +182,34 @@ class TestHeuristicGamma:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         total = 1.0 + 4.0 + 5.0  # squared distances of the three pairs
         expected = 1.0 / (2 * total / 6)
-        assert heuristic_gamma(pts, "rbf_euclidean") == pytest.approx(expected)
+        assert gamma_from_distances(squared_euclidean_distances(pts)) == pytest.approx(expected)
 
 
 class TestGramMatrix:
     def test_self_kernel(self):
-        spec = KernelSpec("rbf_chi2", 1.0)
-        np.testing.assert_array_equal(gram_matrix(spec, [[0.3, 0.7]]), [[1.0]])
+        d = distance_matrix([[0.3, 0.7]])
+        g = gram_matrix(1.0, d)
+        assert g is d  # exp is taken in place
+        np.testing.assert_array_equal(g, [[1.0]])
 
     def test_symmetry_and_unit_diagonal(self):
         rng = np.random.default_rng(21)
         x = rng.dirichlet(np.ones(6), size=10)
-        spec = KernelSpec("rbf_chi2", heuristic_gamma(x))
-        g = gram_matrix(spec, x)
+        g = gram_matrix(heuristic_gamma(x), distance_matrix(x))
         np.testing.assert_array_equal(g, g.T)
         np.testing.assert_array_equal(np.diag(g), np.ones(10))
 
     def test_small_gram_psd_via_eigensolver(self):
         rng = np.random.default_rng(22)
         x = rng.dirichlet(np.ones(4), size=3)
-        spec = KernelSpec("rbf_chi2", 1.3)
-        g = gram_matrix(spec, x)
+        g = gram_matrix(1.3, distance_matrix(x))
         assert np.linalg.eigvalsh(g).min() >= -1e-8
 
     def test_rectangular_shape(self):
         rng = np.random.default_rng(23)
         rows = rng.dirichlet(np.ones(5), size=4)
         cols = rng.dirichlet(np.ones(5), size=7)
-        spec = KernelSpec("rbf_chi2", 2.0)
-        g = gram_matrix(spec, rows, cols)
+        g = gram_matrix(2.0, distance_matrix(rows, cols))
         assert g.shape == (4, 7)
         d = distance_oracle.chi2_matrix(rows[1:2], cols[2:3])[0, 0]
         assert g[1, 2] == pytest.approx(math.exp(-2.0 * d))
@@ -225,32 +217,40 @@ class TestGramMatrix:
     def test_euclidean_gram_psd(self):
         rng = np.random.default_rng(24)
         pts = rng.normal(size=(12, 4))
-        spec = KernelSpec("rbf_euclidean", 0.7)
-        g = gram_matrix(spec, pts)
+        g = gram_matrix(0.7, squared_euclidean_distances(pts))
         assert np.linalg.eigvalsh(g).min() >= -1e-8
 
+    def test_euclidean_self_distances_symmetric_zero_diagonal(self):
+        rng = np.random.default_rng(26)
+        pts = rng.normal(size=(9, 3))
+        d = squared_euclidean_distances(pts)
+        np.testing.assert_array_equal(d, d.T)
+        np.testing.assert_array_equal(np.diag(d), np.zeros(9))
+        np.testing.assert_allclose(d, squared_euclidean_distances(pts, pts.copy()), atol=1e-12)
+        assert d[1, 4] == pytest.approx(((pts[1] - pts[4]) ** 2).sum())
+
     def test_dimension_mismatch(self):
-        spec = KernelSpec("rbf_chi2", 1.0)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            gram_matrix(spec, [[1.0, 0.0]], [[1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match=r"rows must be 2-D, got shape \(2,\)"):
-            distance_matrix("rbf_chi2", [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ValueError, match=r"cols must be 2-D, got shape \(2,\)"):
-            gram_matrix(spec, [[1.0, 2.0]], [1.0, 2.0])
+        for distances in (distance_matrix, squared_euclidean_distances):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                distances([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+            with pytest.raises(ValueError, match=r"rows must be 2-D, got shape \(2,\)"):
+                distances([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
+            with pytest.raises(ValueError, match=r"cols must be 2-D, got shape \(2,\)"):
+                distances([[1.0, 2.0]], [1.0, 2.0])
 
 
 class TestFitKernel:
     def test_gram_is_built_in_place_from_the_distances(self):
         rng = np.random.default_rng(25)
         x = rng.dirichlet(np.ones(6), size=10)
-        d = distance_matrix("rbf_chi2", x)
-        gamma = gamma_from_distances(d)
-        kernel, gram = fit_kernel("rbf_chi2", d)
+        d = distance_matrix(x)
+        expected = gamma_from_distances(d)
+        gamma, gram = fit_kernel(d)
         assert gram is d
-        assert kernel == KernelSpec("rbf_chi2", gamma)
-        np.testing.assert_array_equal(gram, gram_matrix(kernel, x))
-        kernel, _ = fit_kernel("rbf_chi2", distance_matrix("rbf_chi2", x), gamma=2)
-        assert kernel.gamma == 2.0
+        assert gamma == expected
+        np.testing.assert_array_equal(gram, gram_matrix(expected, distance_matrix(x)))
+        gamma, _ = fit_kernel(distance_matrix(x), gamma=2)
+        assert gamma == 2.0 and type(gamma) is float
 
 
 class TestRunWideDistances:
@@ -260,8 +260,8 @@ class TestRunWideDistances:
 
     @given(histogram_sets)
     def test_symmetric_chi2_equals_rows_vs_cols(self, x):
-        d = distance_matrix("rbf_chi2", x)
-        np.testing.assert_array_equal(d, distance_matrix("rbf_chi2", x, x.copy()))
+        d = distance_matrix(x)
+        np.testing.assert_array_equal(d, distance_matrix(x, x.copy()))
         np.testing.assert_array_equal(d, distance_oracle.chi2_matrix(x, x))
         np.testing.assert_array_equal(d, d.T)
         assert not np.any(np.diag(d))
@@ -271,18 +271,18 @@ class TestRunWideDistances:
         n = x.shape[0]
         s = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
         t = [i for i in range(n) if i not in s]
-        d = distance_matrix("rbf_chi2", x)
-        np.testing.assert_array_equal(d[np.ix_(s, s)], distance_matrix("rbf_chi2", x[s]))
+        d = distance_matrix(x)
+        np.testing.assert_array_equal(d[np.ix_(s, s)], distance_matrix(x[s]))
         if t:
             np.testing.assert_array_equal(
-                d[np.ix_(t, s)], distance_matrix("rbf_chi2", x[t], x[s])
+                d[np.ix_(t, s)], distance_matrix(x[t], x[s])
             )
 
     @given(histogram_sets, st.data())
     def test_gamma_from_block_equals_heuristic(self, x, data):
         n = x.shape[0]
         s = data.draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
-        block = distance_matrix("rbf_chi2", x)[np.ix_(s, s)]
+        block = distance_matrix(x)[np.ix_(s, s)]
         n_pairs = len(s) * (len(s) - 1)
         # the default budget takes the exact mean; one pair fewer samples
         for max_pairs in (1_000_000, n_pairs - 1):
@@ -341,7 +341,7 @@ class TestRunWideDistances:
         rng = np.random.default_rng(33)
         x = rng.dirichlet(np.full(20, 0.3), size=600)
         kw = dict(max_pairs=250_001, seed=seed)
-        gamma = gamma_from_distances(distance_matrix("rbf_chi2", x), **kw)
+        gamma = gamma_from_distances(distance_matrix(x), **kw)
         assert gamma == distance_oracle.sampled_gamma(x, **kw)
 
 
@@ -368,7 +368,7 @@ class TestBlockwiseRunMatrix:
         rng = np.random.default_rng(seed)
         t, a = (rng.random((n, d)) * (rng.random((n, d)) >= zero_frac) for n in (n_t, n_a))
         dist = _run_distances(t, a)
-        stacked = distance_matrix(RBF_CHI2, np.vstack([t, a]))
+        stacked = distance_matrix(np.vstack([t, a]))
         np.testing.assert_array_equal(bits(dist), bits(stacked))
         np.testing.assert_array_equal(dist, dist.T)
         assert not np.any(np.diag(dist))
@@ -387,9 +387,6 @@ class TestBlockwiseRunMatrix:
         for out in (np.empty((3, 2)), np.empty((3, 3), dtype=np.float32)):
             with pytest.raises(ValueError, match="out must be float64 of shape"):
                 chi2_distance_matrix(x, x, out)
-        # only the run matrix is written in place, and it is chi-square
-        with pytest.raises(ValueError, match="out is for chi-square distances only"):
-            distance_matrix(RBF_EUCLIDEAN, x, out=np.empty((3, 3)))
 
     def test_peak_holds_no_stacked_copy(self, monkeypatch):
         # the stacked rows would take 3 MB beside the 74 KB matrix; one

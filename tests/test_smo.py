@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 import smo_reference as ref
 from zslkit import smo
-from zslkit.kernels import KernelSpec, gram_matrix
+from zslkit.kernels import distance_matrix, gram_matrix
 
 
 def chi2_gram(rng, n, d=4, gamma=2.0, duplicate=False):
     x = rng.dirichlet(np.ones(d), size=n)
     if duplicate:
         x[-1] = x[0]
-    return gram_matrix(KernelSpec("rbf_chi2", gamma), x)
+    return gram_matrix(gamma, distance_matrix(x))
 
 
 def svr_batch(gram, targets, c, epsilon, tolerance, max_iter):

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from qp_oracle import svc_dual_oracle
+from zslkit import smo
 from zslkit.embedding import Label
 import zslkit.kernels
-from zslkit.kernels import (
-    RBF_EUCLIDEAN,
-    KernelSpec,
-    distance_matrix,
-    gamma_from_distances,
-    gram_matrix,
-)
+from zslkit.kernels import gamma_from_distances, gram_matrix, squared_euclidean_distances
 from zslkit.svc import SvcConfig, SvcModel, classify_batch, decision_values, train_svc
 
 
@@ -47,11 +42,16 @@ class TestTrainSvc:
             pts = unit_rows(rng.normal(size=(n, 3)))
             keys = ["a" if i % 2 == 0 else "b" for i in range(n)]
             labels = [Label.of(k) for k in keys]
-            model = train_svc(pts, labels, SvcConfig(c=2.0, tolerance=1e-10))
-            gram = gram_matrix(model.kernel, pts)
+            config = SvcConfig(c=2.0, tolerance=1e-10)
+            model = train_svc(pts, labels, config)
+            # the model's own duals, solved again on the same Gram matrix
+            gram = gram_matrix(model.gamma, squared_euclidean_distances(pts))
             signs = np.where(np.array(keys) == "a", 1.0, -1.0)
+            z = np.array([signs, -signs])
+            res = smo.solve(gram, z, -np.ones(z.shape), config.c, config.tolerance, config.max_passes)
+            np.testing.assert_array_equal(res.coef, model.coefficients)
             _, _, obj_o = svc_dual_oracle(gram, signs, 2.0)
-            assert abs(model.dual_objectives[0] - obj_o) <= 1e-6 * max(1.0, abs(obj_o))
+            assert abs(-res.objective[0] - obj_o) <= 1e-6 * max(1.0, abs(obj_o))
 
     def test_duplicating_points_keeps_sign_pattern(self):
         rng = np.random.default_rng(2)
@@ -103,10 +103,7 @@ class TestTrainSvc:
         model = train_svc(pts, labels, SvcConfig())
         assert len(calls) == 1
         # the kernel is the one fitted to those distances
-        kernel = KernelSpec(
-            RBF_EUCLIDEAN, gamma_from_distances(distance_matrix(RBF_EUCLIDEAN, pts))
-        )
-        assert model.kernel == kernel
+        assert model.gamma == gamma_from_distances(squared_euclidean_distances(pts))
 
 
 class TestClassify:
@@ -137,12 +134,11 @@ class TestClassify:
         model = self._three_class_model(rng)
         tied = SvcModel(
             classes=model.classes,
-            kernel=model.kernel,
+            gamma=model.gamma,
             train_points=model.train_points,
             coefficients=np.zeros_like(model.coefficients),
             biases=np.zeros_like(model.biases),
             iterations=np.zeros(3, dtype=np.int64),
-            dual_objectives=np.zeros(3),
         )
         assert classify_batch(tied, model.train_points[:1]) == [model.classes[0]]
 

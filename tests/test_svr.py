@@ -7,7 +7,7 @@ import pytest
 import memory_reference
 from qp_oracle import svr_dual_oracle
 from zslkit.embedding import l2_normalize
-from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
+from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
 from zslkit.smo import ConvergenceError
 from zslkit.svr import (
     _SYMMETRY_BLOCK_CELLS,
@@ -26,26 +26,32 @@ def dense_coefficients(reg, j, n):
     return beta
 
 
-def fit(x, emb, config, spec):
+def chi2_gram(gamma, rows, cols=None):
+    """Chi-square RBF kernel values of ``rows`` against ``cols``."""
+    return gram_matrix(gamma, distance_matrix(rows, cols))
+
+
+def fit(x, emb, config, gamma):
     """The regressor of training rows ``x`` and targets ``emb``."""
-    return train_semantic_regressor(emb, config, spec, gram_matrix(spec, x))
+    return train_semantic_regressor(emb, config, chi2_gram(gamma, x))
 
 
-def project(reg, x, probes):
-    """Projections of ``probes`` by ``reg``, trained on rows ``x``."""
-    return predict_batch(reg, gram_matrix(reg.kernel, probes, x[reg.pool_indices]))
+def project(reg, gamma, x, probes):
+    """Projections of ``probes`` by ``reg``, trained on rows ``x`` under
+    bandwidth ``gamma``."""
+    return predict_batch(reg, chi2_gram(gamma, probes, x[reg.pool_indices]))
 
 
 def random_problem(rng, n, d, gamma=None):
     x = rng.dirichlet(np.ones(d), size=n)
-    spec = KernelSpec("rbf_chi2", gamma or heuristic_gamma(x))
-    return x, spec, gram_matrix(spec, x)
+    gamma = gamma or heuristic_gamma(x)
+    return x, gamma, chi2_gram(gamma, x)
 
 
 class TestTrainSvr:
     def test_two_samples_match_oracle(self):
         rng = np.random.default_rng(1)
-        x, spec, gram = random_problem(rng, 2, 4)
+        x, gamma, gram = random_problem(rng, 2, 4)
         y = np.array([-1.0, 1.0])
         res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.0, tolerance=1e-10))
         beta_o, bias_o, _ = svr_dual_oracle(gram, y, 2.0, 0.0)
@@ -65,7 +71,7 @@ class TestTrainSvr:
 
     def test_dual_objective_matches_oracle(self):
         rng = np.random.default_rng(3)
-        x, spec, gram = random_problem(rng, 10, 5)
+        x, gamma, gram = random_problem(rng, 10, 5)
         y = rng.normal(size=10)
         res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-10))
         _, _, obj_o = svr_dual_oracle(gram, y, 2.0, 0.1)
@@ -98,8 +104,7 @@ class TestTrainSvr:
     def test_interpolates_with_tiny_epsilon_and_large_c(self):
         rng = np.random.default_rng(6)
         x = rng.dirichlet(np.ones(4), size=5)
-        spec = KernelSpec("rbf_chi2", 2.0)
-        gram = gram_matrix(spec, x)
+        gram = chi2_gram(2.0, x)
         assert np.linalg.eigvalsh(gram).min() > 1e-10  # strictly PD
         y = rng.normal(size=5)
         res = train_svr(gram, y, SvrConfig(c=1e6, epsilon=0.0, tolerance=1e-10))
@@ -160,7 +165,7 @@ class TestGramSymmetryCheck:
         rows = _SYMMETRY_BLOCK_CELLS // n
         assert n > rows >= 2  # several blocks; the cell's pair shares the last
         x = np.random.default_rng(21).dirichlet(np.ones(5), size=n)
-        return gram_matrix(KernelSpec("rbf_chi2", 1.0), x), (n - 1, n - 2)
+        return chi2_gram(1.0, x), (n - 1, n - 2)
 
     def test_one_ulp_asymmetry_in_last_block_is_averaged(self):
         g, cell = self._gram_and_last_block_cell()
@@ -182,10 +187,10 @@ class TestGramSymmetryCheck:
 class TestSemanticRegressor:
     def test_single_dimension_reduces_to_train_svr(self):
         rng = np.random.default_rng(8)
-        x, spec, gram = random_problem(rng, 8, 5)
+        x, gamma, gram = random_problem(rng, 8, 5)
         y = rng.normal(size=8)
         config = SvrConfig(c=2.0, epsilon=0.05)
-        reg = train_semantic_regressor(y[:, None], config, spec, gram)
+        reg = train_semantic_regressor(y[:, None], config, gram)
         solo = train_svr(gram, y, config)
         support = np.flatnonzero(solo.coef[0])
         np.testing.assert_array_equal(reg.pool_indices, support)
@@ -196,42 +201,41 @@ class TestSemanticRegressor:
     def test_constant_unit_vector_targets(self):
         rng = np.random.default_rng(9)
         x = rng.dirichlet(np.ones(5), size=10)
-        spec = KernelSpec("rbf_chi2", heuristic_gamma(x))
+        gamma = heuristic_gamma(x)
         target = l2_normalize(np.array([1.0, 2.0, 2.0]))
         emb = np.tile(target, (10, 1))
-        reg = fit(x, emb, SvrConfig(epsilon=0.05), spec)
+        reg = fit(x, emb, SvrConfig(epsilon=0.05), gamma)
         probe = rng.dirichlet(np.ones(5), size=1)
-        np.testing.assert_allclose(project(reg, x, probe)[0], target, atol=0.05 + 1e-9)
+        np.testing.assert_allclose(project(reg, gamma, x, probe)[0], target, atol=0.05 + 1e-9)
 
     def test_per_dimension_independence(self):
         rng = np.random.default_rng(10)
-        _, spec, gram = random_problem(rng, 8, 5)
+        _, gamma, gram = random_problem(rng, 8, 5)
         emb = rng.normal(size=(8, 3))
         scrambled = emb.copy()
         scrambled[:, 1] = rng.permutation(scrambled[:, 1])
         scrambled[:, 2] = -scrambled[:, 2]
         config = SvrConfig(c=2.0, epsilon=0.05)
-        a = train_semantic_regressor(emb, config, spec, gram)
-        b = train_semantic_regressor(scrambled, config, spec, gram)
+        a = train_semantic_regressor(emb, config, gram)
+        b = train_semantic_regressor(scrambled, config, gram)
         np.testing.assert_array_equal(dense_coefficients(a, 0, 8), dense_coefficients(b, 0, 8))
         assert a.biases[0] == b.biases[0]
 
     def test_no_support_vectors_predicts_bias(self):
         rng = np.random.default_rng(11)
         x = rng.dirichlet(np.ones(4), size=6)
-        spec = KernelSpec("rbf_chi2", 1.0)
         emb = np.tile([0.25, -0.5], (6, 1))
-        reg = fit(x, emb, SvrConfig(epsilon=0.1), spec)
+        reg = fit(x, emb, SvrConfig(epsilon=0.1), 1.0)
         assert reg.pool_indices.size == 0
         np.testing.assert_allclose(
-            project(reg, x, rng.dirichlet(np.ones(4), size=1))[0], [0.25, -0.5], atol=1e-12
+            project(reg, 1.0, x, rng.dirichlet(np.ones(4), size=1))[0], [0.25, -0.5], atol=1e-12
         )
 
     def test_support_storage_order_is_immaterial(self):
         rng = np.random.default_rng(12)
-        x, spec, _ = random_problem(rng, 10, 5)
+        x, gamma, _ = random_problem(rng, 10, 5)
         emb = rng.normal(size=(10, 2))
-        reg = fit(x, emb, SvrConfig(epsilon=0.01), spec)
+        reg = fit(x, emb, SvrConfig(epsilon=0.01), gamma)
         perm = rng.permutation(reg.pool_indices.size)
         permuted = dataclasses.replace(
             reg,
@@ -240,20 +244,22 @@ class TestSemanticRegressor:
         )
         probes = rng.dirichlet(np.ones(5), size=20)
         np.testing.assert_allclose(
-            project(reg, x, probes), project(permuted, x, probes), atol=1e-10
+            project(reg, gamma, x, probes), project(permuted, gamma, x, probes), atol=1e-10
         )
 
     def test_coefficient_memory_order_is_immaterial(self):
         rng = np.random.default_rng(21)
-        x, spec, _ = random_problem(rng, 60, 4)
-        reg = fit(x, rng.normal(size=(60, 12)), SvrConfig(epsilon=0.01), spec)
+        x, gamma, _ = random_problem(rng, 60, 4)
+        reg = fit(x, rng.normal(size=(60, 12)), SvrConfig(epsilon=0.01), gamma)
         # trained coefficients are C-ordered, so predict_batch multiplies by
         # them without a copy
         assert reg.coefficients.flags.c_contiguous
         assert reg.coefficients.shape[1] >= 30  # the product's blocking depends on layout
         flipped = dataclasses.replace(reg, coefficients=np.asfortranarray(reg.coefficients))
         probes = rng.dirichlet(np.ones(4), size=200)
-        np.testing.assert_array_equal(project(flipped, x, probes), project(reg, x, probes))
+        np.testing.assert_array_equal(
+            project(flipped, gamma, x, probes), project(reg, gamma, x, probes)
+        )
 
     def test_beats_constant_mean_on_synthetic_linear_map(self):
         rng = np.random.default_rng(13)
@@ -263,9 +269,9 @@ class TestSemanticRegressor:
         z = x @ mapping.T + 0.02 * rng.normal(size=(n_train + n_test, d_z))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         x_tr, x_te, z_tr, z_te = x[:n_train], x[n_train:], z[:n_train], z[n_train:]
-        spec = KernelSpec("rbf_chi2", heuristic_gamma(x_tr))
-        reg = fit(x_tr, z_tr, SvrConfig(epsilon=0.05), spec)
-        proj = project(reg, x_tr, x_te)
+        gamma = heuristic_gamma(x_tr)
+        reg = fit(x_tr, z_tr, SvrConfig(epsilon=0.05), gamma)
+        proj = project(reg, gamma, x_tr, x_te)
 
         def mean_cosdist(pred):
             pn = pred / np.linalg.norm(pred, axis=1, keepdims=True)
@@ -275,18 +281,17 @@ class TestSemanticRegressor:
         assert mean_cosdist(proj) < mean_cosdist(baseline)
 
     def test_shape_validation(self):
-        spec = KernelSpec("rbf_chi2", 1.0)
-        gram = gram_matrix(spec, np.ones((3, 2)) / 2)
+        gram = chi2_gram(1.0, np.ones((3, 2)) / 2)
         for embeddings, message in [
             (np.ones((2, 2)), "targets length 2 does not match gram size 3"),
             (np.ones(3), r"embeddings must be 2-D .*, got shape \(3,\)"),
             (np.ones((3, 0)), r"at least one column, got shape \(3, 0\)"),
         ]:
             with pytest.raises(ValueError, match=message):
-                train_semantic_regressor(embeddings, SvrConfig(), spec, gram)
+                train_semantic_regressor(embeddings, SvrConfig(), gram)
         rng = np.random.default_rng(15)
         x = rng.dirichlet(np.ones(3), size=4)
-        reg = fit(x, rng.normal(size=(4, 2)), SvrConfig(epsilon=0.0), spec)
+        reg = fit(x, rng.normal(size=(4, 2)), SvrConfig(epsilon=0.0), 1.0)
         pool = reg.coefficients.shape[1]
         expected = rf"kernel rows have shape .*, expected \(n, {pool}\)"
         for rows in (np.ones((3, pool + 1)), np.ones(pool)):

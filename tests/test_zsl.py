@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import memory_reference
 from zslkit.embedding import Label, l2_normalize
-from zslkit.kernels import KernelSpec, gram_matrix, heuristic_gamma
+from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
 from zslkit.svr import SvrConfig, train_semantic_regressor
 from zslkit.zsl import (
     Prediction,
@@ -239,26 +239,27 @@ class TestZslPredict:
         x = np.array(
             [rng.dirichlet([3, 1, 1]) if i % 2 == 0 else rng.dirichlet([1, 1, 3]) for i in range(12)]
         )
-        kern = KernelSpec("rbf_chi2", heuristic_gamma(x))
+        gamma = heuristic_gamma(x)
         reg = train_semantic_regressor(
-            label_targets(labels, toy_store), SvrConfig(epsilon=0.05), kern, gram_matrix(kern, x)
+            label_targets(labels, toy_store), SvrConfig(epsilon=0.05),
+            gram_matrix(gamma, distance_matrix(x)),
         )
-        return x, reg
+        return x, gamma, reg
 
     @staticmethod
-    def _predict(x, reg, toy_store, unseen, test_x):
-        kernel_rows = gram_matrix(reg.kernel, test_x, x[reg.pool_indices])
+    def _predict(x, gamma, reg, toy_store, unseen, test_x):
+        kernel_rows = gram_matrix(gamma, distance_matrix(test_x, x[reg.pool_indices]))
         ids = [f"te{i}" for i in range(len(test_x))]
         return zsl_predict(reg, label_targets([unseen], toy_store), [unseen], kernel_rows, ids)
 
     def test_zero_test_instances(self, toy_store):
         rng = np.random.default_rng(2)
-        x, reg = self._fitted(rng, toy_store)
-        assert self._predict(x, reg, toy_store, Label.of("walk"), np.empty((0, 3))) == []
+        x, gamma, reg = self._fitted(rng, toy_store)
+        assert self._predict(x, gamma, reg, toy_store, Label.of("walk"), np.empty((0, 3))) == []
 
     def test_kernel_rows_must_match_the_test_instances(self, toy_store):
         rng = np.random.default_rng(5)
-        _, reg = self._fitted(rng, toy_store)
+        _, _, reg = self._fitted(rng, toy_store)
         unseen = [Label.of("walk")]
         rows = np.ones((2, reg.pool_indices.size))
         with pytest.raises(ValueError, match="2 kernel rows for 1 test instances"):
@@ -266,9 +267,9 @@ class TestZslPredict:
 
     def test_single_unseen_class_is_forced(self, toy_store):
         rng = np.random.default_rng(3)
-        x, reg = self._fitted(rng, toy_store)
+        x, gamma, reg = self._fitted(rng, toy_store)
         test_x = rng.dirichlet([1, 1, 1], size=5)
-        preds = self._predict(x, reg, toy_store, Label.of("walk"), test_x)
+        preds = self._predict(x, gamma, reg, toy_store, Label.of("walk"), test_x)
         assert len(preds) == 5
         assert all(p.label == Label.of("walk") for p in preds)
 
@@ -288,9 +289,9 @@ class TestZslPredict:
 
     def test_predictions_csv_format(self, tmp_path, toy_store):
         rng = np.random.default_rng(4)
-        x, reg = self._fitted(rng, toy_store)
+        x, gamma, reg = self._fitted(rng, toy_store)
         test_x = rng.dirichlet([1, 1, 1], size=3)
-        preds = self._predict(x, reg, toy_store, Label.of("brush hair"), test_x)
+        preds = self._predict(x, gamma, reg, toy_store, Label.of("brush hair"), test_x)
         out = tmp_path / "preds.csv"
         write_predictions_csv(preds, out)
         lines = out.read_text().splitlines()
@@ -304,14 +305,19 @@ class TestZslPredict:
             Prediction("clip,1", Label.of("run"), 0.25),
             Prediction('say "hi"', Label.of("jump"), float("nan")),
             Prediction("two\nlines", Label.of("run"), 1.5),
+            Prediction("a\rb", Label.of("jump"), 1.0),
+            Prediction("plain", Label.of("run"), 0.5),
         ]
         out = tmp_path / "preds.csv"
         write_predictions_csv(preds, out)
         with out.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1:] == [
-            ["clip,1", "run", "0.25"], ['say "hi"', "jump", "nan"], ["two\nlines", "run", "1.5"]
+            ["clip,1", "run", "0.25"], ['say "hi"', "jump", "nan"], ["two\nlines", "run", "1.5"],
+            ["a\rb", "jump", "1.0"], ["plain", "run", "0.5"],
         ]
+        # an id without special characters is written bare
+        assert out.read_bytes().endswith(b"\nplain,run,0.5\n")
 
 
 class TestAugmentTraining:
