@@ -19,8 +19,13 @@ Run it from the repository root. Each stage runs at a fixed seeded shape:
   Gram matrix;
 - ``run_distances``: ``evaluate._run_distances``, the run-wide chi-square
   matrix of 320 target and 128 auxiliary histograms of 1,000 bins (the
-  zsl-wide shape), filled in place from the two row blocks; its former
-  form computes it from a stacked copy of the rows.
+  zsl-wide shape), each pair stored once and filled a band of rows at a
+  time from the two row blocks; its former form computes the dense matrix
+  from a stacked copy of the rows. The packed matrix is hashed as its
+  dense expansion, and the entry records both sizes;
+- ``unit_block``: the (1,040, 1,040) block of one unit's rows, gathered
+  from the packed matrix of a 1,440-row run (the zsl-deep shape) against
+  ``np.ix_`` on the dense matrix.
 
 ``reference`` is the former form, kept in ``tests/memory_reference.py``;
 ``library`` is zslkit's code. For each path the file records the best and
@@ -97,16 +102,37 @@ def symmetry(rng):
             lambda r: digest(r))
 
 
+def dense(r) -> np.ndarray:
+    """A result as a dense array; a packed run matrix is expanded."""
+    if isinstance(r, np.ndarray):
+        return r
+    every = np.arange(r.n)
+    return r.block(every, every)
+
+
 def run_distances(rng):
     target, aux = (rng.random((n, 1000)) * (rng.random((n, 1000)) < 0.5) for n in (320, 128))
+    n = len(target) + len(aux)
+    packed = evaluate._run_distances(target, aux).cells.nbytes
     return ("320 + 128 x 1000",
             lambda: reference.run_distances(target, aux),
             lambda: evaluate._run_distances(target, aux),
+            lambda r: digest(dense(r)),
+            {"dense_bytes": 8 * n * n, "packed_bytes": packed})
+
+
+def unit_block(rng):
+    target, aux = rng.random((800, 32)), rng.random((640, 32))
+    full, packed = reference.run_distances(target, aux), evaluate._run_distances(target, aux)
+    rows = np.sort(rng.choice(len(full), 1040, replace=False))
+    return ("1040 of 1440 rows",
+            lambda: full[np.ix_(rows, rows)],
+            lambda: packed.block(rows, rows),
             lambda r: digest(r))
 
 
 STAGES = {"matching": matching, "self_train": self_train, "gamma": gamma, "symmetry": symmetry,
-          "run_distances": run_distances}
+          "run_distances": run_distances, "unit_block": unit_block}
 
 
 def main() -> int:
@@ -117,8 +143,8 @@ def main() -> int:
     args = parser.parse_args()
     entries = []
     for name, build in STAGES.items():
-        shape, ref_call, lib_call, result_digest = build(np.random.default_rng(args.seed))
-        entry = {"stage": name, "shape": shape}
+        shape, ref_call, lib_call, result_digest, *sizes = build(np.random.default_rng(args.seed))
+        entry = {"stage": name, "shape": shape, **(sizes[0] if sizes else {})}
         entry["reference"] = measure(ref_call, result_digest, args.repeats)
         entry["library"] = measure(lib_call, result_digest, args.repeats)
         entry["hashes_match"] = entry["reference"]["sha256"] == entry["library"]["sha256"]

@@ -219,29 +219,104 @@ def _score(
     return accuracy, balanced, confusion
 
 
-def _run_distances(target: np.ndarray, auxiliary: np.ndarray | None = None) -> np.ndarray:
-    """Chi-square distances between all target rows followed by all auxiliary
-    rows. Every split or fold slices its gamma, Gram matrix and test
-    kernel rows from this one matrix.
+# Floats in one fill band's scratch: a few rows of the run against every
+# later row. Each band costs a few chi-square calls, each starting threads.
+_BAND_FLOATS = 1 << 18
+# Output cells per gather chunk; each chunk holds three int64 index
+# temporaries of this size.
+_GATHER_CELLS = 1 << 14
 
-    The matrix is filled in place from the row blocks: each block against
-    itself by the symmetric path, and the target rows against the
-    auxiliary rows once, then mirrored. No stacked copy of the features
-    is made, and every cell equals the one the stacked rows would give.
+
+class _PackedDistances:
+    """A run's (n, n) chi-square matrix with each pair stored once.
+
+    The matrix is exactly symmetric with an exactly-zero diagonal, so row
+    i keeps only its distances to rows i+1 .. n-1, one row after another,
+    and one trailing 0.0 serves every diagonal cell: n(n-1)/2 + 1 floats
+    instead of n^2. :meth:`block` gives any block of the full matrix.
     """
-    if auxiliary is None or not len(auxiliary):
-        return distance_matrix(target)
-    if auxiliary.shape[1] != target.shape[1]:
-        raise ValueError(
-            f"feature dimension mismatch: target d_x={target.shape[1]}, "
-            f"auxiliary d_x={auxiliary.shape[1]}"
-        )
-    n = len(target)
-    dist = np.empty((n + len(auxiliary),) * 2)
-    distance_matrix(target, out=dist[:n, :n])
-    distance_matrix(target, auxiliary, out=dist[:n, n:])
-    distance_matrix(auxiliary, out=dist[n:, n:])
-    dist[n:, :n] = dist[:n, n:].T
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.cells = np.empty(n * (n - 1) // 2 + 1)
+        self.cells[-1] = 0.0
+        i = np.arange(n, dtype=np.intp)
+        # cell (i, j), i < j, is at base[i] + j
+        self._base = i * (2 * n - 3 - i) // 2 - 1
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The C-ordered (len(rows), len(cols)) block ``dense[np.ix_(rows,
+        cols)]`` of the full matrix, for any row indices in [0, n), sorted
+        or not, repeated or shared between ``rows`` and ``cols``. It is
+        gathered a bounded chunk of cells at a time."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        for side in (rows, cols):
+            if side.size and (side.min() < 0 or side.max() >= self.n):
+                raise IndexError(f"row indices must lie in [0, {self.n})")
+        out = np.empty((rows.size, cols.size))
+        width = max(1, min(cols.size, _GATHER_CELLS))
+        height = max(1, _GATHER_CELLS // width)
+        for r0 in range(0, rows.size, height):
+            i = rows[r0 : r0 + height, None]
+            for c0 in range(0, cols.size, width):
+                j = cols[None, c0 : c0 + width]
+                lo, hi = np.minimum(i, j), np.maximum(i, j)
+                at = self._base[lo]
+                at += hi
+                np.putmask(at, lo == hi, self.cells.size - 1)
+                # a chunk of out is contiguous (full rows, or part of one
+                # row), and with the indices checked above "clip" mode
+                # writes it without a buffer
+                np.take(self.cells, at, out=out[r0 : r0 + height, c0 : c0 + width], mode="clip")
+                del lo, hi, at  # free before the next chunk's are made
+        return out
+
+
+def _run_distances(
+    target: np.ndarray, auxiliary: np.ndarray | None = None
+) -> _PackedDistances:
+    """Chi-square distances between all target rows followed by all
+    auxiliary rows, each pair stored once. Every split or fold gathers
+    its gamma, Gram matrix and test kernel rows from this one matrix.
+
+    The cells are filled a band of rows at a time, within one row block
+    (target or auxiliary): the band against itself by the symmetric path,
+    then against the later rows of its block and the later blocks, into
+    one scratch array whose upper triangle is copied out. No stacked copy
+    of the features and no dense (n, n) array is made, and every cell
+    equals the one the stacked rows would give.
+    """
+    blocks = [target]
+    if auxiliary is not None and len(auxiliary):
+        if auxiliary.shape[1] != target.shape[1]:
+            raise ValueError(
+                f"feature dimension mismatch: target d_x={target.shape[1]}, "
+                f"auxiliary d_x={auxiliary.shape[1]}"
+            )
+        blocks.append(auxiliary)
+    n = sum(len(x) for x in blocks)
+    dist = _PackedDistances(n)
+    # the scratch holds at most n^2/8 floats beside the packed n^2/2; one
+    # as large as the packed cells measured a higher peak RSS over
+    # repeated runs, as later unit arrays reused the freed heap
+    height = max(1, min(_BAND_FLOATS // max(n, 1), n // 8))
+    scratch = np.empty(height * n)
+    g0 = at = 0  # run row of the band's first row, and its first packed cell
+    for b, x in enumerate(blocks):
+        for r0 in range(0, len(x), height):
+            r1 = min(r0 + height, len(x))
+            band, h, w = x[r0:r1], r1 - r0, n - g0
+            out = scratch[: h * w].reshape(h, w)
+            distance_matrix(band, out=out[:, :h])
+            c0 = h
+            for later in [x[r1:]] + blocks[b + 1 :]:
+                if len(later):
+                    distance_matrix(band, later, out=out[:, c0 : c0 + len(later)])
+                    c0 += len(later)
+            for k in range(h):
+                dist.cells[at : at + w - k - 1] = out[k, k + 1 :]
+                at += w - k - 1
+            g0 += h
     return dist
 
 
@@ -259,10 +334,10 @@ def _mem_available() -> int | None:
 
 
 def _check_memory(n_run: int, n_unit: int) -> None:
-    """Refuse a run whose (n_run, n_run) distance matrix and largest
+    """Refuse a run whose packed (n_run, n_run) distance matrix and largest
     unit's (n_unit, n_unit) Gram block, both float64, exceed the memory
     available now, before any distance is computed."""
-    need = 8 * (n_run * n_run + n_unit * n_unit)
+    need = 8 * (n_run * (n_run - 1) // 2 + 1 + n_unit * n_unit)
     available = _mem_available()
     if available is not None and need > available:
         raise ValueError(
@@ -273,7 +348,7 @@ def _check_memory(n_run: int, n_unit: int) -> None:
 
 def _fit_regressor(
     config: ExperimentConfig,
-    dist: np.ndarray,
+    dist: _PackedDistances,
     rows: np.ndarray,
     targets: np.ndarray,
     test_rows: np.ndarray,
@@ -282,17 +357,19 @@ def _fit_regressor(
 ) -> tuple[SemanticRegressor, list[np.ndarray]]:
     """The regressor trained on rows ``rows`` of the run matrix ``dist``
     (regression ``targets`` in the same order) and the kernel rows of
-    ``test_rows`` against its support pool. With ``own``, the kernel rows
+    ``test_rows`` against its support pool. The Gram matrix and the
+    kernel rows are made in place over dense blocks gathered from
+    ``dist``, in the order of ``rows``. With ``own``, the kernel rows
     of ``rows`` come first, as the pool columns of their Gram block:
     recomputed, they would hold the same values in another memory layout,
     which the projection's matrix product rounds differently.
     """
-    gamma, gram = fit_kernel(dist[np.ix_(rows, rows)], config.gamma)
+    gamma, gram = fit_kernel(dist.block(rows, rows), config.gamma)
     regressor = train_semantic_regressor(targets, config.svr_config(), gram)
     pool = regressor.pool_indices
     kernel_rows = [gram[:, pool]] if own else []
     del gram  # keep at most the run matrix and one unit's block alive
-    kv = dist[np.ix_(test_rows, rows[pool])]
+    kv = dist.block(test_rows, rows[pool])
     return regressor, kernel_rows + [gram_matrix(gamma, kv)]
 
 
@@ -409,7 +486,7 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
         dist = _run_distances(
             target.features, auxiliary.features if auxiliary is not None else None
         )
-        aux_rows = np.arange(n_target, dist.shape[0])
+        aux_rows = np.arange(n_target, dist.n)
     del target, auxiliary  # a unit reads the run matrix, not the features
     k = config.k_neighbors if config.self_train else None
 

@@ -6,8 +6,9 @@ verbatim: one (n, P, d_z) difference tensor for prototype matching, one
 full (n, d_z) pass per prototype for self-training, one max_pairs-long
 row-index array for the sampled gamma, one n^2 bool array for the Gram
 symmetry check, one stacked copy of the target and auxiliary rows for
-the run-wide distance matrix, and two whole-array bool masks for the
-input check. Tests require the bounded code to reproduce them bit for
+the dense run-wide distance matrix (whose ``np.ix_`` blocks a unit's
+gathers from the packed matrix must equal), and two whole-array bool
+masks for the input check. Tests require the bounded code to reproduce them bit for
 bit, and the input check to raise exactly as its mask form does;
 ``scripts/bench_memory.py`` times and traces the chunked steps' two
 forms.
@@ -64,7 +65,8 @@ def validate_gram(g: np.ndarray) -> np.ndarray:
 
 
 def run_distances(target: np.ndarray, auxiliary: np.ndarray) -> np.ndarray:
-    """Chi-square distances of the target rows stacked on the auxiliary rows."""
+    """Dense chi-square distances of the target rows stacked on the
+    auxiliary rows."""
     return distance_matrix(np.vstack([target, auxiliary]))
 
 

@@ -37,12 +37,19 @@ def traced(evaluate, config, monkeypatch):
 
 
 def assert_chi2_blocks(rec, layers, datasets):
-    """One traced chi-square call for each row block against itself and
-    against each later block, so that the blocks below the diagonal are
-    mirrored, not computed; and an embedding store holding only the
-    labels' tokens."""
+    """One traced chi-square call for each fill band of a row block
+    against itself, and one against the later rows of its block and one
+    against each later block, so that no cell below the diagonal is
+    computed outside a band's own square; and an embedding store holding
+    only the labels' tokens."""
     sizes = [len(ds) for ds in datasets]
-    pairs = [(m, n) for i, m in enumerate(sizes) for n in sizes[i:]]
+    n = sum(sizes)
+    height = max(1, min(zslkit.evaluate._BAND_FLOATS // n, n // 8))
+    pairs = []
+    for b, size in enumerate(sizes):
+        for r0 in range(0, size, height):
+            h = min(height, size - r0)
+            pairs += [(h, h)] + [(h, m) for m in [size - r0 - h, *sizes[b + 1 :]] if m]
     assert [s[0] for s in rec.spans].count("kernels.chi2_distance_matrix") == len(pairs)
     assert layers["kernels.chi2_cells"] == sum(m * n for m, n in pairs)
     vocabulary = [label for ds in datasets for label in ds.class_vocabulary]

@@ -535,7 +535,8 @@ class TestRunMemory:
     def test_over_budget_run_refused_before_distances(
         self, toy_world, tmp_path, monkeypatch, mode, n_run, n_unit
     ):
-        need = 8 * (n_run**2 + n_unit**2)
+        # the run matrix stores each pair once, plus one zero diagonal cell
+        need = 8 * (n_run * (n_run - 1) // 2 + 1 + n_unit**2)
 
         def no_distances(*args, **kwargs):
             raise AssertionError("distances computed")
@@ -556,9 +557,11 @@ class TestRunMemory:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 run_mode(mode, config)
         assert not (tmp_path / "runs").exists()
-        monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: need)
-        run_mode(mode, config)
-        assert (tmp_path / "runs").is_dir()
+        # the exact need, and one byte short of a dense run matrix
+        for budget in (need, 8 * (n_run**2 + n_unit**2) - 1):
+            monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda b=budget: b)
+            run_mode(mode, config)
+            assert (tmp_path / "runs").is_dir()
 
     def test_unread_budget_or_random_predictor_is_not_refused(
         self, toy_world, tmp_path, monkeypatch

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import distance_oracle
 import memory_reference
+import zslkit.evaluate
 import zslkit.kernels
 from zslkit.evaluate import _run_distances
 from zslkit.kernels import (
@@ -349,9 +350,16 @@ def bits(a):
     return a.view(np.int64)
 
 
+def expand(dist):
+    """The full (n, n) matrix of a packed run matrix."""
+    every = np.arange(dist.n)
+    return dist.block(every, every)
+
+
 class TestBlockwiseRunMatrix:
-    """An Aux run fills its matrix from the target and auxiliary row blocks
-    in place; it must equal the matrix of the stacked rows bit for bit."""
+    """An Aux run fills its packed matrix from the target and auxiliary row
+    blocks, a band of rows at a time; expanded, it must equal the matrix of
+    the stacked rows bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -367,11 +375,56 @@ class TestBlockwiseRunMatrix:
     def test_equals_stacked_matrix_bitwise(self, d, n_t, n_a, zero_frac, seed):
         rng = np.random.default_rng(seed)
         t, a = (rng.random((n, d)) * (rng.random((n, d)) >= zero_frac) for n in (n_t, n_a))
-        dist = _run_distances(t, a)
+        dist = expand(_run_distances(t, a))
         stacked = distance_matrix(np.vstack([t, a]))
         np.testing.assert_array_equal(bits(dist), bits(stacked))
         np.testing.assert_array_equal(dist, dist.T)
         assert not np.any(np.diag(dist))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        height=st.integers(1, 6),
+        n_t=st.tuples(st.integers(0, 4), st.sampled_from([-1, 0, 1])),
+        n_a=st.tuples(st.integers(8, 10), st.sampled_from([-1, 0, 1])),
+        chunk=st.sampled_from([1, 3, 8, 1 << 14]),
+        data=st.data(),
+    )
+    @example(height=1, n_t=(0, 1), n_a=(0, 0), chunk=1 << 14, data=None)  # N=1
+    def test_block_gathers_the_stacked_cells(self, height, n_t, n_a, chunk, data):
+        # bands of ``height`` rows (the auxiliary block is large enough that
+        # the n // 8 cap does not bind), with each block's row count at a
+        # band boundary or one row off it; gathers in chunks of ``chunk``
+        n_t, n_a = (max(k * height + off, 0) for k, off in (n_t, n_a))
+        n_t = max(n_t, 1)
+        rng = np.random.default_rng([height, n_t, n_a])
+        t, a = rng.random((n_t, 5)) * (rng.random((n_t, 5)) < 0.6), rng.random((n_a, 5))
+        n = n_t + n_a
+        stacked = distance_matrix(np.vstack([t, a]))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(zslkit.evaluate, "_BAND_FLOATS", height * n)
+            dist = _run_distances(t, a)
+        assert dist.cells.size == n * (n - 1) // 2 + 1
+        np.testing.assert_array_equal(bits(expand(dist)), bits(stacked))
+        if data is None:
+            rows = cols = np.zeros(1, np.intp)
+        else:
+            index = st.lists(st.integers(0, n - 1), max_size=2 * n + 2)
+            rows = np.array(data.draw(index), dtype=np.intp)
+            # the same rows (a Gram block), a reordering, or others
+            cols = data.draw(st.sampled_from([rows, rows[::-1], None]))
+            if cols is None:
+                cols = np.array(data.draw(index), dtype=np.intp)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(zslkit.evaluate, "_GATHER_CELLS", chunk)
+            block = dist.block(rows, cols)
+        assert block.flags.c_contiguous and block.shape == (rows.size, cols.size)
+        np.testing.assert_array_equal(bits(block), bits(stacked[np.ix_(rows, cols)]))
+
+    def test_block_rejects_rows_outside_the_run(self):
+        dist = _run_distances(np.ones((3, 4)))
+        for bad in ([3], [-1]):
+            with pytest.raises(IndexError, match=r"row indices must lie in \[0, 3\)"):
+                dist.block(np.array(bad), np.arange(3))
 
     def test_each_block_is_checked(self):
         good = np.ones((3, 4))
@@ -389,9 +442,12 @@ class TestBlockwiseRunMatrix:
                 chi2_distance_matrix(x, x, out)
 
     def test_peak_holds_no_stacked_copy(self, monkeypatch):
-        # the stacked rows would take 3 MB beside the 74 KB matrix; one
-        # worker's chi-square scratch is two arrays of 2^16 floats (1 MiB),
-        # and the input checks' min and max reductions allocate no array
+        # the stacked rows would take 3 MB and the dense matrix 74 KB; the
+        # fill holds the packed cells, one band's scratch (at most an eighth
+        # of the rows against all of them) and one worker's chi-square
+        # scratch, two arrays of 2^16 floats (1 MiB), with numpy's 64 KiB
+        # reduction buffer. The input checks' min and max reductions
+        # allocate no array
         monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 1)
         rng = np.random.default_rng(46)
         t, a = rng.random((64, 4000)), rng.random((32, 4000))
@@ -401,8 +457,24 @@ class TestBlockwiseRunMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        n = dist.n
+        band = 8 * n * (n // 8)
         scratch = 2 * 8 * zslkit.kernels._TILE_FLOATS
-        assert peak < dist.nbytes + scratch + 2**18
+        assert peak < dist.cells.nbytes + band + scratch + 2**17
+
+    def test_gather_holds_its_block_and_bounded_chunks(self):
+        # the (2000, 2000) block of a 2100-row run, its rows unsorted as a
+        # folds file may list them: 32 MB of output, plus chunk temporaries
+        # of 2^14 cells, 3 x 128 KB of int64
+        dist = _run_distances(np.random.default_rng(48).random((2100, 2)))
+        rows = np.random.default_rng(49).permutation(2100)[:2000]
+        tracemalloc.start()
+        try:
+            block = dist.block(rows, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes + 2**20
 
 
 class TestInputCheck:
