@@ -16,7 +16,8 @@ Run it from the repository root. Each stage runs at a fixed seeded shape:
   matrix, whose 1,080,560 ordered pairs are sampled down to 1e6 (the
   zsl-deep pool size);
 - ``symmetry``: ``svr._validate_gram`` of an exactly symmetric 4,000-row
-  Gram matrix;
+  Gram matrix, which it returns uncopied (any asymmetry raises); its
+  former form compares the whole matrix with its transpose at once;
 - ``run_distances``: ``evaluate._run_distances``, the run-wide chi-square
   matrix of 320 target and 128 auxiliary histograms of 1,000 bins (the
   zsl-wide shape), each pair stored once and filled a band of rows at a
@@ -84,13 +85,13 @@ def self_train(rng):
 
 
 def gamma(rng):
-    n, max_pairs = 1040, 1_000_000
+    n, max_pairs = 1040, kernels.GAMMA_MAX_PAIRS
     d = rng.random((n, n))
     d += d.T
     np.fill_diagonal(d, 0.0)
     return (f"n={n}, max_pairs={max_pairs}",
-            lambda: reference.sampled_gamma_from_distances(d, max_pairs),
-            lambda: kernels.gamma_from_distances(d, max_pairs=max_pairs),
+            lambda: reference.sampled_gamma_from_distances(d, max_pairs, kernels.GAMMA_SEED),
+            lambda: kernels.gamma_from_distances(d),
             lambda r: digest(np.float64(r)))
 
 

@@ -67,7 +67,8 @@ def recorded_solves():
     problems, solve = [], smo.solve
 
     def keep(gram, z, p, c, tolerance, max_iter):
-        problems.append({"kind": "svr" if z.ndim == 1 else "svc",
+        # an SVR dual has 2n variables, an SVC dual n
+        problems.append({"kind": "svr" if p.shape[1] == 2 * gram.shape[0] else "svc",
                          "args": (gram.copy(), z.copy(), p.copy(), c, tolerance, max_iter)})
         return solve(gram, z, p, c, tolerance, max_iter)
 

@@ -33,6 +33,9 @@ def _as_matrix(x, name: str, require_nonnegative: bool) -> np.ndarray:
 
 # Floats in one tile's scratch array: two such arrays per worker, 1 MB.
 _TILE_FLOATS = 1 << 16
+# Gamma's mean distance is over at most this many pairs, sampled from GAMMA_SEED.
+GAMMA_MAX_PAIRS = 1_000_000
+GAMMA_SEED = 0
 # Sampled gamma pairs per chunk; the chunk boundaries fix the summation order.
 _PAIR_CHUNK = 100_000
 # For non-negative bins a+b is 0 or at least this, so max(a+b, _TINY) changes
@@ -194,49 +197,47 @@ def fit_kernel(distances: np.ndarray, gamma: float | str = "auto") -> tuple[floa
     return gamma, gram_matrix(gamma, distances)
 
 
-def heuristic_gamma(data, *, max_pairs: int = 1_000_000, seed: int = 0) -> float:
-    """Reciprocal of the mean pairwise chi-square distance of ``data``; see
-    :func:`gamma_from_distances`."""
+def heuristic_gamma(data) -> float:
+    """Reciprocal of the mean pairwise chi-square distance of ``data``, over
+    at most GAMMA_MAX_PAIRS pairs; see :func:`gamma_from_distances`."""
     x = _as_matrix(data, "data", require_nonnegative=True)
-    return gamma_from_distances(distance_matrix(x), max_pairs=max_pairs, seed=seed)
+    return gamma_from_distances(distance_matrix(x))
 
 
-def gamma_from_distances(
-    d: np.ndarray, *, max_pairs: int = 1_000_000, seed: int = 0
-) -> float:
+def gamma_from_distances(d: np.ndarray) -> float:
     """Reciprocal of the mean off-diagonal entry of a symmetric distance
     matrix with a zero diagonal, such as a block of a run-wide matrix.
 
-    The mean is over ordered pairs i != j. When their count exceeds
-    ``max_pairs``, pairs are subsampled uniformly with a PCG64 generator
-    seeded by ``seed``.
+    The mean is over ordered pairs i != j. When their count exceeds the
+    module constant GAMMA_MAX_PAIRS (10^6), that many pairs are subsampled
+    uniformly with a PCG64 generator seeded by GAMMA_SEED (0).
     """
     n = d.shape[0]
     if n < 2:
         raise ValueError("gamma heuristic needs at least 2 vectors")
     n_pairs = n * (n - 1)
-    if n_pairs <= max_pairs:
+    if n_pairs <= GAMMA_MAX_PAIRS:
         mean = float(d.sum()) / n_pairs  # diagonal is exactly zero
     else:
-        # the pairs are those of one draw of max_pairs row indices followed
-        # by one draw of max_pairs column offsets. PCG64 keeps its buffered
-        # bits in the generator state, so draws a chunk at a time continue
-        # each stream exactly: ``cols_rng`` skips the row draws, then
-        # ``rows_rng`` replays them in step with the column draws
-        cols_rng = np.random.default_rng(seed)
-        for lo in range(0, max_pairs, _PAIR_CHUNK):
-            cols_rng.integers(0, n, size=min(_PAIR_CHUNK, max_pairs - lo))
-        rows_rng = np.random.default_rng(seed)
+        # the pairs are those of one draw of GAMMA_MAX_PAIRS row indices
+        # followed by one draw of as many column offsets. PCG64 keeps its
+        # buffered bits in the generator state, so draws a chunk at a time
+        # continue each stream exactly: ``cols_rng`` skips the row draws,
+        # then ``rows_rng`` replays them in step with the column draws
+        cols_rng = np.random.default_rng(GAMMA_SEED)
+        for lo in range(0, GAMMA_MAX_PAIRS, _PAIR_CHUNK):
+            cols_rng.integers(0, n, size=min(_PAIR_CHUNK, GAMMA_MAX_PAIRS - lo))
+        rows_rng = np.random.default_rng(GAMMA_SEED)
         # chunked partial sums fix the summation order of reported gammas
         total = 0.0
-        for lo in range(0, max_pairs, _PAIR_CHUNK):
-            size = min(_PAIR_CHUNK, max_pairs - lo)
+        for lo in range(0, GAMMA_MAX_PAIRS, _PAIR_CHUNK):
+            size = min(_PAIR_CHUNK, GAMMA_MAX_PAIRS - lo)
             rows = rows_rng.integers(0, n, size=size)
             cols = cols_rng.integers(1, n, size=size)
             cols += rows
             cols %= n
             total += float(d[rows, cols].sum())
-        mean = total / max_pairs
+        mean = total / GAMMA_MAX_PAIRS
     if mean <= 0.0:
         raise ValueError("mean pairwise distance is zero (all vectors identical)")
     return 1.0 / mean

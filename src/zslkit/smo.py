@@ -8,9 +8,9 @@ Solves, for each row k of the batch,
 where z_k is a +-1 sign vector and Q_k = (z_k z_k') * Kt. The base matrix
 Kt is positive semidefinite and its entry (s, t) is gram[s % n, t % n]
 for the (n, n) Gram matrix, so Kt is the Gram matrix tiled m / n times.
-The epsilon-SVR duals of all output dimensions (2n variables, one shared
-z, one row per dimension) and the one-vs-rest SVC duals (n variables, one
-z per class) have this shape.
+The epsilon-SVR duals of all output dimensions (2n variables, one row per
+dimension, all with the same signs) and the one-vs-rest SVC duals (n
+variables, one sign vector per class) have this shape.
 
 Each row follows the maximal-violating-pair scheme of LIBSVM on its own:
 a step picks i maximizing -z_t g_t over the "up" set and j minimizing it
@@ -98,15 +98,16 @@ def solve(
     """Run the decomposition on every row of ``p``, shape (r, m).
 
     ``gram`` is the exactly symmetric (n, n) Gram matrix, with m a
-    multiple of n; ``z`` is one (m,) sign vector shared by all rows or an
-    (r, m) matrix of them. ``max_iter`` is each row's budget of pair
-    updates.
+    multiple of n. ``z``, (r, m) like ``p``, holds each row's sign vector;
+    duals that share one pass it as ``np.broadcast_to(z, p.shape)``.
+    ``max_iter`` is each row's budget of pair updates.
     """
     p = np.asarray(p, dtype=np.float64)
+    if z.shape != p.shape:
+        raise ValueError(f"z has shape {z.shape}, but p has shape {p.shape}")
     c = float(c)
     r, m = p.shape
     n = gram.shape[0]
-    shared = z.ndim == 1
     diag = np.diag(gram)
     pos = z > 0
     a = np.zeros((r, m))
@@ -133,8 +134,7 @@ def solve(
     def settle(k: int, cuk: np.ndarray, clk: np.ndarray) -> bool:
         """Recompute row k's gradient exactly. Either record its result and
         return True, or reset its ``cu`` and ``cl`` lines to go on."""
-        zk = z if shared else z[k]
-        crit, up, low, viol, m_val, big_m_val, g = _refresh(gram, zk, p[k], a[k], c)
+        crit, up, low, viol, m_val, big_m_val, g = _refresh(gram, z[k], p[k], a[k], c)
         rounds[k] += 1
         if viol <= tolerance or iters[k] >= max_iter or rounds[k] == _ROUNDS:
             bias[k] = _bias(crit, a[k], c, m_val, big_m_val)
@@ -167,7 +167,7 @@ def solve(
                 lines = np.arange(live.size)
             continue
 
-        zp = z[ij] if shared else z[live, ij]
+        zp = z[live, ij]
         ap = a[live, ij]
         ijn = ij % n
         dg = diag[ijn]
@@ -216,7 +216,7 @@ def solve(
     for line, k in enumerate(live.tolist()):
         pair[0], pair[1] = cu[line], cl[line]
         ak = a[k]
-        zk = (z if shared else z[k]).tolist()
+        zk = z[k].tolist()
         it = int(iters[k])
         while True:
             i, j = int(cuk.argmax()), int(clk.argmin())

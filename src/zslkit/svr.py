@@ -46,24 +46,22 @@ def _validate_gram(gram: np.ndarray) -> np.ndarray:
     n = g.shape[0]
     step = max(1, _SYMMETRY_BLOCK_CELLS // max(n, 1))
     blocks = [(g[lo : lo + step], g[:, lo : lo + step].T) for lo in range(0, n, step)]
-    # exact equality settles the usual exactly symmetric Gram cheaply; the
-    # solver reads rows as columns, so rounding-level asymmetry is averaged
-    if all(np.array_equal(rows, cols) for rows, cols in blocks):
-        return g
-    if not all(np.allclose(rows, cols, atol=1e-8) for rows, cols in blocks):
+    # the solver reads rows as columns, so it needs exact symmetry, which
+    # every Gram matrix built from a distance matrix has
+    if not all(np.array_equal(rows, cols) for rows, cols in blocks):
         raise ValueError("gram matrix is not symmetric")
-    return 0.5 * (g + g.T)
+    return g
 
 
 def train_svr(gram: np.ndarray, targets: np.ndarray, config: SvrConfig) -> smo.SmoResult:
     """Solve epsilon-SVR duals over a precomputed Gram matrix, one row per
     column of ``targets``, shape (n,) or (n, r), in one batched call.
 
-    Each 2n-variable dual (one alpha and one alpha* per sample) runs
-    through the decomposition solver, and row d's ``coef`` is its
-    alpha - alpha*. Raises :class:`~zslkit.smo.ConvergenceError` if a
-    budget is exhausted, naming the first (0-based) output dimension that
-    did not converge.
+    ``gram`` must be exactly symmetric; any asymmetry raises. Each
+    2n-variable dual (one alpha and one alpha* per sample) runs through
+    the decomposition solver, and row d's ``coef`` is its alpha - alpha*.
+    Raises :class:`~zslkit.smo.ConvergenceError` if a budget is exhausted,
+    naming the first (0-based) output dimension that did not converge.
     """
     g = _validate_gram(gram)
     y = np.asarray(targets, dtype=np.float64)
@@ -78,8 +76,8 @@ def train_svr(gram: np.ndarray, targets: np.ndarray, config: SvrConfig) -> smo.S
         raise ValueError("targets contain non-finite values")
 
     yt = y.reshape(n, -1).T  # one row per output dimension
-    z = np.concatenate([np.ones(n), -np.ones(n)])
     p = np.concatenate([config.epsilon - yt, config.epsilon + yt], axis=1)
+    z = np.broadcast_to(np.concatenate([np.ones(n), -np.ones(n)]), p.shape)
     res = smo.solve(g, z, p, config.c, config.tolerance, config.max_passes)
     return smo.require_converged(
         res, config.max_passes, lambda d: f"SVR dual for output dimension {d}"

@@ -55,13 +55,10 @@ def sampled_gamma_from_distances(d: np.ndarray, max_pairs: int, seed: int = 0) -
 
 
 def validate_gram(g: np.ndarray) -> np.ndarray:
-    """``g`` if exactly symmetric, its average with ``g.T`` if symmetric to
-    rounding; raises otherwise."""
-    if np.array_equal(g, g.T):
-        return g
-    if not np.allclose(g, g.T, atol=1e-8):
+    """``g`` if exactly symmetric; raises otherwise."""
+    if not np.array_equal(g, g.T):
         raise ValueError("gram matrix is not symmetric")
-    return 0.5 * (g + g.T)
+    return g
 
 
 def run_distances(target: np.ndarray, auxiliary: np.ndarray) -> np.ndarray:

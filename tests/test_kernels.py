@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import sys
@@ -46,6 +47,15 @@ def brute_force_mean_pair_distance(vectors):
     d = distance_oracle.chi2_matrix(v, v)
     n = len(v)
     return sum(d[i, j] for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
+
+
+@contextlib.contextmanager
+def gamma_sample(max_pairs, seed):
+    """Sample gamma's pairs as ``max_pairs`` pairs drawn from ``seed``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zslkit.kernels, "GAMMA_MAX_PAIRS", max_pairs)
+        mp.setattr(zslkit.kernels, "GAMMA_SEED", seed)
+        yield
 
 
 def chi2(a, b) -> float:
@@ -174,8 +184,9 @@ class TestHeuristicGamma:
         rng = np.random.default_rng(14)
         vecs = rng.dirichlet(np.ones(6), size=40)
         exact = heuristic_gamma(vecs)
-        sampled_a = heuristic_gamma(vecs, max_pairs=400, seed=7)
-        sampled_b = heuristic_gamma(vecs, max_pairs=400, seed=7)
+        with gamma_sample(400, 7):
+            sampled_a = heuristic_gamma(vecs)
+            sampled_b = heuristic_gamma(vecs)
         assert sampled_a == sampled_b
         assert sampled_a == pytest.approx(exact, rel=0.25)
 
@@ -288,13 +299,14 @@ class TestRunWideDistances:
         # the default budget takes the exact mean; one pair fewer samples
         for max_pairs in (1_000_000, n_pairs - 1):
             kw = dict(max_pairs=max_pairs, seed=5)
-            try:
-                expected = heuristic_gamma(x[s], **kw)
-            except ValueError:
-                with pytest.raises(ValueError, match="identical"):
-                    gamma_from_distances(block, **kw)
-                continue
-            assert gamma_from_distances(block, **kw) == expected
+            with gamma_sample(**kw):
+                try:
+                    expected = heuristic_gamma(x[s])
+                except ValueError:
+                    with pytest.raises(ValueError, match="identical"):
+                        gamma_from_distances(block)
+                    continue
+                assert gamma_from_distances(block) == expected
             if max_pairs < n_pairs:
                 assert distance_oracle.sampled_gamma(x[s], **kw) == expected
 
@@ -303,7 +315,9 @@ class TestRunWideDistances:
         x = rng.dirichlet(np.full(40, 0.3), size=500)
         # below n(n-1); the last of the 100k-pair chunks is partial
         kw = dict(max_pairs=240_000, seed=9)
-        assert heuristic_gamma(x, **kw) == distance_oracle.sampled_gamma(x, **kw)
+        with gamma_sample(**kw):
+            gamma = heuristic_gamma(x)
+        assert gamma == distance_oracle.sampled_gamma(x, **kw)
 
     def test_sampled_gamma_holds_one_pair_index_array(self):
         # 1100 rows give 1.2M ordered pairs, so 1e6 are sampled: the row
@@ -313,7 +327,7 @@ class TestRunWideDistances:
         np.fill_diagonal(d, 0.0)
         tracemalloc.start()
         try:
-            gamma = gamma_from_distances(d, max_pairs=max_pairs)
+            gamma = gamma_from_distances(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,12 +340,13 @@ class TestRunWideDistances:
         n, max_pairs = 1100, 1_000_000
         d = np.add.outer(np.arange(n), np.arange(n)) % 7 + 1.0
         np.fill_diagonal(d, 0.0)
-        tracemalloc.start()
-        try:
-            gamma = gamma_from_distances(d, max_pairs=max_pairs, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with gamma_sample(max_pairs, 3):
+            tracemalloc.start()
+            try:
+                gamma = gamma_from_distances(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 4 * 2**20
         assert gamma == memory_reference.sampled_gamma_from_distances(d, max_pairs, seed=3)
 
@@ -342,7 +357,8 @@ class TestRunWideDistances:
         rng = np.random.default_rng(33)
         x = rng.dirichlet(np.full(20, 0.3), size=600)
         kw = dict(max_pairs=250_001, seed=seed)
-        gamma = gamma_from_distances(distance_matrix(x), **kw)
+        with gamma_sample(**kw):
+            gamma = gamma_from_distances(distance_matrix(x))
         assert gamma == distance_oracle.sampled_gamma(x, **kw)
 
 

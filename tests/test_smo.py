@@ -1,8 +1,11 @@
 """The row-batched dual solver against the per-row reference solver in
 ``smo_reference.py``: every row must reproduce the reference's iterates
-bit for bit, in both the SVR form (one shared sign vector, Gram tiled
-twice) and the SVC form (one sign vector per row), whether the solver
-steps it in a batch or, once few rows are left, on its own."""
+bit for bit, in both the SVR form (one sign vector broadcast over the
+rows, Gram tiled twice) and the SVC form (one sign vector per row),
+whether the solver steps it in a batch or, once few rows are left, on its
+own."""
+
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ def svr_batch(gram, targets, c, epsilon, tolerance, max_iter):
     n = gram.shape[0]
     z = np.concatenate([np.ones(n), -np.ones(n)])
     p = np.concatenate([epsilon - targets.T, epsilon + targets.T], axis=1)
-    return smo.solve(gram, z, p, c, tolerance, max_iter)
+    return smo.solve(gram, np.broadcast_to(z, p.shape), p, c, tolerance, max_iter)
 
 
 def svc_batch(gram, signs, c, tolerance, max_iter):
@@ -203,6 +206,14 @@ class TestEdgeCases:
         targets = rng.normal(scale=1e4, size=(5, 3))
         _, rounds = check_svr(gram, targets, 1e9, 0.0, 1e-12, 3000)
         assert rounds == [2, 1, 3]
+
+    def test_signs_must_have_the_shape_of_p(self):
+        gram = chi2_gram(np.random.default_rng(6), 4)
+        p = np.zeros((3, 8))
+        for z in (np.ones(8), np.ones((1, 8)), np.ones((3, 4))):
+            message = f"z has shape {z.shape}, but p has shape (3, 8)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                smo.solve(gram, z, p, 1.0, 1e-3, 10)
 
 
 class TestTieRules:

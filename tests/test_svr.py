@@ -3,11 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import memory_reference
 from qp_oracle import svr_dual_oracle
 from zslkit.embedding import l2_normalize
-from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
+from zslkit.evaluate import _run_distances
+from zslkit.kernels import (
+    distance_matrix,
+    fit_kernel,
+    gram_matrix,
+    heuristic_gamma,
+    squared_euclidean_distances,
+)
 from zslkit.smo import ConvergenceError
 from zslkit.svr import (
     _SYMMETRY_BLOCK_CELLS,
@@ -17,6 +27,10 @@ from zslkit.svr import (
     train_semantic_regressor,
     train_svr,
 )
+
+
+# histogram bins, many of them exactly zero
+bins = st.one_of(st.just(0.0), st.floats(0, 10))
 
 
 def dense_coefficients(reg, j, n):
@@ -116,8 +130,9 @@ class TestTrainSvr:
             train_svr(np.ones((2, 3)), np.zeros(2), config)
         with pytest.raises(ValueError, match="symmetric"):
             train_svr(np.array([[1.0, 0.5], [0.1, 1.0]]), np.zeros(2), config)
-        # asymmetry within rounding is still accepted
-        train_svr(np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]]), np.zeros(2), config)
+        # asymmetry within rounding is refused too
+        with pytest.raises(ValueError, match="symmetric"):
+            train_svr(np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]]), np.zeros(2), config)
         with pytest.raises(ValueError, match="targets length"):
             train_svr(np.eye(3), np.zeros(2), config)
         with pytest.raises(ValueError, match="at least 2"):
@@ -167,13 +182,49 @@ class TestGramSymmetryCheck:
         x = np.random.default_rng(21).dirichlet(np.ones(5), size=n)
         return chi2_gram(1.0, x), (n - 1, n - 2)
 
-    def test_one_ulp_asymmetry_in_last_block_is_averaged(self):
+    @pytest.mark.parametrize("first_block", [True, False], ids=["first", "last"])
+    def test_one_ulp_asymmetry_raises(self, first_block):
         g, cell = self._gram_and_last_block_cell()
+        if first_block:
+            cell = (0, 1)
         g[cell] = np.nextafter(g[cell], np.inf)
-        out = _validate_gram(g)
-        assert out is not g
-        assert out[cell] == out[cell[::-1]]
-        assert out.tobytes() == memory_reference.validate_gram(g).tobytes()
+        with pytest.raises(ValueError, match="gram matrix is not symmetric"):
+            _validate_gram(g)
+        with pytest.raises(ValueError, match="gram matrix is not symmetric"):
+            memory_reference.validate_gram(g)
+        with pytest.raises(ValueError, match="gram matrix is not symmetric"):
+            train_svr(g, np.zeros(g.shape[0]), SvrConfig())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 12)), elements=bins),
+        n_a=st.integers(0, 8),
+        data=st.data(),
+    )
+    def test_every_run_gram_is_exactly_symmetric(self, t, n_a, data):
+        # a unit's Gram matrix is fit_kernel over a block of the run matrix
+        # gathered by its rows, which a folds file may list unsorted or
+        # repeated; the symmetry check must pass it through uncopied
+        a = data.draw(hnp.arrays(np.float64, (n_a, t.shape[1]), elements=bins))
+        dist = _run_distances(t, a)
+        rows = np.array(data.draw(st.lists(st.integers(0, dist.n - 1), min_size=2,
+                                           max_size=2 * dist.n + 2)), dtype=np.intp)
+        block = dist.block(rows, rows)
+        _, gram = fit_kernel(block, "auto" if block.any() else 1.0)
+        assert np.array_equal(gram, gram.T)
+        assert _validate_gram(gram) is gram
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 20), st.integers(1, 8)),
+                      elements=st.floats(-10, 10))
+           .filter(lambda x: np.linalg.norm(x, axis=1).min() > 1e-6))
+    def test_svm_gram_is_exactly_symmetric(self, x):
+        # the multi-shot SVM's Gram matrix, over L2-normalized projections
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        d = squared_euclidean_distances(x)
+        _, gram = fit_kernel(d, "auto" if d.any() else 1.0)
+        assert np.array_equal(gram, gram.T)
+        assert _validate_gram(gram) is gram
 
     def test_clear_asymmetry_in_last_block_raises(self):
         g, cell = self._gram_and_last_block_cell()
