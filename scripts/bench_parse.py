@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the feature-CSV and word-vector loaders, block path against the
-per-line loop, and write the result to BENCH_parse.json.
+"""Time the feature-CSV and word-vector loaders against the per-line loops
+they replaced, and write the result to BENCH_parse.json.
 
     python3 scripts/bench_parse.py                  # writes BENCH_parse.json
     python3 scripts/bench_parse.py --repeats 1 --out /tmp/bench.json
@@ -9,15 +9,18 @@ Run it from the repository root. The corpora are the three perfbench
 workloads, written by ``perfbench/corpus.py`` at ``--seed``, and one corpus
 at the paper's shape: a d_x=4000 feature CSV and d_z=300 word vectors
 among 5,000 distractor tokens. Word vectors are loaded as an evaluation
-loads them, keeping only the tokens of the class names.
+loads them, keeping only the tokens of the class names. Two odd files
+have one line in the middle that numpy's reader refuses: the zsl-deep
+word vectors with a tab after one token (``embeddings_tab.txt``), and the
+zsl-wide target with one quoted id (``target_quoted.csv``).
 
 For every file, each path gets the best and median wall time of
 ``--repeats`` loads, the peak memory traced by ``tracemalloc`` during one
 more load, and a sha256 of what it parsed (arrays, ids, labels, tokens).
-``line`` is the per-line loop, which was the whole loader before the block
-path existed, so its numbers are the earlier loader's; ``block`` is the
-public loader. Exits 1, after writing the file, if any hash differs
-between the two paths.
+``line`` is the per-line loop kept in ``tests/parse_reference.py``, which
+was the whole loader before numpy's reader parsed blocks, so its numbers
+are the earlier loader's; ``block`` is the public loader. Exits 1, after
+writing the file, if any hash differs between the two paths.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
 import corpus  # noqa: E402
+import parse_reference as reference  # noqa: E402
 from zslkit import data, embedding  # noqa: E402
 from zslkit.embedding import label_tokens  # noqa: E402
 
@@ -109,7 +113,7 @@ def bench_file(corpus_name: str, path: Path, tokens, repeats: int) -> dict:
             return ds.features.shape[1], ds.ids, ds.labels, ds.features
 
         def line():
-            return data._read_feature_lines(path)
+            return reference.read_feature_lines(path)
     else:
         loader, digest, wanted = "load_embeddings", store_digest, frozenset(tokens)
 
@@ -117,7 +121,7 @@ def bench_file(corpus_name: str, path: Path, tokens, repeats: int) -> dict:
             return embedding.load_embeddings(path, tokens=wanted)
 
         def line():
-            return embedding._read_embedding_lines(path, wanted)
+            return reference.read_embedding_lines(path, wanted)
     entry = {"corpus": corpus_name, "file": path.name, "loader": loader,
              "bytes": path.stat().st_size}
     entry["line"] = measure(line, digest, repeats)
@@ -127,13 +131,35 @@ def bench_file(corpus_name: str, path: Path, tokens, repeats: int) -> dict:
     return entry
 
 
+# The corpus file of which a workload also gets an odd copy.
+ODD_FILES = {"zsl-wide": "target", "zsl-deep": "embeddings"}
+
+
+def odd_copy(path: Path) -> Path:
+    """A copy of ``path`` whose middle line numpy's reader refuses: a tab
+    after the token of a word-vector line, or quotes round a row's id."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    mid = len(lines) // 2
+    if path.suffix == ".csv":
+        lines[mid] = '"{}",{}'.format(*lines[mid].split(",", 1))
+        out = path.with_name(f"{path.stem}_quoted.csv")
+    else:
+        lines[mid] = lines[mid].replace(" ", "\t", 1)
+        out = path.with_name(f"{path.stem}_tab.txt")
+    out.write_text("\n".join(lines), encoding="utf-8")
+    return out
+
+
 def bench_corpus(workload, seed: int, root: Path, repeats: int) -> list[dict]:
     paths = {k: Path(v) for k, v in corpus.generate(workload, seed, root / workload.name).items()}
     datasets = [key for key in ("target", "auxiliary") if key in paths]
     labels = [lab for key in datasets for lab in data.load_dataset(paths[key]).class_vocabulary]
-    entries = [bench_file(workload.name, paths[key], None, repeats) for key in datasets]
-    entries.append(bench_file(workload.name, paths["embeddings"], label_tokens(labels), repeats))
-    return entries
+    tokens = label_tokens(labels)
+    files = [(paths[key], None) for key in datasets] + [(paths["embeddings"], tokens)]
+    if workload.name in ODD_FILES:
+        odd = ODD_FILES[workload.name]
+        files.append((odd_copy(paths[odd]), tokens if odd == "embeddings" else None))
+    return [bench_file(workload.name, path, wanted, repeats) for path, wanted in files]
 
 
 def main() -> int:
@@ -148,11 +174,11 @@ def main() -> int:
         for workload in workloads:
             entries += bench_corpus(workload, args.seed, Path(tmp), args.repeats)
     doc = {
-        "benchmark": "feature-CSV and word-vector parsing, block path vs per-line loop",
+        "benchmark": "feature-CSV and word-vector parsing, public loader vs per-line loop",
         "command": f"python3 scripts/bench_parse.py --seed {args.seed} --repeats {args.repeats}",
         "paths": {
-            "line": "per-line loop (the loader before the block path)",
-            "block": "public loader (block path, falling back to the loop)",
+            "line": "per-line loop (the loader before the block path), tests/parse_reference.py",
+            "block": "public loader (numpy's reader per block, the line loop where it refuses)",
         },
         "host": {
             "python": platform.python_version(),
@@ -165,7 +191,7 @@ def main() -> int:
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for e in entries:
-        print(f"{e['corpus']:>11} {e['file']:<15} line {e['line']['best_s']:8.4f} s  "
+        print(f"{e['corpus']:>11} {e['file']:<18} line {e['line']['best_s']:8.4f} s  "
               f"block {e['block']['best_s']:8.4f} s  x{e['speedup_best']:<6} "
               f"peak {e['line']['peak_traced_mb']:7.2f} -> {e['block']['peak_traced_mb']:7.2f} MB  "
               f"{'match' if e['hashes_match'] else 'HASH MISMATCH'}")

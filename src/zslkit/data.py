@@ -25,7 +25,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -36,95 +38,74 @@ from .kernels import squared_euclidean_matrix
 
 @dataclass
 class Dataset:
-    """Labelled feature vectors with a class vocabulary, which lists every
-    instance label in order of first appearance."""
+    """Labelled feature vectors."""
 
     name: str
     ids: list[str]
     labels: list[Label]
     features: np.ndarray
-    class_vocabulary: list[Label]
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def class_vocabulary(self) -> list[Label]:
+        """Every instance label, in order of first appearance."""
+        return list(dict.fromkeys(self.labels))
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Parse a feature CSV into a :class:`Dataset`, validating shape,
     non-negativity and id uniqueness.
 
-    Rows are parsed in blocks by :mod:`zslkit.textblocks`; a file that
-    path cannot vouch for is re-read by the per-line loop, which raises
-    every error.
+    The file is read once, in blocks of lines. numpy's reader parses each
+    block (:mod:`zslkit.textblocks`) until it cannot vouch for one; as a
+    quoted cell may span lines, the csv loop then reads from that block
+    to the end of the file, and raises every error.
+
+    The rows are copied into one array sized by an upper bound on their
+    number, which is then trimmed in place, so they are never held twice.
     """
     path = Path(path)
-    try:
-        parsed = _read_feature_blocks(path)
-    except ValueError:  # a label without tokens, or undecodable text
-        parsed = None
-    _, ids, labels, features = _read_feature_lines(path) if parsed is None else parsed
-    return Dataset(
-        name=path.stem,
-        ids=ids,
-        labels=labels,
-        features=features,
-        class_vocabulary=list(dict.fromkeys(labels)),
-    )
-
-
-# A quote starts a quoted csv cell; NUL aside, the others are separators
-# that numpy strips from a value and float() does not.
-_UNSAFE_CHARS = '"\x00\x1c\x1d\x1e\x1f'
-
-
-def _read_feature_blocks(path: Path):
-    """The block path of :func:`load_dataset`: (d_x, ids, labels,
-    features), or None wherever the csv module could read a line
-    differently from a plain split on commas, or the line loop would
-    raise.
-
-    Each block is copied into one array sized by an upper bound on the
-    rows, which is then trimmed in place, so the rows are never held
-    twice.
-    """
-    limit = csv.field_size_limit()
     with path.open("r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if len(header) < 3 or header[0] != "id" or header[1] != "label":
+            raise ValueError(f"{path}: header must be 'id,label,f0,...'")
         d_x = len(header) - 2
-        if d_x < 1 or header != ["id", "label"] + [f"f{i}" for i in range(d_x)]:
-            return None
+        if header != ["id", "label"] + [f"f{i}" for i in range(d_x)]:
+            raise ValueError(f"{path}: header must be 'id,label,f0,...,f{d_x - 1}'")
+        features = np.empty((_row_bound(path, d_x), d_x))
         ids: list[str] = []
         labels: list[Label] = []
-        known: dict[str, Label] = {}
-        features = np.empty((_row_bound(path, d_x), d_x))
-        for lines in textblocks.line_blocks(fh, d_x):
-            rests = []
-            for line in lines:
-                cells = line.split(",", 2)
-                if len(cells) != 3 or any(c in line for c in _UNSAFE_CHARS):
-                    return None
-                if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
-                    return None
-                id_, raw, rest = cells
-                if raw not in known:
-                    known[raw] = Label.of(raw)
-                ids.append(id_)
-                labels.append(known[raw])
-                rests.append(rest)
-            values = textblocks.parse_block(rests, d_x, ",")
-            if values is None or (values < 0).any():
-                return None
-            features[len(ids) - len(lines) : len(ids)] = values
-    if len(set(ids)) != len(ids):
-        return None
+        seen: set[str] = set()
+        lineno = reader.line_num + 1
+        blocks = textblocks.line_blocks(fh, d_x)
+        for lines in blocks:
+            rows = _block_rows(lines, d_x, seen)
+            if rows is None:
+                rest = chain(lines, chain.from_iterable(blocks))
+                for id_, label, values in _line_rows(rest, d_x, path, lineno, seen):
+                    features[len(ids)] = values
+                    ids.append(id_)
+                    labels.append(label)
+                break
+            block_ids, block_labels, values = rows
+            features[len(ids) : len(ids) + len(lines)] = values
+            ids += block_ids
+            labels += block_labels
+            seen.update(block_ids)
+            lineno += len(lines)
     features.resize((len(ids), d_x), refcheck=False)
-    return d_x, ids, labels, features
+    return Dataset(name=path.stem, ids=ids, labels=labels, features=features)
 
 
 def _row_bound(path: Path, d_x: int) -> int:
-    """At least the rows the block path can read from ``path``: each ends
-    in a CR or LF byte, bar the last, which follows the header's, and
-    takes at least 2*d_x + 2 bytes."""
+    """At least the rows of ``path``: each ends in a CR or LF byte, bar
+    the last, which follows the header's, and takes at least 2*d_x + 2
+    bytes."""
     breaks = 0
     with path.open("rb") as raw:
         while chunk := raw.read(1 << 20):
@@ -132,54 +113,74 @@ def _row_bound(path: Path, d_x: int) -> int:
     return min(breaks, path.stat().st_size // (2 * d_x + 2))
 
 
-def _read_feature_lines(path: Path):
-    """The per-line loop of :func:`load_dataset`."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0] != "id" or header[1] != "label":
-            raise ValueError(f"{path}: header must be 'id,label,f0,...'")
-        d_x = len(header) - 2
-        expected = ["id", "label"] + [f"f{i}" for i in range(d_x)]
-        if header != expected:
-            raise ValueError(f"{path}: header must be 'id,label,f0,...,f{d_x - 1}'")
-        ids: list[str] = []
-        labels: list[Label] = []
-        rows: list[np.ndarray] = []
-        seen_ids: set[str] = set()
-        # a quoted cell can span lines: errors name the line a record starts on
-        end = reader.line_num
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if not row:
-                continue
-            if len(row) != d_x + 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {d_x + 2} cells, got {len(row)}"
-                )
-            id_ = row[0]
-            if id_ in seen_ids:
-                raise ValueError(f"{path}:{lineno}: duplicate id {id_!r}")
-            seen_ids.add(id_)
+# A quote starts a quoted csv cell; NUL aside, the others are separators
+# that numpy strips from a value and float() does not.
+_UNSAFE_CHARS = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _block_rows(lines: list[str], d_x: int, seen: set[str]):
+    """The ids, labels and (len(lines), d_x) features of a block, or None
+    wherever the csv module could read a line differently from a plain
+    split on commas, or the line loop would raise; ``seen`` holds the ids
+    of the rows before it."""
+    limit = csv.field_size_limit()
+    ids: list[str] = []
+    labels: list[Label] = []
+    known: dict[str, Label] = {}
+    rests = []
+    for line in lines:
+        cells = line.split(",", 2)
+        if len(cells) != 3 or any(c in line for c in _UNSAFE_CHARS):
+            return None
+        if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+            return None
+        id_, raw, rest = cells
+        if raw not in known:
             try:
-                feats = np.array([float(v) for v in row[2:]], dtype=np.float64)
+                known[raw] = Label.of(raw)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable feature value") from None
-            if not np.all(np.isfinite(feats)):
-                raise ValueError(f"{path}:{lineno}: non-finite feature value")
-            if np.any(feats < 0):
-                raise ValueError(f"{path}:{lineno}: negative feature value")
-            ids.append(id_)
-            try:
-                labels.append(Label.of(row[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            rows.append(feats)
-    features = np.vstack(rows) if rows else np.empty((0, d_x))
-    return d_x, ids, labels, features
+                return None
+        ids.append(id_)
+        labels.append(known[raw])
+        rests.append(rest)
+    if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
+        return None
+    values = textblocks.parse_block(rests, d_x, ",")
+    if values is None or (values < 0).any():
+        return None
+    return ids, labels, values
+
+
+def _line_rows(lines: Iterable[str], d_x: int, path: Path, lineno: int, seen: set[str]):
+    """The csv loop: the id, label and feature values of each record in
+    ``lines``, the first of which is line ``lineno`` of ``path``; ``seen``
+    holds the ids of the rows before it."""
+    seen = set(seen)
+    reader = csv.reader(lines)
+    end = 0  # a quoted cell can span lines: errors name the line a record starts on
+    for row in reader:
+        start, end = lineno + end, reader.line_num
+        if not row:
+            continue
+        if len(row) != d_x + 2:
+            raise ValueError(f"{path}:{start}: expected {d_x + 2} cells, got {len(row)}")
+        id_ = row[0]
+        if id_ in seen:
+            raise ValueError(f"{path}:{start}: duplicate id {id_!r}")
+        seen.add(id_)
+        try:
+            feats = np.array([float(v) for v in row[2:]], dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{path}:{start}: unparseable feature value") from None
+        if not np.all(np.isfinite(feats)):
+            raise ValueError(f"{path}:{start}: non-finite feature value")
+        if np.any(feats < 0):
+            raise ValueError(f"{path}:{start}: negative feature value")
+        try:
+            label = Label.of(row[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{start}: {exc}") from None
+        yield id_, label, feats
 
 
 def write_features_csv(

@@ -97,17 +97,31 @@ def load_embeddings(path: str | Path, tokens: Iterable[str] | None = None) -> Em
     of values, non-finite values and entry-count mismatches all raise
     ``ValueError`` with the offending line number.
 
-    Lines are parsed in blocks by :mod:`zslkit.textblocks`; a file that
-    path cannot vouch for is re-read by the per-line loop, which raises
-    every error.
+    The file is read once, in blocks of lines. numpy's reader parses each
+    block (:mod:`zslkit.textblocks`) unless it cannot vouch for it; such
+    a block is parsed by the per-line loop, which raises every error, and
+    the next block tries numpy's reader again.
     """
     path = Path(path)
     wanted = None if tokens is None else frozenset(tokens)
-    try:
-        store = _read_embedding_blocks(path, wanted)
-    except ValueError:  # a malformed header, or undecodable text
-        store = None
-    return _read_embedding_lines(path, wanted) if store is None else store
+    table: dict[str, np.ndarray] = {}
+    duplicates = 0
+    parsed = 0
+    with path.open("r", encoding="utf-8") as fh:
+        count, dim = _read_header(fh, path)
+        lineno = 2
+        for lines in textblocks.line_blocks(fh, dim):
+            rows = _block_rows(lines, dim)
+            names, values = _line_rows(lines, dim, path, lineno) if rows is None else rows
+            lineno += len(lines)
+            parsed += len(names)
+            for k, token in enumerate(names):
+                if wanted is None or token in wanted:
+                    duplicates += token in table
+                    table[token] = np.array(values[k], dtype=np.float64)
+    if parsed != count:
+        raise ValueError(f"{path}: header declares {count} entries, found {parsed}")
+    return EmbeddingStore(dimension=dim, table=table, duplicates_replaced=duplicates)
 
 
 def _read_header(fh, path: Path) -> tuple[int, int]:
@@ -129,74 +143,51 @@ def _read_header(fh, path: Path) -> tuple[int, int]:
 _OTHER_SEPARATORS = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f\x00"
 
 
-def _read_embedding_blocks(path: Path, wanted: frozenset[str] | None):
-    """The block path of :func:`load_embeddings`, or None wherever a line
-    is not ``<token> v1 ... v<dim>`` with single spaces (one trailing
-    space allowed, as word2vec and fastText write it), or the line loop
-    would raise."""
-    with path.open("r", encoding="utf-8") as fh:
-        count, dim = _read_header(fh, path)
-        table: dict[str, np.ndarray] = {}
-        duplicates = 0
-        parsed = 0
-        for lines in textblocks.line_blocks(fh, dim):
-            split = [line.partition(" ") for line in lines]
-            names = [s[0] for s in split]
-            texts = [s[2] for s in split]
-            joined = "".join(texts)
-            if (
-                " ".join(names).split() != names
-                or not joined.isascii()
-                or any(c in joined for c in _OTHER_SEPARATORS)
-            ):
-                return None
-            if " \n" in joined or joined.endswith(" "):
-                texts = [t.removesuffix("\n").removesuffix(" ") for t in texts]
-            values = textblocks.parse_block(texts, dim, " ")
-            if values is None:
-                return None
-            parsed += len(lines)
-            for k, token in enumerate(names):
-                if wanted is None or token in wanted:
-                    duplicates += token in table
-                    table[token] = values[k].copy()
-    if parsed != count:
+def _block_rows(lines: list[str], dim: int):
+    """The tokens and (len(lines), dim) values of a block, or None unless
+    every line is ``<token> v1 ... v<dim>`` with single spaces (one
+    trailing space allowed, as word2vec and fastText write it) and the
+    line loop would read it the same."""
+    split = [line.partition(" ") for line in lines]
+    names = [s[0] for s in split]
+    texts = [s[2] for s in split]
+    joined = "".join(texts)
+    if (
+        " ".join(names).split() != names
+        or not joined.isascii()
+        or any(c in joined for c in _OTHER_SEPARATORS)
+    ):
         return None
-    return EmbeddingStore(dimension=dim, table=table, duplicates_replaced=duplicates)
+    if " \n" in joined or joined.endswith(" "):
+        texts = [t.removesuffix("\n").removesuffix(" ") for t in texts]
+    values = textblocks.parse_block(texts, dim, " ")
+    return None if values is None else (names, values)
 
 
-def _read_embedding_lines(path: Path, wanted: frozenset[str] | None) -> EmbeddingStore:
-    """The per-line loop of :func:`load_embeddings`."""
-    with path.open("r", encoding="utf-8") as fh:
-        count, dim = _read_header(fh, path)
-        table: dict[str, np.ndarray] = {}
-        duplicates = 0
-        parsed = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} values for token "
-                    f"{token!r}, got {len(values)}"
-                )
-            try:
-                floats = list(map(float, values))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable value") from None
-            if not all(map(math.isfinite, floats)):
-                raise ValueError(f"{path}:{lineno}: non-finite value for token {token!r}")
-            parsed += 1
-            if wanted is not None and token not in wanted:
-                continue
-            if token in table:
-                duplicates += 1
-            table[token] = np.array(floats, dtype=np.float64)
-        if parsed != count:
-            raise ValueError(f"{path}: header declares {count} entries, found {parsed}")
-    return EmbeddingStore(dimension=dim, table=table, duplicates_replaced=duplicates)
+def _line_rows(lines: list[str], dim: int, path: Path, lineno: int):
+    """The per-line loop: the tokens and value lists of the entries in
+    ``lines``, the first of which is line ``lineno`` of ``path``."""
+    names: list[str] = []
+    values: list[list[float]] = []
+    for lineno, line in enumerate(lines, start=lineno):
+        if not line.strip():
+            continue
+        parts = line.split()
+        token, cells = parts[0], parts[1:]
+        if len(cells) != dim:
+            raise ValueError(
+                f"{path}:{lineno}: expected {dim} values for token "
+                f"{token!r}, got {len(cells)}"
+            )
+        try:
+            floats = list(map(float, cells))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: unparseable value") from None
+        if not all(map(math.isfinite, floats)):
+            raise ValueError(f"{path}:{lineno}: non-finite value for token {token!r}")
+        names.append(token)
+        values.append(floats)
+    return names, values
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:

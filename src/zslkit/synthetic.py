@@ -57,13 +57,13 @@ def make_world(
     )
 
 
-def class_names(world: LinearMapWorld, prefix: str = "class") -> list[str]:
-    return [f"{prefix}{i:02d}" for i in range(world.n_classes)]
+def class_names(world: LinearMapWorld) -> list[str]:
+    return [f"class{i:02d}" for i in range(world.n_classes)]
 
 
-def world_store(world: LinearMapWorld, prefix: str = "class") -> EmbeddingStore:
+def world_store(world: LinearMapWorld) -> EmbeddingStore:
     """Embedding store mapping each class name to its class embedding."""
-    names = class_names(world, prefix)
+    names = class_names(world)
     table = {name: world.class_embeddings[i].copy() for i, name in enumerate(names)}
     return EmbeddingStore(dimension=world.class_embeddings.shape[1], table=table)
 
@@ -74,9 +74,8 @@ def world_dataset(
     per_class: int,
     rng: np.random.Generator,
     name: str = "synthetic",
-    prefix: str = "class",
 ) -> Dataset:
-    names = class_names(world, prefix)
+    names = class_names(world)
     ids: list[str] = []
     labels: list[Label] = []
     rows: list[np.ndarray] = []
@@ -86,10 +85,4 @@ def world_dataset(
             ids.append(f"{name}_{names[ci]}_{s:03d}")
             labels.append(Label.of(names[ci]))
             rows.append(feats[s])
-    return Dataset(
-        name=name,
-        ids=ids,
-        labels=labels,
-        features=np.vstack(rows),
-        class_vocabulary=list(dict.fromkeys(labels)),
-    )
+    return Dataset(name=name, ids=ids, labels=labels, features=np.vstack(rows))

@@ -1,11 +1,11 @@
 """The numeric columns of a text file, parsed a bounded block of lines at a
 time by numpy's C reader.
 
-The feature-CSV and word-vector loaders split off their non-numeric
-columns in Python and hand the rest of each block here. Anything this
-reader cannot vouch for comes back as None, and the loader re-reads the
-file with its per-line loop, which alone decides the result for such a
-file and every error.
+The feature-CSV and word-vector loaders read their file once, in blocks
+of lines. Each splits off a block's non-numeric columns in Python and
+hands the rest here. A block this reader cannot vouch for comes back as
+None, and the loader parses that block with its per-line loop, which
+alone decides the result for such lines and raises every error.
 """
 
 from __future__ import annotations
@@ -21,9 +21,23 @@ BLOCK_VALUES = 1 << 13
 
 
 def line_blocks(fh: TextIO, width: int) -> Iterator[list[str]]:
-    """Consecutive lines of ``fh`` in lists of about BLOCK_VALUES values."""
+    """Consecutive lines of ``fh`` in lists of about BLOCK_VALUES values.
+
+    Text that cannot be decoded raises only after the lines decoded
+    before it have been yielded, where a line-by-line reader of ``fh``
+    would raise it.
+    """
     size = max(1, BLOCK_VALUES // width)
-    while lines := list(islice(fh, size)):
+    while True:
+        lines: list[str] = []
+        try:
+            lines.extend(islice(fh, size))  # keeps the lines read before an error
+        except UnicodeDecodeError:
+            if lines:
+                yield lines
+            raise
+        if not lines:
+            return
         yield lines
 
 

@@ -1,12 +1,15 @@
-"""The block parsers against the per-line loops they stand in for.
+"""The public loaders against the per-line loops they replaced.
 
 For any file, valid or corrupted, ``load_dataset`` and ``load_embeddings``
-must return exactly what their per-line loops return (bit-identical
-arrays, the same ids, labels, tokens and duplicate count) or raise the
-same exception with the same message. Blocks are made a few lines long so
-that every file crosses block boundaries.
+must return exactly what the loops in ``parse_reference`` return
+(bit-identical arrays, the same ids, labels, tokens and duplicate count)
+or raise the same exception with the same message. They must do so both
+with numpy's reader and with ``textblocks.parse_block`` refusing every
+block, so that the line step parses everything. Blocks are made a few
+lines long so that every file crosses block boundaries.
 """
 
+import contextlib
 import csv
 import sys
 import tempfile
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parse_reference
 from zslkit import data, embedding, textblocks
 from zslkit.data import load_dataset
 from zslkit.embedding import load_embeddings
@@ -191,15 +195,28 @@ def store_fields(store):
     return store.dimension, table, store.duplicates_replaced
 
 
-def load_both(content, name, block_values, public, loop):
-    """``public`` with blocks of ``block_values`` values, then ``loop``, on
-    one file holding ``content``."""
+def load_both(content, name, block_values, public, reference, refused=False):
+    """``public`` with blocks of ``block_values`` values, with numpy's
+    reader or, if ``refused``, with it refusing every block, then
+    ``reference``, on one file holding ``content``."""
+    refusing = mock.patch.object(textblocks, "parse_block", return_value=None)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_bytes(content)
-        with mock.patch.object(textblocks, "BLOCK_VALUES", block_values):
+        with (
+            mock.patch.object(textblocks, "BLOCK_VALUES", block_values),
+            refusing if refused else contextlib.nullcontext(),
+        ):
             got = outcome(lambda: public(path))
-        return got, outcome(lambda: loop(path))
+        return got, outcome(lambda: reference(path))
+
+
+def line_steps(module, fn):
+    """What ``fn()`` returns or raises, and the calls it made to
+    ``module``'s line step."""
+    with mock.patch.object(module, "_line_rows", wraps=module._line_rows) as step:
+        got = outcome(fn)
+    return got, step.call_args_list
 
 
 def public_dataset(path):
@@ -208,8 +225,14 @@ def public_dataset(path):
     return dataset_fields(ds.features.shape[1], ds.ids, ds.labels, ds.features)
 
 
-def loop_dataset(path):
-    return dataset_fields(*data._read_feature_lines(path))
+def reference_dataset(path):
+    return dataset_fields(*parse_reference.read_feature_lines(path))
+
+
+def reference_store(path, wanted=None):
+    return store_fields(
+        parse_reference.read_embedding_lines(path, None if wanted is None else frozenset(wanted))
+    )
 
 
 @settings(max_examples=400, deadline=None)
@@ -219,19 +242,22 @@ def loop_dataset(path):
 @example(b"id,label,f0\r\nv0,run,1\rv1,run,2\r\n", 1)
 @example(b"id,label,f0\nv0,run,1\x1c\n", 12)
 def test_feature_loader_agrees_with_line_loop(content, block_values):
-    got, want = load_both(content, "f.csv", block_values, public_dataset, loop_dataset)
-    assert got == want
+    for refused in (False, True):
+        got, want = load_both(
+            content, "f.csv", block_values, public_dataset, reference_dataset, refused
+        )
+        assert got == want
 
 
 @settings(max_examples=50, deadline=None)
 @given(feature_files(corrupt=False), st.integers(1, 12))
 def test_clean_feature_files_take_the_block_path(content, block_values):
-    def block_path(path):
-        parsed = data._read_feature_blocks(path)
-        assert parsed is not None
-        return dataset_fields(*parsed)
+    def public(path):
+        got, steps = line_steps(data, lambda: public_dataset(path))
+        assert steps == []
+        return got[1]
 
-    got, want = load_both(content, "f.csv", block_values, block_path, loop_dataset)
+    got, want = load_both(content, "f.csv", block_values, public, reference_dataset)
     assert got == want
 
 
@@ -242,16 +268,16 @@ def test_clean_feature_files_take_the_block_path(content, block_values):
 @example(content=b"1 1\nrun 1 2\n", block_values=12)
 @example(content=b"2 1\nrun 1 \r\njump\t2", block_values=1)
 def test_embedding_loader_agrees_with_line_loop(content, block_values, wanted):
-    got, want = load_both(
-        content,
-        "v.txt",
-        block_values,
-        lambda path: store_fields(load_embeddings(path, tokens=wanted)),
-        lambda path: store_fields(
-            embedding._read_embedding_lines(path, None if wanted is None else frozenset(wanted))
-        ),
-    )
-    assert got == want
+    for refused in (False, True):
+        got, want = load_both(
+            content,
+            "v.txt",
+            block_values,
+            lambda path: store_fields(load_embeddings(path, tokens=wanted)),
+            lambda path: reference_store(path, wanted),
+            refused,
+        )
+        assert got == want
 
 
 @pytest.mark.parametrize("ending", ENDINGS)
@@ -262,10 +288,11 @@ def test_block_without_values_skips_numpys_reader(ending, tmp_path):
     path.write_text(f"1 3\ntok {ending}", encoding="utf-8", newline="")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = outcome(lambda: load_embeddings(path))
-    want = outcome(lambda: embedding._read_embedding_lines(path, None))
+        got, steps = line_steps(embedding, lambda: load_embeddings(path))
+    want = outcome(lambda: parse_reference.read_embedding_lines(path, None))
     message = f"{path}:2: expected 3 values for token 'tok', got 0"
     assert got == want == ("raised", ValueError, message)
+    assert len(steps) == 1
     assert textblocks.parse_block([ending], 3, " ") is None
 
 
@@ -273,18 +300,12 @@ def test_block_without_values_skips_numpys_reader(ending, tmp_path):
 @given(embedding_files(corrupt=False), st.integers(1, 12))
 @example(b"1 1\nrun 0.0 ", 1)
 def test_clean_embedding_files_take_the_block_path(content, block_values):
-    def block_path(path):
-        store = embedding._read_embedding_blocks(path, None)
-        assert store is not None
-        return store_fields(store)
+    def public(path):
+        got, steps = line_steps(embedding, lambda: store_fields(load_embeddings(path)))
+        assert steps == []
+        return got[1]
 
-    got, want = load_both(
-        content,
-        "v.txt",
-        block_values,
-        block_path,
-        lambda path: store_fields(embedding._read_embedding_lines(path, None)),
-    )
+    got, want = load_both(content, "v.txt", block_values, public, reference_store)
     assert got == want
 
 
@@ -326,29 +347,25 @@ def test_cell_over_the_csv_field_limit_is_left_to_the_line_loop(tmp_path):
     path = tmp_path / "f.csv"
     long_id = "v" * (csv.field_size_limit() + 1)
     path.write_text(f"id,label,f0\n{long_id},run,1\n", encoding="utf-8")
-    assert data._read_feature_blocks(path) is None
-    with pytest.raises(csv.Error, match="field larger than field limit"):
-        load_dataset(path)
-
-
-def declined(read, *args):
-    """Whether a block reader leaves the file to the line loop: it returns
-    None, or raises the ValueError its loader catches."""
-    try:
-        return read(*args) is None
-    except ValueError:
-        return True
+    got, steps = line_steps(data, lambda: load_dataset(path))
+    assert got[:2] == ("raised", csv.Error)
+    assert "field larger than field limit" in got[2]
+    assert len(steps) == 1
 
 
 @pytest.mark.parametrize(
     "row",
-    ['v1,"run",1', "v1,run,1\x00", "v1,run,1\x1c", "v1,run,\x1f1", "", "v1,___,1"],
+    ['v1,"run",1', "v1,run,1\x00", "v1,run,1\x1c", "v1,run,\x1f1", "", "v1,___,1", "v0,run,1"],
 )
 def test_feature_rows_the_block_path_declines(tmp_path, row):
     path = tmp_path / "f.csv"
     path.write_text(f"id,label,f0\nv0,run,2\n{row}\n", encoding="utf-8")
-    assert declined(data._read_feature_blocks, path)
-    assert outcome(lambda: public_dataset(path)) == outcome(lambda: loop_dataset(path))
+    # in blocks of one line, the first block is clean and the second declined
+    for block_values in (1, textblocks.BLOCK_VALUES):
+        with mock.patch.object(textblocks, "BLOCK_VALUES", block_values):
+            got, steps = line_steps(data, lambda: public_dataset(path))
+        assert len(steps) == 1
+        assert got == outcome(lambda: reference_dataset(path))
 
 
 @pytest.mark.parametrize("pad", ["", " "])
@@ -358,10 +375,75 @@ def test_embedding_separators_the_block_path_declines(tmp_path, sep, pad):
     # but only single spaces are taken as given
     path = tmp_path / "v.txt"
     path.write_text(f"2 2\nrun 1 2\njump 3{pad}{sep}4\n", encoding="utf-8")
-    assert declined(embedding._read_embedding_blocks, path, None)
-    assert store_fields(load_embeddings(path)) == store_fields(
-        embedding._read_embedding_lines(path, None)
-    )
+    got, steps = line_steps(embedding, lambda: store_fields(load_embeddings(path)))
+    assert len(steps) == 1
+    assert got == ("returned", reference_store(path))
+
+
+def text_opens(fn):
+    """What ``fn()`` returns, and how often it opened a file in text mode."""
+    with mock.patch.object(Path, "open", autospec=True, side_effect=Path.open) as opened:
+        result = fn()
+    return result, sum(call.args[1] == "r" for call in opened.call_args_list)
+
+
+def test_one_refused_block_leaves_the_rest_to_numpys_reader(tmp_path):
+    # blocks of four lines; line 11 (the tenth entry) is tab-separated
+    path = tmp_path / "v.txt"
+    entries = [f"w{i} {i} {-i}.5\n" for i in range(20)]
+    entries[9] = entries[9].replace(" ", "\t", 1)
+    path.write_text("20 2\n" + "".join(entries), encoding="utf-8")
+    parse_block, vouched = textblocks.parse_block, []
+
+    def numpy_step(*args):
+        values = parse_block(*args)
+        vouched.append(values is not None)
+        return values
+
+    with (
+        mock.patch.object(textblocks, "BLOCK_VALUES", 8),
+        mock.patch.object(textblocks, "parse_block", numpy_step),
+    ):
+        (got, steps), opens = text_opens(
+            lambda: line_steps(embedding, lambda: store_fields(load_embeddings(path)))
+        )
+    assert got == ("returned", reference_store(path))
+    assert opens == 1
+    # the third block, lines 10-13, is parsed line by line, and only it;
+    # numpy's reader parses the other four
+    assert [(call.args[0], call.args[3]) for call in steps] == [(entries[8:12], 10)]
+    assert vouched == [True] * 4
+
+
+def test_feature_error_after_a_multiline_cell_names_its_physical_line(tmp_path):
+    # blocks of four lines: two clean blocks (lines 2-9), a quoted id that
+    # spans lines 10-11, and a negative value on line 20, two blocks later
+    path = tmp_path / "f.csv"
+    rows = [f"v{i},run,{i},1" for i in range(18)]
+    rows[8] = '"v8\nline",run,8,1'
+    rows[17] = "v17,run,-1,1"
+    path.write_text("id,label,f0,f1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with mock.patch.object(textblocks, "BLOCK_VALUES", 8):
+        (got, steps), opens = text_opens(lambda: line_steps(data, lambda: public_dataset(path)))
+    message = f"{path}:20: negative feature value"
+    assert got == outcome(lambda: reference_dataset(path)) == ("raised", ValueError, message)
+    assert opens == 1
+    assert len(steps) == 1 and steps[0].args[3] == 10
+
+
+@pytest.mark.parametrize("bad_line", [False, True])
+def test_undecodable_text_raises_where_the_line_loop_does(tmp_path, bad_line):
+    # one block spans several 8 KiB decoding chunks; the lines read before
+    # the undecodable byte are parsed first, so an error on one of them wins
+    entries = [f"w{i} {i}" for i in range(5000)]
+    if bad_line:
+        entries[3] = "w3 1 2"
+    content = ("5000 1\n" + "\n".join(entries) + "\n").encode("utf-8")
+    path = tmp_path / "v.txt"
+    path.write_bytes(content[:20_000] + b"\xff" + content[20_000:])
+    got = outcome(lambda: store_fields(load_embeddings(path)))
+    assert got == outcome(lambda: reference_store(path))
+    assert got[1] is (ValueError if bad_line else UnicodeDecodeError)
 
 
 def test_blank_lines_do_not_size_the_feature_array(tmp_path):
