@@ -30,7 +30,8 @@ Run it from the repository root. Each stage runs at a fixed seeded shape:
 
 ``reference`` is the former form, kept in ``tests/memory_reference.py``;
 ``library`` is zslkit's code. For each path the file records the best and
-median wall time of ``--repeats`` calls, the peak memory traced by
+median wall time of ``--repeats`` calls, taken in turn with the other
+path's and alternating which goes first, the peak memory traced by
 ``tracemalloc`` during one more call (inputs are allocated before tracing
 starts) and a sha256 of the result. Exits 1, after writing the file, if any
 hash differs between the two paths.
@@ -146,8 +147,8 @@ def main() -> int:
     for name, build in STAGES.items():
         shape, ref_call, lib_call, result_digest, *sizes = build(np.random.default_rng(args.seed))
         entry = {"stage": name, "shape": shape, **(sizes[0] if sizes else {})}
-        entry["reference"] = measure(ref_call, result_digest, args.repeats)
-        entry["library"] = measure(lib_call, result_digest, args.repeats)
+        entry.update(measure({"reference": ref_call, "library": lib_call}, result_digest,
+                             args.repeats))
         entry["hashes_match"] = entry["reference"]["sha256"] == entry["library"]["sha256"]
         entries.append(entry)
     doc = {

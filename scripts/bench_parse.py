@@ -17,6 +17,8 @@ zsl-wide target with one quoted id (``target_quoted.csv``).
 For every file, each path gets the best and median wall time of
 ``--repeats`` loads, the peak memory traced by ``tracemalloc`` during one
 more load, and a sha256 of what it parsed (arrays, ids, labels, tokens).
+The two paths take turns: each repeat loads the file once on each, and
+which one goes first alternates.
 ``line`` is the per-line loop kept in ``tests/parse_reference.py``, which
 was the whole loader before numpy's reader parsed blocks, so its numbers
 are the earlier loader's; ``block`` is the public loader. Exits 1, after
@@ -79,27 +81,35 @@ def store_digest(store) -> str:
     return h.hexdigest()
 
 
-def measure(load, digest, repeats: int) -> dict:
-    """Times of ``repeats`` calls of ``load``, then the traced peak of one
-    more call and the digest of what it returned."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = load()
-        times.append(time.perf_counter() - start)
-    del result
-    tracemalloc.start()
-    try:
-        result = load()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {
-        "best_s": round(min(times), 5),
-        "median_s": round(statistics.median(times), 5),
-        "peak_traced_mb": round(peak / 2**20, 3),
-        "sha256": digest(result),
-    }
+def measure(paths: dict, digest, repeats: int) -> dict:
+    """For each named call in ``paths``: the times of ``repeats`` calls,
+    then the traced peak of one more call and the digest of what it
+    returned. Each repeat times every path once, in reverse order on odd
+    repeats, so drift of the host lands on both sides alike."""
+    names = list(paths)
+    times = {name: [] for name in names}
+    for k in range(repeats):
+        for name in names[::-1] if k % 2 else names:
+            start = time.perf_counter()
+            result = paths[name]()
+            times[name].append(time.perf_counter() - start)
+            del result
+    out = {}
+    for name in names:
+        tracemalloc.start()
+        try:
+            result = paths[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[name] = {
+            "best_s": round(min(times[name]), 5),
+            "median_s": round(statistics.median(times[name]), 5),
+            "peak_traced_mb": round(peak / 2**20, 3),
+            "sha256": digest(result),
+        }
+        del result
+    return out
 
 
 def bench_file(corpus_name: str, path: Path, tokens, repeats: int) -> dict:
@@ -124,8 +134,7 @@ def bench_file(corpus_name: str, path: Path, tokens, repeats: int) -> dict:
             return reference.read_embedding_lines(path, wanted)
     entry = {"corpus": corpus_name, "file": path.name, "loader": loader,
              "bytes": path.stat().st_size}
-    entry["line"] = measure(line, digest, repeats)
-    entry["block"] = measure(block, digest, repeats)
+    entry.update(measure({"line": line, "block": block}, digest, repeats))
     entry["speedup_best"] = round(entry["line"]["best_s"] / entry["block"]["best_s"], 3)
     entry["hashes_match"] = entry["line"]["sha256"] == entry["block"]["sha256"]
     return entry

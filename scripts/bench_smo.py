@@ -11,7 +11,8 @@ of one evaluation of each perfbench workload, on the corpus that
 paper's shape: 520 clips of a 26-class ``LinearMapWorld`` with d_x=1000
 and d_z=300 unit-norm targets, at the default SVR settings.
 
-Each problem is solved ``--repeats`` times on each path, alternating, with
+Each problem is solved ``--repeats`` times on each path, alternating which
+path goes first in each repeat, with
 ``smo._TAIL_ROWS`` at 0 (``batched``: every step is one batched step) and at
 its default (``default``). For each path the file records the best and
 median wall time and a sha256 over every ``SmoResult`` field. For each
@@ -139,8 +140,9 @@ def bench_problem(prob: dict, repeats: int) -> dict:
     times = {"batched": [], "default": []}
     digests = {}
     try:
-        for _ in range(repeats):
-            for path, switch in (("batched", 0), ("default", default)):
+        for k in range(repeats):
+            order = (("batched", 0), ("default", default))
+            for path, switch in order[::-1] if k % 2 else order:
                 smo._TAIL_ROWS = switch
                 start = time.perf_counter()
                 res = smo.solve(gram, z, p, c, tolerance, max_iter)

@@ -196,11 +196,11 @@ def save_report(report: EvaluationReport, path: str | Path) -> None:
 
 
 def _score(
-    truths: list[Label], predictions: list[Prediction]
-) -> tuple[float, float, dict[str, dict[str, int]]]:
-    """Per-instance accuracy (%), per-class mean accuracy (%), confusion."""
+    truths: list[Label], predictions: list[Prediction], confusion: dict[str, dict[str, int]]
+) -> tuple[float, float]:
+    """Per-instance accuracy (%) and per-class mean accuracy (%); each
+    (truth, prediction) pair is counted into ``confusion``."""
     assert len(truths) == len(predictions)
-    confusion: dict[str, dict[str, int]] = {}
     per_class: dict[str, list[int]] = {}
     correct = 0
     for truth, pred in zip(truths, predictions):
@@ -216,7 +216,7 @@ def _score(
         if per_class
         else 0.0
     )
-    return accuracy, balanced, confusion
+    return accuracy, balanced
 
 
 # Floats in one fill band's scratch: a few rows of the run against every
@@ -351,26 +351,20 @@ def _fit_regressor(
     dist: _PackedDistances,
     rows: np.ndarray,
     targets: np.ndarray,
-    test_rows: np.ndarray,
-    *,
-    own: bool = False,
+    *row_sets: np.ndarray,
 ) -> tuple[SemanticRegressor, list[np.ndarray]]:
     """The regressor trained on rows ``rows`` of the run matrix ``dist``
-    (regression ``targets`` in the same order) and the kernel rows of
-    ``test_rows`` against its support pool. The Gram matrix and the
-    kernel rows are made in place over dense blocks gathered from
-    ``dist``, in the order of ``rows``. With ``own``, the kernel rows
-    of ``rows`` come first, as the pool columns of their Gram block:
-    recomputed, they would hold the same values in another memory layout,
-    which the projection's matrix product rounds differently.
+    (regression ``targets`` in the same order) and, for each of
+    ``row_sets``, the kernel rows of those run rows against its support
+    pool. The Gram matrix and every set of kernel rows are made in place
+    over C-ordered blocks gathered from ``dist``; the kernel rows are
+    gathered once the Gram matrix is freed.
     """
     gamma, gram = fit_kernel(dist.block(rows, rows), config.gamma)
     regressor = train_semantic_regressor(targets, config.svr_config(), gram)
-    pool = regressor.pool_indices
-    kernel_rows = [gram[:, pool]] if own else []
     del gram  # keep at most the run matrix and one unit's block alive
-    kv = dist.block(test_rows, rows[pool])
-    return regressor, kernel_rows + [gram_matrix(gamma, kv)]
+    pool_rows = rows[regressor.pool_indices]
+    return regressor, [gram_matrix(gamma, dist.block(r, pool_rows)) for r in row_sets]
 
 
 def _run_classes(
@@ -431,14 +425,10 @@ def _run_units(
         write_predictions_csv(
             predictions, run_dir / "predictions" / f"{kind}_{index:03d}.csv"
         )
-        acc, bal, conf = _score(truths, predictions)
+        acc, bal = _score(truths, predictions, confusion)
         accuracies.append(acc)
         balanced.append(bal)
         n_tests.append(len(truths))
-        for truth, row in conf.items():
-            out = confusion.setdefault(truth, {})
-            for pred, count in row.items():
-                out[pred] = out.get(pred, 0) + count
 
     acc_arr = np.asarray(accuracies, dtype=np.float64)
     bal_arr = np.asarray(balanced, dtype=np.float64)
@@ -584,7 +574,7 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
         train_labels, test_labels = ([labels[i] for i in rows] for rows in fold)
         train_ids, test_ids = ([ids[i] for i in rows] for rows in fold)
         regressor, kernel_rows = _fit_regressor(
-            config, dist, train_rows, vectors[class_of[train_rows]], test_rows, own=True
+            config, dist, train_rows, vectors[class_of[train_rows]], train_rows, test_rows
         )
         train_proj, test_proj = (
             normalized_projections(predict_batch(regressor, k), ids)

@@ -7,10 +7,11 @@ Solves, for each row k of the batch,
 
 where z_k is a +-1 sign vector and Q_k = (z_k z_k') * Kt. The base matrix
 Kt is positive semidefinite and its entry (s, t) is gram[s % n, t % n]
-for the (n, n) Gram matrix, so Kt is the Gram matrix tiled m / n times.
-The epsilon-SVR duals of all output dimensions (2n variables, one row per
-dimension, all with the same signs) and the one-vs-rest SVC duals (n
-variables, one sign vector per class) have this shape.
+for the (n, n) Gram matrix, with m = n or m = 2n, so Kt is the Gram matrix
+or the Gram matrix tiled two by two. The one-vs-rest SVC duals (n
+variables, one sign vector per class) and the epsilon-SVR duals of all
+output dimensions (2n variables, one row per dimension, all with the same
+signs) have these shapes; any other m is refused.
 
 Each row follows the maximal-violating-pair scheme of LIBSVM on its own:
 a step picks i maximizing -z_t g_t over the "up" set and j minimizing it
@@ -97,8 +98,8 @@ def solve(
 ) -> SmoResult:
     """Run the decomposition on every row of ``p``, shape (r, m).
 
-    ``gram`` is the exactly symmetric (n, n) Gram matrix, with m a
-    multiple of n. ``z``, (r, m) like ``p``, holds each row's sign vector;
+    ``gram`` is the exactly symmetric (n, n) Gram matrix, and m is n (SVC)
+    or 2n (SVR). ``z``, (r, m) like ``p``, holds each row's sign vector;
     duals that share one pass it as ``np.broadcast_to(z, p.shape)``.
     ``max_iter`` is each row's budget of pair updates.
     """
@@ -108,6 +109,8 @@ def solve(
     c = float(c)
     r, m = p.shape
     n = gram.shape[0]
+    if m not in (n, 2 * n):
+        raise ValueError(f"p has {m} columns, but a dual over {n} samples needs {n} or {2 * n}")
     diag = np.diag(gram)
     pos = z > 0
     a = np.zeros((r, m))

@@ -133,8 +133,11 @@ def train_semantic_regressor(
 
 def predict_batch(regressor: SemanticRegressor, kernel_rows: np.ndarray) -> np.ndarray:
     """Project n rows into the embedding space, (n, d_z), from their kernel
-    values against the regressor's support pool, (n, pool size)."""
+    values against the regressor's support pool, (n, pool size). A matrix
+    product's last bits depend on its operands' memory order, so both are
+    taken in C order: a projection depends only on values."""
     pool = regressor.coefficients.shape[1]
     if kernel_rows.ndim != 2 or kernel_rows.shape[1] != pool:
         raise ValueError(f"kernel rows have shape {kernel_rows.shape}, expected (n, {pool})")
-    return kernel_rows @ np.ascontiguousarray(regressor.coefficients).T + regressor.biases
+    k, coef = (np.ascontiguousarray(a) for a in (kernel_rows, regressor.coefficients))
+    return k @ coef.T + regressor.biases

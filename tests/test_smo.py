@@ -215,6 +215,16 @@ class TestEdgeCases:
             with pytest.raises(ValueError, match=re.escape(message)):
                 smo.solve(gram, z, p, 1.0, 1e-3, 10)
 
+    @pytest.mark.parametrize("m", [2, 5, 12, 16])
+    def test_only_svc_and_svr_widths_are_solved(self, m):
+        # the exact refresh and the coefficient fold know only the SVC
+        # (m = n) and SVR (m = 2n) tilings of the Gram matrix
+        gram = chi2_gram(np.random.default_rng(7), 4)
+        p = np.zeros((2, m))
+        message = f"p has {m} columns, but a dual over 4 samples needs 4 or 8"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            smo.solve(gram, np.ones(p.shape), p, 1.0, 1e-3, 10)
+
 
 class TestTieRules:
     """The step's two tie rules on a fixed problem. When both variables

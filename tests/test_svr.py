@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import memory_reference
 from qp_oracle import svr_dual_oracle
 from zslkit.embedding import l2_normalize
-from zslkit.evaluate import _run_distances
+from zslkit.evaluate import ExperimentConfig, _fit_regressor, _run_distances
 from zslkit.kernels import (
     distance_matrix,
     fit_kernel,
@@ -235,6 +235,41 @@ class TestGramSymmetryCheck:
             memory_reference.validate_gram(g)
 
 
+class TestRunKernelRows:
+    """Every set of kernel rows a unit projects, its own training rows
+    included, is one C-ordered gather from the run matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=hnp.arrays(np.float64, st.tuples(st.integers(2, 20), st.integers(1, 12)), elements=bins),
+        n_a=st.integers(0, 8),
+        data=st.data(),
+    )
+    def test_unit_kernel_rows_are_gathered_from_the_run_matrix(self, t, n_a, data):
+        # drawn row sets may be unsorted, repeated or empty; the training
+        # rows' own set holds the pool columns of their Gram block
+        a = data.draw(hnp.arrays(np.float64, (n_a, t.shape[1]), elements=bins))
+        dist = _run_distances(t, a)
+        every = np.arange(dist.n)
+        dense = dist.block(every, every)
+        index = st.integers(0, dist.n - 1)
+        rows = np.array(data.draw(st.lists(index, min_size=2, max_size=2 * dist.n)), dtype=np.intp)
+        row_sets = [np.array(data.draw(st.lists(index, max_size=2 * dist.n)), dtype=np.intp)
+                    for _ in range(data.draw(st.integers(0, 2)))]
+        block = dist.block(rows, rows)
+        config = ExperimentConfig(gamma="auto" if block.any() else 1.0)
+        gamma, gram = fit_kernel(block, config.gamma)
+        targets = np.random.default_rng(rows.size).normal(size=(rows.size, 3))
+        regressor, kernel_rows = _fit_regressor(config, dist, rows, targets, rows, *row_sets)
+        pool = regressor.pool_indices
+        assert len(kernel_rows) == 1 + len(row_sets)
+        for r, k in zip([rows, *row_sets], kernel_rows):
+            assert k.flags.c_contiguous
+            expected = gram_matrix(gamma, dense[np.ix_(r, rows[pool])])
+            assert k.tobytes() == expected.tobytes() and k.shape == expected.shape
+        assert kernel_rows[0].tobytes() == np.ascontiguousarray(gram[:, pool]).tobytes()
+
+
 class TestSemanticRegressor:
     def test_single_dimension_reduces_to_train_svr(self):
         rng = np.random.default_rng(8)
@@ -310,6 +345,18 @@ class TestSemanticRegressor:
         probes = rng.dirichlet(np.ones(4), size=200)
         np.testing.assert_array_equal(
             project(flipped, gamma, x, probes), project(reg, gamma, x, probes)
+        )
+
+    def test_kernel_row_memory_order_is_immaterial(self):
+        rng = np.random.default_rng(21)
+        x, gamma, _ = random_problem(rng, 60, 4)
+        reg = fit(x, rng.normal(size=(60, 12)), SvrConfig(epsilon=0.01), gamma)
+        rows = chi2_gram(gamma, rng.dirichlet(np.ones(4), size=66), x[reg.pool_indices])
+        assert rows.flags.c_contiguous and reg.coefficients.shape[1] >= 30
+        # an F-ordered product rounds differently at this shape, so the
+        # projection must take its rows in one order whatever it is given
+        np.testing.assert_array_equal(
+            predict_batch(reg, np.asfortranarray(rows)), predict_batch(reg, rows)
         )
 
     def test_beats_constant_mean_on_synthetic_linear_map(self):
