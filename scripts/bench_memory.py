@@ -12,9 +12,6 @@ Run it from the repository root. Each stage runs at a fixed seeded shape:
   prototypes at d_z=300, one HMDB51 half-split;
 - ``self_train``: ``zsl.self_train`` of the same 26 prototypes on the same
   3,383 projections, k=10;
-- ``gamma``: ``kernels.gamma_from_distances`` of a 1,040-row distance
-  matrix, whose 1,080,560 ordered pairs are sampled down to 1e6 (the
-  zsl-deep pool size);
 - ``symmetry``: ``svr._validate_gram`` of an exactly symmetric 4,000-row
   Gram matrix, which it returns uncopied (any asymmetry raises); its
   former form compares the whole matrix with its transpose at once;
@@ -54,7 +51,7 @@ import numpy as np  # noqa: E402
 
 import memory_reference as reference  # noqa: E402
 from bench_parse import measure  # noqa: E402
-from zslkit import evaluate, kernels, svr, zsl  # noqa: E402
+from zslkit import evaluate, svr, zsl  # noqa: E402
 
 
 def digest(*arrays) -> str:
@@ -83,17 +80,6 @@ def self_train(rng):
             lambda: reference.self_train(mat, proj, 10),
             lambda: zsl.self_train(mat, proj, 10),
             lambda r: digest(r))
-
-
-def gamma(rng):
-    n, max_pairs = 1040, kernels.GAMMA_MAX_PAIRS
-    d = rng.random((n, n))
-    d += d.T
-    np.fill_diagonal(d, 0.0)
-    return (f"n={n}, max_pairs={max_pairs}",
-            lambda: reference.sampled_gamma_from_distances(d, max_pairs, kernels.GAMMA_SEED),
-            lambda: kernels.gamma_from_distances(d),
-            lambda r: digest(np.float64(r)))
 
 
 def symmetry(rng):
@@ -133,7 +119,7 @@ def unit_block(rng):
             lambda r: digest(r))
 
 
-STAGES = {"matching": matching, "self_train": self_train, "gamma": gamma, "symmetry": symmetry,
+STAGES = {"matching": matching, "self_train": self_train, "symmetry": symmetry,
           "run_distances": run_distances, "unit_block": unit_block}
 
 

@@ -80,6 +80,19 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     for path in args.descriptors:
         for key, mat in read_descriptor_file(path):
             groups.append((key if key is not None else Path(path).stem, mat))
+    ids = [key for key, _ in groups]
+    labels_map: dict[str, str] = {}
+    if args.labels:
+        for line in Path(args.labels).read_text(encoding="utf-8").splitlines():
+            if not line.strip():
+                continue
+            id_, _, label = line.partition(",")
+            labels_map[id_] = label
+        missing = [key for key in ids if key not in labels_map]
+        if missing:
+            raise ValueError(f"{args.labels}: no label for id {missing[0]!r}")
+    labels = [Label.of(labels_map.get(key, "unknown")) for key in ids]
+
     all_desc = np.vstack([mat for _, mat in groups])
     rng = np.random.default_rng(args.seed)
     if args.sample and args.sample < all_desc.shape[0]:
@@ -88,16 +101,6 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     else:
         sample = all_desc
     centroids = kmeans_codebook(sample, args.k, seed=args.seed, max_iters=args.max_iters)
-
-    labels_map: dict[str, str] = {}
-    if args.labels:
-        for line in Path(args.labels).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            id_, _, label = line.partition(",")
-            labels_map[id_] = label
-    ids = [key for key, _ in groups]
-    labels = [Label.of(labels_map.get(key, "unknown")) for key in ids]
     features = np.vstack(
         [quantize(centroids, mat, normalize=args.normalize) for _, mat in groups]
     )

@@ -145,6 +145,11 @@ class ExperimentConfig:
                 raise ValueError("eval-multishot requires folds_path")
             if not Path(self.folds_path).is_file():
                 raise ValueError(f"folds file not found: {self.folds_path}")
+        # 2 and 2.0 are one experiment, so they get one fingerprint
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value != "auto":
+                setattr(self, name, float(value))
 
     def svr_config(self) -> SvrConfig:
         return SvrConfig(
@@ -470,6 +475,16 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     index, vectors, class_of = _run_classes(store, target, auxiliary)
     name, ids, labels, n_target = target.name, target.ids, target.labels, len(target)
     if config.predictor == PREDICTOR_REGRESSOR:
+        # an auxiliary class that a split holds out: augment_training refuses
+        # it too, but only once the run matrix exists
+        aux_classes = set(aux_vocabulary)
+        for split in splits:
+            clash = [lab for lab in split.unseen if lab in aux_classes]
+            if clash:
+                raise ValueError(
+                    f"split {split.index}: auxiliary class {clash[0].key!r} "
+                    "collides with an unseen class"
+                )
         rows_of = np.bincount(class_of[:n_target], minlength=len(index))
         seen = max(sum(int(rows_of[index[lab]]) for lab in s.seen) for s in splits)
         _check_memory(len(class_of), seen + len(class_of) - n_target)

@@ -33,11 +33,6 @@ def _as_matrix(x, name: str, require_nonnegative: bool) -> np.ndarray:
 
 # Floats in one tile's scratch array: two such arrays per worker, 1 MB.
 _TILE_FLOATS = 1 << 16
-# Gamma's mean distance is over at most this many pairs, sampled from GAMMA_SEED.
-GAMMA_MAX_PAIRS = 1_000_000
-GAMMA_SEED = 0
-# Sampled gamma pairs per chunk; the chunk boundaries fix the summation order.
-_PAIR_CHUNK = 100_000
 # For non-negative bins a+b is 0 or at least this, so max(a+b, _TINY) changes
 # only empty bins, whose term becomes 0/_TINY = +0.0.
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -198,8 +193,8 @@ def fit_kernel(distances: np.ndarray, gamma: float | str = "auto") -> tuple[floa
 
 
 def heuristic_gamma(data) -> float:
-    """Reciprocal of the mean pairwise chi-square distance of ``data``, over
-    at most GAMMA_MAX_PAIRS pairs; see :func:`gamma_from_distances`."""
+    """Reciprocal of the mean pairwise chi-square distance of ``data``; see
+    :func:`gamma_from_distances`."""
     x = _as_matrix(data, "data", require_nonnegative=True)
     return gamma_from_distances(distance_matrix(x))
 
@@ -208,36 +203,12 @@ def gamma_from_distances(d: np.ndarray) -> float:
     """Reciprocal of the mean off-diagonal entry of a symmetric distance
     matrix with a zero diagonal, such as a block of a run-wide matrix.
 
-    The mean is over ordered pairs i != j. When their count exceeds the
-    module constant GAMMA_MAX_PAIRS (10^6), that many pairs are subsampled
-    uniformly with a PCG64 generator seeded by GAMMA_SEED (0).
+    The mean is over all n(n-1) ordered pairs i != j.
     """
     n = d.shape[0]
     if n < 2:
         raise ValueError("gamma heuristic needs at least 2 vectors")
-    n_pairs = n * (n - 1)
-    if n_pairs <= GAMMA_MAX_PAIRS:
-        mean = float(d.sum()) / n_pairs  # diagonal is exactly zero
-    else:
-        # the pairs are those of one draw of GAMMA_MAX_PAIRS row indices
-        # followed by one draw of as many column offsets. PCG64 keeps its
-        # buffered bits in the generator state, so draws a chunk at a time
-        # continue each stream exactly: ``cols_rng`` skips the row draws,
-        # then ``rows_rng`` replays them in step with the column draws
-        cols_rng = np.random.default_rng(GAMMA_SEED)
-        for lo in range(0, GAMMA_MAX_PAIRS, _PAIR_CHUNK):
-            cols_rng.integers(0, n, size=min(_PAIR_CHUNK, GAMMA_MAX_PAIRS - lo))
-        rows_rng = np.random.default_rng(GAMMA_SEED)
-        # chunked partial sums fix the summation order of reported gammas
-        total = 0.0
-        for lo in range(0, GAMMA_MAX_PAIRS, _PAIR_CHUNK):
-            size = min(_PAIR_CHUNK, GAMMA_MAX_PAIRS - lo)
-            rows = rows_rng.integers(0, n, size=size)
-            cols = cols_rng.integers(1, n, size=size)
-            cols += rows
-            cols %= n
-            total += float(d[rows, cols].sum())
-        mean = total / GAMMA_MAX_PAIRS
+    mean = float(d.sum()) / (n * (n - 1))  # diagonal is exactly zero
     if mean <= 0.0:
         raise ValueError("mean pairwise distance is zero (all vectors identical)")
     return 1.0 / mean

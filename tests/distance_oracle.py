@@ -1,11 +1,9 @@
 """Reference computations for the run-wide distance matrix.
 
 These are the straightforward forms that the package's distance code
-replaced: a full rows-vs-cols chi-square loop, the single-threaded
-row-at-a-time kernel that preceded the tiled one, and the gamma
-heuristic's sampled branch computing each sampled pair's distance from
-the feature rows. Tests require the package to agree with them bit for
-bit.
+replaced: a full rows-vs-cols chi-square loop and the single-threaded
+row-at-a-time kernel that preceded the tiled one. Tests require the
+package to agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -55,23 +53,3 @@ def chi2_distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     out *= 0.5
     return out
 
-
-def sampled_gamma(x: np.ndarray, *, max_pairs: int = 1_000_000, seed: int = 0) -> float:
-    """Reciprocal mean chi-square distance over ``max_pairs`` seeded random
-    pairs, each distance computed directly from its two feature rows."""
-    n = x.shape[0]
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=max_pairs)
-    j = (i + rng.integers(1, n, size=max_pairs)) % n
-    total = 0.0
-    chunk = 100_000
-    for lo in range(0, max_pairs, chunk):
-        a = x[i[lo : lo + chunk]]
-        b = x[j[lo : lo + chunk]]
-        num = (a - b) ** 2
-        den = a + b
-        terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        vals = terms.sum(axis=1)
-        vals *= 0.5
-        total += float(vals.sum())
-    return 1.0 / (total / max_pairs)

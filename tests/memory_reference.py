@@ -3,15 +3,14 @@ allocation-free reductions.
 
 Each function is the expression the bounded code replaced, kept
 verbatim: one (n, P, d_z) difference tensor for prototype matching, one
-full (n, d_z) pass per prototype for self-training, one max_pairs-long
-row-index array for the sampled gamma, one n^2 bool array for the Gram
-symmetry check, one stacked copy of the target and auxiliary rows for
-the dense run-wide distance matrix (whose ``np.ix_`` blocks a unit's
-gathers from the packed matrix must equal), and two whole-array bool
-masks for the input check. Tests require the bounded code to reproduce them bit for
-bit, and the input check to raise exactly as its mask form does;
-``scripts/bench_memory.py`` times and traces the chunked steps' two
-forms.
+full (n, d_z) pass per prototype for self-training, one n^2 bool array
+for the Gram symmetry check, one stacked copy of the target and
+auxiliary rows for the dense run-wide distance matrix (whose ``np.ix_``
+blocks a unit's gathers from the packed matrix must equal), and two
+whole-array bool masks for the input check. Tests require the bounded
+code to reproduce them bit for bit, and the input check to raise exactly
+as its mask form does; ``scripts/bench_memory.py`` times and traces the
+chunked steps' two forms.
 """
 
 from __future__ import annotations
@@ -38,20 +37,6 @@ def self_train(mat: np.ndarray, proj: np.ndarray, k: int) -> np.ndarray:
         neighbours = np.argsort(d2, kind="stable")[:k]
         adapted.append(l2_normalize(proj[neighbours].mean(axis=0)))
     return np.vstack(adapted)
-
-
-def sampled_gamma_from_distances(d: np.ndarray, max_pairs: int, seed: int = 0) -> float:
-    """Reciprocal mean of ``max_pairs`` seeded off-diagonal entries of ``d``."""
-    n = d.shape[0]
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=max_pairs)
-    total = 0.0
-    chunk = 100_000
-    for lo in range(0, max_pairs, chunk):
-        rows = i[lo : lo + chunk]
-        cols = (rows + rng.integers(1, n, size=rows.size)) % n
-        total += float(d[rows, cols].sum())
-    return 1.0 / (total / max_pairs)
 
 
 def validate_gram(g: np.ndarray) -> np.ndarray:

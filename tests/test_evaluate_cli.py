@@ -368,15 +368,17 @@ class TestZslEvaluation:
 
     def test_auxiliary_colliding_with_unseen_class_fails_loudly(self, toy_world, tmp_path):
         # auxiliary data reusing a target class must be rejected on any
-        # split that holds that class out
+        # split that holds that class out, at set-up, before any distance
+        # is computed or a run directory exists
         ds = load_dataset(toy_world["target"])
         path = tmp_path / "bad_aux.csv"
         write_class_subset(ds, ds.class_vocabulary[:3], path)
         config = base_config(
-            toy_world, tmp_path, augment=True, auxiliary_path=str(path), split_count=4
+            toy_world, tmp_path / "runs", augment=True, auxiliary_path=str(path), split_count=4
         )
-        with pytest.raises(RuntimeError, match="collides with an unseen class"):
+        with pytest.raises(ValueError, match=r"^split \d+: auxiliary class '.+' collides"):
             run_zsl_evaluation(config)
+        assert not (tmp_path / "runs").exists()
 
     def test_fingerprint_changes_with_any_field(self, toy_world, tmp_path):
         base = base_config(toy_world, tmp_path)
@@ -681,6 +683,23 @@ class TestCli:
         assert doc["config"]["split_seed"] == 9
         assert doc["config"]["gamma"] == 1.5
 
+    def test_integer_and_float_spellings_share_one_run_directory(self, toy_world, tmp_path):
+        runs = tmp_path / "runs"
+        base = {
+            "target_path": str(toy_world["target"]),
+            "embedding_path": str(toy_world["embeddings"]),
+            "out_dir": str(runs),
+            "split_count": 1,
+        }
+        for k, spelling in enumerate(({"svr_c": 2, "gamma": 1}, {"svr_c": 2.0, "gamma": 1.0})):
+            config_path = tmp_path / f"exp{k}.json"
+            config_path.write_text(json.dumps({**base, **spelling}))
+            assert main(["eval-zsl", "--config", str(config_path)]) == 0
+        assert main(["eval-zsl", "--config", str(config_path), "--gamma", "1"]) == 0
+        (run_dir,) = runs.iterdir()
+        config = json.loads((run_dir / "report.json").read_text())["config"]
+        assert config["svr_c"] == 2.0 and config["gamma"] == 1.0
+
     def test_nonconvergence_error_json_has_diagnostics(self, toy_world, tmp_path, capsys):
         config_path = tmp_path / "exp.json"
         config_path.write_text(
@@ -908,3 +927,22 @@ class TestQuantizeCli:
         ds = load_dataset(out / "features.csv")
         assert ds.labels[0].key == "brush hair"
         np.testing.assert_allclose(ds.features.sum(axis=1), np.ones(3))
+
+    def test_an_id_the_labels_file_does_not_list_fails(self, tmp_path, capsys):
+        paths = self._write_descriptors(tmp_path)
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text("video0,brush_hair\nvideo1,run\n")
+        out = tmp_path / "out"
+        # 90 descriptors cannot make 100 centroids: the labels fail first
+        code = main(
+            [
+                "quantize", "--descriptors", *paths, "--k", "100",
+                "--labels", str(labels_path), "--out", str(out),
+            ]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {
+            "error": f"{labels_path}: no label for id 'video2'", "type": "ValueError"
+        }
+        assert not out.exists()

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import sys
@@ -47,15 +46,6 @@ def brute_force_mean_pair_distance(vectors):
     d = distance_oracle.chi2_matrix(v, v)
     n = len(v)
     return sum(d[i, j] for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
-
-
-@contextlib.contextmanager
-def gamma_sample(max_pairs, seed):
-    """Sample gamma's pairs as ``max_pairs`` pairs drawn from ``seed``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zslkit.kernels, "GAMMA_MAX_PAIRS", max_pairs)
-        mp.setattr(zslkit.kernels, "GAMMA_SEED", seed)
-        yield
 
 
 def chi2(a, b) -> float:
@@ -180,16 +170,6 @@ class TestHeuristicGamma:
         expected = 1.0 / brute_force_mean_pair_distance(list(doubled))
         assert heuristic_gamma(doubled) == pytest.approx(expected, rel=1e-12)
 
-    def test_subsampling_is_seeded_and_close(self):
-        rng = np.random.default_rng(14)
-        vecs = rng.dirichlet(np.ones(6), size=40)
-        exact = heuristic_gamma(vecs)
-        with gamma_sample(400, 7):
-            sampled_a = heuristic_gamma(vecs)
-            sampled_b = heuristic_gamma(vecs)
-        assert sampled_a == sampled_b
-        assert sampled_a == pytest.approx(exact, rel=0.25)
-
     def test_euclidean_variant_uses_squared_distance(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         total = 1.0 + 4.0 + 5.0  # squared distances of the three pairs
@@ -295,71 +275,33 @@ class TestRunWideDistances:
         n = x.shape[0]
         s = data.draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
         block = distance_matrix(x)[np.ix_(s, s)]
-        n_pairs = len(s) * (len(s) - 1)
-        # the default budget takes the exact mean; one pair fewer samples
-        for max_pairs in (1_000_000, n_pairs - 1):
-            kw = dict(max_pairs=max_pairs, seed=5)
-            with gamma_sample(**kw):
-                try:
-                    expected = heuristic_gamma(x[s])
-                except ValueError:
-                    with pytest.raises(ValueError, match="identical"):
-                        gamma_from_distances(block)
-                    continue
-                assert gamma_from_distances(block) == expected
-            if max_pairs < n_pairs:
-                assert distance_oracle.sampled_gamma(x[s], **kw) == expected
+        try:
+            expected = heuristic_gamma(x[s])
+        except ValueError:
+            with pytest.raises(ValueError, match="identical"):
+                gamma_from_distances(block)
+            return
+        assert gamma_from_distances(block) == expected
 
-    def test_sampled_gamma_matches_direct_pairs_across_chunks(self):
-        rng = np.random.default_rng(31)
-        x = rng.dirichlet(np.full(40, 0.3), size=500)
-        # below n(n-1); the last of the 100k-pair chunks is partial
-        kw = dict(max_pairs=240_000, seed=9)
-        with gamma_sample(**kw):
-            gamma = heuristic_gamma(x)
-        assert gamma == distance_oracle.sampled_gamma(x, **kw)
-
-    def test_sampled_gamma_holds_one_pair_index_array(self):
-        # 1100 rows give 1.2M ordered pairs, so 1e6 are sampled: the row
-        # indices take 8 MB, and the column indices only a chunk at a time
-        n, max_pairs = 1100, 1_000_000
-        d = np.ones((n, n))
-        np.fill_diagonal(d, 0.0)
+    def test_gamma_is_the_exact_mean_over_every_pair_of_a_large_block(self):
+        # 1100 rows give 1,208,900 ordered pairs, and the mean takes them all
+        rng = np.random.default_rng(34)
+        x = rng.dirichlet(np.full(8, 0.5), size=1100)
+        block = distance_matrix(x)
+        n = block.shape[0]
+        assert np.unique(block[np.triu_indices(n, 1)]).size == n * (n - 1) // 2
+        expected = 1.0 / (block.sum() / (n * (n - 1)))
         tracemalloc.start()
         try:
-            gamma = gamma_from_distances(d)
+            gamma = gamma_from_distances(block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert gamma == pytest.approx(1.0, rel=0.01)
-        assert peak < 2 * 8 * max_pairs
-
-    def test_sampled_gamma_holds_only_chunks(self):
-        # the row indices are replayed a chunk at a time, so no array grows
-        # with max_pairs; the whole-length row-index array alone took 8 MB
-        n, max_pairs = 1100, 1_000_000
-        d = np.add.outer(np.arange(n), np.arange(n)) % 7 + 1.0
-        np.fill_diagonal(d, 0.0)
-        with gamma_sample(max_pairs, 3):
-            tracemalloc.start()
-            try:
-                gamma = gamma_from_distances(d)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 4 * 2**20
-        assert gamma == memory_reference.sampled_gamma_from_distances(d, max_pairs, seed=3)
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_sampled_gamma_matches_direct_pairs_with_odd_pair_count(self, seed):
-        # an odd count leaves half of a 64-bit draw buffered in the
-        # generator between the row and the column streams
-        rng = np.random.default_rng(33)
-        x = rng.dirichlet(np.full(20, 0.3), size=600)
-        kw = dict(max_pairs=250_001, seed=seed)
-        with gamma_sample(**kw):
-            gamma = gamma_from_distances(distance_matrix(x))
-        assert gamma == distance_oracle.sampled_gamma(x, **kw)
+        assert peak < 64 * 2**10
+        assert gamma == expected
+        assert fit_kernel(block)[0] == expected
+        mean = brute_force_mean_pair_distance(x)
+        assert heuristic_gamma(x) == pytest.approx(1.0 / mean, rel=1e-12, abs=0)
 
 
 def bits(a):
