@@ -15,12 +15,14 @@ Each problem is solved ``--repeats`` times on each path, alternating which
 path goes first in each repeat, with
 ``smo._TAIL_ROWS`` at 0 (``batched``: every step is one batched step) and at
 its default (``default``). For each path the file records the best and
-median wall time and a sha256 over every ``SmoResult`` field. For each
-problem it records its steps and row-iterations by live-row band: a step
-with L live rows counts once under L's band and adds L row-iterations. The
-default path takes the steps of the bands up to ``_TAIL_ROWS`` one row at a
-time. Each workload's entry also records the prediction hash, whether it
-matches the hash perfbench recorded for the seed, and the mean accuracy.
+median wall time, the best time per row-iteration (the cost of one row's
+pair update on that path) and a sha256 over every ``SmoResult`` field.
+For each problem it records its steps and row-iterations by live-row
+band: a step with L live rows counts once under L's band and adds L
+row-iterations. The default path takes the steps of the bands up to
+``_TAIL_ROWS`` one row at a time. Each workload's entry also records the
+prediction hash, whether it matches the hash perfbench recorded for the
+seed, and the mean accuracy.
 Exits 1, after writing the file, if any hash differs between the paths.
 
 BLAS runs on one thread, as in perfbench.
@@ -155,6 +157,7 @@ def bench_problem(prob: dict, repeats: int) -> dict:
              "live_row_bands": live_row_bands(res.row_iterations)}
     for path, ts in times.items():
         entry[path] = {"best_s": round(min(ts), 5), "median_s": round(statistics.median(ts), 5),
+                       "us_per_row_iteration": round(1e6 * min(ts) / res.iterations, 3),
                        "sha256": digests[path]}
     entry["speedup_best"] = round(entry["batched"]["best_s"] / entry["default"]["best_s"], 3)
     entry["hashes_match"] = digests["batched"] == digests["default"]

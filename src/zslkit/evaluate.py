@@ -105,6 +105,11 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 what = "an integer" if kinds is int else "a number"
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+            if kinds is not int and isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(f"{name} is an integer too large for a float") from None
         # each solver config's message starts with the bare field name
         for prefix, solver_config in (("svr_", self.svr_config), ("svc_", self.svc_config)):
             try:

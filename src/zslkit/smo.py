@@ -25,12 +25,13 @@ Rows are stepped together: one batched step moves every live row with a
 few numpy calls over (2, live) arrays. That step costs about the same for
 one live row as for a dozen, and most rows stop long before the slowest,
 so once at most ``_TAIL_ROWS`` rows are live each of them finishes on its
-own with a scalar step, Python floats for the pair and numpy only for the
-selection and the gradient update over the row. The two steps do the same
-floating-point operations in the same order, including the -0.0 a clip
-can keep and the priority of i when both variables reach a bound, so every
-row's iterates are bit-identical on either path, and are those of solving
-it alone.
+own with a scalar step: Python floats for the pair and the row's ``a``,
+and six numpy calls per update (the two selections, two Gram-row
+scalings, their sum and one subtraction over the row's tiles). The two
+steps do the same floating-point operations in the same order, including
+the -0.0 a clip can keep and the priority of i when both variables reach
+a bound, so every row's iterates are bit-identical on either path, and
+are those of solving it alone.
 
 A row's solution is returned both as its dual ``a`` and as the weights
 ``coef`` of the kernel expansion sum_i coef_i K(x_i, .) + bias it defines:
@@ -209,59 +210,68 @@ def solve(
         cl[lines, ij] = np.where(np.where(plus, above, below), crit, np.inf)
 
     # The few rows left finish one at a time with the same step in Python
-    # floats, on one (2, m) copy of the row's cu and cl lines, which costs
-    # far fewer numpy calls per iteration.
+    # floats, on one (2, m) copy of the row's cu and cl lines and a list
+    # copy of its a, with six numpy calls an update.
     dg = diag.tolist()
+    rows = list(gram)  # row views, taken once per solve
     ku, kv = np.empty(n), np.empty(n)
     pair = np.empty((2, m))
     cuk, clk = pair
     tiles = pair.reshape(2 * (m // n), n)
+    top, bottom, cu_at, cl_at, gram_at = cuk.argmax, clk.argmin, cuk.item, clk.item, gram.item
+    mul, add, sub = np.multiply, np.add, np.subtract
     for line, k in enumerate(live.tolist()):
         pair[0], pair[1] = cu[line], cl[line]
-        ak = a[k]
+        ak = a[k].tolist()
         zk = z[k].tolist()
         it = int(iters[k])
         while True:
-            i, j = int(cuk.argmax()), int(clk.argmin())
-            gap = cuk.item(i) - clk.item(j)
+            i, j = int(top()), int(bottom())
+            gap = cu_at(i) - cl_at(j)
             if gap <= tolerance or it >= max_iter:
                 iters[k] = it
+                a[k] = ak
                 if settle(k, cuk, clk):
                     break
                 continue
-            zi, zj, ai, aj, ni, nj = zk[i], zk[j], ak.item(i), ak.item(j), i % n, j % n
-            quad = dg[ni] + dg[nj] - 2.0 * zi * zj * gram.item(ni, nj)
-            step = gap / max(quad, 1e-12)
-            # a_i moves by +z_i * step and a_j by -z_j * step
-            room_i = c - ai if zi > 0 else ai
-            room_j = aj if zj > 0 else c - aj
-            step = min(step, min(room_i, room_j))
+            zi, zj, ai, aj = zk[i], zk[j], ak[i], ak[j]
+            ni, nj = (i - n if i >= n else i), (j - n if j >= n else j)
+            quad = dg[ni] + dg[nj] - 2.0 * zi * zj * gram_at(ni, nj)
+            # min and max written out return the operand the builtins
+            # would (-0.0 and NaN included), without a call
+            step = gap / (1e-12 if 1e-12 > quad else quad)
+            # a_i moves by +z_i * step and a_j by -z_j * step; i is in the
+            # up set and j in the low set
+            room_i, bound_i, was_low_i = (c - ai, c, ai > 0.0) if zi > 0 else (ai, 0.0, ai < c)
+            room_j, bound_j, was_up_j = (aj, 0.0, aj < c) if zj > 0 else (c - aj, c, aj > 0.0)
+            room = room_j if room_j < room_i else room_i
+            step = room if room < step else step
             at_i = step == room_i
             at_j = step == room_j and not at_i
-            bound_i = c if zi > 0 else 0.0
-            bound_j = 0.0 if zj > 0 else c
             za = zi * ai + zj * aj
             new_i = bound_i if at_i else zi * (za - zj * bound_j) if at_j else ai + zi * step
             new_j = bound_j if at_j else zj * (za - zi * bound_i) if at_i else aj - zj * step
-            # max(x, 0.0) keeps -0.0, as the batched clip does
-            new_i = min(max(new_i, 0.0), c)
-            new_j = min(max(new_j, 0.0), c)
+            # the clip to [0, c] keeps -0.0, as the batched clip does
+            new_i = 0.0 if 0.0 > new_i else c if c < new_i else new_i
+            new_j = 0.0 if 0.0 > new_j else c if c < new_j else new_j
             ak[i], ak[j] = new_i, new_j
             it += 1
 
-            np.multiply(gram[ni], zi * (new_i - ai), out=ku)
-            np.multiply(gram[nj], zj * (new_j - aj), out=kv)
-            np.add(ku, kv, out=ku)
-            np.subtract(tiles, ku, out=tiles)
+            mul(rows[ni], zi * (new_i - ai), ku)
+            mul(rows[nj], zj * (new_j - aj), kv)
+            add(ku, kv, ku)
+            sub(tiles, ku, tiles)
 
-            crit_i = cuk.item(i) if cuk.item(i) > _NEG_INF else clk.item(i)
-            crit_j = cuk.item(j) if cuk.item(j) > _NEG_INF else clk.item(j)
+            # a member's entry already holds its new crit and a non-member's
+            # its infinity, so only a change of set membership is written
             up_i, low_i = (new_i < c, new_i > 0.0) if zi > 0 else (new_i > 0.0, new_i < c)
             up_j, low_j = (new_j < c, new_j > 0.0) if zj > 0 else (new_j > 0.0, new_j < c)
-            cuk[i] = crit_i if up_i else _NEG_INF
-            cuk[j] = crit_j if up_j else _NEG_INF
-            clk[i] = crit_i if low_i else _INF
-            clk[j] = crit_j if low_j else _INF
+            if not up_i or low_i != was_low_i:
+                crit = cu_at(i)
+                cuk[i], clk[i] = crit if up_i else _NEG_INF, crit if low_i else _INF
+            if not low_j or up_j != was_up_j:
+                crit = cl_at(j)
+                cuk[j], clk[j] = crit if up_j else _NEG_INF, crit if low_j else _INF
 
     # the compacted views still hold both (r, m) buffers
     del cu, cl

@@ -780,8 +780,15 @@ class TestCli:
             ("svr_max_passes", 0, "svr_max_passes must be at least 1"),
             ("svc_c", 0, "svc_c must be positive, got 0"),
             ("svc_tolerance", 0.0, "svc_tolerance must be positive, got 0.0"),
+            *(
+                (name, 10**400, f"{name} is an integer too large for a float")
+                for name in ("svr_c", "svc_c", "svr_epsilon", "svr_tolerance", "svc_tolerance",
+                             "gamma")
+            ),
         ],
-        ids=["svr_c", "svr_epsilon", "svr_max_passes", "svc_c", "svc_tolerance"],
+        ids=["svr_c", "svr_epsilon", "svr_max_passes", "svc_c", "svc_tolerance", "svr_c-10**400",
+             "svc_c-10**400", "svr_epsilon-10**400", "svr_tolerance-10**400",
+             "svc_tolerance-10**400", "gamma-10**400"],
     )
     def test_config_solver_value_out_of_range_fails(
         self, toy_world, tmp_path, capsys, field, value, message
