@@ -15,12 +15,12 @@ Run it from the repository root. Each stage runs at a fixed seeded shape:
 - ``symmetry``: ``svr._validate_gram`` of an exactly symmetric 4,000-row
   Gram matrix, which it returns uncopied (any asymmetry raises); its
   former form compares the whole matrix with its transpose at once;
-- ``run_distances``: ``evaluate._run_distances``, the run-wide chi-square
-  matrix of 320 target and 128 auxiliary histograms of 1,000 bins (the
-  zsl-wide shape), each pair stored once and filled a band of rows at a
-  time from the two row blocks; its former form computes the dense matrix
-  from a stacked copy of the rows. The packed matrix is hashed as its
-  dense expansion, and the entry records both sizes;
+- ``run_distances``: the run-wide chi-square matrix of 320 target and 128
+  auxiliary histograms of 1,000 bins (the zsl-wide shape): the rows
+  stacked by ``evaluate._run_features``, then ``kernels.PackedDistances``,
+  one symmetric fill with each pair stored once; its former form mirrors
+  a dense matrix of the stacked rows, row by row. The packed matrix is
+  hashed as its dense expansion, and the entry records both sizes;
 - ``unit_block``: the (1,040, 1,040) block of one unit's rows, gathered
   from the packed matrix of a 1,440-row run (the zsl-deep shape) against
   ``np.ix_`` on the dense matrix.
@@ -51,7 +51,7 @@ import numpy as np  # noqa: E402
 
 import memory_reference as reference  # noqa: E402
 from bench_parse import measure  # noqa: E402
-from zslkit import evaluate, svr, zsl  # noqa: E402
+from zslkit import evaluate, kernels, svr, zsl  # noqa: E402
 
 
 def digest(*arrays) -> str:
@@ -98,20 +98,25 @@ def dense(r) -> np.ndarray:
     return r.block(every, every)
 
 
+def run_matrix(target, aux):
+    """A run's packed matrix, from its target and auxiliary rows."""
+    return kernels.PackedDistances(evaluate._run_features(target, aux))
+
+
 def run_distances(rng):
     target, aux = (rng.random((n, 1000)) * (rng.random((n, 1000)) < 0.5) for n in (320, 128))
     n = len(target) + len(aux)
-    packed = evaluate._run_distances(target, aux).cells.nbytes
+    packed = run_matrix(target, aux).cells.nbytes
     return ("320 + 128 x 1000",
             lambda: reference.run_distances(target, aux),
-            lambda: evaluate._run_distances(target, aux),
+            lambda: run_matrix(target, aux),
             lambda r: digest(dense(r)),
             {"dense_bytes": 8 * n * n, "packed_bytes": packed})
 
 
 def unit_block(rng):
     target, aux = rng.random((800, 32)), rng.random((640, 32))
-    full, packed = reference.run_distances(target, aux), evaluate._run_distances(target, aux)
+    full, packed = reference.run_distances(target, aux), run_matrix(target, aux)
     rows = np.sort(rng.choice(len(full), 1040, replace=False))
     return ("1040 of 1440 rows",
             lambda: full[np.ix_(rows, rows)],

@@ -81,17 +81,22 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
         for key, mat in read_descriptor_file(path):
             groups.append((key if key is not None else Path(path).stem, mat))
     ids = [key for key, _ in groups]
-    labels_map: dict[str, str] = {}
+    labels_map: dict[str, Label] = {}
     if args.labels:
-        for line in Path(args.labels).read_text(encoding="utf-8").splitlines():
+        lines = Path(args.labels).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            id_, _, label = line.partition(",")
-            labels_map[id_] = label
+            id_, _, raw = line.partition(",")
+            try:
+                labels_map[id_] = Label.of(raw)
+            except ValueError as exc:
+                raise ValueError(f"{args.labels}:{lineno}: id {id_!r}: {exc}") from None
         missing = [key for key in ids if key not in labels_map]
         if missing:
             raise ValueError(f"{args.labels}: no label for id {missing[0]!r}")
-    labels = [Label.of(labels_map.get(key, "unknown")) for key in ids]
+    unknown = Label.of("unknown")
+    labels = [labels_map.get(key, unknown) for key in ids]
 
     all_desc = np.vstack([mat for _, mat in groups])
     rng = np.random.default_rng(args.seed)

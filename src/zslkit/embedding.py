@@ -8,6 +8,7 @@ UTF-8, newline-terminated.
 from __future__ import annotations
 
 import math
+import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,11 +19,15 @@ import numpy as np
 from . import textblocks
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+# an ASCII lowercase letter followed by an uppercase one: UCF101's
+# ``ApplyEyeMakeup`` is three words
+_CAMEL_BOUNDARY = re.compile(r"(?<=[a-z])(?=[A-Z])")
 
 
 def tokenize(raw: str) -> tuple[str, ...]:
-    """Lowercase, split on whitespace and underscores, strip ASCII punctuation."""
-    parts = raw.lower().replace("_", " ").split()
+    """Split at each lowercase-to-uppercase boundary, lowercase, split on
+    whitespace and underscores, strip ASCII punctuation."""
+    parts = _CAMEL_BOUNDARY.sub(" ", raw).lower().replace("_", " ").split()
     return tuple(t for t in (p.translate(_PUNCT_TABLE) for p in parts) if t)
 
 

@@ -23,7 +23,7 @@ from . import smo
 from .data import Dataset, SplitSpec, generate_splits, load_dataset, save_split
 from .embedding import EmbeddingStore, Label, label_tokens, load_embeddings
 from .kernels import (
-    distance_matrix,
+    PackedDistances,
     fit_kernel,
     gram_matrix,
     heuristic_gamma,  # noqa: F401  (perfbench/spans.py wraps evaluate.heuristic_gamma)
@@ -229,105 +229,17 @@ def _score(
     return accuracy, balanced
 
 
-# Floats in one fill band's scratch: a few rows of the run against every
-# later row. Each band costs a few chi-square calls, each starting threads.
-_BAND_FLOATS = 1 << 18
-# Output cells per gather chunk; each chunk holds three int64 index
-# temporaries of this size.
-_GATHER_CELLS = 1 << 14
-
-
-class _PackedDistances:
-    """A run's (n, n) chi-square matrix with each pair stored once.
-
-    The matrix is exactly symmetric with an exactly-zero diagonal, so row
-    i keeps only its distances to rows i+1 .. n-1, one row after another,
-    and one trailing 0.0 serves every diagonal cell: n(n-1)/2 + 1 floats
-    instead of n^2. :meth:`block` gives any block of the full matrix.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.cells = np.empty(n * (n - 1) // 2 + 1)
-        self.cells[-1] = 0.0
-        i = np.arange(n, dtype=np.intp)
-        # cell (i, j), i < j, is at base[i] + j
-        self._base = i * (2 * n - 3 - i) // 2 - 1
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The C-ordered (len(rows), len(cols)) block ``dense[np.ix_(rows,
-        cols)]`` of the full matrix, for any row indices in [0, n), sorted
-        or not, repeated or shared between ``rows`` and ``cols``. It is
-        gathered a bounded chunk of cells at a time."""
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        for side in (rows, cols):
-            if side.size and (side.min() < 0 or side.max() >= self.n):
-                raise IndexError(f"row indices must lie in [0, {self.n})")
-        out = np.empty((rows.size, cols.size))
-        width = max(1, min(cols.size, _GATHER_CELLS))
-        height = max(1, _GATHER_CELLS // width)
-        for r0 in range(0, rows.size, height):
-            i = rows[r0 : r0 + height, None]
-            for c0 in range(0, cols.size, width):
-                j = cols[None, c0 : c0 + width]
-                lo, hi = np.minimum(i, j), np.maximum(i, j)
-                at = self._base[lo]
-                at += hi
-                np.putmask(at, lo == hi, self.cells.size - 1)
-                # a chunk of out is contiguous (full rows, or part of one
-                # row), and with the indices checked above "clip" mode
-                # writes it without a buffer
-                np.take(self.cells, at, out=out[r0 : r0 + height, c0 : c0 + width], mode="clip")
-                del lo, hi, at  # free before the next chunk's are made
-        return out
-
-
-def _run_distances(
-    target: np.ndarray, auxiliary: np.ndarray | None = None
-) -> _PackedDistances:
-    """Chi-square distances between all target rows followed by all
-    auxiliary rows, each pair stored once. Every split or fold gathers
-    its gamma, Gram matrix and test kernel rows from this one matrix.
-
-    The cells are filled a band of rows at a time, within one row block
-    (target or auxiliary): the band against itself by the symmetric path,
-    then against the later rows of its block and the later blocks, into
-    one scratch array whose upper triangle is copied out. No stacked copy
-    of the features and no dense (n, n) array is made, and every cell
-    equals the one the stacked rows would give.
-    """
-    blocks = [target]
-    if auxiliary is not None and len(auxiliary):
-        if auxiliary.shape[1] != target.shape[1]:
-            raise ValueError(
-                f"feature dimension mismatch: target d_x={target.shape[1]}, "
-                f"auxiliary d_x={auxiliary.shape[1]}"
-            )
-        blocks.append(auxiliary)
-    n = sum(len(x) for x in blocks)
-    dist = _PackedDistances(n)
-    # the scratch holds at most n^2/8 floats beside the packed n^2/2; one
-    # as large as the packed cells measured a higher peak RSS over
-    # repeated runs, as later unit arrays reused the freed heap
-    height = max(1, min(_BAND_FLOATS // max(n, 1), n // 8))
-    scratch = np.empty(height * n)
-    g0 = at = 0  # run row of the band's first row, and its first packed cell
-    for b, x in enumerate(blocks):
-        for r0 in range(0, len(x), height):
-            r1 = min(r0 + height, len(x))
-            band, h, w = x[r0:r1], r1 - r0, n - g0
-            out = scratch[: h * w].reshape(h, w)
-            distance_matrix(band, out=out[:, :h])
-            c0 = h
-            for later in [x[r1:]] + blocks[b + 1 :]:
-                if len(later):
-                    distance_matrix(band, later, out=out[:, c0 : c0 + len(later)])
-                    c0 += len(later)
-            for k in range(h):
-                dist.cells[at : at + w - k - 1] = out[k, k + 1 :]
-                at += w - k - 1
-            g0 += h
-    return dist
+def _run_features(target: np.ndarray, auxiliary: np.ndarray | None = None) -> np.ndarray:
+    """The feature rows of a run's distance matrix: all target rows
+    followed by all auxiliary rows."""
+    if auxiliary is None or not len(auxiliary):
+        return target
+    if auxiliary.shape[1] != target.shape[1]:
+        raise ValueError(
+            f"feature dimension mismatch: target d_x={target.shape[1]}, "
+            f"auxiliary d_x={auxiliary.shape[1]}"
+        )
+    return np.vstack([target, auxiliary])
 
 
 def _mem_available() -> int | None:
@@ -358,7 +270,7 @@ def _check_memory(n_run: int, n_unit: int) -> None:
 
 def _fit_regressor(
     config: ExperimentConfig,
-    dist: _PackedDistances,
+    dist: PackedDistances,
     rows: np.ndarray,
     targets: np.ndarray,
     *row_sets: np.ndarray,
@@ -493,11 +405,17 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
         rows_of = np.bincount(class_of[:n_target], minlength=len(index))
         seen = max(sum(int(rows_of[index[lab]]) for lab in s.seen) for s in splits)
         _check_memory(len(class_of), seen + len(class_of) - n_target)
-        dist = _run_distances(
+        features = _run_features(
             target.features, auxiliary.features if auxiliary is not None else None
         )
+        # the per-file rows go before the run matrix is made; a unit reads
+        # the matrix, not the features
+        del target, auxiliary
+        dist = PackedDistances(features)
+        del features
         aux_rows = np.arange(n_target, dist.n)
-    del target, auxiliary  # a unit reads the run matrix, not the features
+    else:
+        del target, auxiliary
     k = config.k_neighbors if config.self_train else None
 
     def fit_predict(split: SplitSpec, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
@@ -583,7 +501,7 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     _, vectors, class_of = _run_classes(store, dataset)
     ids, labels = dataset.ids, dataset.labels
     _check_memory(len(ids), max(train.size for train, _ in folds))
-    dist = _run_distances(dataset.features)
+    dist = PackedDistances(dataset.features)
     del dataset  # a unit reads the run matrix, not the features
     svc_config = config.svc_config()
 

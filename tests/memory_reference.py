@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+import distance_oracle
 from zslkit.embedding import l2_normalize
-from zslkit.kernels import distance_matrix
 
 
 def nearest_prototype(mat: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,8 +48,9 @@ def validate_gram(g: np.ndarray) -> np.ndarray:
 
 def run_distances(target: np.ndarray, auxiliary: np.ndarray) -> np.ndarray:
     """Dense chi-square distances of the target rows stacked on the
-    auxiliary rows."""
-    return distance_matrix(np.vstack([target, auxiliary]))
+    auxiliary rows, each row's upper triangle mirrored into the lower."""
+    x = np.vstack([target, auxiliary])
+    return distance_oracle.chi2_distance_matrix(x, x)
 
 
 def check_matrix(m: np.ndarray, name: str, require_nonnegative: bool) -> None:

@@ -37,21 +37,12 @@ def traced(evaluate, config, monkeypatch):
 
 
 def assert_chi2_blocks(rec, layers, datasets):
-    """One traced chi-square call for each fill band of a row block
-    against itself, and one against the later rows of its block and one
-    against each later block, so that no cell below the diagonal is
-    computed outside a band's own square; and an embedding store holding
-    only the labels' tokens."""
-    sizes = [len(ds) for ds in datasets]
-    n = sum(sizes)
-    height = max(1, min(zslkit.evaluate._BAND_FLOATS // n, n // 8))
-    pairs = []
-    for b, size in enumerate(sizes):
-        for r0 in range(0, size, height):
-            h = min(height, size - r0)
-            pairs += [(h, h)] + [(h, m) for m in [size - r0 - h, *sizes[b + 1 :]] if m]
-    assert [s[0] for s in rec.spans].count("kernels.chi2_distance_matrix") == len(pairs)
-    assert layers["kernels.chi2_cells"] == sum(m * n for m, n in pairs)
+    """One traced chi-square call, over every run row against itself,
+    reached through ``zslkit.kernels.chi2_distance_matrix``; and an
+    embedding store holding only the labels' tokens."""
+    n = sum(len(ds) for ds in datasets)
+    assert [s[0] for s in rec.spans].count("kernels.chi2_distance_matrix") == 1
+    assert layers["kernels.chi2_cells"] == n * n
     vocabulary = [label for ds in datasets for label in ds.class_vocabulary]
     assert layers["embedding.tokens"] == len(label_tokens(vocabulary))
 

@@ -20,6 +20,15 @@ class TestTokenize:
         assert tokenize("Brush_Hair") == ("brush", "hair")
         assert tokenize("ride horse") == ("ride", "horse")
 
+    def test_splits_camel_case(self):
+        assert tokenize("ApplyEyeMakeup") == ("apply", "eye", "makeup")
+        assert tokenize("YoYo") == ("yo", "yo")
+        assert Label.of("BrushHair") == Label.of("brush_hair")
+        # lowercase, underscored and numbered names keep their tokens
+        for raw, tokens in (("brush_hair", ("brush", "hair")), ("Brush_Hair", ("brush", "hair")),
+                            ("class07", ("class07",)), ("HMDB", ("hmdb",))):
+            assert tokenize(raw) == tokens
+
     def test_strips_ascii_punctuation(self):
         assert tokenize("don't stop!") == ("dont", "stop")
 

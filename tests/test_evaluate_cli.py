@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import zslkit.evaluate
+import zslkit.kernels
 import zslkit.smo
 from zslkit.cli import main
 from zslkit.data import generate_splits, load_dataset, write_features_csv
@@ -282,6 +283,38 @@ class TestZslEvaluation:
             run_zsl_evaluation(config)
         assert not (tmp_path / "runs").exists()
 
+    def test_camel_case_labels_find_their_words(self, toy_world, tmp_path):
+        # UCF101 spells its classes ApplyEyeMakeup, YoYo, ...: each word is
+        # a token of the embedding file
+        names = [
+            "ApplyEyeMakeup", "YoYo", "PlayingDhol", "JumpRope",
+            "BlowDryHair", "PommelHorse", "SkyDiving", "WallPushups",
+        ]
+        target = load_dataset(toy_world["target"])
+        camel = dict(zip(target.class_vocabulary, names))
+        path = tmp_path / "target.csv"
+        d_x = target.features.shape[1]
+        lines = ["id,label," + ",".join(f"f{i}" for i in range(d_x))]
+        for id_, label, row in zip(target.ids, target.labels, target.features):
+            lines.append(",".join([id_, camel[label]] + [repr(float(v)) for v in row]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        words = sorted({w for name in names for w in re.findall("[A-Z][a-z]+", name)})
+        vectors = np.random.default_rng(5).normal(size=(len(words), 6))
+        lines = [f"{len(words)} 6"] + [
+            w.lower() + " " + " ".join(repr(float(v)) for v in vec)
+            for w, vec in zip(words, vectors)
+        ]
+        (tmp_path / "words.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = base_config(
+            toy_world, tmp_path / "runs", target_path=str(path),
+            embedding_path=str(tmp_path / "words.txt"),
+        )
+        report, _ = run_zsl_evaluation(config)
+        assert len(report.per_split_accuracy) == config.split_count
+        slugs = {"_".join(re.findall("[A-Z][a-z]+", name)).lower() for name in names}
+        assert "apply_eye_makeup" in slugs
+        assert report.confusion and set(report.confusion) <= slugs
+
     def test_self_train_requires_explicit_k(self, toy_world, tmp_path):
         config = base_config(toy_world, tmp_path, self_train=True)
         with pytest.raises(ValueError, match="k_neighbors"):
@@ -551,7 +584,7 @@ class TestRunMemory:
         )
         monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: need - 1)
         with monkeypatch.context() as m:
-            m.setattr(zslkit.evaluate, "distance_matrix", no_distances)
+            m.setattr(zslkit.kernels, "chi2_distance_matrix", no_distances)
             message = (
                 f"run needs {need:,} bytes for its {n_run}-row distance matrix and its "
                 f"largest unit's {n_unit}-row Gram block, but {need - 1:,} bytes are available"
@@ -934,6 +967,25 @@ class TestQuantizeCli:
         ds = load_dataset(out / "features.csv")
         assert ds.labels[0].key == "brush hair"
         np.testing.assert_allclose(ds.features.sum(axis=1), np.ones(3))
+
+    def test_a_label_with_no_tokens_names_the_file_line_and_id(self, tmp_path, capsys):
+        paths = self._write_descriptors(tmp_path)
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text("video0,brush_hair\n\nvideo1,run\nvideo2,\n")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "quantize", "--descriptors", *paths, "--k", "3",
+                "--labels", str(labels_path), "--out", str(out),
+            ]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {
+            "error": f"{labels_path}:4: id 'video2': label '' has no tokens after tokenization",
+            "type": "ValueError",
+        }
+        assert not out.exists()
 
     def test_an_id_the_labels_file_does_not_list_fails(self, tmp_path, capsys):
         paths = self._write_descriptors(tmp_path)

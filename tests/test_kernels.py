@@ -14,8 +14,9 @@ import distance_oracle
 import memory_reference
 import zslkit.evaluate
 import zslkit.kernels
-from zslkit.evaluate import _run_distances
+from zslkit.evaluate import _run_features
 from zslkit.kernels import (
+    PackedDistances,
     _as_matrix,
     chi2_distance_matrix,
     distance_matrix,
@@ -314,10 +315,28 @@ def expand(dist):
     return dist.block(every, every)
 
 
+def unpack(cells, n):
+    """The dense (n, n) matrix of ``n`` rows' packed chi-square cells, read
+    by the documented layout: the pairs i < j in row-major order, then
+    the diagonal's +0.0."""
+    assert cells.shape == (n * (n - 1) // 2 + 1,)
+    assert bits(cells[-1]) == 0  # +0.0, not -0.0
+    dense = np.zeros((n, n))
+    upper = np.triu_indices(n, 1)
+    dense[upper] = cells[:-1]
+    dense.T[upper] = cells[:-1]
+    return dense
+
+
+def run_matrix(target, auxiliary=None):
+    """A run's packed matrix, from its target and auxiliary rows."""
+    return PackedDistances(_run_features(target, auxiliary))
+
+
 class TestBlockwiseRunMatrix:
-    """An Aux run fills its packed matrix from the target and auxiliary row
-    blocks, a band of rows at a time; expanded, it must equal the matrix of
-    the stacked rows bit for bit."""
+    """A run stacks its target and auxiliary rows and fills its packed
+    matrix with one symmetric chi-square call; expanded, it must equal the
+    matrix of the stacked rows bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -333,34 +352,48 @@ class TestBlockwiseRunMatrix:
     def test_equals_stacked_matrix_bitwise(self, d, n_t, n_a, zero_frac, seed):
         rng = np.random.default_rng(seed)
         t, a = (rng.random((n, d)) * (rng.random((n, d)) >= zero_frac) for n in (n_t, n_a))
-        dist = expand(_run_distances(t, a))
-        stacked = distance_matrix(np.vstack([t, a]))
+        dist = expand(run_matrix(t, a))
+        stacked = distance_oracle.chi2_distance_matrix(*[np.vstack([t, a])] * 2)
         np.testing.assert_array_equal(bits(dist), bits(stacked))
         np.testing.assert_array_equal(dist, dist.T)
         assert not np.any(np.diag(dist))
 
     @settings(max_examples=100, deadline=None)
     @given(
-        height=st.integers(1, 6),
-        n_t=st.tuples(st.integers(0, 4), st.sampled_from([-1, 0, 1])),
-        n_a=st.tuples(st.integers(8, 10), st.sampled_from([-1, 0, 1])),
+        n_t=st.integers(0, 40),
+        n_a=st.integers(0, 40),
+        d=st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_t=0, n_a=0, d=1, seed=0)  # no rows: the one diagonal cell
+    @example(n_t=1, n_a=0, d=1, seed=0)
+    @example(n_t=40, n_a=40, d=1, seed=0)  # n*d far below one tile
+    def test_one_fill_equals_the_rectangular_matrix(self, n_t, n_a, d, seed):
+        # about 40% zero bins; the rectangular call computes both cells of
+        # each pair, with no packing and no symmetric mode
+        rng = np.random.default_rng(seed)
+        t, a = (rng.random((n, d)) * (rng.random((n, d)) >= 0.4) for n in (n_t, n_a))
+        x = np.vstack([t, a])
+        dist = run_matrix(t, a)
+        np.testing.assert_array_equal(bits(expand(dist)), bits(distance_matrix(x, x.copy())))
+        np.testing.assert_array_equal(bits(unpack(dist.cells, dist.n)), bits(expand(dist)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_t=st.integers(1, 12),
+        n_a=st.integers(0, 10),
         chunk=st.sampled_from([1, 3, 8, 1 << 14]),
         data=st.data(),
     )
-    @example(height=1, n_t=(0, 1), n_a=(0, 0), chunk=1 << 14, data=None)  # N=1
-    def test_block_gathers_the_stacked_cells(self, height, n_t, n_a, chunk, data):
-        # bands of ``height`` rows (the auxiliary block is large enough that
-        # the n // 8 cap does not bind), with each block's row count at a
-        # band boundary or one row off it; gathers in chunks of ``chunk``
-        n_t, n_a = (max(k * height + off, 0) for k, off in (n_t, n_a))
-        n_t = max(n_t, 1)
-        rng = np.random.default_rng([height, n_t, n_a])
+    @example(n_t=1, n_a=0, chunk=1 << 14, data=None)  # N=1
+    def test_block_gathers_the_stacked_cells(self, n_t, n_a, chunk, data):
+        # gathers in chunks of ``chunk`` cells, of unsorted, repeated or
+        # shared row indices
+        rng = np.random.default_rng([n_t, n_a])
         t, a = rng.random((n_t, 5)) * (rng.random((n_t, 5)) < 0.6), rng.random((n_a, 5))
         n = n_t + n_a
-        stacked = distance_matrix(np.vstack([t, a]))
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(zslkit.evaluate, "_BAND_FLOATS", height * n)
-            dist = _run_distances(t, a)
+        stacked = distance_oracle.chi2_distance_matrix(*[np.vstack([t, a])] * 2)
+        dist = run_matrix(t, a)
         assert dist.cells.size == n * (n - 1) // 2 + 1
         np.testing.assert_array_equal(bits(expand(dist)), bits(stacked))
         if data is None:
@@ -373,13 +406,13 @@ class TestBlockwiseRunMatrix:
             if cols is None:
                 cols = np.array(data.draw(index), dtype=np.intp)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(zslkit.evaluate, "_GATHER_CELLS", chunk)
+            m.setattr(zslkit.kernels, "_GATHER_CELLS", chunk)
             block = dist.block(rows, cols)
         assert block.flags.c_contiguous and block.shape == (rows.size, cols.size)
         np.testing.assert_array_equal(bits(block), bits(stacked[np.ix_(rows, cols)]))
 
     def test_block_rejects_rows_outside_the_run(self):
-        dist = _run_distances(np.ones((3, 4)))
+        dist = PackedDistances(np.ones((3, 4)))
         for bad in ([3], [-1]):
             with pytest.raises(IndexError, match=r"row indices must lie in \[0, 3\)"):
                 dist.block(np.array(bad), np.arange(3))
@@ -389,42 +422,42 @@ class TestBlockwiseRunMatrix:
         for bad, message in ((-good, "negative"), (good * np.inf, "non-finite")):
             for pair in ((good, bad), (bad, good)):
                 with pytest.raises(ValueError, match=message):
-                    _run_distances(*pair)
+                    run_matrix(*pair)
         with pytest.raises(ValueError, match="feature dimension mismatch"):
-            _run_distances(good, np.ones((3, 5)))
+            _run_features(good, np.ones((3, 5)))
 
     def test_out_must_fit_the_result(self):
+        # packed cells when cols is rows, the rectangular shape otherwise
         x = np.ones((3, 4))
-        for out in (np.empty((3, 2)), np.empty((3, 3), dtype=np.float32)):
+        for out in (np.empty((3, 3)), np.empty(4, dtype=np.float32), np.empty(5)):
             with pytest.raises(ValueError, match="out must be float64 of shape"):
                 chi2_distance_matrix(x, x, out)
+        with pytest.raises(ValueError, match="out must be float64 of shape"):
+            chi2_distance_matrix(x, x.copy(), np.empty(4))
 
     def test_peak_holds_no_stacked_copy(self, monkeypatch):
-        # the stacked rows would take 3 MB and the dense matrix 74 KB; the
-        # fill holds the packed cells, one band's scratch (at most an eighth
-        # of the rows against all of them) and one worker's chi-square
-        # scratch, two arrays of 2^16 floats (1 MiB), with numpy's 64 KiB
-        # reduction buffer. The input checks' min and max reductions
-        # allocate no array
+        # the stacked rows are the caller's, 3 MB, and the dense matrix
+        # would take 74 KB; the fill holds the packed cells and one
+        # worker's chi-square scratch, two arrays of 2^16 floats (1 MiB),
+        # with numpy's 64 KiB reduction buffer. The input checks' min and
+        # max reductions allocate no array
         monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 1)
         rng = np.random.default_rng(46)
-        t, a = rng.random((64, 4000)), rng.random((32, 4000))
+        x = np.vstack([rng.random((64, 4000)), rng.random((32, 4000))])
         tracemalloc.start()
         try:
-            dist = _run_distances(t, a)
+            dist = PackedDistances(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n = dist.n
-        band = 8 * n * (n // 8)
         scratch = 2 * 8 * zslkit.kernels._TILE_FLOATS
-        assert peak < dist.cells.nbytes + band + scratch + 2**17
+        assert peak < dist.cells.nbytes + scratch + 2**17
 
     def test_gather_holds_its_block_and_bounded_chunks(self):
         # the (2000, 2000) block of a 2100-row run, its rows unsorted as a
         # folds file may list them: 32 MB of output, plus chunk temporaries
         # of 2^14 cells, 3 x 128 KB of int64
-        dist = _run_distances(np.random.default_rng(48).random((2100, 2)))
+        dist = PackedDistances(np.random.default_rng(48).random((2100, 2)))
         rows = np.random.default_rng(49).permutation(2100)[:2000]
         tracemalloc.start()
         try:
@@ -488,7 +521,7 @@ class TestInputCheck:
 class TestTiledChi2:
     """The chi-square matrix is computed in tiles spread over worker
     threads; it must equal the former single-threaded kernel bit for bit
-    for any worker count and shape."""
+    for any worker count and shape, packed when ``cols is rows``."""
 
     # per-dimension size caps keep each example well under a second while
     # still spanning several tiles (2^16 // d_x columns per tile)
@@ -512,23 +545,24 @@ class TestTiledChi2:
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(zslkit.kernels, "_worker_count", lambda w=workers: w)
-                sym = chi2_distance_matrix(x, x)
+                sym = unpack(chi2_distance_matrix(x, x), n)
                 cross = chi2_distance_matrix(x, y)
             np.testing.assert_array_equal(bits(sym), bits(sym_ref))
             np.testing.assert_array_equal(bits(cross), bits(cross_ref))
 
-    def test_multi_row_tiles_and_fewer_rows_than_workers(self, monkeypatch):
+    def test_fewer_rows_than_workers(self, monkeypatch):
         rng = np.random.default_rng(40)
-        x = rng.random((70, 32)) * (rng.random((70, 32)) > 0.5)  # 29-row blocks
+        x = rng.random((70, 32)) * (rng.random((70, 32)) > 0.5)
+        cols = x.copy()  # not ``x``, so that ``rows is x`` is a rectangular call
         monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 3)
-        for rows in (x, x[:2], x[:1]):
+        for rows in (x, x[:2], x[:1], x[:0]):
             np.testing.assert_array_equal(
-                bits(chi2_distance_matrix(rows, rows)),
+                bits(unpack(chi2_distance_matrix(rows, rows), len(rows))),
                 bits(distance_oracle.chi2_distance_matrix(rows, rows)),
             )
             np.testing.assert_array_equal(
-                bits(chi2_distance_matrix(rows, x)),
-                bits(distance_oracle.chi2_distance_matrix(rows, x)),
+                bits(chi2_distance_matrix(rows, cols)),
+                bits(distance_oracle.chi2_distance_matrix(rows, cols)),
             )
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
@@ -542,7 +576,9 @@ class TestTiledChi2:
             sym, cross = chi2_distance_matrix(x, x), chi2_distance_matrix(x, y)
         finally:
             sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(bits(sym), bits(distance_oracle.chi2_distance_matrix(x, x)))
+        np.testing.assert_array_equal(
+            bits(unpack(sym, 120)), bits(distance_oracle.chi2_distance_matrix(x, x))
+        )
         np.testing.assert_array_equal(bits(cross), bits(distance_oracle.chi2_distance_matrix(x, y)))
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
@@ -553,7 +589,8 @@ class TestTiledChi2:
         monkeypatch.setattr(threading, "Thread", no_threads)
         x = np.random.default_rng(41).random((30, 1000))
         np.testing.assert_array_equal(
-            bits(chi2_distance_matrix(x, x)), bits(distance_oracle.chi2_distance_matrix(x, x))
+            bits(unpack(chi2_distance_matrix(x, x), 30)),
+            bits(distance_oracle.chi2_distance_matrix(x, x)),
         )
 
     @pytest.mark.parametrize("where", ["worker", "caller"])

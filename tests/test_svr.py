@@ -10,8 +10,9 @@ from hypothesis.extra import numpy as hnp
 import memory_reference
 from qp_oracle import svr_dual_oracle
 from zslkit.embedding import l2_normalize
-from zslkit.evaluate import ExperimentConfig, _fit_regressor, _run_distances
+from zslkit.evaluate import ExperimentConfig, _fit_regressor, _run_features
 from zslkit.kernels import (
+    PackedDistances,
     distance_matrix,
     fit_kernel,
     gram_matrix,
@@ -206,7 +207,7 @@ class TestGramSymmetryCheck:
         # gathered by its rows, which a folds file may list unsorted or
         # repeated; the symmetry check must pass it through uncopied
         a = data.draw(hnp.arrays(np.float64, (n_a, t.shape[1]), elements=bins))
-        dist = _run_distances(t, a)
+        dist = PackedDistances(_run_features(t, a))
         rows = np.array(data.draw(st.lists(st.integers(0, dist.n - 1), min_size=2,
                                            max_size=2 * dist.n + 2)), dtype=np.intp)
         block = dist.block(rows, rows)
@@ -249,7 +250,7 @@ class TestRunKernelRows:
         # drawn row sets may be unsorted, repeated or empty; the training
         # rows' own set holds the pool columns of their Gram block
         a = data.draw(hnp.arrays(np.float64, (n_a, t.shape[1]), elements=bins))
-        dist = _run_distances(t, a)
+        dist = PackedDistances(_run_features(t, a))
         every = np.arange(dist.n)
         dense = dist.block(every, every)
         index = st.integers(0, dist.n - 1)
