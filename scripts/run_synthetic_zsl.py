@@ -2,8 +2,10 @@
 """Run the full zero-shot ablation grid on a synthetic corpus.
 
 Generates the corpus if it is not already present, then evaluates the
-four {self-train, augment} combinations plus the random baseline and the
-multi-shot SVM path, printing one summary table.
+four variants (NN, NN+ST, NN+Aux, NN+ST+Aux) plus the random baseline and
+the multi-shot SVM path, printing one summary table. Each variant is given
+only the values it uses, and a report of another variant than the one
+asked for fails the script.
 """
 
 import argparse
@@ -45,28 +47,26 @@ def main() -> None:
     base = dict(
         target_path=str(data_dir / "target.csv"),
         embedding_path=str(data_dir / "embeddings.txt"),
-        auxiliary_path=str(data_dir / "auxiliary.csv"),
         out_dir=args.out,
         split_count=args.splits,
         split_seed=args.seed,
-        k_neighbors=args.k_neighbors,
     )
+    aux = str(data_dir / "auxiliary.csv")
+    # each run gets only the values its variant uses
+    runs = [
+        ("Random", run_zsl_evaluation, dict(predictor="random")),
+        ("NN", run_zsl_evaluation, {}),
+        ("NN+ST", run_zsl_evaluation, dict(k_neighbors=args.k_neighbors)),
+        ("NN+Aux", run_zsl_evaluation, dict(auxiliary_path=aux)),
+        ("NN+ST+Aux", run_zsl_evaluation, dict(k_neighbors=args.k_neighbors, auxiliary_path=aux)),
+        ("SVM", run_multishot_evaluation, dict(folds_path=str(data_dir / "folds.json"))),
+    ]
     rows = []
-    config = ExperimentConfig(**base)
-    config.predictor = "random"
-    report, _ = run_zsl_evaluation(config)
-    rows.append(("Random", report))
-    for self_train, augment in ((False, False), (True, False), (False, True), (True, True)):
-        config = ExperimentConfig(**base)
-        config.self_train = self_train
-        config.augment = augment
-        report, _ = run_zsl_evaluation(config)
-        rows.append((report.variant, report))
-
-    config = ExperimentConfig(**base)
-    config.folds_path = str(data_dir / "folds.json")
-    report, _ = run_multishot_evaluation(config)
-    rows.append(("Multi-shot SVM", report))
+    for variant, evaluate, values in runs:
+        report, _ = evaluate(ExperimentConfig(**base, **values))
+        if report.variant != variant:
+            sys.exit(f"asked for the {variant} variant, but the report is of {report.variant}")
+        rows.append((variant, report))
 
     print()
     print(f"{'method':<16} {'accuracy':>10} {'std':>8}")

@@ -40,6 +40,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "seed": "split_seed",
         "splits": "split_count",
         "k_neighbors": "k_neighbors",
+        "augment": "auxiliary_path",
         "predictor": "predictor",
         "gamma": "gamma",
         "folds": "folds_path",
@@ -48,11 +49,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, arg_name, None)
         if value is not None:
             setattr(config, field_name, value)
-    if getattr(args, "self_train", False):
-        config.self_train = True
-    if getattr(args, "augment", None):
-        config.augment = True
-        config.auxiliary_path = args.augment
     if config.gamma != "auto" and not isinstance(config.gamma, (int, float)):
         try:
             config.gamma = float(config.gamma)
@@ -120,11 +116,14 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 def _cmd_eval_zsl(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     if args.ablation_grid:
-        if not base.auxiliary_path:
-            raise ValueError("--ablation-grid requires --augment <auxiliary dataset>")
-        configs = [
-            dataclasses.replace(base, self_train=self_train, augment=augment)
-            for self_train, augment in ((False, False), (True, False), (False, True), (True, True))
+        if base.k_neighbors is None or base.auxiliary_path is None:
+            raise ValueError(
+                "--ablation-grid requires --self-train K and --augment <auxiliary dataset>"
+            )
+        configs = [  # NN, NN+ST, NN+Aux, NN+ST+Aux
+            dataclasses.replace(base, k_neighbors=k, auxiliary_path=aux)
+            for aux in (None, base.auxiliary_path)
+            for k in (None, base.k_neighbors)
         ]
         for config in configs:  # every variant is checked before the first one runs
             config.validate("zsl")
@@ -177,14 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     ezsl = sub.add_parser("eval-zsl", help="zero-shot evaluation over category splits")
     _add_common_eval_flags(ezsl)
     ezsl.add_argument("--splits", type=int, help="number of splits")
-    ezsl.add_argument("--self-train", action="store_true", help="adapt prototypes")
-    ezsl.add_argument("--k-neighbors", type=int, dest="k_neighbors")
+    ezsl.add_argument(
+        "--self-train", type=int, dest="k_neighbors", metavar="K", help="adapt prototypes to K"
+    )
     ezsl.add_argument("--augment", help="auxiliary dataset CSV for training augmentation")
     ezsl.add_argument("--predictor", choices=("regressor", "random"))
     ezsl.add_argument(
         "--ablation-grid",
         action="store_true",
-        help="run all four {self-train, augment} combinations",
+        help="run NN, NN+ST, NN+Aux and NN+ST+Aux (needs --self-train and --augment)",
     )
     ezsl.set_defaults(func=_cmd_eval_zsl)
 

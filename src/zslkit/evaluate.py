@@ -2,9 +2,9 @@
 report aggregation and the random-guess baseline.
 
 Every run writes its artifacts under ``<out_dir>/<fingerprint[:12]>/``
-where the fingerprint hashes the fully resolved config, so distinct
-configs never silently overwrite each other and identical configs
-reproduce byte-identical reports.
+where the fingerprint hashes the fully resolved config other than
+``out_dir``, so distinct configs never silently overwrite each other and
+identical configs reproduce byte-identical reports wherever they go.
 """
 
 from __future__ import annotations
@@ -42,24 +42,24 @@ from .zsl import (
 PREDICTOR_REGRESSOR = "regressor"
 PREDICTOR_RANDOM = "random"
 
-# Python counts True as the integer 1 and a non-empty string as true, so
-# these fields are checked by type before any value is used.
-_FLAG_FIELDS = ("augment", "self_train")
+# These fields are checked by type before any value is used: Python counts
+# True as the integer 1, and pathlib refuses a path that is not a string
+# without naming its field.
+_PATH_FIELDS = ("target_path", "embedding_path", "out_dir", "auxiliary_path", "folds_path")
 _INTEGER_FIELDS = ("k_neighbors", "svr_max_passes", "svc_max_passes", "split_count", "split_seed")
 _REAL_FIELDS = ("gamma", "svr_c", "svr_epsilon", "svr_tolerance", "svc_c", "svc_tolerance")
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description; every field participates in
-    the fingerprint. CLI flags override file values before resolution."""
+    """Fully resolved experiment description; CLI flags override file values
+    before resolution. A run augments exactly when ``auxiliary_path`` is
+    set and self-trains exactly when ``k_neighbors`` is set."""
 
     target_path: str = ""
     embedding_path: str = ""
     out_dir: str = "runs"
     auxiliary_path: str | None = None
-    augment: bool = False
-    self_train: bool = False
     k_neighbors: int | None = None
     gamma: float | str = "auto"
     svr_c: float = 2.0
@@ -86,24 +86,24 @@ class ExperimentConfig:
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """Every field but ``out_dir``, which is not part of the experiment."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if k != "out_dir"}
 
     def fingerprint(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def validate(self, mode: str = "zsl") -> None:
-        for name in _FLAG_FIELDS:
+        exempt = {"auxiliary_path": None, "folds_path": None, "k_neighbors": None, "gamma": "auto"}
+        for name in _PATH_FIELDS + _INTEGER_FIELDS + _REAL_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
-        for name in _INTEGER_FIELDS + _REAL_FIELDS:
-            value = getattr(self, name)
-            if (name, value) in (("k_neighbors", None), ("gamma", "auto")):
+            if (name, value) in exempt.items():
                 continue
-            kinds = int if name in _INTEGER_FIELDS else (int, float)
+            kinds = (
+                str if name in _PATH_FIELDS else int if name in _INTEGER_FIELDS else (int, float)
+            )
             if isinstance(value, bool) or not isinstance(value, kinds):
-                what = "an integer" if kinds is int else "a number"
+                what = {str: "a string", int: "an integer"}.get(kinds, "a number")
                 raise ValueError(f"{name} must be {what}, got {value!r}")
             if kinds is not int and isinstance(value, int):
                 try:
@@ -124,15 +124,8 @@ class ExperimentConfig:
             raise ValueError("embedding_path is required")
         if not Path(self.embedding_path).is_file():
             raise ValueError(f"embedding file not found: {self.embedding_path}")
-        if self.augment:
-            if not self.auxiliary_path:
-                raise ValueError("augment=true requires auxiliary_path")
-            if not Path(self.auxiliary_path).is_file():
-                raise ValueError(f"auxiliary dataset not found: {self.auxiliary_path}")
-        if self.self_train and self.k_neighbors is None:
-            raise ValueError(
-                "self_train=true requires k_neighbors to be set explicitly"
-            )
+        if self.auxiliary_path is not None and not Path(self.auxiliary_path).is_file():
+            raise ValueError(f"auxiliary dataset not found: {self.auxiliary_path}")
         if self.k_neighbors is not None and self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
         if self.gamma != "auto" and not (math.isfinite(self.gamma) and self.gamma > 0):
@@ -171,9 +164,9 @@ class ExperimentConfig:
 
     def variant_name(self) -> str:
         parts = ["NN"]
-        if self.self_train:
+        if self.k_neighbors is not None:
             parts.append("ST")
-        if self.augment:
+        if self.auxiliary_path is not None:
             parts.append("Aux")
         return "+".join(parts)
 
@@ -383,7 +376,7 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     """
     config.validate("zsl")
     target = load_dataset(config.target_path)
-    auxiliary = load_dataset(config.auxiliary_path) if config.augment else None
+    auxiliary = None if config.auxiliary_path is None else load_dataset(config.auxiliary_path)
     aux_vocabulary = auxiliary.class_vocabulary if auxiliary is not None else []
     store = load_embeddings(
         config.embedding_path, tokens=label_tokens(target.class_vocabulary + aux_vocabulary)
@@ -416,7 +409,6 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
         aux_rows = np.arange(n_target, dist.n)
     else:
         del target, auxiliary
-    k = config.k_neighbors if config.self_train else None
 
     def fit_predict(split: SplitSpec, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
         (run_dir / "splits").mkdir(exist_ok=True)
@@ -434,7 +426,7 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
         targets = augment_training(vectors, class_of[rows], list(index), unseen)
         regressor, (kernel_rows,) = _fit_regressor(config, dist, rows, targets, test_rows)
         return truths, zsl_predict(
-            regressor, vectors[unseen], split.unseen, kernel_rows, test_ids, k
+            regressor, vectors[unseen], split.unseen, kernel_rows, test_ids, config.k_neighbors
         )
 
     variant = config.variant_name() if config.predictor == PREDICTOR_REGRESSOR else "Random"

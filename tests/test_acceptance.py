@@ -312,42 +312,22 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     write_features_csv(target_path, dataset.ids, dataset.labels, dataset.features)
     save_embeddings(world_store(world), emb_path)
 
+    # identical inputs: the same report bytes, whichever directory the
+    # outputs go to, and again on a repeat into the same directory
     payloads = []
-    for run in ("first", "second"):
+    for run in ("first", "second", "second"):
         config = ExperimentConfig(
             target_path=str(target_path),
             embedding_path=str(emb_path),
             out_dir=str(tmp_path / run),
             split_count=2,
             split_seed=17,
-            self_train=True,
             k_neighbors=5,
         )
         _, run_dir = run_zsl_evaluation(config)
         payloads.append((run_dir / "report.json").read_bytes())
-    # the report payload embeds the config, whose out_dir (and hence
-    # fingerprint) necessarily differs here; everything else must agree
-    import json
-
-    docs = [json.loads(p) for p in payloads]
-    for doc in docs:
-        doc["config"].pop("out_dir")
-        doc.pop("fingerprint")
-    identical = json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
-
-    config = ExperimentConfig(
-        target_path=str(target_path),
-        embedding_path=str(emb_path),
-        out_dir=str(tmp_path / "repeat"),
-        split_count=2,
-        split_seed=17,
-        self_train=True,
-        k_neighbors=5,
-    )
-    _, run_dir = run_zsl_evaluation(config)
-    first_bytes = (run_dir / "report.json").read_bytes()
-    _, run_dir2 = run_zsl_evaluation(config)
-    byte_identical = first_bytes == (run_dir2 / "report.json").read_bytes()
+    identical = payloads[0] == payloads[1]
+    byte_identical = payloads[1] == payloads[2]
 
     ok = identical and byte_identical
     report_line(

@@ -62,8 +62,7 @@ def spans_per_unit(rec, name):
 
 def test_zsl_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     config = ev.base_config(
-        toy_world, tmp_path, self_train=True, k_neighbors=5,
-        augment=True, auxiliary_path=str(toy_world["aux"]),
+        toy_world, tmp_path, k_neighbors=5, auxiliary_path=str(toy_world["aux"])
     )
     rec, report, layers, models = traced(run_zsl_evaluation, config, monkeypatch)
     assert rec.units_done == len(report.per_split_accuracy) == config.split_count

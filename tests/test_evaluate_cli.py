@@ -101,8 +101,7 @@ def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
     own distances."""
     target = load_dataset(config.target_path)
     store = load_embeddings(config.embedding_path)
-    auxiliary = load_dataset(config.auxiliary_path) if config.augment else None
-    k = config.k_neighbors if config.self_train else None
+    auxiliary = None if config.auxiliary_path is None else load_dataset(config.auxiliary_path)
     for split in generate_splits(target.class_vocabulary, config.split_count, config.split_seed):
         train, test = class_rows(target, split.seen), class_rows(target, split.unseen)
         labels = [target.labels[i] for i in train]
@@ -118,7 +117,7 @@ def reference_zsl_predictions(config: ExperimentConfig, out_dir) -> None:
         write_predictions_csv(
             zsl_predict(
                 regressor, label_targets(split.unseen, store), split.unseen, kernel_rows,
-                [target.ids[i] for i in test], k,
+                [target.ids[i] for i in test], config.k_neighbors,
             ),
             out_dir / f"split_{split.index:03d}.csv",
         )
@@ -187,8 +186,7 @@ class TestZslEvaluation:
 
     def test_variants_are_labelled(self, toy_world, tmp_path):
         config = base_config(
-            toy_world, tmp_path, self_train=True, k_neighbors=5,
-            augment=True, auxiliary_path=str(toy_world["aux"]),
+            toy_world, tmp_path, k_neighbors=5, auxiliary_path=str(toy_world["aux"])
         )
         report, _ = run_zsl_evaluation(config)
         assert report.variant == "NN+ST+Aux"
@@ -213,8 +211,8 @@ class TestZslEvaluation:
 
     def test_matches_per_split_reference(self, toy_world, tmp_path):
         config = base_config(
-            toy_world, tmp_path, self_train=True, k_neighbors=5, split_count=3,
-            augment=True, auxiliary_path=str(toy_world["aux"]),
+            toy_world, tmp_path, k_neighbors=5, split_count=3,
+            auxiliary_path=str(toy_world["aux"]),
         )
         _, run_dir = run_zsl_evaluation(config)
         ref_dir = tmp_path / "reference"
@@ -263,7 +261,7 @@ class TestZslEvaluation:
         ds = load_dataset(toy_world["aux"])
         path = tmp_path / "narrow_aux.csv"
         write_features_csv(path, ds.ids, ds.labels, ds.features[:, :-1])
-        config = base_config(toy_world, tmp_path, augment=True, auxiliary_path=str(path))
+        config = base_config(toy_world, tmp_path, auxiliary_path=str(path))
         with pytest.raises(ValueError, match="feature dimension mismatch"):
             run_zsl_evaluation(config)
 
@@ -315,12 +313,20 @@ class TestZslEvaluation:
         assert "apply_eye_makeup" in slugs
         assert report.confusion and set(report.confusion) <= slugs
 
-    def test_self_train_requires_explicit_k(self, toy_world, tmp_path):
-        config = base_config(toy_world, tmp_path, self_train=True)
-        with pytest.raises(ValueError, match="k_neighbors"):
-            run_zsl_evaluation(config)
+    @pytest.mark.parametrize(
+        "k, aux, variant",
+        [(None, False, "NN"), (5, False, "NN+ST"), (None, True, "NN+Aux"), (5, True, "NN+ST+Aux")],
+        ids=["NN", "NN+ST", "NN+Aux", "NN+ST+Aux"],
+    )
+    def test_each_value_turns_on_its_variant(self, toy_world, tmp_path, k, aux, variant):
+        # self-training is on exactly when K is set, augmentation exactly
+        # when an auxiliary dataset is
+        aux_path = str(toy_world["aux"]) if aux else None
+        config = base_config(toy_world, tmp_path, k_neighbors=k, auxiliary_path=aux_path)
+        assert config.variant_name() == variant
 
-    # Python takes True for the integer 1 and any non-empty string as true
+    # Python takes True for the integer 1; a path that is not a string
+    # would fail later, inside pathlib, without naming its field
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -330,23 +336,26 @@ class TestZslEvaluation:
             ("k_neighbors", True, "k_neighbors must be an integer, got True"),
             ("svc_max_passes", False, "svc_max_passes must be an integer, got False"),
             ("split_seed", 1.5, "split_seed must be an integer, got 1.5"),
-            ("self_train", "false", "self_train must be true or false, got 'false'"),
-            ("augment", 1, "augment must be true or false, got 1"),
+            ("target_path", 3, "target_path must be a string, got 3"),
+            ("embedding_path", None, "embedding_path must be a string, got None"),
+            ("out_dir", 4, "out_dir must be a string, got 4"),
+            ("auxiliary_path", True, "auxiliary_path must be a string, got True"),
+            ("folds_path", ["f.json"], "folds_path must be a string, got ['f.json']"),
         ],
         ids=[
             "gamma", "svr_c", "split_count", "k_neighbors", "svc_max_passes", "split_seed",
-            "self_train", "augment",
+            "target_path", "embedding_path", "out_dir", "auxiliary_path", "folds_path",
         ],
     )
     def test_value_of_the_wrong_type_rejected(self, toy_world, tmp_path, field, value, message):
-        config = base_config(toy_world, tmp_path, **{field: value})
-        with pytest.raises(ValueError, match=re.escape(message)):
+        config = base_config(toy_world, tmp_path / "runs")
+        setattr(config, field, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_zsl_evaluation(config)
+        assert not (tmp_path / "runs").exists()
 
     def test_failing_split_is_named(self, toy_world, tmp_path):
-        config = base_config(
-            toy_world, tmp_path, self_train=True, k_neighbors=10_000
-        )
+        config = base_config(toy_world, tmp_path, k_neighbors=10_000)
         with pytest.raises(RuntimeError, match="split 1 failed"):
             run_zsl_evaluation(config)
 
@@ -391,7 +400,7 @@ class TestZslEvaluation:
         np.testing.assert_array_equal(err.value.result.converged, ~over)
 
         config_path = tmp_path / "exp.json"
-        config_path.write_text(json.dumps(config.to_dict()))
+        config_path.write_text(json.dumps({**config.to_dict(), "out_dir": config.out_dir}))
         capsys.readouterr()
         assert main(["eval-zsl", "--config", str(config_path)]) == 1
         error = json.loads(capsys.readouterr().err)
@@ -407,7 +416,7 @@ class TestZslEvaluation:
         path = tmp_path / "bad_aux.csv"
         write_class_subset(ds, ds.class_vocabulary[:3], path)
         config = base_config(
-            toy_world, tmp_path / "runs", augment=True, auxiliary_path=str(path), split_count=4
+            toy_world, tmp_path / "runs", auxiliary_path=str(path), split_count=4
         )
         with pytest.raises(ValueError, match=r"^split \d+: auxiliary class '.+' collides"):
             run_zsl_evaluation(config)
@@ -422,8 +431,8 @@ class TestZslEvaluation:
             ("svr_c", 1.0),
             ("svr_epsilon", 0.2),
             ("gamma", 2.5),
-            ("self_train", True),
             ("k_neighbors", 10),
+            ("auxiliary_path", str(toy_world["aux"])),
             ("predictor", "random"),
         ]:
             config = base_config(toy_world, tmp_path)
@@ -431,6 +440,8 @@ class TestZslEvaluation:
             fp = config.fingerprint()
             assert fp not in seen, field
             seen.add(fp)
+        # where the outputs go is not part of the experiment
+        assert base_config(toy_world, tmp_path / "elsewhere").fingerprint() == base.fingerprint()
 
 
 class TestMultishot:
@@ -543,7 +554,7 @@ class TestRunMemory:
         # once the run matrix exists a unit reads only it, so no traced
         # block is as large as the smallest parsed feature array
         config = base_config(
-            wide_world, tmp_path, augment=mode == "zsl", auxiliary_path=str(wide_world["aux"]),
+            wide_world, tmp_path, auxiliary_path=str(wide_world["aux"]) if mode == "zsl" else None,
             folds_path=str(wide_world["folds"]),
         )
         largest: list[int] = []
@@ -579,8 +590,9 @@ class TestRunMemory:
         folds_path = tmp_path / "folds.json"
         TestMultishot()._write_folds(folds_path, load_dataset(toy_world["target"]))
         config = base_config(
-            toy_world, tmp_path / "runs", augment=mode == "zsl",
-            auxiliary_path=str(toy_world["aux"]), folds_path=str(folds_path),
+            toy_world, tmp_path / "runs",
+            auxiliary_path=str(toy_world["aux"]) if mode == "zsl" else None,
+            folds_path=str(folds_path),
         )
         monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: need - 1)
         with monkeypatch.context() as m:
@@ -660,7 +672,7 @@ class TestCli:
                 "--out", str(tmp_path / "runs"),
                 "--seed", "5",
                 "--splits", "1",
-                "--k-neighbors", "5",
+                "--self-train", "5",
                 "--ablation-grid",
             ]
         )
@@ -676,14 +688,15 @@ class TestCli:
     def test_ablation_grid_checks_every_variant_before_the_first_runs(
         self, toy_world, tmp_path, capsys
     ):
-        # without --k-neighbors the ST variants are invalid; the NN variant
-        # must not run and write a report before that is found
+        # the Aux variants' dataset does not exist; the NN variant, which
+        # does not read it, must not run and write a report before that is found
         code = main(
             [
                 "eval-zsl",
                 "--features", str(toy_world["target"]),
                 "--embeddings", str(toy_world["embeddings"]),
-                "--augment", str(toy_world["aux"]),
+                "--augment", str(tmp_path / "missing.csv"),
+                "--self-train", "5",
                 "--out", str(tmp_path / "runs"),
                 "--splits", "2",
                 "--ablation-grid",
@@ -691,7 +704,74 @@ class TestCli:
         )
         assert code == 1
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error == "self_train=true requires k_neighbors to be set explicitly"
+        assert error == f"auxiliary dataset not found: {tmp_path / 'missing.csv'}"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("missing", ["--self-train", "--augment"])
+    def test_ablation_grid_needs_k_and_an_auxiliary_dataset(
+        self, toy_world, tmp_path, capsys, missing
+    ):
+        values = {"--self-train": "5", "--augment": str(toy_world["aux"])}
+        given = [arg for flag, value in values.items() if flag != missing for arg in (flag, value)]
+        code = main(
+            [
+                "eval-zsl",
+                "--features", str(toy_world["target"]),
+                "--embeddings", str(toy_world["embeddings"]),
+                "--out", str(tmp_path / "runs"),
+                "--splits", "1",
+                *given,
+                "--ablation-grid",
+            ]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "--ablation-grid requires --self-train K and --augment <auxiliary dataset>"
+        assert not (tmp_path / "runs").exists()
+
+    def test_ablation_grid_runs_are_the_standalone_runs(self, toy_world, tmp_path, capsys):
+        # each variant of the grid is the one experiment a standalone run
+        # of it is: same run directory, byte-identical files
+        common = [
+            "eval-zsl",
+            "--features", str(toy_world["target"]),
+            "--embeddings", str(toy_world["embeddings"]),
+            "--seed", "5",
+            "--splits", "2",
+        ]
+        k, aux = ["--self-train", "5"], ["--augment", str(toy_world["aux"])]
+        grid, single = tmp_path / "grid", tmp_path / "single"
+        assert main([*common, *k, *aux, "--out", str(grid), "--ablation-grid"]) == 0
+        for variant in ([], k, aux, [*k, *aux]):
+            assert main([*common, *variant, "--out", str(single)]) == 0
+
+        def tree(root):
+            return {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+
+        grid_files = tree(grid)
+        assert len({name.split("/")[0] for name in grid_files}) == 4
+        assert grid_files == tree(single)
+
+    @pytest.mark.parametrize(
+        "argv", [["--k-neighbors", "5"], ["--self-train"], ["--self-train", "--k-neighbors", "5"]],
+        ids=["k-neighbors", "bare-self-train", "old-spelling"],
+    )
+    def test_old_self_train_flags_fail(self, toy_world, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(
+                [
+                    "eval-zsl",
+                    "--features", str(toy_world["target"]),
+                    "--embeddings", str(toy_world["embeddings"]),
+                    "--out", str(tmp_path / "runs"),
+                    *argv,
+                ]
+            )
+        assert exit_.value.code != 0
         assert not (tmp_path / "runs").exists()
 
     def test_config_file_with_flag_override(self, toy_world, tmp_path, capsys):
@@ -761,7 +841,8 @@ class TestCli:
         assert "no_such_field" in json.loads(capsys.readouterr().err)["error"]
 
     @pytest.mark.parametrize(
-        "field", ["chi2_halved", "normalize_prototypes", "renormalize_prototypes"]
+        "field",
+        ["chi2_halved", "normalize_prototypes", "renormalize_prototypes", "augment", "self_train"],
     )
     def test_removed_config_field_rejected(self, tmp_path, field):
         config_path = tmp_path / "exp.json"
@@ -851,14 +932,17 @@ class TestCli:
                 "--gamma", "1.5",
                 "--seed", "4",
                 "--splits", "1",
-                "--self-train",
-                "--k-neighbors", "3",
+                "--self-train", "3",
+                "--augment", str(toy_world["aux"]),
             ]
         )
         assert code == 0
-        config = json.loads(next((tmp_path / "runs").glob("*/report.json")).read_text())["config"]
+        doc = json.loads(next((tmp_path / "runs").glob("*/report.json")).read_text())
+        config = doc["config"]
         assert (config["gamma"], config["split_seed"], config["split_count"]) == (1.5, 4, 1)
-        assert (config["self_train"], config["k_neighbors"]) == (True, 3)
+        assert (config["k_neighbors"], config["auxiliary_path"]) == (3, str(toy_world["aux"]))
+        assert doc["variant"] == "NN+ST+Aux"
+        assert not {"self_train", "augment", "out_dir"} & set(config)
 
     # a number that is not a positive finite real fails validation: no run directory
     @pytest.mark.parametrize(
