@@ -56,8 +56,9 @@ import numpy as np  # noqa: E402
 import corpus  # noqa: E402
 import worker  # noqa: E402
 from zslkit import smo  # noqa: E402
+from zslkit.evaluate import ExperimentConfig  # noqa: E402
 from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma  # noqa: E402
-from zslkit.svr import SvrConfig, train_svr  # noqa: E402
+from zslkit.svr import train_svr  # noqa: E402
 from zslkit.synthetic import make_world, world_dataset  # noqa: E402
 
 # upper ends of the live-row bands
@@ -103,8 +104,9 @@ def paper_problem(seed: int) -> dict:
     ds = world_dataset(world, list(range(26)), 20, rng)
     targets = np.repeat(world.class_embeddings, 20, axis=0)  # rows come class by class
     gram = gram_matrix(heuristic_gamma(ds.features), distance_matrix(ds.features))
+    defaults = ExperimentConfig()
     with recorded_solves() as problems:
-        train_svr(gram, targets, SvrConfig())
+        train_svr(gram, targets, defaults.svr_c, defaults.svr_epsilon)
     return problems[0]
 
 

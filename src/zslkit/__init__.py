@@ -24,14 +24,8 @@ from .evaluate import (
 )
 from .kernels import gram_matrix, heuristic_gamma
 from .smo import ConvergenceError
-from .svc import SvcConfig, SvcModel, classify_batch, decision_values, train_svc
-from .svr import (
-    SemanticRegressor,
-    SvrConfig,
-    predict_batch,
-    train_semantic_regressor,
-    train_svr,
-)
+from .svc import SvcModel, classify_batch, decision_values, train_svc
+from .svr import SemanticRegressor, predict_batch, train_semantic_regressor, train_svr
 from .zsl import (
     Prediction,
     augment_training,

@@ -2,9 +2,10 @@
 report aggregation and the random-guess baseline.
 
 Every run writes its artifacts under ``<out_dir>/<fingerprint[:12]>/``
-where the fingerprint hashes the fully resolved config other than
-``out_dir``, so distinct configs never silently overwrite each other and
-identical configs reproduce byte-identical reports wherever they go.
+where the fingerprint hashes the fully resolved config fields that the
+run's mode reads, other than ``out_dir``, so distinct experiments never
+silently overwrite each other and identical ones reproduce byte-identical
+reports wherever they go.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .kernels import (
     gram_matrix,
     heuristic_gamma,  # noqa: F401  (perfbench/spans.py wraps evaluate.heuristic_gamma)
 )
-from .svc import SvcConfig, classify_batch, train_svc
-from .svr import SemanticRegressor, SvrConfig, predict_batch, train_semantic_regressor
+from .svc import classify_batch, train_svc
+from .svr import SemanticRegressor, predict_batch, train_semantic_regressor
 from .zsl import (
     Prediction,
     augment_training,
@@ -46,8 +47,15 @@ PREDICTOR_RANDOM = "random"
 # True as the integer 1, and pathlib refuses a path that is not a string
 # without naming its field.
 _PATH_FIELDS = ("target_path", "embedding_path", "out_dir", "auxiliary_path", "folds_path")
-_INTEGER_FIELDS = ("k_neighbors", "svr_max_passes", "svc_max_passes", "split_count", "split_seed")
-_REAL_FIELDS = ("gamma", "svr_c", "svr_epsilon", "svr_tolerance", "svc_c", "svc_tolerance")
+_INTEGER_FIELDS = ("k_neighbors", "split_count", "split_seed")
+_REAL_FIELDS = ("gamma", "svr_c", "svr_epsilon", "svc_c")
+
+# The fields each mode never reads: they are left out of its fingerprint
+# and report, and only type-checked.
+_UNREAD = {
+    "zsl": ("svc_c", "folds_path"),
+    "multishot": ("auxiliary_path", "k_neighbors", "split_count", "split_seed", "predictor"),
+}
 
 
 @dataclass
@@ -64,11 +72,7 @@ class ExperimentConfig:
     gamma: float | str = "auto"
     svr_c: float = 2.0
     svr_epsilon: float = 0.1
-    svr_tolerance: float = 1e-3
-    svr_max_passes: int = 1_000_000
     svc_c: float = 2.0
-    svc_tolerance: float = 1e-3
-    svc_max_passes: int = 1_000_000
     split_count: int = 30
     split_seed: int = 0
     predictor: str = PREDICTOR_REGRESSOR
@@ -85,15 +89,19 @@ class ExperimentConfig:
             raise ValueError(f"{path}: unknown config field {unknown[0]!r}")
         return cls(**doc)
 
-    def to_dict(self) -> dict:
-        """Every field but ``out_dir``, which is not part of the experiment."""
-        return {k: v for k, v in dataclasses.asdict(self).items() if k != "out_dir"}
+    def to_dict(self, mode: str) -> dict:
+        """Every field that ``mode`` ("zsl" or "multishot") reads, but
+        ``out_dir``, which is not part of the experiment."""
+        skip = ("out_dir", *_UNREAD[mode])
+        return {k: v for k, v in dataclasses.asdict(self).items() if k not in skip}
 
-    def fingerprint(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
+    def fingerprint(self, mode: str) -> str:
+        payload = json.dumps(self.to_dict(mode), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def validate(self, mode: str = "zsl") -> None:
+    def validate(self, mode: str) -> None:
+        """Type-check every field, then range-check the fields ``mode``
+        reads and make the real ones floats."""
         exempt = {"auxiliary_path": None, "folds_path": None, "k_neighbors": None, "gamma": "auto"}
         for name in _PATH_FIELDS + _INTEGER_FIELDS + _REAL_FIELDS:
             value = getattr(self, name)
@@ -110,12 +118,13 @@ class ExperimentConfig:
                     float(value)
                 except OverflowError:
                     raise ValueError(f"{name} is an integer too large for a float") from None
-        # each solver config's message starts with the bare field name
-        for prefix, solver_config in (("svr_", self.svr_config), ("svc_", self.svc_config)):
-            try:
-                solver_config()
-            except ValueError as exc:
-                raise ValueError(f"{prefix}{exc}") from None
+        unread = _UNREAD[mode]
+        if not (math.isfinite(self.svr_c) and self.svr_c > 0):
+            raise ValueError(f"svr_c must be positive, got {self.svr_c}")
+        if not (math.isfinite(self.svr_epsilon) and self.svr_epsilon >= 0):
+            raise ValueError(f"svr_epsilon must be non-negative, got {self.svr_epsilon}")
+        if "svc_c" not in unread and not (math.isfinite(self.svc_c) and self.svc_c > 0):
+            raise ValueError(f"svc_c must be positive, got {self.svc_c}")
         if not self.target_path:
             raise ValueError("target_path is required")
         if not Path(self.target_path).is_file():
@@ -124,21 +133,23 @@ class ExperimentConfig:
             raise ValueError("embedding_path is required")
         if not Path(self.embedding_path).is_file():
             raise ValueError(f"embedding file not found: {self.embedding_path}")
-        if self.auxiliary_path is not None and not Path(self.auxiliary_path).is_file():
-            raise ValueError(f"auxiliary dataset not found: {self.auxiliary_path}")
-        if self.k_neighbors is not None and self.k_neighbors < 1:
+        if "auxiliary_path" not in unread and self.auxiliary_path is not None:
+            if not Path(self.auxiliary_path).is_file():
+                raise ValueError(f"auxiliary dataset not found: {self.auxiliary_path}")
+        if "k_neighbors" not in unread and self.k_neighbors is not None and self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
         if self.gamma != "auto" and not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(
                 f"gamma must be 'auto' or a positive finite number, got {self.gamma!r}"
             )
-        if self.predictor not in (PREDICTOR_REGRESSOR, PREDICTOR_RANDOM):
+        predictors = (PREDICTOR_REGRESSOR, PREDICTOR_RANDOM)
+        if "predictor" not in unread and self.predictor not in predictors:
             raise ValueError(f"unknown predictor {self.predictor!r}")
-        if self.split_count < 1:
+        if "split_count" not in unread and self.split_count < 1:
             raise ValueError("split_count must be at least 1")
-        if self.split_seed < 0:
+        if "split_seed" not in unread and self.split_seed < 0:
             raise ValueError("split_seed must be non-negative")
-        if mode == "multishot":
+        if "folds_path" not in unread:
             if not self.folds_path:
                 raise ValueError("eval-multishot requires folds_path")
             if not Path(self.folds_path).is_file():
@@ -148,19 +159,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value != "auto":
                 setattr(self, name, float(value))
-
-    def svr_config(self) -> SvrConfig:
-        return SvrConfig(
-            c=self.svr_c,
-            epsilon=self.svr_epsilon,
-            tolerance=self.svr_tolerance,
-            max_passes=self.svr_max_passes,
-        )
-
-    def svc_config(self) -> SvcConfig:
-        return SvcConfig(
-            c=self.svc_c, tolerance=self.svc_tolerance, max_passes=self.svc_max_passes
-        )
 
     def variant_name(self) -> str:
         parts = ["NN"]
@@ -276,7 +274,7 @@ def _fit_regressor(
     gathered once the Gram matrix is freed.
     """
     gamma, gram = fit_kernel(dist.block(rows, rows), config.gamma)
-    regressor = train_semantic_regressor(targets, config.svr_config(), gram)
+    regressor = train_semantic_regressor(targets, gram, config.svr_c, config.svr_epsilon)
     del gram  # keep at most the run matrix and one unit's block alive
     pool_rows = rows[regressor.pool_indices]
     return regressor, [gram_matrix(gamma, dist.block(r, pool_rows)) for r in row_sets]
@@ -319,7 +317,8 @@ def _run_units(
     predictions are written and scored, then the report is aggregated and
     saved in the run directory.
     """
-    run_dir = Path(config.out_dir) / config.fingerprint()[:12]
+    fingerprint = config.fingerprint(mode)
+    run_dir = Path(config.out_dir) / fingerprint[:12]
     (run_dir / "predictions").mkdir(parents=True, exist_ok=True)
     accuracies: list[float] = []
     balanced: list[float] = []
@@ -348,7 +347,7 @@ def _run_units(
     acc_arr = np.asarray(accuracies, dtype=np.float64)
     bal_arr = np.asarray(balanced, dtype=np.float64)
     report = EvaluationReport(
-        fingerprint=config.fingerprint(),
+        fingerprint=fingerprint,
         mode=mode,
         variant=variant,
         per_split_accuracy=[float(v) for v in acc_arr],
@@ -357,7 +356,7 @@ def _run_units(
         per_split_class_balanced=[float(v) for v in bal_arr],
         mean_class_balanced=float(bal_arr.mean()) if bal_arr.size else 0.0,
         confusion=confusion,
-        config=config.to_dict(),
+        config=config.to_dict(mode),
         n_test_per_split=n_tests,
     )
     save_report(report, run_dir / "report.json")
@@ -385,9 +384,11 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     index, vectors, class_of = _run_classes(store, target, auxiliary)
     name, ids, labels, n_target = target.name, target.ids, target.labels, len(target)
     if config.predictor == PREDICTOR_REGRESSOR:
-        # an auxiliary class that a split holds out: augment_training refuses
-        # it too, but only once the run matrix exists
+        # an auxiliary class that a split holds out, or a K above a split's
+        # test clips: augment_training and self_train refuse them too, but
+        # only once the run matrix exists
         aux_classes = set(aux_vocabulary)
+        rows_of = np.bincount(class_of[:n_target], minlength=len(index))
         for split in splits:
             clash = [lab for lab in split.unseen if lab in aux_classes]
             if clash:
@@ -395,7 +396,12 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
                     f"split {split.index}: auxiliary class {clash[0].key!r} "
                     "collides with an unseen class"
                 )
-        rows_of = np.bincount(class_of[:n_target], minlength=len(index))
+            n_test = sum(int(rows_of[index[lab]]) for lab in split.unseen)
+            if config.k_neighbors is not None and config.k_neighbors > n_test:
+                raise ValueError(
+                    f"split {split.index}: k_neighbors={config.k_neighbors} is more than "
+                    f"the split's {n_test} test clips"
+                )
         seen = max(sum(int(rows_of[index[lab]]) for lab in s.seen) for s in splits)
         _check_memory(len(class_of), seen + len(class_of) - n_target)
         features = _run_features(
@@ -495,7 +501,6 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     _check_memory(len(ids), max(train.size for train, _ in folds))
     dist = PackedDistances(dataset.features)
     del dataset  # a unit reads the run matrix, not the features
-    svc_config = config.svc_config()
 
     def fit_predict(
         fold: tuple[np.ndarray, np.ndarray], run_dir: Path
@@ -511,7 +516,7 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
             for k, ids in zip(kernel_rows, (train_ids, test_ids))
         )
         del kernel_rows  # not alive beside the SVM's own Gram matrix
-        model = train_svc(train_proj, train_labels, svc_config)
+        model = train_svc(train_proj, train_labels, config.svc_c)
         predicted = classify_batch(model, test_proj)
         return test_labels, [
             Prediction(id_, label, float("nan")) for id_, label in zip(test_ids, predicted)

@@ -60,6 +60,12 @@ _TAIL_ROWS = 12
 
 _INF, _NEG_INF = float("inf"), float("-inf")
 
+# The stopping tolerance, LIBSVM's default (Chang & Lin, ACM TIST 2011),
+# and the per-row budget of pair updates that train_svr and train_svc pass
+# to solve. Both are read at each call, so a test can patch them.
+TOLERANCE = 1e-3
+MAX_ITER = 1_000_000
+
 
 class ConvergenceError(RuntimeError):
     """Raised when the dual solver exhausts its iteration budget.
@@ -291,15 +297,16 @@ def solve(
     )
 
 
-def require_converged(res: SmoResult, max_iter: int, name: Callable[[int], str]) -> SmoResult:
-    """Return ``res`` if every row converged; otherwise raise
-    :class:`ConvergenceError` for the first row k that did not, naming it
-    ``name(k)`` and carrying that row's diagnostics and the whole result."""
+def require_converged(res: SmoResult, name: Callable[[int], str]) -> SmoResult:
+    """Return ``res``, solved under the ``MAX_ITER`` budget, if every row
+    converged; otherwise raise :class:`ConvergenceError` for the first row
+    k that did not, naming it ``name(k)`` and carrying that row's
+    diagnostics and the whole result."""
     if res.converged.all():
         return res
     k = int(np.argmin(res.converged))
     raise ConvergenceError(
-        f"{name(k)} did not converge within {max_iter} passes "
+        f"{name(k)} did not converge within {MAX_ITER} passes "
         f"(remaining KKT violation {res.violation[k]:.3e})",
         iterations=int(res.row_iterations[k]),
         violation=float(res.violation[k]),

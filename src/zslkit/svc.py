@@ -13,21 +13,6 @@ from .embedding import Label
 from .kernels import fit_kernel, gram_matrix, squared_euclidean_distances
 
 
-@dataclass(frozen=True)
-class SvcConfig:
-    c: float = 2.0
-    tolerance: float = 1e-3
-    max_passes: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be positive, got {self.c}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
-
-
 @dataclass
 class SvcModel:
     """One-vs-rest multiclass SVM.
@@ -49,14 +34,16 @@ class SvcModel:
     iterations: np.ndarray
 
 
-def train_svc(points: np.ndarray, labels: list[Label], config: SvcConfig) -> SvcModel:
-    """Train one binary soft-margin SVM per class (one-vs-rest), all
-    classes' duals solved in one batched call.
+def train_svc(points: np.ndarray, labels: list[Label], c: float) -> SvcModel:
+    """Train one binary soft-margin SVM per class (one-vs-rest) with slack
+    penalty ``c``, all classes' duals solved in one batched call.
 
     ``points`` must be L2-normalized. The kernel is an RBF over Euclidean
     distance with gamma set to the reciprocal mean pairwise squared
     distance; both come from one distance matrix.
     """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be positive, got {c}")
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"points must be 2-D, got shape {x.shape}")
@@ -72,10 +59,8 @@ def train_svc(points: np.ndarray, labels: list[Label], config: SvcConfig) -> Svc
 
     label_keys = np.array([lab.key for lab in labels])
     z = np.array([np.where(label_keys == cls.key, 1.0, -1.0) for cls in classes])
-    res = smo.solve(gram, z, -np.ones(z.shape), config.c, config.tolerance, config.max_passes)
-    smo.require_converged(
-        res, config.max_passes, lambda k: f"SVC dual for class {classes[k].key!r}"
-    )
+    res = smo.solve(gram, z, -np.ones(z.shape), c, smo.TOLERANCE, smo.MAX_ITER)
+    smo.require_converged(res, lambda k: f"SVC dual for class {classes[k].key!r}")
     return SvcModel(
         classes=classes,
         gamma=gamma,

@@ -12,26 +12,6 @@ from . import smo
 from .kernels import gram_matrix  # noqa: F401  (perfbench/spans.py wraps svr.gram_matrix)
 
 
-@dataclass(frozen=True)
-class SvrConfig:
-    """Slack penalty, tube width, KKT stopping tolerance, iteration budget."""
-
-    c: float = 2.0
-    epsilon: float = 0.1
-    tolerance: float = 1e-3
-    max_passes: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be positive, got {self.c}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
-
-
 # Cells of the Gram matrix compared per block in the symmetry check; each
 # block's comparison holds a bool array of this many entries.
 _SYMMETRY_BLOCK_CELLS = 1 << 17
@@ -53,9 +33,10 @@ def _validate_gram(gram: np.ndarray) -> np.ndarray:
     return g
 
 
-def train_svr(gram: np.ndarray, targets: np.ndarray, config: SvrConfig) -> smo.SmoResult:
-    """Solve epsilon-SVR duals over a precomputed Gram matrix, one row per
-    column of ``targets``, shape (n,) or (n, r), in one batched call.
+def train_svr(gram: np.ndarray, targets: np.ndarray, c: float, epsilon: float) -> smo.SmoResult:
+    """Solve epsilon-SVR duals with slack penalty ``c`` and tube width
+    ``epsilon`` over a precomputed Gram matrix, one row per column of
+    ``targets``, shape (n,) or (n, r), in one batched call.
 
     ``gram`` must be exactly symmetric; any asymmetry raises. Each
     2n-variable dual (one alpha and one alpha* per sample) runs through
@@ -63,6 +44,10 @@ def train_svr(gram: np.ndarray, targets: np.ndarray, config: SvrConfig) -> smo.S
     Raises :class:`~zslkit.smo.ConvergenceError` if a budget is exhausted,
     naming the first (0-based) output dimension that did not converge.
     """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be positive, got {c}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     g = _validate_gram(gram)
     y = np.asarray(targets, dtype=np.float64)
     n = g.shape[0]
@@ -76,12 +61,10 @@ def train_svr(gram: np.ndarray, targets: np.ndarray, config: SvrConfig) -> smo.S
         raise ValueError("targets contain non-finite values")
 
     yt = y.reshape(n, -1).T  # one row per output dimension
-    p = np.concatenate([config.epsilon - yt, config.epsilon + yt], axis=1)
+    p = np.concatenate([epsilon - yt, epsilon + yt], axis=1)
     z = np.broadcast_to(np.concatenate([np.ones(n), -np.ones(n)]), p.shape)
-    res = smo.solve(g, z, p, config.c, config.tolerance, config.max_passes)
-    return smo.require_converged(
-        res, config.max_passes, lambda d: f"SVR dual for output dimension {d}"
-    )
+    res = smo.solve(g, z, p, c, smo.TOLERANCE, smo.MAX_ITER)
+    return smo.require_converged(res, lambda d: f"SVR dual for output dimension {d}")
 
 
 @dataclass
@@ -103,23 +86,22 @@ class SemanticRegressor:
 
 
 def train_semantic_regressor(
-    embeddings: np.ndarray,
-    config: SvrConfig,
-    gram: np.ndarray,
+    embeddings: np.ndarray, gram: np.ndarray, c: float, epsilon: float
 ) -> SemanticRegressor:
     """Train one SVR per embedding coordinate over a shared Gram matrix,
     all solved in one batched call.
 
     Row i of ``embeddings`` is training row i's label embedding, and
     dimension j regresses its coordinate j. ``gram`` is the training
-    rows' chi-square RBF Gram matrix.
+    rows' chi-square RBF Gram matrix; ``c`` and ``epsilon`` are every
+    SVR's, as in :func:`train_svr`.
     """
     zt = np.asarray(embeddings, dtype=np.float64)
     if zt.ndim != 2 or zt.shape[1] < 1:
         raise ValueError(
             f"embeddings must be 2-D with at least one column, got shape {zt.shape}"
         )
-    res = train_svr(gram, zt, config)
+    res = train_svr(gram, zt, c, epsilon)
 
     pool_idx = np.flatnonzero(res.coef.any(axis=0))
     return SemanticRegressor(

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from qp_oracle import svr_dual_oracle
+from zslkit import smo
 from zslkit.data import generate_splits, kmeans_codebook, save_split, write_features_csv
 from zslkit.embedding import Label, save_embeddings
 from zslkit.evaluate import ExperimentConfig, run_zsl_evaluation
 from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
-from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor, train_svr
+from zslkit.svr import predict_batch, train_semantic_regressor, train_svr
 from zslkit.synthetic import make_world, world_dataset, world_store
 from zslkit.zsl import label_targets, self_train
 
@@ -28,7 +29,8 @@ def report_line(num: int, description: str, ok: bool, detail: str = "") -> None:
     print(f"[{status}] criterion {num}: {description}{suffix}")
 
 
-def test_criterion_1_svr_oracle_equivalence():
+def test_criterion_1_svr_oracle_equivalence(monkeypatch):
+    monkeypatch.setattr(smo, "TOLERANCE", 1e-10)
     rng = np.random.default_rng(2024)
     started = time.time()
     worst_obj, worst_pred = 0.0, 0.0
@@ -40,7 +42,7 @@ def test_criterion_1_svr_oracle_equivalence():
         gram = gram_matrix(gamma, distance_matrix(x))
         y = rng.normal(size=n)
         epsilon = float(rng.choice([0.0, 0.05, 0.1]))
-        res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=epsilon, tolerance=1e-10))
+        res = train_svr(gram, y, 2.0, epsilon)
         beta_o, bias_o, obj_o = svr_dual_oracle(gram, y, 2.0, epsilon)
         probes = rng.dirichlet(np.ones(d), size=5)
         kv = gram_matrix(gamma, distance_matrix(np.vstack([x, probes]), x))
@@ -206,7 +208,6 @@ def _augmentation_trial(seed: int):
     auxiliary = world_dataset(world, list(range(5, 10)), per_class=20, rng=rng, name="aux")
     heldout = world_dataset(world, list(range(10, 15)), per_class=20, rng=rng, name="held")
     store = world_store(world)
-    config = SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-3)
     truth = np.vstack([store.table[lab.tokens[0]] for lab in heldout.labels])
     errors = []
     for use_aux in (False, True):
@@ -214,7 +215,7 @@ def _augmentation_trial(seed: int):
         x = np.vstack([target.features, auxiliary.features]) if use_aux else target.features
         gamma = heuristic_gamma(x)
         gram = gram_matrix(gamma, distance_matrix(x))
-        regressor = train_semantic_regressor(targets, config, gram)
+        regressor = train_semantic_regressor(targets, gram, 2.0, 0.1)
         kernel_rows = gram_matrix(
             gamma, distance_matrix(heldout.features, x[regressor.pool_indices])
         )

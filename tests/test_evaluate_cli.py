@@ -20,8 +20,8 @@ from zslkit.evaluate import (
 )
 from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
 from zslkit.smo import ConvergenceError
-from zslkit.svc import SvcConfig, classify_batch, train_svc
-from zslkit.svr import SvrConfig, predict_batch, train_semantic_regressor
+from zslkit.svc import classify_batch, train_svc
+from zslkit.svr import predict_batch, train_semantic_regressor
 from zslkit.synthetic import make_world, world_dataset, world_store
 from zslkit.zsl import (
     Prediction,
@@ -65,21 +65,12 @@ def base_config(toy_world, out_dir, **overrides) -> ExperimentConfig:
     return config
 
 
-def _svr_config(config: ExperimentConfig) -> SvrConfig:
-    return SvrConfig(
-        c=config.svr_c,
-        epsilon=config.svr_epsilon,
-        tolerance=config.svr_tolerance,
-        max_passes=config.svr_max_passes,
-    )
-
-
 def reference_regressor(config: ExperimentConfig, x: np.ndarray, targets: np.ndarray):
     """The gamma and the regressor of training rows ``x``, from their own
     Gram matrix."""
     gamma = heuristic_gamma(x)
     gram = gram_matrix(gamma, distance_matrix(x))
-    return gamma, train_semantic_regressor(targets, _svr_config(config), gram)
+    return gamma, train_semantic_regressor(targets, gram, config.svr_c, config.svr_epsilon)
 
 
 def class_rows(dataset, classes) -> list[int]:
@@ -145,7 +136,7 @@ def reference_multishot_predictions(config: ExperimentConfig, out_dir) -> None:
             )
             for rows in (train, test)
         )
-        model = train_svc(train_proj, train_labels, SvcConfig())
+        model = train_svc(train_proj, train_labels, config.svc_c)
         predicted = classify_batch(model, test_proj)
         write_predictions_csv(
             [Prediction(id_, lab, float("nan")) for id_, lab in zip(fold["test"], predicted)],
@@ -334,7 +325,7 @@ class TestZslEvaluation:
             ("svr_c", True, "svr_c must be a number, got True"),
             ("split_count", True, "split_count must be an integer, got True"),
             ("k_neighbors", True, "k_neighbors must be an integer, got True"),
-            ("svc_max_passes", False, "svc_max_passes must be an integer, got False"),
+            ("svc_c", False, "svc_c must be a number, got False"),
             ("split_seed", 1.5, "split_seed must be an integer, got 1.5"),
             ("target_path", 3, "target_path must be a string, got 3"),
             ("embedding_path", None, "embedding_path must be a string, got None"),
@@ -343,7 +334,7 @@ class TestZslEvaluation:
             ("folds_path", ["f.json"], "folds_path must be a string, got ['f.json']"),
         ],
         ids=[
-            "gamma", "svr_c", "split_count", "k_neighbors", "svc_max_passes", "split_seed",
+            "gamma", "svr_c", "split_count", "k_neighbors", "svc_c", "split_seed",
             "target_path", "embedding_path", "out_dir", "auxiliary_path", "folds_path",
         ],
     )
@@ -354,13 +345,34 @@ class TestZslEvaluation:
             run_zsl_evaluation(config)
         assert not (tmp_path / "runs").exists()
 
-    def test_failing_split_is_named(self, toy_world, tmp_path):
-        config = base_config(toy_world, tmp_path, k_neighbors=10_000)
-        with pytest.raises(RuntimeError, match="split 1 failed"):
-            run_zsl_evaluation(config)
+    def test_failing_split_is_named(self, toy_world, tmp_path, monkeypatch):
+        def fail(*args):
+            raise ValueError("no prediction")
 
-    def test_nonconvergence_keeps_solver_diagnostics(self, toy_world, tmp_path):
-        config = base_config(toy_world, tmp_path, svr_max_passes=1)
+        monkeypatch.setattr(zslkit.evaluate, "zsl_predict", fail)
+        with pytest.raises(RuntimeError, match="^split 1 failed: no prediction$"):
+            run_zsl_evaluation(base_config(toy_world, tmp_path))
+
+    def test_k_above_a_splits_test_clips_fails_at_set_up(self, toy_world, tmp_path, monkeypatch):
+        # each split holds out 4 of the 8 target classes, 40 clips; K=41 is
+        # refused before the run matrix is made or a run directory exists
+        def no_fill(*args):
+            raise AssertionError("the run matrix was made")
+
+        monkeypatch.setattr(zslkit.kernels, "chi2_distance_matrix", no_fill)
+        config = base_config(toy_world, tmp_path / "runs", k_neighbors=41)
+        with pytest.raises(
+            ValueError, match="^split 1: k_neighbors=41 is more than the split's 40 test clips$"
+        ):
+            run_zsl_evaluation(config)
+        assert not (tmp_path / "runs").exists()
+        monkeypatch.undo()
+        config.k_neighbors = 40
+        run_zsl_evaluation(config)
+
+    def test_nonconvergence_keeps_solver_diagnostics(self, toy_world, tmp_path, monkeypatch):
+        monkeypatch.setattr(zslkit.smo, "MAX_ITER", 1)
+        config = base_config(toy_world, tmp_path)
         with pytest.raises(ConvergenceError, match="^split 1 failed: SVR dual") as err:
             run_zsl_evaluation(config)
         assert err.value.iterations == 1
@@ -388,7 +400,8 @@ class TestZslEvaluation:
         assert 2 <= over.sum() < over.size and not (per_dim == budget).any()
         first = int(np.argmax(over))
 
-        config = base_config(toy_world, tmp_path, split_count=1, svr_max_passes=budget)
+        monkeypatch.setattr(zslkit.smo, "MAX_ITER", budget)
+        config = base_config(toy_world, tmp_path, split_count=1)
         with pytest.raises(ConvergenceError) as err:
             run_zsl_evaluation(config)
         assert str(err.value).startswith(
@@ -400,7 +413,7 @@ class TestZslEvaluation:
         np.testing.assert_array_equal(err.value.result.converged, ~over)
 
         config_path = tmp_path / "exp.json"
-        config_path.write_text(json.dumps({**config.to_dict(), "out_dir": config.out_dir}))
+        config_path.write_text(json.dumps({**config.to_dict("zsl"), "out_dir": config.out_dir}))
         capsys.readouterr()
         assert main(["eval-zsl", "--config", str(config_path)]) == 1
         error = json.loads(capsys.readouterr().err)
@@ -424,7 +437,7 @@ class TestZslEvaluation:
 
     def test_fingerprint_changes_with_any_field(self, toy_world, tmp_path):
         base = base_config(toy_world, tmp_path)
-        seen = {base.fingerprint()}
+        seen = {base.fingerprint("zsl")}
         for field, value in [
             ("split_seed", 8),
             ("split_count", 3),
@@ -437,11 +450,31 @@ class TestZslEvaluation:
         ]:
             config = base_config(toy_world, tmp_path)
             setattr(config, field, value)
-            fp = config.fingerprint()
+            fp = config.fingerprint("zsl")
             assert fp not in seen, field
             seen.add(fp)
         # where the outputs go is not part of the experiment
-        assert base_config(toy_world, tmp_path / "elsewhere").fingerprint() == base.fingerprint()
+        elsewhere = base_config(toy_world, tmp_path / "elsewhere")
+        assert elsewhere.fingerprint("zsl") == base.fingerprint("zsl")
+
+    def test_fingerprint_leaves_out_the_fields_a_mode_does_not_read(self, toy_world, tmp_path):
+        base = base_config(toy_world, tmp_path, folds_path="folds.json")
+        zsl_only = {"split_count", "split_seed", "k_neighbors", "auxiliary_path", "predictor"}
+        for field, value in [
+            ("svc_c", 1.0), ("folds_path", "other.json"), ("split_count", 3), ("split_seed", 8),
+            ("k_neighbors", 4), ("auxiliary_path", str(toy_world["aux"])), ("predictor", "random"),
+        ]:
+            config = base_config(toy_world, tmp_path, **{"folds_path": "folds.json", field: value})
+            for mode, reads in (("zsl", field in zsl_only), ("multishot", field not in zsl_only)):
+                assert (field in config.to_dict(mode)) == reads
+                assert (config.fingerprint(mode) != base.fingerprint(mode)) == reads, (mode, field)
+
+
+    def test_zsl_run_skips_range_checks_of_fields_it_does_not_read(self, toy_world, tmp_path):
+        _, run_dir = run_zsl_evaluation(base_config(toy_world, tmp_path, split_count=1))
+        config = base_config(toy_world, tmp_path, split_count=1, svc_c=0,
+                             folds_path=str(tmp_path / "none.json"))
+        assert run_zsl_evaluation(config)[1] == run_dir
 
 
 class TestMultishot:
@@ -813,7 +846,10 @@ class TestCli:
         config = json.loads((run_dir / "report.json").read_text())["config"]
         assert config["svr_c"] == 2.0 and config["gamma"] == 1.0
 
-    def test_nonconvergence_error_json_has_diagnostics(self, toy_world, tmp_path, capsys):
+    def test_nonconvergence_error_json_has_diagnostics(
+        self, toy_world, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(zslkit.smo, "MAX_ITER", 1)
         config_path = tmp_path / "exp.json"
         config_path.write_text(
             json.dumps(
@@ -822,7 +858,6 @@ class TestCli:
                     "embedding_path": str(toy_world["embeddings"]),
                     "out_dir": str(tmp_path / "runs"),
                     "split_count": 1,
-                    "svr_max_passes": 1,
                 }
             )
         )
@@ -840,15 +875,19 @@ class TestCli:
         assert code == 1
         assert "no_such_field" in json.loads(capsys.readouterr().err)["error"]
 
+    # the solver's stopping tolerance and pass budget are smo constants
     @pytest.mark.parametrize(
         "field",
-        ["chi2_halved", "normalize_prototypes", "renormalize_prototypes", "augment", "self_train"],
+        ["chi2_halved", "normalize_prototypes", "renormalize_prototypes", "augment", "self_train",
+         "svr_tolerance", "svr_max_passes", "svc_tolerance", "svc_max_passes"],
     )
-    def test_removed_config_field_rejected(self, tmp_path, field):
+    def test_removed_config_field_rejected(self, tmp_path, capsys, field):
+        # refused before any input is read: the target file does not exist
         config_path = tmp_path / "exp.json"
-        config_path.write_text(json.dumps({"target_path": "x", field: True}))
-        with pytest.raises(ValueError, match=f"unknown config field '{field}'"):
-            ExperimentConfig.from_file(config_path)
+        config_path.write_text(json.dumps({"target_path": str(tmp_path / "none.csv"), field: 1}))
+        assert main(["eval-zsl", "--config", str(config_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == f"{config_path}: unknown config field '{field}'"
 
     def test_kernel_kind_is_an_unknown_field(self, toy_world, tmp_path, capsys):
         # the regressor's kernel is always chi-square RBF; a config that
@@ -891,18 +930,14 @@ class TestCli:
         [
             ("svr_c", -1, "svr_c must be positive, got -1"),
             ("svr_epsilon", -0.5, "svr_epsilon must be non-negative, got -0.5"),
-            ("svr_max_passes", 0, "svr_max_passes must be at least 1"),
             ("svc_c", 0, "svc_c must be positive, got 0"),
-            ("svc_tolerance", 0.0, "svc_tolerance must be positive, got 0.0"),
             *(
                 (name, 10**400, f"{name} is an integer too large for a float")
-                for name in ("svr_c", "svc_c", "svr_epsilon", "svr_tolerance", "svc_tolerance",
-                             "gamma")
+                for name in ("svr_c", "svc_c", "svr_epsilon", "gamma")
             ),
         ],
-        ids=["svr_c", "svr_epsilon", "svr_max_passes", "svc_c", "svc_tolerance", "svr_c-10**400",
-             "svc_c-10**400", "svr_epsilon-10**400", "svr_tolerance-10**400",
-             "svc_tolerance-10**400", "gamma-10**400"],
+        ids=["svr_c", "svr_epsilon", "svc_c", "svr_c-10**400", "svc_c-10**400",
+             "svr_epsilon-10**400", "gamma-10**400"],
     )
     def test_config_solver_value_out_of_range_fails(
         self, toy_world, tmp_path, capsys, field, value, message
@@ -918,7 +953,9 @@ class TestCli:
                 }
             )
         )
-        assert main(["eval-zsl", "--config", str(config_path)]) == 1
+        # eval-zsl does not read svc_c; eval-multishot reads every solver value
+        command = "eval-multishot" if field.startswith("svc_") else "eval-zsl"
+        assert main([command, "--config", str(config_path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == message
         assert not (tmp_path / "runs").exists()
 
@@ -988,6 +1025,24 @@ class TestCli:
         )
         assert code == 0
         assert "mean accuracy" in capsys.readouterr().out
+
+    def test_multishot_run_identity_leaves_out_zsl_fields(self, toy_world, tmp_path):
+        # a config that also sets values only eval-zsl reads, an auxiliary
+        # path that does not exist among them, runs the same experiment
+        folds_path = tmp_path / "folds.json"
+        TestMultishot()._write_folds(folds_path, load_dataset(toy_world["target"]))
+        runs = tmp_path / "runs"
+        flags = ["--features", str(toy_world["target"]), "--embeddings",
+                 str(toy_world["embeddings"]), "--folds", str(folds_path), "--out", str(runs)]
+        assert main(["eval-multishot", *flags]) == 0
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"split_count": 3, "k_neighbors": 4,
+                                           "auxiliary_path": str(tmp_path / "none.csv")}))
+        assert main(["eval-multishot", "--config", str(config_path), *flags]) == 0
+        (run_dir,) = runs.iterdir()
+        config = json.loads((run_dir / "report.json").read_text())["config"]
+        assert sorted(config) == ["embedding_path", "folds_path", "gamma", "svc_c", "svr_c",
+                                  "svr_epsilon", "target_path"]
 
 
 class TestQuantizeCli:

@@ -19,10 +19,10 @@ from zslkit.kernels import (
     heuristic_gamma,
     squared_euclidean_distances,
 )
+from zslkit import smo
 from zslkit.smo import ConvergenceError
 from zslkit.svr import (
     _SYMMETRY_BLOCK_CELLS,
-    SvrConfig,
     _validate_gram,
     predict_batch,
     train_semantic_regressor,
@@ -46,9 +46,9 @@ def chi2_gram(gamma, rows, cols=None):
     return gram_matrix(gamma, distance_matrix(rows, cols))
 
 
-def fit(x, emb, config, gamma):
-    """The regressor of training rows ``x`` and targets ``emb``."""
-    return train_semantic_regressor(emb, config, chi2_gram(gamma, x))
+def fit(x, emb, epsilon, gamma):
+    """The regressor of training rows ``x`` and targets ``emb``, at C = 2."""
+    return train_semantic_regressor(emb, chi2_gram(gamma, x), 2.0, epsilon)
 
 
 def project(reg, gamma, x, probes):
@@ -64,11 +64,12 @@ def random_problem(rng, n, d, gamma=None):
 
 
 class TestTrainSvr:
-    def test_two_samples_match_oracle(self):
+    def test_two_samples_match_oracle(self, monkeypatch):
+        monkeypatch.setattr(smo, "TOLERANCE", 1e-10)
         rng = np.random.default_rng(1)
         x, gamma, gram = random_problem(rng, 2, 4)
         y = np.array([-1.0, 1.0])
-        res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.0, tolerance=1e-10))
+        res = train_svr(gram, y, 2.0, 0.0)
         beta_o, bias_o, _ = svr_dual_oracle(gram, y, 2.0, 0.0)
         np.testing.assert_allclose(
             gram @ res.coef[0] + res.bias[0], gram @ beta_o + bias_o, atol=1e-4
@@ -77,18 +78,19 @@ class TestTrainSvr:
     def test_constant_targets_fit_inside_tube(self):
         rng = np.random.default_rng(2)
         _, _, gram = random_problem(rng, 6, 4)
-        res = train_svr(gram, np.full(6, 5.0), SvrConfig(c=2.0, epsilon=0.1))
+        res = train_svr(gram, np.full(6, 5.0), 2.0, 0.1)
         assert np.flatnonzero(res.coef[0]).size == 0
         assert res.bias[0] == pytest.approx(5.0, abs=1e-12)
         np.testing.assert_allclose(
             gram @ res.coef[0] + res.bias[0], np.full(6, 5.0), atol=1e-12
         )
 
-    def test_dual_objective_matches_oracle(self):
+    def test_dual_objective_matches_oracle(self, monkeypatch):
+        monkeypatch.setattr(smo, "TOLERANCE", 1e-10)
         rng = np.random.default_rng(3)
         x, gamma, gram = random_problem(rng, 10, 5)
         y = rng.normal(size=10)
-        res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-10))
+        res = train_svr(gram, y, 2.0, 0.1)
         _, _, obj_o = svr_dual_oracle(gram, y, 2.0, 0.1)
         assert abs(-res.objective[0] - obj_o) <= 1e-6 * max(1.0, abs(obj_o))
 
@@ -97,17 +99,17 @@ class TestTrainSvr:
         for _ in range(5):
             _, _, gram = random_problem(rng, 12, 6)
             y = rng.normal(scale=2.0, size=12)
-            res = train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.05))
+            res = train_svr(gram, y, 2.0, 0.05)
             support = np.flatnonzero(res.coef[0])
             assert np.all(np.abs(res.coef[0, support]) <= 2.0 + 1e-9)
 
-    def test_kkt_residuals(self):
+    def test_kkt_residuals(self, monkeypatch):
         # non-bound support vectors sit on the tube; off-tube points are at the box
+        monkeypatch.setattr(smo, "TOLERANCE", 1e-8)
         rng = np.random.default_rng(5)
         _, _, gram = random_problem(rng, 20, 6)
         y = rng.normal(size=20)
-        config = SvrConfig(c=2.0, epsilon=0.1, tolerance=1e-8)
-        res = train_svr(gram, y, config)
+        res = train_svr(gram, y, 2.0, 0.1)
         preds = gram @ res.coef[0] + res.bias[0]
         beta = res.coef[0]
         resid = np.abs(preds - y)
@@ -116,46 +118,51 @@ class TestTrainSvr:
         outside = resid > 0.1 + 1e-4
         assert np.all(np.abs(np.abs(beta[outside]) - 2.0) < 1e-7)
 
-    def test_interpolates_with_tiny_epsilon_and_large_c(self):
+    def test_interpolates_with_tiny_epsilon_and_large_c(self, monkeypatch):
+        monkeypatch.setattr(smo, "TOLERANCE", 1e-10)
         rng = np.random.default_rng(6)
         x = rng.dirichlet(np.ones(4), size=5)
         gram = chi2_gram(2.0, x)
         assert np.linalg.eigvalsh(gram).min() > 1e-10  # strictly PD
         y = rng.normal(size=5)
-        res = train_svr(gram, y, SvrConfig(c=1e6, epsilon=0.0, tolerance=1e-10))
+        res = train_svr(gram, y, 1e6, 0.0)
         np.testing.assert_allclose(gram @ res.coef[0] + res.bias[0], y, atol=1e-3)
 
     def test_validation_errors(self):
-        config = SvrConfig()
         with pytest.raises(ValueError, match="square"):
-            train_svr(np.ones((2, 3)), np.zeros(2), config)
+            train_svr(np.ones((2, 3)), np.zeros(2), 2.0, 0.1)
         with pytest.raises(ValueError, match="symmetric"):
-            train_svr(np.array([[1.0, 0.5], [0.1, 1.0]]), np.zeros(2), config)
+            train_svr(np.array([[1.0, 0.5], [0.1, 1.0]]), np.zeros(2), 2.0, 0.1)
         # asymmetry within rounding is refused too
         with pytest.raises(ValueError, match="symmetric"):
-            train_svr(np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]]), np.zeros(2), config)
+            train_svr(np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]]), np.zeros(2), 2.0, 0.1)
         with pytest.raises(ValueError, match="targets length"):
-            train_svr(np.eye(3), np.zeros(2), config)
+            train_svr(np.eye(3), np.zeros(2), 2.0, 0.1)
         with pytest.raises(ValueError, match="at least 2"):
-            train_svr(np.eye(1), np.zeros(1), config)
+            train_svr(np.eye(1), np.zeros(1), 2.0, 0.1)
 
-    def test_nonconvergence_carries_diagnostics(self):
+    def test_nonconvergence_carries_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(smo, "TOLERANCE", 1e-12)
+        monkeypatch.setattr(smo, "MAX_ITER", 2)
         rng = np.random.default_rng(7)
         _, _, gram = random_problem(rng, 10, 5)
         y = rng.normal(size=10)
         with pytest.raises(ConvergenceError) as err:
-            train_svr(gram, y, SvrConfig(c=2.0, epsilon=0.0, tolerance=1e-12, max_passes=2))
+            train_svr(gram, y, 2.0, 0.0)
         assert err.value.iterations == 2
         assert err.value.violation > 0
         assert err.value.result is not None
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="c must be positive"):
-            SvrConfig(c=0.0)
-        with pytest.raises(ValueError, match="epsilon"):
-            SvrConfig(epsilon=-0.1)
-        with pytest.raises(ValueError, match="tolerance"):
-            SvrConfig(tolerance=0.0)
+        gram = np.eye(2)
+        for c, epsilon, message in [
+            (0.0, 0.1, "c must be positive, got 0.0"),
+            (float("inf"), 0.1, "c must be positive, got inf"),
+            (2.0, -0.1, "epsilon must be non-negative, got -0.1"),
+            (2.0, float("nan"), "epsilon must be non-negative, got nan"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                train_svr(gram, np.zeros(2), c, epsilon)
 
 
 class TestGramSymmetryCheck:
@@ -194,7 +201,7 @@ class TestGramSymmetryCheck:
         with pytest.raises(ValueError, match="gram matrix is not symmetric"):
             memory_reference.validate_gram(g)
         with pytest.raises(ValueError, match="gram matrix is not symmetric"):
-            train_svr(g, np.zeros(g.shape[0]), SvrConfig())
+            train_svr(g, np.zeros(g.shape[0]), 2.0, 0.1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -276,9 +283,8 @@ class TestSemanticRegressor:
         rng = np.random.default_rng(8)
         x, gamma, gram = random_problem(rng, 8, 5)
         y = rng.normal(size=8)
-        config = SvrConfig(c=2.0, epsilon=0.05)
-        reg = train_semantic_regressor(y[:, None], config, gram)
-        solo = train_svr(gram, y, config)
+        reg = train_semantic_regressor(y[:, None], gram, 2.0, 0.05)
+        solo = train_svr(gram, y, 2.0, 0.05)
         support = np.flatnonzero(solo.coef[0])
         np.testing.assert_array_equal(reg.pool_indices, support)
         np.testing.assert_array_equal(reg.coefficients[0], solo.coef[0, support])
@@ -291,7 +297,7 @@ class TestSemanticRegressor:
         gamma = heuristic_gamma(x)
         target = l2_normalize(np.array([1.0, 2.0, 2.0]))
         emb = np.tile(target, (10, 1))
-        reg = fit(x, emb, SvrConfig(epsilon=0.05), gamma)
+        reg = fit(x, emb, 0.05, gamma)
         probe = rng.dirichlet(np.ones(5), size=1)
         np.testing.assert_allclose(project(reg, gamma, x, probe)[0], target, atol=0.05 + 1e-9)
 
@@ -302,9 +308,8 @@ class TestSemanticRegressor:
         scrambled = emb.copy()
         scrambled[:, 1] = rng.permutation(scrambled[:, 1])
         scrambled[:, 2] = -scrambled[:, 2]
-        config = SvrConfig(c=2.0, epsilon=0.05)
-        a = train_semantic_regressor(emb, config, gram)
-        b = train_semantic_regressor(scrambled, config, gram)
+        a = train_semantic_regressor(emb, gram, 2.0, 0.05)
+        b = train_semantic_regressor(scrambled, gram, 2.0, 0.05)
         np.testing.assert_array_equal(dense_coefficients(a, 0, 8), dense_coefficients(b, 0, 8))
         assert a.biases[0] == b.biases[0]
 
@@ -312,7 +317,7 @@ class TestSemanticRegressor:
         rng = np.random.default_rng(11)
         x = rng.dirichlet(np.ones(4), size=6)
         emb = np.tile([0.25, -0.5], (6, 1))
-        reg = fit(x, emb, SvrConfig(epsilon=0.1), 1.0)
+        reg = fit(x, emb, 0.1, 1.0)
         assert reg.pool_indices.size == 0
         np.testing.assert_allclose(
             project(reg, 1.0, x, rng.dirichlet(np.ones(4), size=1))[0], [0.25, -0.5], atol=1e-12
@@ -322,7 +327,7 @@ class TestSemanticRegressor:
         rng = np.random.default_rng(12)
         x, gamma, _ = random_problem(rng, 10, 5)
         emb = rng.normal(size=(10, 2))
-        reg = fit(x, emb, SvrConfig(epsilon=0.01), gamma)
+        reg = fit(x, emb, 0.01, gamma)
         perm = rng.permutation(reg.pool_indices.size)
         permuted = dataclasses.replace(
             reg,
@@ -337,7 +342,7 @@ class TestSemanticRegressor:
     def test_coefficient_memory_order_is_immaterial(self):
         rng = np.random.default_rng(21)
         x, gamma, _ = random_problem(rng, 60, 4)
-        reg = fit(x, rng.normal(size=(60, 12)), SvrConfig(epsilon=0.01), gamma)
+        reg = fit(x, rng.normal(size=(60, 12)), 0.01, gamma)
         # trained coefficients are C-ordered, so predict_batch multiplies by
         # them without a copy
         assert reg.coefficients.flags.c_contiguous
@@ -351,7 +356,7 @@ class TestSemanticRegressor:
     def test_kernel_row_memory_order_is_immaterial(self):
         rng = np.random.default_rng(21)
         x, gamma, _ = random_problem(rng, 60, 4)
-        reg = fit(x, rng.normal(size=(60, 12)), SvrConfig(epsilon=0.01), gamma)
+        reg = fit(x, rng.normal(size=(60, 12)), 0.01, gamma)
         rows = chi2_gram(gamma, rng.dirichlet(np.ones(4), size=66), x[reg.pool_indices])
         assert rows.flags.c_contiguous and reg.coefficients.shape[1] >= 30
         # an F-ordered product rounds differently at this shape, so the
@@ -369,7 +374,7 @@ class TestSemanticRegressor:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         x_tr, x_te, z_tr, z_te = x[:n_train], x[n_train:], z[:n_train], z[n_train:]
         gamma = heuristic_gamma(x_tr)
-        reg = fit(x_tr, z_tr, SvrConfig(epsilon=0.05), gamma)
+        reg = fit(x_tr, z_tr, 0.05, gamma)
         proj = project(reg, gamma, x_tr, x_te)
 
         def mean_cosdist(pred):
@@ -387,10 +392,10 @@ class TestSemanticRegressor:
             (np.ones((3, 0)), r"at least one column, got shape \(3, 0\)"),
         ]:
             with pytest.raises(ValueError, match=message):
-                train_semantic_regressor(embeddings, SvrConfig(), gram)
+                train_semantic_regressor(embeddings, gram, 2.0, 0.1)
         rng = np.random.default_rng(15)
         x = rng.dirichlet(np.ones(3), size=4)
-        reg = fit(x, rng.normal(size=(4, 2)), SvrConfig(epsilon=0.0), 1.0)
+        reg = fit(x, rng.normal(size=(4, 2)), 0.0, 1.0)
         pool = reg.coefficients.shape[1]
         expected = rf"kernel rows have shape .*, expected \(n, {pool}\)"
         for rows in (np.ones((3, pool + 1)), np.ones(pool)):

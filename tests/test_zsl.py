@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 import memory_reference
 from zslkit.embedding import Label, l2_normalize
 from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
-from zslkit.svr import SvrConfig, train_semantic_regressor
+from zslkit.svr import train_semantic_regressor
 from zslkit.zsl import (
     Prediction,
     augment_training,
@@ -241,8 +241,7 @@ class TestZslPredict:
         )
         gamma = heuristic_gamma(x)
         reg = train_semantic_regressor(
-            label_targets(labels, toy_store), SvrConfig(epsilon=0.05),
-            gram_matrix(gamma, distance_matrix(x)),
+            label_targets(labels, toy_store), gram_matrix(gamma, distance_matrix(x)), 2.0, 0.05
         )
         return x, gamma, reg
 
