@@ -44,22 +44,20 @@ def main() -> None:
     data_dir = Path(args.data)
     ensure_corpus(data_dir, args.seed)
 
-    base = dict(
-        target_path=str(data_dir / "target.csv"),
-        embedding_path=str(data_dir / "embeddings.txt"),
-        out_dir=args.out,
-        split_count=args.splits,
-        split_seed=args.seed,
-    )
-    aux = str(data_dir / "auxiliary.csv")
+    base = dict(target_path=str(data_dir / "target.csv"), out_dir=args.out)
+    splits = dict(split_count=args.splits, split_seed=args.seed)
+    words = str(data_dir / "embeddings.txt")
+    regressor = dict(splits, embedding_path=words)
+    k, aux = args.k_neighbors, str(data_dir / "auxiliary.csv")
     # each run gets only the values its variant uses
     runs = [
-        ("Random", run_zsl_evaluation, dict(predictor="random")),
-        ("NN", run_zsl_evaluation, {}),
-        ("NN+ST", run_zsl_evaluation, dict(k_neighbors=args.k_neighbors)),
-        ("NN+Aux", run_zsl_evaluation, dict(auxiliary_path=aux)),
-        ("NN+ST+Aux", run_zsl_evaluation, dict(k_neighbors=args.k_neighbors, auxiliary_path=aux)),
-        ("SVM", run_multishot_evaluation, dict(folds_path=str(data_dir / "folds.json"))),
+        ("Random", run_zsl_evaluation, dict(splits, predictor="random")),
+        ("NN", run_zsl_evaluation, regressor),
+        ("NN+ST", run_zsl_evaluation, dict(regressor, k_neighbors=k)),
+        ("NN+Aux", run_zsl_evaluation, dict(regressor, auxiliary_path=aux)),
+        ("NN+ST+Aux", run_zsl_evaluation, dict(regressor, k_neighbors=k, auxiliary_path=aux)),
+        ("SVM", run_multishot_evaluation,
+         dict(embedding_path=words, folds_path=str(data_dir / "folds.json"))),
     ]
     rows = []
     for variant, evaluate, values in runs:

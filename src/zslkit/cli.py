@@ -19,6 +19,7 @@ import numpy as np
 from .data import kmeans_codebook, quantize, read_descriptor_file, write_features_csv
 from .embedding import Label
 from .evaluate import (
+    PREDICTOR_RANDOM,
     EvaluationReport,
     ExperimentConfig,
     run_multishot_evaluation,
@@ -116,6 +117,8 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 def _cmd_eval_zsl(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     if args.ablation_grid:
+        if base.predictor == PREDICTOR_RANDOM:
+            raise ValueError("--ablation-grid does not take --predictor random")
         if base.k_neighbors is None or base.auxiliary_path is None:
             raise ValueError(
                 "--ablation-grid requires --self-train K and --augment <auxiliary dataset>"
@@ -180,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--self-train", type=int, dest="k_neighbors", metavar="K", help="adapt prototypes to K"
     )
     ezsl.add_argument("--augment", help="auxiliary dataset CSV for training augmentation")
-    ezsl.add_argument("--predictor", choices=("regressor", "random"))
+    ezsl.add_argument("--predictor", help="regressor (default) or random")
     ezsl.add_argument(
         "--ablation-grid",
         action="store_true",

@@ -240,7 +240,9 @@ def save_split(split: SplitSpec, dataset_name: str, path: str | Path) -> None:
         "seen": [lab.slug for lab in split.seen],
         "unseen": [lab.slug for lab in split.unseen],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def kmeans_codebook(

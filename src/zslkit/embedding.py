@@ -163,7 +163,7 @@ def _block_rows(lines: list[str], dim: int):
         or any(c in joined for c in _OTHER_SEPARATORS)
     ):
         return None
-    if " \n" in joined or joined.endswith(" "):
+    if any(t.endswith((" \n", " ")) for t in texts):
         texts = [t.removesuffix("\n").removesuffix(" ") for t in texts]
     values = textblocks.parse_block(texts, dim, " ")
     return None if values is None else (names, values)

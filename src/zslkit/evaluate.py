@@ -15,14 +15,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import smo
-from .data import Dataset, SplitSpec, generate_splits, load_dataset, save_split
-from .embedding import EmbeddingStore, Label, label_tokens, load_embeddings
+from .data import SplitSpec, generate_splits, load_dataset, save_split
+from .embedding import Label, label_tokens, load_embeddings
 from .kernels import (
     PackedDistances,
     fit_kernel,
@@ -50,12 +51,39 @@ _PATH_FIELDS = ("target_path", "embedding_path", "out_dir", "auxiliary_path", "f
 _INTEGER_FIELDS = ("k_neighbors", "split_count", "split_seed")
 _REAL_FIELDS = ("gamma", "svr_c", "svr_epsilon", "svc_c")
 
-# The fields each mode never reads: they are left out of its fingerprint
-# and report, and only type-checked.
+# The fields each kind of run never reads: eval-zsl's regressor, its
+# random baseline and eval-multishot. They are left out of the run's
+# fingerprint and report, and only type-checked.
 _UNREAD = {
     "zsl": ("svc_c", "folds_path"),
+    PREDICTOR_RANDOM: ("embedding_path", "auxiliary_path", "k_neighbors", "gamma", "svr_c",
+                       "svr_epsilon", "svc_c", "folds_path"),
     "multishot": ("auxiliary_path", "k_neighbors", "split_count", "split_seed", "predictor"),
 }
+
+
+# Each field's range checks, in the order they run: a value that fails
+# one raises its message, formatted with the value. The predictor comes
+# first, as it decides which fields a zero-shot run reads.
+_RANGE_CHECKS = (
+    ("predictor", lambda v: v in (PREDICTOR_REGRESSOR, PREDICTOR_RANDOM), "unknown predictor {!r}"),
+    ("svr_c", lambda v: math.isfinite(v) and v > 0, "svr_c must be positive, got {}"),
+    ("svr_epsilon", lambda v: math.isfinite(v) and v >= 0,
+     "svr_epsilon must be non-negative, got {}"),
+    ("svc_c", lambda v: math.isfinite(v) and v > 0, "svc_c must be positive, got {}"),
+    ("target_path", bool, "target_path is required"),
+    ("target_path", lambda v: Path(v).is_file(), "target dataset not found: {}"),
+    ("embedding_path", bool, "embedding_path is required"),
+    ("embedding_path", lambda v: Path(v).is_file(), "embedding file not found: {}"),
+    ("auxiliary_path", lambda v: v is None or Path(v).is_file(), "auxiliary dataset not found: {}"),
+    ("k_neighbors", lambda v: v is None or v >= 1, "k_neighbors must be at least 1"),
+    ("gamma", lambda v: v == "auto" or math.isfinite(v) and v > 0,
+     "gamma must be 'auto' or a positive finite number, got {!r}"),
+    ("split_count", lambda v: v >= 1, "split_count must be at least 1"),
+    ("split_seed", lambda v: v >= 0, "split_seed must be non-negative"),
+    ("folds_path", bool, "eval-multishot requires folds_path"),
+    ("folds_path", lambda v: Path(v).is_file(), "folds file not found: {}"),
+)
 
 
 @dataclass
@@ -90,8 +118,10 @@ class ExperimentConfig:
         return cls(**doc)
 
     def to_dict(self, mode: str) -> dict:
-        """Every field that ``mode`` ("zsl" or "multishot") reads, but
-        ``out_dir``, which is not part of the experiment."""
+        """Every field that a run of ``mode`` ("zsl" or "multishot") reads,
+        but ``out_dir``, which is not part of the experiment."""
+        if mode == "zsl" and self.predictor == PREDICTOR_RANDOM:
+            mode = PREDICTOR_RANDOM
         skip = ("out_dir", *_UNREAD[mode])
         return {k: v for k, v in dataclasses.asdict(self).items() if k not in skip}
 
@@ -100,8 +130,8 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def validate(self, mode: str) -> None:
-        """Type-check every field, then range-check the fields ``mode``
-        reads and make the real ones floats."""
+        """Type-check every field, then range-check the fields a run of
+        ``mode`` reads (those of ``to_dict``) and make the real ones floats."""
         exempt = {"auxiliary_path": None, "folds_path": None, "k_neighbors": None, "gamma": "auto"}
         for name in _PATH_FIELDS + _INTEGER_FIELDS + _REAL_FIELDS:
             value = getattr(self, name)
@@ -118,42 +148,10 @@ class ExperimentConfig:
                     float(value)
                 except OverflowError:
                     raise ValueError(f"{name} is an integer too large for a float") from None
-        unread = _UNREAD[mode]
-        if not (math.isfinite(self.svr_c) and self.svr_c > 0):
-            raise ValueError(f"svr_c must be positive, got {self.svr_c}")
-        if not (math.isfinite(self.svr_epsilon) and self.svr_epsilon >= 0):
-            raise ValueError(f"svr_epsilon must be non-negative, got {self.svr_epsilon}")
-        if "svc_c" not in unread and not (math.isfinite(self.svc_c) and self.svc_c > 0):
-            raise ValueError(f"svc_c must be positive, got {self.svc_c}")
-        if not self.target_path:
-            raise ValueError("target_path is required")
-        if not Path(self.target_path).is_file():
-            raise ValueError(f"target dataset not found: {self.target_path}")
-        if not self.embedding_path:
-            raise ValueError("embedding_path is required")
-        if not Path(self.embedding_path).is_file():
-            raise ValueError(f"embedding file not found: {self.embedding_path}")
-        if "auxiliary_path" not in unread and self.auxiliary_path is not None:
-            if not Path(self.auxiliary_path).is_file():
-                raise ValueError(f"auxiliary dataset not found: {self.auxiliary_path}")
-        if "k_neighbors" not in unread and self.k_neighbors is not None and self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be at least 1")
-        if self.gamma != "auto" and not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(
-                f"gamma must be 'auto' or a positive finite number, got {self.gamma!r}"
-            )
-        predictors = (PREDICTOR_REGRESSOR, PREDICTOR_RANDOM)
-        if "predictor" not in unread and self.predictor not in predictors:
-            raise ValueError(f"unknown predictor {self.predictor!r}")
-        if "split_count" not in unread and self.split_count < 1:
-            raise ValueError("split_count must be at least 1")
-        if "split_seed" not in unread and self.split_seed < 0:
-            raise ValueError("split_seed must be non-negative")
-        if "folds_path" not in unread:
-            if not self.folds_path:
-                raise ValueError("eval-multishot requires folds_path")
-            if not Path(self.folds_path).is_file():
-                raise ValueError(f"folds file not found: {self.folds_path}")
+        reads = self.to_dict(mode)
+        for name, ok, message in _RANGE_CHECKS:
+            if name in reads and not ok(reads[name]):
+                raise ValueError(message.format(reads[name]))
         # 2 and 2.0 are one experiment, so they get one fingerprint
         for name in _REAL_FIELDS:
             value = getattr(self, name)
@@ -280,25 +278,11 @@ def _fit_regressor(
     return regressor, [gram_matrix(gamma, dist.block(r, pool_rows)) for r in row_sets]
 
 
-def _run_classes(
-    store: EmbeddingStore, target: Dataset, auxiliary: Dataset | None = None
-) -> tuple[dict[Label, int], np.ndarray, np.ndarray]:
-    """Each class of the run with its index, in order of first appearance
-    over the target rows and then the auxiliary rows; the (C, d_z) word
-    vectors of those classes; and the class index of every run row. A
-    label whose word ``store`` lacks fails here, before any unit runs."""
-    labels = target.labels + (auxiliary.labels if auxiliary is not None else [])
+def _class_index(labels: list[Label]) -> tuple[dict[Label, int], np.ndarray]:
+    """Each class of ``labels`` with its index, in order of first
+    appearance, and the class index of every label."""
     index = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-    class_of = np.array([index[lab] for lab in labels], dtype=np.intp)
-    return index, label_targets(list(index), store), class_of
-
-
-def _random_predictions(
-    ids: list[str], unseen: tuple[Label, ...], seed: int, index: int
-) -> list[Prediction]:
-    rng = np.random.default_rng([seed, 104729, index])
-    picks = rng.integers(0, len(unseen), size=len(ids))
-    return [Prediction(id_, unseen[int(k)], float("nan")) for id_, k in zip(ids, picks)]
+    return index, np.array([index[lab] for lab in labels], dtype=np.intp)
 
 
 def _run_units(
@@ -371,74 +355,83 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     augmenting), take the unseen classes' word vectors as prototypes,
     project and classify the unseen-class instances (self-training the
     prototypes first when enabled), and score per-instance accuracy.
+    The random baseline reads only the target and the split values.
     Returns the aggregated report and the run directory.
     """
     config.validate("zsl")
     target = load_dataset(config.target_path)
+    if config.predictor == PREDICTOR_RANDOM:
+        splits = generate_splits(target.class_vocabulary, config.split_count, config.split_seed)
+        name, ids, labels = target.name, target.ids, target.labels
+        del target  # a unit reads the ids and labels, not the features
+        unit = partial(_random_guesses, name, ids, labels, *_class_index(labels), config.split_seed)
+        return _run_units(config, "zsl", "Random", "split", [(s.index, s) for s in splits], unit)
     auxiliary = None if config.auxiliary_path is None else load_dataset(config.auxiliary_path)
-    aux_vocabulary = auxiliary.class_vocabulary if auxiliary is not None else []
-    store = load_embeddings(
-        config.embedding_path, tokens=label_tokens(target.class_vocabulary + aux_vocabulary)
-    )
+    labels = target.labels + (auxiliary.labels if auxiliary is not None else [])
+    store = load_embeddings(config.embedding_path, tokens=label_tokens(labels))
     splits = generate_splits(target.class_vocabulary, config.split_count, config.split_seed)
-    index, vectors, class_of = _run_classes(store, target, auxiliary)
-    name, ids, labels, n_target = target.name, target.ids, target.labels, len(target)
-    if config.predictor == PREDICTOR_REGRESSOR:
-        # an auxiliary class that a split holds out, or a K above a split's
-        # test clips: augment_training and self_train refuse them too, but
-        # only once the run matrix exists
-        aux_classes = set(aux_vocabulary)
-        rows_of = np.bincount(class_of[:n_target], minlength=len(index))
-        for split in splits:
-            clash = [lab for lab in split.unseen if lab in aux_classes]
-            if clash:
-                raise ValueError(
-                    f"split {split.index}: auxiliary class {clash[0].key!r} "
-                    "collides with an unseen class"
-                )
-            n_test = sum(int(rows_of[index[lab]]) for lab in split.unseen)
-            if config.k_neighbors is not None and config.k_neighbors > n_test:
-                raise ValueError(
-                    f"split {split.index}: k_neighbors={config.k_neighbors} is more than "
-                    f"the split's {n_test} test clips"
-                )
-        seen = max(sum(int(rows_of[index[lab]]) for lab in s.seen) for s in splits)
-        _check_memory(len(class_of), seen + len(class_of) - n_target)
-        features = _run_features(
-            target.features, auxiliary.features if auxiliary is not None else None
-        )
-        # the per-file rows go before the run matrix is made; a unit reads
-        # the matrix, not the features
-        del target, auxiliary
-        dist = PackedDistances(features)
-        del features
-        aux_rows = np.arange(n_target, dist.n)
-    else:
-        del target, auxiliary
+    index, class_of = _class_index(labels)
+    # a label whose word the store lacks fails here, before any unit runs
+    vectors = label_targets(list(index), store)
+    name, ids, n_target = target.name, target.ids, len(target)
+    # an auxiliary class that a split holds out, or a K above a split's
+    # test clips: augment_training and self_train refuse them too, but only
+    # once the run matrix exists
+    aux_classes = set(labels[n_target:])
+    rows_of = np.bincount(class_of[:n_target], minlength=len(index))
+    for split in splits:
+        clash = [lab for lab in split.unseen if lab in aux_classes]
+        if clash:
+            raise ValueError(
+                f"split {split.index}: auxiliary class {clash[0].key!r} "
+                "collides with an unseen class"
+            )
+        n_test = sum(int(rows_of[index[lab]]) for lab in split.unseen)
+        if config.k_neighbors is not None and config.k_neighbors > n_test:
+            raise ValueError(
+                f"split {split.index}: k_neighbors={config.k_neighbors} is more than "
+                f"the split's {n_test} test clips"
+            )
+    seen = max(sum(int(rows_of[index[lab]]) for lab in s.seen) for s in splits)
+    _check_memory(len(class_of), seen + len(class_of) - n_target)
+    features = _run_features(target.features, getattr(auxiliary, "features", None))
+    # the per-file rows go before the run matrix is made; a unit reads the
+    # matrix, not the features
+    del target, auxiliary
+    dist = PackedDistances(features)
+    del features
+    aux_rows = np.arange(n_target, dist.n)
 
     def fit_predict(split: SplitSpec, run_dir: Path) -> tuple[list[Label], list[Prediction]]:
-        (run_dir / "splits").mkdir(exist_ok=True)
         save_split(split, name, run_dir / "splits" / f"split_{split.index:03d}.json")
         unseen = np.array([index[lab] for lab in split.unseen], dtype=np.intp)
         is_test = np.isin(class_of[:n_target], unseen)
         train_rows, test_rows = np.flatnonzero(~is_test), np.flatnonzero(is_test)
-        test_ids = [ids[i] for i in test_rows]
-        truths = [labels[i] for i in test_rows]
-        if config.predictor == PREDICTOR_RANDOM:
-            return truths, _random_predictions(
-                test_ids, split.unseen, config.split_seed, split.index
-            )
         rows = np.concatenate([train_rows, aux_rows])
         targets = augment_training(vectors, class_of[rows], list(index), unseen)
         regressor, (kernel_rows,) = _fit_regressor(config, dist, rows, targets, test_rows)
-        return truths, zsl_predict(
+        test_ids = [ids[i] for i in test_rows]
+        return [labels[i] for i in test_rows], zsl_predict(
             regressor, vectors[unseen], split.unseen, kernel_rows, test_ids, config.k_neighbors
         )
 
-    variant = config.variant_name() if config.predictor == PREDICTOR_REGRESSOR else "Random"
-    return _run_units(
-        config, "zsl", variant, "split", [(s.index, s) for s in splits], fit_predict
-    )
+    units = [(s.index, s) for s in splits]
+    return _run_units(config, "zsl", config.variant_name(), "split", units, fit_predict)
+
+
+def _random_guesses(
+    name: str, ids: list[str], labels: list[Label], index: dict[Label, int], class_of: np.ndarray,
+    seed: int, split: SplitSpec, run_dir: Path,
+) -> tuple[list[Label], list[Prediction]]:
+    """The random baseline's unit: each test clip of the split guessed
+    uniformly among its unseen classes, from a stream of ``seed`` and the split's index."""
+    save_split(split, name, run_dir / "splits" / f"split_{split.index:03d}.json")
+    test_rows = np.flatnonzero(np.isin(class_of, [index[lab] for lab in split.unseen]))
+    rng = np.random.default_rng([seed, 104729, split.index])
+    picks = rng.integers(0, len(split.unseen), size=test_rows.size)
+    return [labels[i] for i in test_rows], [
+        Prediction(ids[i], split.unseen[k], float("nan")) for i, k in zip(test_rows, picks)
+    ]
 
 
 def _id_list(ids) -> bool:
@@ -496,7 +489,8 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
         config.embedding_path, tokens=label_tokens(dataset.class_vocabulary)
     )
     folds = load_folds(config.folds_path, dataset.ids)
-    _, vectors, class_of = _run_classes(store, dataset)
+    index, class_of = _class_index(dataset.labels)
+    vectors = label_targets(list(index), store)
     ids, labels = dataset.ids, dataset.labels
     _check_memory(len(ids), max(train.size for train, _ in folds))
     dist = PackedDistances(dataset.features)

@@ -78,6 +78,11 @@ def test_zsl_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):
     assert layers["zsl.nearest_prototype_calls"] == config.split_count
     datasets = [load_dataset(toy_world["target"]), load_dataset(toy_world["aux"])]
     assert_chi2_blocks(rec, layers, datasets)
+    # set-up, which the benchmark times up to the return of generate_splits,
+    # parses every input
+    parses = [s for s in rec.spans if s[0] in ("data.load_dataset", "embedding.load_embeddings")]
+    assert len(parses) == 3
+    assert all(end <= rec.setup_end for _, _, _, end, _ in parses)
 
 
 def test_multishot_loop_keeps_hooks(toy_world, tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -256,21 +259,55 @@ class TestZslEvaluation:
         with pytest.raises(ValueError, match="feature dimension mismatch"):
             run_zsl_evaluation(config)
 
-    @pytest.mark.parametrize("predictor", ["regressor", "random"])
-    def test_missing_label_word_fails_at_setup(self, toy_world, tmp_path, predictor):
+    def test_missing_label_word_fails_at_setup(self, toy_world, tmp_path):
         label = load_dataset(toy_world["target"]).class_vocabulary[3]
         (token,) = label.tokens
         store = load_embeddings(toy_world["embeddings"])
         del store.table[token]
         save_embeddings(store, tmp_path / "embeddings.txt")
         config = base_config(
-            toy_world, tmp_path / "runs", predictor=predictor,
-            embedding_path=str(tmp_path / "embeddings.txt"),
+            toy_world, tmp_path / "runs", embedding_path=str(tmp_path / "embeddings.txt")
         )
         message = f"token {token!r} of label {label.raw!r} not in embedding vocabulary"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_zsl_evaluation(config)
         assert not (tmp_path / "runs").exists()
+
+    def test_random_run_reads_only_the_target_and_split_values(
+        self, toy_world, tmp_path, monkeypatch
+    ):
+        # no word vectors, no auxiliary dataset and no run matrix: a word
+        # file without the label words, a missing auxiliary dataset and
+        # unset word vectors all run the one experiment
+        read = []
+        load = zslkit.evaluate.load_dataset
+
+        def load_target(path):
+            read.append(str(path))
+            return load(path)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the random baseline read an input it does not use")
+
+        monkeypatch.setattr(zslkit.evaluate, "load_dataset", load_target)
+        for name in ("load_embeddings", "label_targets", "PackedDistances"):
+            monkeypatch.setattr(zslkit.evaluate, name, unread)
+        (tmp_path / "no_labels.txt").write_text("1 6\nzebra 1 2 3 4 5 6\n")
+        run_dirs = set()
+        for values in (
+            {"embedding_path": ""},
+            {"embedding_path": str(tmp_path / "no_labels.txt")},
+            {"auxiliary_path": str(tmp_path / "none.csv"), "k_neighbors": 4, "gamma": 2.5},
+        ):
+            config = base_config(toy_world, tmp_path / "runs", predictor="random", **values)
+            report, run_dir = run_zsl_evaluation(config)
+            assert report.variant == "Random"
+            assert sorted(report.config) == [
+                "predictor", "split_count", "split_seed", "target_path"
+            ]
+            run_dirs.add(run_dir)
+        assert len(run_dirs) == 1
+        assert read == [str(toy_world["target"])] * 3
 
     def test_camel_case_labels_find_their_words(self, toy_world, tmp_path):
         # UCF101 spells its classes ApplyEyeMakeup, YoYo, ...: each word is
@@ -1009,6 +1046,80 @@ class TestCli:
         assert code == 0
         config = json.loads(next(out.glob("*/report.json")).read_text())["config"]
         assert config["gamma"] == (0.5 if gamma == "0.5" else "auto")
+
+    def test_random_runs_from_flags_and_from_a_config_are_one_experiment(
+        self, toy_world, tmp_path, capsys
+    ):
+        # the config also sets every value the random baseline does not read
+        flags = ["--features", str(toy_world["target"]), "--predictor", "random",
+                 "--splits", "2", "--seed", "5"]
+        assert main(["eval-zsl", *flags, "--out", str(tmp_path / "flags")]) == 0
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "embedding_path": str(toy_world["embeddings"]), "auxiliary_path": str(toy_world["aux"]),
+            "k_neighbors": 4, "gamma": 2.5, "svr_c": 8.0, "svr_epsilon": 0.01,
+        }))
+        config_run = ["eval-zsl", "--config", str(config_path), *flags]
+        assert main([*config_run, "--out", str(tmp_path / "config")]) == 0
+
+        def tree(root):
+            return {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+
+        files = tree(tmp_path / "flags")
+        assert len({name.split("/")[0] for name in files}) == 1
+        assert files == tree(tmp_path / "config")
+        # a value the baseline does not read is still type-checked
+        config_path.write_text(json.dumps({"svr_c": True}))
+        capsys.readouterr()
+        assert main([*config_run, "--out", str(tmp_path / "bad")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "svr_c must be a number, got True"
+        assert not (tmp_path / "bad").exists()
+
+    def test_unknown_predictor_is_named(self, toy_world, tmp_path, capsys):
+        code = main(["eval-zsl", "--features", str(toy_world["target"]), "--predictor", "bogus",
+                     "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "unknown predictor 'bogus'"
+        assert not (tmp_path / "runs").exists()
+
+    def test_ablation_grid_refuses_the_random_baseline(self, toy_world, tmp_path, capsys):
+        # refused before any input is read: the target file does not exist
+        code = main(
+            [
+                "eval-zsl",
+                "--features", str(tmp_path / "none.csv"),
+                "--embeddings", str(toy_world["embeddings"]),
+                "--augment", str(toy_world["aux"]),
+                "--self-train", "5",
+                "--predictor", "random",
+                "--out", str(tmp_path / "runs"),
+                "--ablation-grid",
+            ]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "--ablation-grid does not take --predictor random"
+        assert not (tmp_path / "runs").exists()
+
+    def test_random_baseline_guesses_are_pinned(self, tmp_path):
+        # the default synthetic corpus, two splits: a change to the split
+        # or the guess streams moves these digests
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_data.py"
+        subprocess.run([sys.executable, str(script), "--out", str(tmp_path / "data")],
+                       check=True, capture_output=True)
+        assert main(["eval-zsl", "--features", str(tmp_path / "data" / "target.csv"),
+                     "--predictor", "random", "--splits", "2", "--out", str(tmp_path)]) == 0
+        (predictions,) = tmp_path.glob("*/predictions")
+        digests = {p.name: hashlib.md5(p.read_bytes()).hexdigest()
+                   for p in sorted(predictions.iterdir())}
+        assert digests == {
+            "split_001.csv": "8a6cca9d55e0ce2e9430a8cbcd614c90",
+            "split_002.csv": "71af2e1e31d56446a7f6bcbb22ad3852",
+        }
 
     def test_eval_multishot_cli(self, toy_world, tmp_path, capsys):
         dataset = load_dataset(toy_world["target"])
