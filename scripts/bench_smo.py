@@ -1,22 +1,31 @@
 #!/usr/bin/env python3
-"""Time the dual solver with every step batched against its default, which
-finishes the last few live rows one at a time, and write BENCH_smo.json.
+"""Time the dual solver with every step batched and with its rows split
+across processes against its default, and write BENCH_smo.json.
 
     python3 scripts/bench_smo.py                  # writes BENCH_smo.json
     python3 scripts/bench_smo.py --repeats 1 --out /tmp/bench.json
 
 Run it from the repository root. The problems are every ``smo.solve`` call
 of one evaluation of each perfbench workload, on the corpus that
-``perfbench/corpus.py`` writes at ``--seed``, plus one SVR problem at the
-paper's shape: 520 clips of a 26-class ``LinearMapWorld`` with d_x=1000
-and d_z=300 unit-norm targets, at the default SVR settings.
+``perfbench/corpus.py`` writes at ``--seed``; one SVR problem at the
+paper's shape, 520 clips of a 26-class ``make_world`` world with d_x=1000
+and d_z=300 unit-norm targets; and three SVR problems on the mixture world
+of ``perfbench/corpus.py`` at the same d_x and d_z (26 classes, 8 bases,
+concentration 12): 20 clips of each of the first 15 classes (n=300), 20
+of each of the 26 (n=520) and 40 of each (n=1040). Every SVR problem is
+solved at the default SVR settings.
 
-Each problem is solved ``--repeats`` times on each path, alternating which
-path goes first in each repeat, with
-``smo._TAIL_ROWS`` at 0 (``batched``: every step is one batched step) and at
-its default (``default``). For each path the file records the best and
-median wall time, the best time per row-iteration (the cost of one row's
-pair update on that path) and a sha256 over every ``SmoResult`` field.
+Each problem is solved ``--repeats`` times on each path, rotating which
+path goes first in each repeat: ``batched`` (``smo._TAIL_ROWS`` at 0:
+every step is one batched step), ``default`` (the default ``_TAIL_ROWS``)
+and ``split`` (the default ``_TAIL_ROWS``, with ``smo._SPLIT_MIN_N`` at 0:
+the rows are dealt to one forked process per usable CPU, whatever the
+problem's size). The first two run in this process at every size; a run
+takes the split path from ``smo._SPLIT_MIN_N`` samples on, which is chosen
+from where ``split`` starts to beat ``default``. For each path the file records
+the best and median wall time, the best time per row-iteration (the cost
+of one row's pair update on that path) and a sha256 over every
+``SmoResult`` field.
 For each problem it records its steps and row-iterations by live-row
 band: a step with L live rows counts once under L's band and adds L
 row-iterations. The default path takes the steps of the bands up to
@@ -45,7 +54,7 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from contextlib import contextmanager  # noqa: E402
-from dataclasses import fields  # noqa: E402
+from dataclasses import fields, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,7 +64,7 @@ import numpy as np  # noqa: E402
 
 import corpus  # noqa: E402
 import worker  # noqa: E402
-from zslkit import smo  # noqa: E402
+from zslkit import kernels, smo  # noqa: E402
 from zslkit.evaluate import ExperimentConfig  # noqa: E402
 from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma  # noqa: E402
 from zslkit.svr import train_svr  # noqa: E402
@@ -97,17 +106,34 @@ def capture(w: corpus.Workload, seed: int, root: Path) -> tuple[list[dict], dict
     return problems, run
 
 
-def paper_problem(seed: int) -> dict:
-    """The SVR dual of 20 clips of each of 26 classes at d_z=300."""
-    rng = np.random.default_rng(seed)
-    world = make_world(26, 1000, 300, rng)
-    ds = world_dataset(world, list(range(26)), 20, rng)
-    targets = np.repeat(world.class_embeddings, 20, axis=0)  # rows come class by class
+def svr_problem(world, classes: int, per_class: int, rng: np.random.Generator) -> dict:
+    """The SVR dual of ``per_class`` clips of each of the world's first
+    ``classes`` classes, at the default SVR settings."""
+    ds = world_dataset(world, list(range(classes)), per_class, rng)
+    # rows come class by class
+    targets = np.repeat(world.class_embeddings[:classes], per_class, axis=0)
     gram = gram_matrix(heuristic_gamma(ds.features), distance_matrix(ds.features))
     defaults = ExperimentConfig()
     with recorded_solves() as problems:
         train_svr(gram, targets, defaults.svr_c, defaults.svr_epsilon)
     return problems[0]
+
+
+def paper_problem(seed: int) -> dict:
+    """The SVR dual of 20 clips of each of 26 classes at d_z=300."""
+    rng = np.random.default_rng(seed)
+    return svr_problem(make_world(26, 1000, 300, rng), 26, 20, rng)
+
+
+def mixture_problems(seed: int) -> list[dict]:
+    """SVR duals at n = 300, 520 and 1040 on a 26-class mixture world at
+    d_x=1000 and d_z=300."""
+    shape = replace(corpus.WORKLOADS["zsl-deep"], target_classes=26, aux_classes=0,
+                    d_x=1000, d_z=300)
+    world = corpus.mixture_world(shape, np.random.default_rng(corpus.WORLD_SEED))
+    rng = np.random.default_rng(seed)
+    return [svr_problem(world, classes, per_class, rng)
+            for classes, per_class in ((15, 20), (26, 20), (26, 40))]
 
 
 def result_digest(res: smo.SmoResult) -> str:
@@ -138,22 +164,37 @@ def live_row_bands(row_iterations: np.ndarray) -> dict:
     return out
 
 
+@contextmanager
+def patched(**values):
+    """``smo``'s module constants set to ``values`` within the block."""
+    saved = {name: getattr(smo, name) for name in values}
+    try:
+        for name, value in values.items():
+            setattr(smo, name, value)
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(smo, name, value)
+
+
+# each path's smo constants; batched and default run in this process only
+ONE_PROCESS = {"_SPLIT_MIN_N": sys.maxsize}
+PATHS = {"batched": {"_TAIL_ROWS": 0, **ONE_PROCESS}, "default": ONE_PROCESS,
+         "split": {"_SPLIT_MIN_N": 0}}
+
+
 def bench_problem(prob: dict, repeats: int) -> dict:
     gram, z, p, c, tolerance, max_iter = prob["args"]
-    default = smo._TAIL_ROWS
-    times = {"batched": [], "default": []}
+    times = {path: [] for path in PATHS}
     digests = {}
-    try:
-        for k in range(repeats):
-            order = (("batched", 0), ("default", default))
-            for path, switch in order[::-1] if k % 2 else order:
-                smo._TAIL_ROWS = switch
+    for k in range(repeats):
+        order = list(PATHS)
+        for path in order[k % len(order):] + order[:k % len(order)]:
+            with patched(**PATHS[path]):
                 start = time.perf_counter()
                 res = smo.solve(gram, z, p, c, tolerance, max_iter)
                 times[path].append(time.perf_counter() - start)
-                digests[path] = result_digest(res)
-    finally:
-        smo._TAIL_ROWS = default
+            digests[path] = result_digest(res)
     entry = {"kind": prob["kind"], "n": gram.shape[0], "m": p.shape[1], "rows": p.shape[0],
              "row_iterations": int(res.iterations),
              "live_row_bands": live_row_bands(res.row_iterations)}
@@ -162,7 +203,8 @@ def bench_problem(prob: dict, repeats: int) -> dict:
                        "us_per_row_iteration": round(1e6 * min(ts) / res.iterations, 3),
                        "sha256": digests[path]}
     entry["speedup_best"] = round(entry["batched"]["best_s"] / entry["default"]["best_s"], 3)
-    entry["hashes_match"] = digests["batched"] == digests["default"]
+    entry["split_speedup_best"] = round(entry["default"]["best_s"] / entry["split"]["best_s"], 3)
+    entry["hashes_match"] = len(set(digests.values())) == 1
     return entry
 
 
@@ -177,6 +219,7 @@ def main() -> int:
         for w in corpus.WORKLOADS.values():
             corpora[w.name] = capture(w, args.seed, Path(tmp))
     corpora["paper-shape"] = ([paper_problem(args.seed)], None)
+    corpora["mixture"] = (mixture_problems(args.seed), None)
 
     entries, totals = [], {}
     for name, (problems, run) in corpora.items():
@@ -185,16 +228,21 @@ def main() -> int:
             entries.append({"corpus": name, "index": i, **e})
         totals[name] = {
             "problems": len(done),
-            "batched_best_s": round(sum(e["batched"]["best_s"] for e in done), 5),
-            "default_best_s": round(sum(e["default"]["best_s"] for e in done), 5),
+            **{f"{path}_best_s": round(sum(e[path]["best_s"] for e in done), 5)
+               for path in PATHS},
             "run": run,
         }
     doc = {
-        "benchmark": "smo.solve, every step batched vs the default per-row tail",
+        "benchmark": "smo.solve, every step batched and rows split across processes "
+                     "vs the default",
         "command": f"python3 scripts/bench_smo.py --seed {args.seed} --repeats {args.repeats}",
         "paths": {
             "batched": "_TAIL_ROWS = 0: every step is one batched step over the live rows",
-            "default": f"_TAIL_ROWS = {smo._TAIL_ROWS}: the last rows finish one at a time",
+            "default": f"_TAIL_ROWS = {smo._TAIL_ROWS}: the last rows finish one at a time, "
+                       "in this process",
+            "split": f"the default, with _SPLIT_MIN_N = 0: rows dealt to "
+                     f"{kernels._worker_count()} processes at every n (a run splits from "
+                     f"n = {smo._SPLIT_MIN_N})",
         },
         "host": {
             "python": platform.python_version(),
@@ -208,13 +256,14 @@ def main() -> int:
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for e in entries:
-        print(f"{e['corpus']:>11} #{e['index']} {e['kind']} r={e['rows']:<3} "
+        print(f"{e['corpus']:>11} #{e['index']} {e['kind']} n={e['n']:<4} r={e['rows']:<3} "
               f"iters={e['row_iterations']:<7} batched {e['batched']['best_s']:8.4f} s  "
-              f"default {e['default']['best_s']:8.4f} s  x{e['speedup_best']:<6} "
+              f"default {e['default']['best_s']:8.4f} s  split {e['split']['best_s']:8.4f} s  "
               f"{'match' if e['hashes_match'] else 'HASH MISMATCH'}")
     for name, t in totals.items():
         print(f"{name:>11} total batched {t['batched_best_s']:8.4f} s  "
-              f"default {t['default_best_s']:8.4f} s  run {t['run']}")
+              f"default {t['default_best_s']:8.4f} s  split {t['split_best_s']:8.4f} s  "
+              f"run {t['run']}")
     return 0 if doc["all_hashes_match"] else 1
 
 

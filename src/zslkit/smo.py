@@ -33,6 +33,10 @@ the -0.0 a clip can keep and the priority of i when both variables reach
 a bound, so every row's iterates are bit-identical on either path, and
 are those of solving it alone.
 
+So a large solve can deal its rows to forked processes, which read the
+Gram matrix copy-on-write and send their rows' results back through a
+pipe, and the merged result is the in-process one bit for bit.
+
 A row's solution is returned both as its dual ``a`` and as the weights
 ``coef`` of the kernel expansion sum_i coef_i K(x_i, .) + bias it defines:
 z * a summed over the m / n tiles of Kt, which is alpha - alpha* for an
@@ -41,10 +45,15 @@ SVR dual and y * alpha for an SVC dual.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from . import kernels
 
 # Coefficients below this fraction of max(1, c) are solver round-off and
 # are stored as exact zeros, which fixes the support set.
@@ -59,6 +68,12 @@ _ROUNDS = 3
 _TAIL_ROWS = 12
 
 _INF, _NEG_INF = float("inf"), float("-inf")
+
+# A solve over at least this many samples deals its rows to forked
+# processes. A fork round trip costs about 6 ms, which a share's rows repay
+# from about n = 500 on (scripts/bench_smo.py's split path). Read at each
+# call, so a test can patch it.
+_SPLIT_MIN_N = 512
 
 # The stopping tolerance, LIBSVM's default (Chang & Lin, ACM TIST 2011),
 # and the per-row budget of pair updates that train_svr and train_svc pass
@@ -109,6 +124,11 @@ def solve(
     or 2n (SVR). ``z``, (r, m) like ``p``, holds each row's sign vector;
     duals that share one pass it as ``np.broadcast_to(z, p.shape)``.
     ``max_iter`` is each row's budget of pair updates.
+
+    From ``_SPLIT_MIN_N`` samples on, and where ``os.fork`` exists, the
+    rows are dealt round-robin to min(r, usable CPUs) shares, each solved
+    in its own process; a share that fails raises a ``RuntimeError``
+    naming its rows, and no child process outlives the call.
     """
     p = np.asarray(p, dtype=np.float64)
     if z.shape != p.shape:
@@ -118,6 +138,99 @@ def solve(
     n = gram.shape[0]
     if m not in (n, 2 * n):
         raise ValueError(f"p has {m} columns, but a dual over {n} samples needs {n} or {2 * n}")
+    workers = min(r, kernels._worker_count()) if n >= _SPLIT_MIN_N and hasattr(os, "fork") else 1
+    if workers > 1:
+        return _solve_split(gram, z, p, c, tolerance, max_iter, workers)
+    return _solve_rows(gram, z, p, c, tolerance, max_iter)
+
+
+def _solve_split(gram, z, p, c: float, tolerance, max_iter, workers: int) -> SmoResult:
+    """Solve rows k, k + workers, k + 2 * workers, ... (share k) in forked
+    child k for k >= 1 and share 0 here, then merge the shares in row order."""
+    r = p.shape[0]
+    children = []  # (share, pid, read end of its pipe)
+    share = 0
+    try:
+        try:
+            for share in range(1, workers):
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:
+                    os.close(read_end)
+                    _solve_in_child(write_end, gram, z[share::workers], p[share::workers],
+                                    c, tolerance, max_iter)
+                os.close(write_end)
+                children.append((share, pid, read_end))
+            share = 0
+            parts = [_solve_rows(gram, z[::workers], p[::workers], c, tolerance, max_iter)]
+        except Exception as exc:
+            raise _share_error(share, r, workers, f"{type(exc).__name__}: {exc}") from exc
+        for share, _, read_end in children:
+            ok, part = _received(read_end)
+            if not ok:
+                raise _share_error(share, r, workers, part)
+            parts.append(part)
+    except BaseException:
+        for _, pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pid, read_end in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+
+    merged = {}
+    for name in (f.name for f in fields(SmoResult) if f.name != "iterations"):
+        first = getattr(parts[0], name)
+        merged[name] = np.empty((r, *first.shape[1:]), dtype=first.dtype)
+        for k, part in enumerate(parts):
+            merged[name][k::workers] = getattr(part, name)
+    return SmoResult(iterations=int(merged["row_iterations"].sum()), **merged)
+
+
+def _solve_in_child(write_end: int, *args) -> None:
+    """In a forked child: solve one share, write ``(True, result)`` or
+    ``(False, cause)`` to the pipe, and leave through ``os._exit``, never
+    returning."""
+    status = 1
+    try:
+        try:
+            payload = (True, _solve_rows(*args))
+            status = 0
+        except BaseException as exc:
+            payload = (False, f"{type(exc).__name__}: {exc}")
+        with open(write_end, "wb") as pipe:
+            pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(status)
+
+
+def _received(read_end: int) -> tuple[bool, object]:
+    """What a child wrote to its pipe, or ``(False, cause)`` if it exited
+    without writing all of it."""
+    with open(read_end, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    try:
+        return pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        return False, f"the child process exited after sending {len(data)} bytes of its result"
+
+
+def _share_error(share: int, r: int, workers: int, cause: str) -> RuntimeError:
+    rows = ", ".join(map(str, range(share, r, workers)))
+    return RuntimeError(f"smo.solve failed on rows {rows} of {r}: {cause}")
+
+
+def _solve_rows(gram, z, p, c: float, tolerance, max_iter) -> SmoResult:
+    """The solve of every row of ``p`` in this process; ``solve`` has
+    checked the shapes."""
+    r, m = p.shape
+    n = gram.shape[0]
     diag = np.diag(gram)
     pos = z > 0
     a = np.zeros((r, m))

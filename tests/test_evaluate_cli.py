@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -825,6 +826,34 @@ class TestCli:
         grid_files = tree(grid)
         assert len({name.split("/")[0] for name in grid_files}) == 4
         assert grid_files == tree(single)
+
+    def test_split_solves_write_the_same_run_directory(self, toy_world, tmp_path, monkeypatch):
+        # every solve of the run deals its rows to two forked processes
+        argv = [
+            "eval-zsl",
+            "--features", str(toy_world["target"]),
+            "--embeddings", str(toy_world["embeddings"]),
+            "--self-train", "5",
+            "--augment", str(toy_world["aux"]),
+            "--splits", "2",
+        ]
+        whole, split = tmp_path / "whole", tmp_path / "split"
+        assert main([*argv, "--out", str(whole)]) == 0
+        forks, fork = [], os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(zslkit.smo, "_SPLIT_MIN_N", 0)
+        monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", counting)
+        assert main([*argv, "--out", str(split)]) == 0
+        assert len(forks) == 2  # one solve per split
+        diff = subprocess.run(["diff", "-r", str(whole), str(split)], capture_output=True, text=True)
+        assert diff.returncode == 0, diff.stdout
 
     @pytest.mark.parametrize(
         "argv", [["--k-neighbors", "5"], ["--self-train"], ["--self-train", "--k-neighbors", "5"]],

@@ -3,9 +3,12 @@
 bit for bit, in both the SVR form (one sign vector broadcast over the
 rows, Gram tiled twice) and the SVC form (one sign vector per row),
 whether the solver steps it in a batch or, once few rows are left, on its
-own."""
+own, and whether its share of the rows is solved in this process or in a
+forked child."""
 
+import os
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smo_reference as ref
+import zslkit.kernels
 from zslkit import smo
 from zslkit.kernels import distance_matrix, gram_matrix
 
@@ -45,13 +49,27 @@ def switch_points(r):
 
 
 def on_each_path(solve, r):
-    """``solve()`` at each switch point."""
+    """``solve()`` at each switch point, then with its rows dealt to two
+    and to three processes."""
     results = []
     for switch in switch_points(r):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(smo, "_TAIL_ROWS", switch)
             results.append(solve())
+    for workers in (2, 3):
+        with forced_split(workers):
+            results.append(solve())
     return results
+
+
+@contextmanager
+def forced_split(workers):
+    """Every solve in the block deals its rows to ``workers`` shares,
+    whatever its size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smo, "_SPLIT_MIN_N", 0)
+        mp.setattr(zslkit.kernels, "_worker_count", lambda: workers)
+        yield mp
 
 
 def same_bits(x, y) -> bool:
@@ -266,3 +284,117 @@ class TestTieRules:
                 assert_row_matches(batch, k, row, self.signs[k], self.c)
         assert list(batches[0].converged) == [False, True]
         assert same_bits(batches[0].a[1, 0], -0.0)
+
+
+def counted_forks(mp):
+    """Patch ``os.fork`` to record each call's pid in the returned list."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counting)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_problem(form, r, seed=8, n=9):
+    """Arguments of an SVR- or SVC-form solve of r rows."""
+    rng = np.random.default_rng(seed)
+    gram = chi2_gram(rng, n)
+    if form == "svr":
+        z = np.concatenate([np.ones(n), -np.ones(n)])
+        targets = rng.normal(size=(r, n))
+        p = np.concatenate([0.05 - targets, 0.05 + targets], axis=1)
+        return gram, np.broadcast_to(z, p.shape), p, 2.0, 1e-6, 10_000
+    signs = np.where(rng.integers(0, 2, size=(r, n)) == 1, 1.0, -1.0)
+    return gram, signs, -np.ones(signs.shape), 2.0, 1e-6, 10_000
+
+
+class TestSplit:
+    """Rows dealt round-robin to forked processes give the in-process
+    result bit for bit, and no process outlives the call."""
+
+    @pytest.mark.parametrize("form", ["svr", "svc"])
+    @pytest.mark.parametrize("r", [1, 2, 5, 7])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_shares_merge_into_the_in_process_result(self, form, r, workers):
+        args = split_problem(form, r)
+        whole = smo.solve(*args)
+        with forced_split(workers) as mp:
+            forks = counted_forks(mp)
+            split = smo.solve(*args)
+        assert len(forks) == min(r, workers) - 1
+        for name in ("a", "coef", "bias", "row_iterations", "violation", "objective", "converged"):
+            assert same_bits(getattr(split, name), getattr(whole, name)), name
+        assert split.iterations == whole.iterations
+        assert_no_child_left()
+
+    def test_argument_errors_come_before_any_fork(self):
+        gram = chi2_gram(np.random.default_rng(6), 4)
+
+        def refuse():
+            raise AssertionError("forked before checking the arguments")
+
+        with forced_split(2) as mp:
+            mp.setattr(os, "fork", refuse)
+            with pytest.raises(ValueError, match="z has shape"):
+                smo.solve(gram, np.ones((3, 4)), np.zeros((3, 8)), 1.0, 1e-3, 10)
+            with pytest.raises(ValueError, match="p has 5 columns"):
+                smo.solve(gram, np.ones((3, 5)), np.zeros((3, 5)), 1.0, 1e-3, 10)
+
+    def test_below_the_gate_nothing_forks(self, monkeypatch):
+        args = split_problem("svr", 6)
+
+        def refuse():
+            raise AssertionError("forked below the gate")
+
+        monkeypatch.setattr(smo, "_SPLIT_MIN_N", args[0].shape[0] + 1)
+        monkeypatch.setattr(zslkit.kernels, "_worker_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse)
+        assert smo.solve(*args).converged.all()
+
+    @pytest.mark.parametrize("how", ["raises", "exits"])
+    def test_failing_child_names_its_rows(self, how):
+        parent, solve_rows = os.getpid(), smo._solve_rows
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if how == "exits":
+                    os._exit(3)
+                raise ZeroDivisionError("share lost")
+            return solve_rows(*args)
+
+        with forced_split(3) as mp:
+            mp.setattr(smo, "_solve_rows", failing)
+            with pytest.raises(RuntimeError) as err:
+                smo.solve(*split_problem("svr", 7))
+        message = str(err.value)
+        assert message.startswith("smo.solve failed on rows 1, 4 of 7: ")
+        if how == "raises":
+            assert message.endswith("ZeroDivisionError: share lost")
+        else:
+            assert message.endswith("exited after sending 0 bytes of its result")
+        assert_no_child_left()
+
+    def test_failing_own_share_kills_the_children(self):
+        parent, solve_rows = os.getpid(), smo._solve_rows
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise MemoryError("no room")
+            return solve_rows(*args)
+
+        with forced_split(2) as mp:
+            mp.setattr(smo, "_solve_rows", failing)
+            with pytest.raises(RuntimeError, match=r"^smo.solve failed on rows 0, 2, 4 of 5: "
+                               r"MemoryError: no room$"):
+                smo.solve(*split_problem("svc", 5))
+        assert_no_child_left()
