@@ -66,7 +66,7 @@ import corpus  # noqa: E402
 import worker  # noqa: E402
 from zslkit import kernels, smo  # noqa: E402
 from zslkit.evaluate import ExperimentConfig  # noqa: E402
-from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma  # noqa: E402
+from zslkit.kernels import distance_matrix, fit_kernel  # noqa: E402
 from zslkit.svr import train_svr  # noqa: E402
 from zslkit.synthetic import make_world, world_dataset  # noqa: E402
 
@@ -112,7 +112,7 @@ def svr_problem(world, classes: int, per_class: int, rng: np.random.Generator) -
     ds = world_dataset(world, list(range(classes)), per_class, rng)
     # rows come class by class
     targets = np.repeat(world.class_embeddings[:classes], per_class, axis=0)
-    gram = gram_matrix(heuristic_gamma(ds.features), distance_matrix(ds.features))
+    _, gram = fit_kernel(distance_matrix(ds.features))
     defaults = ExperimentConfig()
     with recorded_solves() as problems:
         train_svr(gram, targets, defaults.svr_c, defaults.svr_epsilon)

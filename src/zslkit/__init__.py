@@ -6,7 +6,7 @@ matching with optional transductive self-training and cross-dataset
 augmentation, and provides a conventional SVM path for supervised use.
 """
 
-from .data import Dataset, SplitSpec, generate_splits, kmeans_codebook, load_dataset, quantize
+from .data import Dataset, SplitSpec, generate_splits, load_dataset
 from .embedding import (
     EmbeddingStore,
     Label,

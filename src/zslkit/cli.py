@@ -1,7 +1,7 @@
 """Command-line driver.
 
-Subcommands: ``quantize``, ``eval-zsl``, ``eval-multishot``. Exit code
-is 0 iff a report (or the subcommand's output files) was written;
+Subcommands: ``eval-zsl``, ``eval-multishot``. Both read a feature CSV
+(see :mod:`zslkit.data`). Exit code is 0 iff a report was written;
 otherwise a machine-readable error JSON goes to stderr and the exit code
 is 1.
 """
@@ -14,10 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .data import kmeans_codebook, quantize, read_descriptor_file, write_features_csv
-from .embedding import Label
 from .evaluate import (
     PREDICTOR_RANDOM,
     EvaluationReport,
@@ -72,48 +68,6 @@ def _print_report(report: EvaluationReport, run_dir: Path) -> None:
     print(f"report written to  : {run_dir / 'report.json'}")
 
 
-def _cmd_quantize(args: argparse.Namespace) -> int:
-    groups: list[tuple[str, np.ndarray]] = []
-    for path in args.descriptors:
-        for key, mat in read_descriptor_file(path):
-            groups.append((key if key is not None else Path(path).stem, mat))
-    ids = [key for key, _ in groups]
-    labels_map: dict[str, Label] = {}
-    if args.labels:
-        lines = Path(args.labels).read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            id_, _, raw = line.partition(",")
-            try:
-                labels_map[id_] = Label.of(raw)
-            except ValueError as exc:
-                raise ValueError(f"{args.labels}:{lineno}: id {id_!r}: {exc}") from None
-        missing = [key for key in ids if key not in labels_map]
-        if missing:
-            raise ValueError(f"{args.labels}: no label for id {missing[0]!r}")
-    unknown = Label.of("unknown")
-    labels = [labels_map.get(key, unknown) for key in ids]
-
-    all_desc = np.vstack([mat for _, mat in groups])
-    rng = np.random.default_rng(args.seed)
-    if args.sample and args.sample < all_desc.shape[0]:
-        idx = rng.choice(all_desc.shape[0], size=args.sample, replace=False)
-        sample = all_desc[np.sort(idx)]
-    else:
-        sample = all_desc
-    centroids = kmeans_codebook(sample, args.k, seed=args.seed, max_iters=args.max_iters)
-    features = np.vstack(
-        [quantize(centroids, mat, normalize=args.normalize) for _, mat in groups]
-    )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_features_csv(out / "features.csv", ids, labels, features)
-    print(f"quantized {len(groups)} groups into {out / 'features.csv'}")
-    return 0
-
-
 def _cmd_eval_zsl(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     if args.ablation_grid:
@@ -164,17 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-shot action classification via embedding-space regression",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    quant = sub.add_parser("quantize", help="build a k-means codebook and BoW features")
-    quant.add_argument("--descriptors", nargs="+", required=True, help="descriptor CSV files")
-    quant.add_argument("--k", type=int, required=True)
-    quant.add_argument("--seed", type=int, default=0)
-    quant.add_argument("--sample", type=int, default=10_000, help="descriptor subsample size")
-    quant.add_argument("--max-iters", type=int, default=100)
-    quant.add_argument("--labels", help="optional id,label CSV for the output features")
-    quant.add_argument("--normalize", action="store_true", help="emit frequencies, not counts")
-    quant.add_argument("--out", required=True)
-    quant.set_defaults(func=_cmd_quantize)
 
     ezsl = sub.add_parser("eval-zsl", help="zero-shot evaluation over category splits")
     _add_common_eval_flags(ezsl)

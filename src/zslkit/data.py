@@ -1,13 +1,9 @@
-"""Dataset ingestion, category-split generation and the k-means
-bag-of-words quantizer over precomputed descriptors.
+"""Dataset ingestion and category-split generation.
 
 File formats
 ------------
 Feature CSV: header ``id,label,f0,...,f{d-1}``; one instance per row,
 label cells use underscores for spaces, features are non-negative reals.
-
-Descriptor CSV: headerless, one descriptor per row, optionally with a
-leading non-numeric video-id column for grouped quantization.
 
 Split JSON, as ``eval-zsl`` writes each split into its run directory:
 ``{"dataset":..., "seed":..., "index":..., "seen":[...], "unseen":[...]}``
@@ -23,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -33,7 +28,6 @@ import numpy as np
 
 from . import textblocks
 from .embedding import Label
-from .kernels import squared_euclidean_matrix
 
 
 @dataclass
@@ -244,112 +238,3 @@ def save_split(split: SplitSpec, dataset_name: str, path: str | Path) -> None:
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
-
-def kmeans_codebook(
-    descriptors: np.ndarray, k: int, seed: int = 0, max_iters: int = 100
-) -> np.ndarray:
-    """The (k, d) centroids that Lloyd's algorithm with seeded k-means++
-    initialization fits to ``descriptors``.
-
-    Stops when assignments are stable or ``max_iters`` is reached; with
-    ``max_iters=0`` the k-means++ seeds are returned. Empty clusters are
-    re-seeded to the point farthest from its assigned centroid.
-    """
-    x = np.asarray(descriptors, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"descriptors must be 2-D, got shape {x.shape}")
-    n = x.shape[0]
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n < k:
-        raise ValueError(f"need at least k={k} descriptors, got {n}")
-    rng = np.random.default_rng(seed)
-
-    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
-    centroids[0] = x[int(rng.integers(n))]
-    closest = squared_euclidean_matrix(x, centroids[:1])[:, 0]
-    for c in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=closest / total))
-        centroids[c] = x[idx]
-        closest = np.minimum(closest, squared_euclidean_matrix(x, centroids[c : c + 1])[:, 0])
-
-    prev_assign: np.ndarray | None = None
-    for _ in range(max_iters):
-        d2 = squared_euclidean_matrix(x, centroids)
-        assign = np.argmin(d2, axis=1)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        prev_assign = assign
-        assigned_d2 = d2[np.arange(n), assign].copy()
-        for c in range(k):
-            members = assign == c
-            if members.any():
-                centroids[c] = x[members].mean(axis=0)
-            else:
-                far = int(np.argmax(assigned_d2))
-                centroids[c] = x[far]
-                assigned_d2[far] = 0.0
-    return centroids
-
-
-def quantize(
-    centroids: np.ndarray, descriptors: np.ndarray, normalize: bool = False
-) -> np.ndarray:
-    """Histogram of nearest-centroid assignments over the (k, d)
-    ``centroids`` (ties take the lowest centroid index). With
-    ``normalize`` the bins sum to 1. An empty descriptor list yields a
-    zero histogram and a warning."""
-    k, d = centroids.shape
-    x = np.asarray(descriptors, dtype=np.float64)
-    if x.size == 0:
-        warnings.warn("quantize: empty descriptor list, returning zero histogram")
-        return np.zeros(k, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"descriptors must be 2-D, got shape {x.shape}")
-    if x.shape[1] != d:
-        raise ValueError(
-            f"descriptor dimension {x.shape[1]} does not match codebook dimension {d}"
-        )
-    assign = np.argmin(squared_euclidean_matrix(x, centroids), axis=1)
-    hist = np.bincount(assign, minlength=k).astype(np.float64)
-    if normalize:
-        hist /= x.shape[0]
-    return hist
-
-
-def read_descriptor_file(path: str | Path) -> list[tuple[str | None, np.ndarray]]:
-    """Read a descriptor CSV, returning (group id, descriptor matrix) pairs.
-
-    A leading non-numeric column is treated as a per-row video id and rows
-    are grouped by it in order of first appearance; otherwise the whole
-    file is one anonymous group.
-    """
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty descriptor file")
-    first = rows[0][1]
-    try:
-        float(first[0])
-        has_id = False
-    except ValueError:
-        has_id = True
-    width = len(first)
-    groups: dict[str | None, list[list[float]]] = {}
-    for lineno, row in rows:
-        if len(row) != width:
-            raise ValueError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
-        key = row[0] if has_id else None
-        try:
-            values = [float(v) for v in (row[1:] if has_id else row)]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: unparseable descriptor value") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}:{lineno}: non-finite descriptor value")
-        groups.setdefault(key, []).append(values)
-    return [(key, np.asarray(vals, dtype=np.float64)) for key, vals in groups.items()]

@@ -196,6 +196,9 @@ class PackedDistances:
 
 
 def squared_euclidean_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of 2-D arrays, clipped at zero. Not
+    folded into :func:`squared_euclidean_distances`, as perfbench/spans.py
+    wraps it by name for its ``kernels.sqeuclid_matrix`` span."""
     rn = (rows * rows).sum(axis=1)
     cn = (cols * cols).sum(axis=1)
     d = rn[:, None] + cn[None, :] - 2.0 * (rows @ cols.T)

@@ -6,7 +6,6 @@ reproduction is an optional, skipped entry (it needs the original video
 features and pretrained embeddings).
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 
 from qp_oracle import svr_dual_oracle
 from zslkit import smo
-from zslkit.data import generate_splits, kmeans_codebook, save_split, write_features_csv
+from zslkit.data import generate_splits, save_split, write_features_csv
 from zslkit.embedding import Label, save_embeddings
 from zslkit.evaluate import ExperimentConfig, run_zsl_evaluation
 from zslkit.kernels import distance_matrix, gram_matrix, heuristic_gamma
@@ -275,33 +274,6 @@ def test_criterion_6_split_protocol(tmp_path):
     assert exact
     assert worst <= 0.02
     assert byte_identical
-
-
-def test_criterion_7_kmeans_recovery():
-    rng = np.random.default_rng(77)
-    means = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.2, 0.8]])
-    gaps = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-    assert gaps[np.triu_indices(3, 1)].min() >= 1.0
-    x = np.vstack([m + 0.05 * rng.normal(size=(60, 3)) for m in means])
-    centroids = kmeans_codebook(x, k=3, seed=13)
-    worst = max(float(np.linalg.norm(centroids - m, axis=1).min()) for m in means)
-    # inertia after 0, 1, ... Lloyd steps, up to the default run's centroids
-    hist = []
-    for steps in itertools.count():
-        step = kmeans_codebook(x, k=3, seed=13, max_iters=steps)
-        hist.append(float(((x[:, None] - step[None]) ** 2).sum(axis=2).min(axis=1).sum()))
-        if np.array_equal(step, centroids):
-            break
-    monotone = all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
-    ok = worst <= 0.1 and monotone
-    report_line(
-        7,
-        "k-means recovers separated blobs with non-increasing inertia",
-        ok,
-        f"worst centroid gap {worst:.4f}, {len(hist)} iterations",
-    )
-    assert worst <= 0.1
-    assert monotone
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path):

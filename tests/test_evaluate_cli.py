@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import zslkit.evaluate
 import zslkit.kernels
 import zslkit.smo
-from zslkit.cli import main
+from zslkit.cli import build_parser, main
 from zslkit.data import generate_splits, load_dataset, write_features_csv
 from zslkit.embedding import load_embeddings, save_embeddings
 from zslkit.evaluate import (
@@ -873,6 +874,19 @@ class TestCli:
         assert exit_.value.code != 0
         assert not (tmp_path / "runs").exists()
 
+    def test_subcommands_are_the_two_evaluations(self, tmp_path, capsys):
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert sorted(subparsers.choices) == ["eval-multishot", "eval-zsl"]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["quantize", "--descriptors", "x.csv", "--k", "4", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'quantize'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, toy_world, tmp_path, capsys):
         config_path = tmp_path / "exp.json"
         config_path.write_text(
@@ -1184,103 +1198,3 @@ class TestCli:
         assert sorted(config) == ["embedding_path", "folds_path", "gamma", "svc_c", "svr_c",
                                   "svr_epsilon", "target_path"]
 
-
-class TestQuantizeCli:
-    def _write_descriptors(self, root, count=3, rows=30, dim=5, seed=0):
-        rng = np.random.default_rng(seed)
-        paths = []
-        for v in range(count):
-            path = root / f"video{v}.csv"
-            mat = rng.normal(size=(rows, dim))
-            path.write_text("\n".join(",".join(map(str, row)) for row in mat) + "\n")
-            paths.append(str(path))
-        return paths
-
-    def test_three_files_give_three_rows(self, tmp_path, capsys):
-        paths = self._write_descriptors(tmp_path)
-        out = tmp_path / "out"
-        code = main(
-            ["quantize", "--descriptors", *paths, "--k", "4", "--seed", "1", "--out", str(out)]
-        )
-        assert code == 0
-        ds = load_dataset(out / "features.csv")
-        assert len(ds) == 3
-        assert ds.features.shape[1] == 4
-
-    def test_writes_only_the_features(self, tmp_path):
-        paths = self._write_descriptors(tmp_path)
-        out = tmp_path / "out"
-        assert main(["quantize", "--descriptors", *paths, "--k", "4", "--out", str(out)]) == 0
-        assert [p.name for p in out.iterdir()] == ["features.csv"]
-
-    def test_rerun_is_byte_identical(self, tmp_path):
-        paths = self._write_descriptors(tmp_path)
-        outs = []
-        for sub in ("o1", "o2"):
-            out = tmp_path / sub
-            assert main(
-                ["quantize", "--descriptors", *paths, "--k", "4", "--seed", "9", "--out", str(out)]
-            ) == 0
-            outs.append(out)
-        assert (outs[0] / "features.csv").read_bytes() == (outs[1] / "features.csv").read_bytes()
-
-    def test_k_larger_than_descriptor_count_fails(self, tmp_path, capsys):
-        paths = self._write_descriptors(tmp_path, count=1, rows=3)
-        code = main(
-            ["quantize", "--descriptors", *paths, "--k", "10", "--out", str(tmp_path / "o")]
-        )
-        assert code == 1
-        assert "need at least k=10" in json.loads(capsys.readouterr().err)["error"]
-
-    def test_labels_file_is_applied(self, tmp_path):
-        paths = self._write_descriptors(tmp_path)
-        labels_path = tmp_path / "labels.csv"
-        labels_path.write_text("video0,brush_hair\nvideo1,run\nvideo2,run\n")
-        out = tmp_path / "out"
-        assert main(
-            [
-                "quantize", "--descriptors", *paths, "--k", "3",
-                "--labels", str(labels_path), "--normalize", "--out", str(out),
-            ]
-        ) == 0
-        ds = load_dataset(out / "features.csv")
-        assert ds.labels[0].key == "brush hair"
-        np.testing.assert_allclose(ds.features.sum(axis=1), np.ones(3))
-
-    def test_a_label_with_no_tokens_names_the_file_line_and_id(self, tmp_path, capsys):
-        paths = self._write_descriptors(tmp_path)
-        labels_path = tmp_path / "labels.csv"
-        labels_path.write_text("video0,brush_hair\n\nvideo1,run\nvideo2,\n")
-        out = tmp_path / "out"
-        code = main(
-            [
-                "quantize", "--descriptors", *paths, "--k", "3",
-                "--labels", str(labels_path), "--out", str(out),
-            ]
-        )
-        assert code == 1
-        error = json.loads(capsys.readouterr().err)
-        assert error == {
-            "error": f"{labels_path}:4: id 'video2': label '' has no tokens after tokenization",
-            "type": "ValueError",
-        }
-        assert not out.exists()
-
-    def test_an_id_the_labels_file_does_not_list_fails(self, tmp_path, capsys):
-        paths = self._write_descriptors(tmp_path)
-        labels_path = tmp_path / "labels.csv"
-        labels_path.write_text("video0,brush_hair\nvideo1,run\n")
-        out = tmp_path / "out"
-        # 90 descriptors cannot make 100 centroids: the labels fail first
-        code = main(
-            [
-                "quantize", "--descriptors", *paths, "--k", "100",
-                "--labels", str(labels_path), "--out", str(out),
-            ]
-        )
-        assert code == 1
-        error = json.loads(capsys.readouterr().err)
-        assert error == {
-            "error": f"{labels_path}: no label for id 'video2'", "type": "ValueError"
-        }
-        assert not out.exists()
