@@ -25,34 +25,11 @@ from .smo import ConvergenceError
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = (
-        ExperimentConfig.from_file(args.config)
-        if getattr(args, "config", None)
-        else ExperimentConfig()
-    )
-    overrides = {
-        "features": "target_path",
-        "embeddings": "embedding_path",
-        "out": "out_dir",
-        "seed": "split_seed",
-        "splits": "split_count",
-        "k_neighbors": "k_neighbors",
-        "augment": "auxiliary_path",
-        "predictor": "predictor",
-        "gamma": "gamma",
-        "folds": "folds_path",
-    }
-    for arg_name, field_name in overrides.items():
-        value = getattr(args, arg_name, None)
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    for f in dataclasses.fields(config):  # each flag's dest is its field
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, field_name, value)
-    if config.gamma != "auto" and not isinstance(config.gamma, (int, float)):
-        try:
-            config.gamma = float(config.gamma)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"gamma must be 'auto' or a positive finite number, got {config.gamma!r}"
-            ) from None
+            setattr(config, f.name, value)
     return config
 
 
@@ -105,11 +82,10 @@ def _cmd_eval_multishot(args: argparse.Namespace) -> int:
 
 def _add_common_eval_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="experiment config JSON; flags override its fields")
-    sub.add_argument("--features", help="target feature CSV")
-    sub.add_argument("--embeddings", help="word-vector text file")
-    sub.add_argument("--out", help="output directory (default runs/)")
-    sub.add_argument("--seed", type=int, help="split seed (u64)")
-    sub.add_argument("--gamma", help="kernel gamma, a number or 'auto'")
+    sub.add_argument("--features", dest="target_path", help="target feature CSV")
+    sub.add_argument("--embeddings", dest="embedding_path", help="word-vector text file")
+    sub.add_argument("--out", dest="out_dir", help="output directory (default runs/)")
+    sub.add_argument("--seed", type=int, dest="split_seed", help="split seed (u64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,11 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ezsl = sub.add_parser("eval-zsl", help="zero-shot evaluation over category splits")
     _add_common_eval_flags(ezsl)
-    ezsl.add_argument("--splits", type=int, help="number of splits")
+    ezsl.add_argument("--splits", type=int, dest="split_count", help="number of splits")
     ezsl.add_argument(
         "--self-train", type=int, dest="k_neighbors", metavar="K", help="adapt prototypes to K"
     )
-    ezsl.add_argument("--augment", help="auxiliary dataset CSV for training augmentation")
+    ezsl.add_argument(
+        "--augment", dest="auxiliary_path", help="auxiliary dataset CSV for training augmentation"
+    )
     ezsl.add_argument("--predictor", help="regressor (default) or random")
     ezsl.add_argument(
         "--ablation-grid",
@@ -136,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     emulti = sub.add_parser("eval-multishot", help="supervised evaluation over instance folds")
     _add_common_eval_flags(emulti)
-    emulti.add_argument("--folds", help="fold file JSON")
+    emulti.add_argument("--folds", dest="folds_path", help="fold file JSON")
     emulti.set_defaults(func=_cmd_eval_multishot)
     return parser
 

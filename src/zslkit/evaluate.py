@@ -49,15 +49,15 @@ PREDICTOR_RANDOM = "random"
 # without naming its field.
 _PATH_FIELDS = ("target_path", "embedding_path", "out_dir", "auxiliary_path", "folds_path")
 _INTEGER_FIELDS = ("k_neighbors", "split_count", "split_seed")
-_REAL_FIELDS = ("gamma", "svr_c", "svr_epsilon", "svc_c")
+_REAL_FIELDS = ("svr_c", "svr_epsilon", "svc_c")
 
 # The fields each kind of run never reads: eval-zsl's regressor, its
 # random baseline and eval-multishot. They are left out of the run's
 # fingerprint and report, and only type-checked.
 _UNREAD = {
     "zsl": ("svc_c", "folds_path"),
-    PREDICTOR_RANDOM: ("embedding_path", "auxiliary_path", "k_neighbors", "gamma", "svr_c",
-                       "svr_epsilon", "svc_c", "folds_path"),
+    PREDICTOR_RANDOM: ("embedding_path", "auxiliary_path", "k_neighbors", "svr_c", "svr_epsilon",
+                       "svc_c", "folds_path"),
     "multishot": ("auxiliary_path", "k_neighbors", "split_count", "split_seed", "predictor"),
 }
 
@@ -77,8 +77,6 @@ _RANGE_CHECKS = (
     ("embedding_path", lambda v: Path(v).is_file(), "embedding file not found: {}"),
     ("auxiliary_path", lambda v: v is None or Path(v).is_file(), "auxiliary dataset not found: {}"),
     ("k_neighbors", lambda v: v is None or v >= 1, "k_neighbors must be at least 1"),
-    ("gamma", lambda v: v == "auto" or math.isfinite(v) and v > 0,
-     "gamma must be 'auto' or a positive finite number, got {!r}"),
     ("split_count", lambda v: v >= 1, "split_count must be at least 1"),
     ("split_seed", lambda v: v >= 0, "split_seed must be non-negative"),
     ("folds_path", bool, "eval-multishot requires folds_path"),
@@ -97,7 +95,6 @@ class ExperimentConfig:
     out_dir: str = "runs"
     auxiliary_path: str | None = None
     k_neighbors: int | None = None
-    gamma: float | str = "auto"
     svr_c: float = 2.0
     svr_epsilon: float = 0.1
     svc_c: float = 2.0
@@ -132,10 +129,10 @@ class ExperimentConfig:
     def validate(self, mode: str) -> None:
         """Type-check every field, then range-check the fields a run of
         ``mode`` reads (those of ``to_dict``) and make the real ones floats."""
-        exempt = {"auxiliary_path": None, "folds_path": None, "k_neighbors": None, "gamma": "auto"}
+        optional = ("auxiliary_path", "folds_path", "k_neighbors")
         for name in _PATH_FIELDS + _INTEGER_FIELDS + _REAL_FIELDS:
             value = getattr(self, name)
-            if (name, value) in exempt.items():
+            if value is None and name in optional:
                 continue
             kinds = (
                 str if name in _PATH_FIELDS else int if name in _INTEGER_FIELDS else (int, float)
@@ -154,9 +151,7 @@ class ExperimentConfig:
                 raise ValueError(message.format(reads[name]))
         # 2 and 2.0 are one experiment, so they get one fingerprint
         for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if value != "auto":
-                setattr(self, name, float(value))
+            setattr(self, name, float(getattr(self, name)))
 
     def variant_name(self) -> str:
         parts = ["NN"]
@@ -244,16 +239,20 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(n_run: int, n_unit: int) -> None:
-    """Refuse a run whose packed (n_run, n_run) distance matrix and largest
-    unit's (n_unit, n_unit) Gram block, both float64, exceed the memory
-    available now, before any distance is computed."""
-    need = 8 * (n_run * (n_run - 1) // 2 + 1 + n_unit * n_unit)
+def _check_memory(n_run: int, n_unit: int, n_projected: int, d_z: int) -> None:
+    """Refuse a run, before any distance is computed, if the memory available
+    now is short of its packed (n_run, n_run) distance matrix plus the
+    larger of a unit's two float64 phases: the (n_unit, n_unit) Gram block
+    with the SVR dual's p, a, cu and cl, each (d_z, 2 * n_unit), and then
+    the kernel rows of ``n_projected`` rows against at most n_unit."""
+    train = n_unit * n_unit + 4 * d_z * 2 * n_unit
+    need = 8 * (n_run * (n_run - 1) // 2 + 1 + max(train, n_projected * n_unit))
     available = _mem_available()
     if available is not None and need > available:
         raise ValueError(
             f"run needs {need:,} bytes for its {n_run}-row distance matrix and its "
-            f"largest unit's {n_unit}-row Gram block, but {available:,} bytes are available"
+            f"largest unit's {n_unit}-row Gram block with the SVR dual's state "
+            f"({d_z} targets) or its kernel rows, but {available:,} bytes are available"
         )
 
 
@@ -271,7 +270,7 @@ def _fit_regressor(
     over C-ordered blocks gathered from ``dist``; the kernel rows are
     gathered once the Gram matrix is freed.
     """
-    gamma, gram = fit_kernel(dist.block(rows, rows), config.gamma)
+    gamma, gram = fit_kernel(dist.block(rows, rows))
     regressor = train_semantic_regressor(targets, gram, config.svr_c, config.svr_epsilon)
     del gram  # keep at most the run matrix and one unit's block alive
     pool_rows = rows[regressor.pool_indices]
@@ -379,6 +378,7 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
     # once the run matrix exists
     aux_classes = set(labels[n_target:])
     rows_of = np.bincount(class_of[:n_target], minlength=len(index))
+    most_test = 0
     for split in splits:
         clash = [lab for lab in split.unseen if lab in aux_classes]
         if clash:
@@ -387,13 +387,14 @@ def run_zsl_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport, Path
                 "collides with an unseen class"
             )
         n_test = sum(int(rows_of[index[lab]]) for lab in split.unseen)
+        most_test = max(most_test, n_test)
         if config.k_neighbors is not None and config.k_neighbors > n_test:
             raise ValueError(
                 f"split {split.index}: k_neighbors={config.k_neighbors} is more than "
                 f"the split's {n_test} test clips"
             )
     seen = max(sum(int(rows_of[index[lab]]) for lab in s.seen) for s in splits)
-    _check_memory(len(class_of), seen + len(class_of) - n_target)
+    _check_memory(len(class_of), seen + len(class_of) - n_target, most_test, vectors.shape[1])
     features = _run_features(target.features, getattr(auxiliary, "features", None))
     # the per-file rows go before the run matrix is made; a unit reads the
     # matrix, not the features
@@ -492,7 +493,8 @@ def run_multishot_evaluation(config: ExperimentConfig) -> tuple[EvaluationReport
     index, class_of = _class_index(dataset.labels)
     vectors = label_targets(list(index), store)
     ids, labels = dataset.ids, dataset.labels
-    _check_memory(len(ids), max(train.size for train, _ in folds))
+    n_unit = max(train.size for train, _ in folds)
+    _check_memory(len(ids), n_unit, max(tr.size + te.size for tr, te in folds), vectors.shape[1])
     dist = PackedDistances(dataset.features)
     del dataset  # a unit reads the run matrix, not the features
 

@@ -250,12 +250,12 @@ def gram_matrix(gamma: float, d: np.ndarray) -> np.ndarray:
     return np.exp(d, out=d)
 
 
-def fit_kernel(distances: np.ndarray, gamma: float | str = "auto") -> tuple[float, np.ndarray]:
+def fit_kernel(distances: np.ndarray) -> tuple[float, np.ndarray]:
     """Gamma of a training set and its Gram matrix, from the set's
-    symmetric base-distance matrix. Gamma is the reciprocal mean distance
-    when ``gamma`` is "auto"; ``distances`` becomes the Gram matrix in
-    place."""
-    gamma = gamma_from_distances(distances) if gamma == "auto" else float(gamma)
+    symmetric base-distance matrix. Gamma is always the reciprocal mean
+    distance (:func:`gamma_from_distances`), for the regressor and the
+    classifier alike; ``distances`` becomes the Gram matrix in place."""
+    gamma = gamma_from_distances(distances)
     return gamma, gram_matrix(gamma, distances)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -299,7 +300,7 @@ class TestZslEvaluation:
         for values in (
             {"embedding_path": ""},
             {"embedding_path": str(tmp_path / "no_labels.txt")},
-            {"auxiliary_path": str(tmp_path / "none.csv"), "k_neighbors": 4, "gamma": 2.5},
+            {"auxiliary_path": str(tmp_path / "none.csv"), "k_neighbors": 4, "svr_c": 8.0},
         ):
             config = base_config(toy_world, tmp_path / "runs", predictor="random", **values)
             report, run_dir = run_zsl_evaluation(config)
@@ -360,7 +361,6 @@ class TestZslEvaluation:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("gamma", True, "gamma must be a number, got True"),
             ("svr_c", True, "svr_c must be a number, got True"),
             ("split_count", True, "split_count must be an integer, got True"),
             ("k_neighbors", True, "k_neighbors must be an integer, got True"),
@@ -373,7 +373,7 @@ class TestZslEvaluation:
             ("folds_path", ["f.json"], "folds_path must be a string, got ['f.json']"),
         ],
         ids=[
-            "gamma", "svr_c", "split_count", "k_neighbors", "svc_c", "split_seed",
+            "svr_c", "split_count", "k_neighbors", "svc_c", "split_seed",
             "target_path", "embedding_path", "out_dir", "auxiliary_path", "folds_path",
         ],
     )
@@ -482,7 +482,6 @@ class TestZslEvaluation:
             ("split_count", 3),
             ("svr_c", 1.0),
             ("svr_epsilon", 0.2),
-            ("gamma", 2.5),
             ("k_neighbors", 10),
             ("auxiliary_path", str(toy_world["aux"])),
             ("predictor", "random"),
@@ -647,14 +646,18 @@ class TestRunMemory:
 
     # zsl: 120 run rows; a split's 4 seen classes give 40 rows, plus 40
     # auxiliary rows. multi-shot: 80 rows, the larger fold trains on 48.
+    # Both regress onto d_z=6 word vectors, and training outweighs the
+    # kernel rows a unit gathers after it.
     @pytest.mark.parametrize(
         "mode, n_run, n_unit", [("zsl", 120, 80), ("multishot", 80, 48)]
     )
     def test_over_budget_run_refused_before_distances(
         self, toy_world, tmp_path, monkeypatch, mode, n_run, n_unit
     ):
-        # the run matrix stores each pair once, plus one zero diagonal cell
-        need = 8 * (n_run * (n_run - 1) // 2 + 1 + n_unit**2)
+        # the run matrix stores each pair once, plus one zero diagonal cell;
+        # the unit's Gram block sits beside the dual's p, a, cu and cl
+        dual = 4 * 6 * 2 * n_unit
+        need = 8 * (n_run * (n_run - 1) // 2 + 1 + n_unit**2 + dual)
 
         def no_distances(*args, **kwargs):
             raise AssertionError("distances computed")
@@ -671,16 +674,48 @@ class TestRunMemory:
             m.setattr(zslkit.kernels, "chi2_distance_matrix", no_distances)
             message = (
                 f"run needs {need:,} bytes for its {n_run}-row distance matrix and its "
-                f"largest unit's {n_unit}-row Gram block, but {need - 1:,} bytes are available"
+                f"largest unit's {n_unit}-row Gram block with the SVR dual's state "
+                f"(6 targets) or its kernel rows, but {need - 1:,} bytes are available"
             )
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 run_mode(mode, config)
         assert not (tmp_path / "runs").exists()
         # the exact need, and one byte short of a dense run matrix
-        for budget in (need, 8 * (n_run**2 + n_unit**2) - 1):
+        for budget in (need, 8 * (n_run**2 + n_unit**2 + dual) - 1):
             monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda b=budget: b)
             run_mode(mode, config)
             assert (tmp_path / "runs").is_dir()
+
+    def test_dual_state_is_counted_before_distances(self, toy_world, tmp_path, monkeypatch):
+        # NN: 80 run rows, and a split trains on 40 of them onto d_z=6. A
+        # budget that holds the run matrix and the Gram block, but not the
+        # dual's four (6, 80) arrays, is refused before the run matrix is made
+        gram_only = 8 * (80 * 79 // 2 + 1 + 40**2)
+
+        def no_run_matrix(*args, **kwargs):
+            raise AssertionError("the run matrix was made")
+
+        config = base_config(toy_world, tmp_path / "runs")
+        with monkeypatch.context() as m:
+            m.setattr(zslkit.evaluate, "PackedDistances", no_run_matrix)
+            m.setattr(zslkit.evaluate, "_mem_available", lambda: gram_only)
+            with pytest.raises(ValueError, match=r"Gram block with the SVR dual's state"):
+                run_zsl_evaluation(config)
+        assert not (tmp_path / "runs").exists()
+        monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: gram_only + 8 * 4 * 6 * 80)
+        run_zsl_evaluation(config)
+
+    def test_kernel_rows_count_when_they_outweigh_training(self, monkeypatch):
+        # the kernel rows are gathered once the Gram block and the dual are
+        # freed, so the larger of the two phases counts, not their sum
+        packed = 8 * (100 * 99 // 2 + 1)
+        train, rows = 10**2 + 4 * 1 * 2 * 10, 90 * 10
+        assert train < rows
+        monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: packed + 8 * rows - 1)
+        with pytest.raises(ValueError, match="run needs"):
+            zslkit.evaluate._check_memory(100, 10, 90, 1)
+        monkeypatch.setattr(zslkit.evaluate, "_mem_available", lambda: packed + 8 * rows)
+        zslkit.evaluate._check_memory(100, 10, 90, 1)
 
     def test_unread_budget_or_random_predictor_is_not_refused(
         self, toy_world, tmp_path, monkeypatch
@@ -887,6 +922,40 @@ class TestCli:
         assert "invalid choice: 'quantize'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_every_flag_names_its_config_field(self):
+        # _config_from_args copies each config field from the flag whose dest
+        # is the field's name; a flag with any other dest would be dropped
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if action.dest not in ("help", "config", "ablation_grid"):
+                    assert action.dest in fields, (name, action.option_strings, action.dest)
+
+    def test_gamma_is_not_a_setting(self, toy_world, tmp_path, capsys):
+        # gamma is always the reciprocal mean distance: an old config's key
+        # and the old flag are refused before a run directory exists
+        out = tmp_path / "runs"
+        config_path = tmp_path / "old.json"
+        config_path.write_text(json.dumps({
+            "target_path": str(toy_world["target"]),
+            "embedding_path": str(toy_world["embeddings"]),
+            "out_dir": str(out),
+            "gamma": 1.0,
+        }))
+        assert main(["eval-zsl", "--config", str(config_path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == f"{config_path}: unknown config field 'gamma'"
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval-zsl", "--features", str(toy_world["target"]),
+                  "--embeddings", str(toy_world["embeddings"]), "--out", str(out), "--gamma", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --gamma 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, toy_world, tmp_path, capsys):
         config_path = tmp_path / "exp.json"
         config_path.write_text(
@@ -897,7 +966,7 @@ class TestCli:
                     "out_dir": str(tmp_path / "runs"),
                     "split_count": 1,
                     "split_seed": 2,
-                    "gamma": 1.5,
+                    "svr_c": 1.5,
                 }
             )
         )
@@ -907,7 +976,7 @@ class TestCli:
         doc = json.loads(report_path.read_text())
         # the flag wins and the resolved value is what got fingerprinted
         assert doc["config"]["split_seed"] == 9
-        assert doc["config"]["gamma"] == 1.5
+        assert doc["config"]["svr_c"] == 1.5
 
     def test_integer_and_float_spellings_share_one_run_directory(self, toy_world, tmp_path):
         runs = tmp_path / "runs"
@@ -917,14 +986,14 @@ class TestCli:
             "out_dir": str(runs),
             "split_count": 1,
         }
-        for k, spelling in enumerate(({"svr_c": 2, "gamma": 1}, {"svr_c": 2.0, "gamma": 1.0})):
+        for k, spelling in enumerate(({"svr_c": 2}, {"svr_c": 2.0})):
             config_path = tmp_path / f"exp{k}.json"
             config_path.write_text(json.dumps({**base, **spelling}))
             assert main(["eval-zsl", "--config", str(config_path)]) == 0
-        assert main(["eval-zsl", "--config", str(config_path), "--gamma", "1"]) == 0
+        assert main(["eval-zsl", "--config", str(config_path), "--splits", "1"]) == 0
         (run_dir,) = runs.iterdir()
         config = json.loads((run_dir / "report.json").read_text())["config"]
-        assert config["svr_c"] == 2.0 and config["gamma"] == 1.0
+        assert config["svr_c"] == 2.0
 
     def test_nonconvergence_error_json_has_diagnostics(
         self, toy_world, tmp_path, capsys, monkeypatch
@@ -1013,11 +1082,11 @@ class TestCli:
             ("svc_c", 0, "svc_c must be positive, got 0"),
             *(
                 (name, 10**400, f"{name} is an integer too large for a float")
-                for name in ("svr_c", "svc_c", "svr_epsilon", "gamma")
+                for name in ("svr_c", "svc_c", "svr_epsilon")
             ),
         ],
         ids=["svr_c", "svr_epsilon", "svc_c", "svr_c-10**400", "svc_c-10**400",
-             "svr_epsilon-10**400", "gamma-10**400"],
+             "svr_epsilon-10**400"],
     )
     def test_config_solver_value_out_of_range_fails(
         self, toy_world, tmp_path, capsys, field, value, message
@@ -1046,7 +1115,6 @@ class TestCli:
                 "--features", str(toy_world["target"]),
                 "--embeddings", str(toy_world["embeddings"]),
                 "--out", str(tmp_path / "runs"),
-                "--gamma", "1.5",
                 "--seed", "4",
                 "--splits", "1",
                 "--self-train", "3",
@@ -1056,39 +1124,10 @@ class TestCli:
         assert code == 0
         doc = json.loads(next((tmp_path / "runs").glob("*/report.json")).read_text())
         config = doc["config"]
-        assert (config["gamma"], config["split_seed"], config["split_count"]) == (1.5, 4, 1)
+        assert (config["split_seed"], config["split_count"]) == (4, 1)
         assert (config["k_neighbors"], config["auxiliary_path"]) == (3, str(toy_world["aux"]))
         assert doc["variant"] == "NN+ST+Aux"
         assert not {"self_train", "augment", "out_dir"} & set(config)
-
-    # a number that is not a positive finite real fails validation: no run directory
-    @pytest.mark.parametrize(
-        "gamma, got",
-        [("0.5", None), ("auto", None), ("fast", "'fast'"), ("inf", "inf"), ("1e400", "inf"),
-         ("-1", "-1.0"), ("nan", "nan")],
-        ids=["0.5", "auto", "fast", "inf", "1e400", "-1", "nan"],
-    )
-    def test_gamma_flag_takes_auto_or_a_number(self, toy_world, tmp_path, capsys, gamma, got):
-        out = tmp_path / "runs"
-        code = main(
-            [
-                "eval-zsl",
-                "--features", str(toy_world["target"]),
-                "--embeddings", str(toy_world["embeddings"]),
-                "--out", str(out),
-                "--splits", "1",
-                "--gamma", gamma,
-            ]
-        )
-        if got is not None:
-            assert code == 1
-            error = json.loads(capsys.readouterr().err)["error"]
-            assert error == f"gamma must be 'auto' or a positive finite number, got {got}"
-            assert not out.exists()
-            return
-        assert code == 0
-        config = json.loads(next(out.glob("*/report.json")).read_text())["config"]
-        assert config["gamma"] == (0.5 if gamma == "0.5" else "auto")
 
     def test_random_runs_from_flags_and_from_a_config_are_one_experiment(
         self, toy_world, tmp_path, capsys
@@ -1100,7 +1139,7 @@ class TestCli:
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({
             "embedding_path": str(toy_world["embeddings"]), "auxiliary_path": str(toy_world["aux"]),
-            "k_neighbors": 4, "gamma": 2.5, "svr_c": 8.0, "svr_epsilon": 0.01,
+            "k_neighbors": 4, "svr_c": 8.0, "svr_epsilon": 0.01,
         }))
         config_run = ["eval-zsl", "--config", str(config_path), *flags]
         assert main([*config_run, "--out", str(tmp_path / "config")]) == 0
@@ -1195,6 +1234,6 @@ class TestCli:
         assert main(["eval-multishot", "--config", str(config_path), *flags]) == 0
         (run_dir,) = runs.iterdir()
         config = json.loads((run_dir / "report.json").read_text())["config"]
-        assert sorted(config) == ["embedding_path", "folds_path", "gamma", "svc_c", "svr_c",
-                                  "svr_epsilon", "target_path"]
+        assert sorted(config) == ["embedding_path", "folds_path", "svc_c", "svr_c", "svr_epsilon",
+                                  "target_path"]
 

@@ -242,8 +242,6 @@ class TestFitKernel:
         assert gram is d
         assert gamma == expected
         np.testing.assert_array_equal(gram, gram_matrix(expected, distance_matrix(x)))
-        gamma, _ = fit_kernel(distance_matrix(x), gamma=2)
-        assert gamma == 2.0 and type(gamma) is float
 
 
 class TestRunWideDistances:

@@ -218,7 +218,8 @@ class TestGramSymmetryCheck:
         rows = np.array(data.draw(st.lists(st.integers(0, dist.n - 1), min_size=2,
                                            max_size=2 * dist.n + 2)), dtype=np.intp)
         block = dist.block(rows, rows)
-        _, gram = fit_kernel(block, "auto" if block.any() else 1.0)
+        # gamma of an all-zero block is refused; any bandwidth keeps it symmetric
+        gram = fit_kernel(block)[1] if block.any() else gram_matrix(1.0, block)
         assert np.array_equal(gram, gram.T)
         assert _validate_gram(gram) is gram
 
@@ -230,7 +231,7 @@ class TestGramSymmetryCheck:
         # the multi-shot SVM's Gram matrix, over L2-normalized projections
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
         d = squared_euclidean_distances(x)
-        _, gram = fit_kernel(d, "auto" if d.any() else 1.0)
+        gram = fit_kernel(d)[1] if d.any() else gram_matrix(1.0, d)
         assert np.array_equal(gram, gram.T)
         assert _validate_gram(gram) is gram
 
@@ -265,9 +266,13 @@ class TestRunKernelRows:
         row_sets = [np.array(data.draw(st.lists(index, max_size=2 * dist.n)), dtype=np.intp)
                     for _ in range(data.draw(st.integers(0, 2)))]
         block = dist.block(rows, rows)
-        config = ExperimentConfig(gamma="auto" if block.any() else 1.0)
-        gamma, gram = fit_kernel(block, config.gamma)
+        config = ExperimentConfig()
         targets = np.random.default_rng(rows.size).normal(size=(rows.size, 3))
+        if not block.any():  # identical rows have no mean distance to set gamma
+            with pytest.raises(ValueError, match="mean pairwise distance is zero"):
+                _fit_regressor(config, dist, rows, targets, rows, *row_sets)
+            return
+        gamma, gram = fit_kernel(block)
         regressor, kernel_rows = _fit_regressor(config, dist, rows, targets, rows, *row_sets)
         pool = regressor.pool_indices
         assert len(kernel_rows) == 1 + len(row_sets)
